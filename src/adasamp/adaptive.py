@@ -30,6 +30,14 @@ UTILITY_KINDS = ("zero_one", "l1")
 MAX_LOG_WEIGHT = 700.0
 
 
+class DivergenceError(ArithmeticError):
+    """Training made the hypothesis, or a utility at it, non-finite."""
+
+    def __init__(self, iteration: int):
+        super().__init__(f"diverged at iteration {iteration}")
+        self.iteration = iteration
+
+
 @dataclasses.dataclass(frozen=True)
 class SamplerConfig:
     """Sampler hyperparameters: reweighting amplitude >= 0, multiplicative decay
@@ -188,6 +196,7 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     called at t = 1, every metric_every-th iteration, and t = T, where kl_stat
     is amplitude/(1-decay) times the utility sum through iteration t-1.
 
+    Raises DivergenceError if a step leaves h, or the utilities at h, non-finite.
     Returns (h_T, trace). The caller owns `rule` (its AdaGrad accumulator is
     mutated) and `h0` is never modified.
     """
@@ -236,6 +245,9 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
         # one reweighting per unique drawn index, utility taken at h_t
         uniq = _first_appearance_unique(idx)
         u = utilities(cfg.utility, h, ds.features[uniq], ds.labels[uniq])
+        batch_util = float(u.sum())
+        if not (math.isfinite(batch_util) and np.isfinite(h).all()):
+            raise DivergenceError(t)
         prev_util_sum = util_sum
         for j, i in enumerate(uniq):
             old = acc[i]
@@ -243,7 +255,7 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
             counts[i] += 1
             acc_total += acc[i] - old
             tree.update(int(i), math.exp(amp * acc[i]))
-        util_sum += float(u.sum())
+        util_sum += batch_util
         trace.updated.append(uniq)
         trace.utilities.append(u)
 

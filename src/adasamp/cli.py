@@ -1,22 +1,28 @@
 """Command-line interface.
 
 Subcommands: train, compare, bounds, probe-stability, synth-data,
-verify-sampler. Every experiment flag can also come from a flat key=value
-config file (--config PATH, keys named like the flags without the leading
-dashes); explicit flags win over the file, the file wins over defaults.
-Exits 0 on success, 2 with a diagnostic line on stderr on any rejection.
+verify-sampler. The experiment subcommands also read a flat `key = value`
+config file (--config PATH) whose keys are their flag names without the
+leading dashes; on/off keys take true/1/yes/on or false/0/no/off, and
+`alphas` takes whitespace-separated numbers. File values become the
+subcommand's defaults, so an explicit flag wins in every spelling and the
+file wins over built-in defaults. Float flags reject nan and +-inf.
+
+Exit codes: 0 on success, 1 when a verification finds a violation, 2 on a
+rejected input, 3 when training diverges (`error: diverged at iteration t`).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
-from scipy import stats
 
 from . import bounds
+from .adaptive import DivergenceError
 from .data import save_csv, synth_data
 from .harness import (
     ExperimentConfig,
@@ -27,9 +33,16 @@ from .harness import (
 )
 from .weight_tree import WeightTree
 
-# config-file key -> argparse dest, for keys whose flag name is not the dest
-KEY_ALIASES = {"lambda": "decay", "M": "loss_bound", "track-kl": "track_kl",
-               "test-n": "test_n", "domain-radius": "domain_radius"}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def finite_float(text: str) -> float:
+    """argparse type for every float flag: nan and +-inf are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def load_config_file(path) -> dict:
@@ -43,73 +56,42 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            dest = KEY_ALIASES.get(key, key.replace("-", "_"))
-            values[dest] = raw
+            values[key.strip()] = raw.strip()
     return values
 
 
-def _coerce(raw: str, like):
-    if isinstance(like, bool):
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
+def _file_value(action: argparse.Action, raw: str):
+    if action.nargs == 0:  # an on/off flag such as --track-kl
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"expected a boolean, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    if action.nargs == "*":  # a list flag such as --alphas
+        return [action.type(word) for word in raw.split()]
+    if action.choices is not None and raw not in action.choices:
+        raise ValueError(f"expected one of {sorted(action.choices)}, got {raw!r}")
+    return raw  # argparse converts string defaults with the flag's own type
 
 
-def apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill config-file values into args wherever the flag was left at default."""
-    if getattr(args, "config", None) is None:
-        return
-    file_values = load_config_file(args.config)
-    explicit = getattr(args, "_explicit", set())
-    for dest, raw in file_values.items():
-        if dest not in parser_defaults:
-            raise ValueError(f"unknown config key {dest!r}")
-        if dest in explicit:
-            continue
-        like = parser_defaults[dest]
-        if like is None:
-            like = _NONE_DEFAULT_TYPES.get(dest, "")
-        setattr(args, dest, _coerce(raw, like))
+def _config_defaults(sub: argparse.ArgumentParser, path) -> dict:
+    """The config file's values as defaults for the subcommand parser `sub`.
 
-
-# types for keys whose built-in default is None
-_NONE_DEFAULT_TYPES = {"csv": "", "out": "", "target": 0.0, "domain_radius": 0.0}
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which dests were set explicitly on the command line, so config
-    files can fill in the rest without clobbering flags."""
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        seen = list(argv) if argv is not None else sys.argv[1:]
-        for action in self._iter_all_actions():
-            if any(opt in seen for opt in action.option_strings):
-                explicit.add(action.dest)
-        args._explicit = explicit
-        return args
-
-    def _iter_all_actions(self):
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    yield from sub._actions
-            else:
-                yield action
+    Keys are `sub`'s flag names without the leading dashes.
+    """
+    defaults = {}
+    for key, raw in load_config_file(path).items():
+        action = sub._option_string_actions.get("--" + key)
+        if action is None or action.dest in ("help", "config"):
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            defaults[action.dest] = _file_value(action, raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    return defaults
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     defaults = ExperimentConfig()
+    p.set_defaults(subparser=p)  # parse_args sets this parser's defaults from --config
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--csv", help="load the dataset from this CSV instead of synthesizing")
     p.add_argument("--seed", type=int, default=defaults.seed)
@@ -117,29 +99,30 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test-n", type=int, default=defaults.test_n, dest="test_n")
     p.add_argument("--dim", type=int, default=defaults.dim)
     p.add_argument("--classes", type=int, default=defaults.classes)
-    p.add_argument("--imbalance", type=float, default=defaults.imbalance)
-    p.add_argument("--noise", type=float, default=defaults.noise)
-    p.add_argument("--separation", type=float, default=defaults.separation)
+    p.add_argument("--imbalance", type=finite_float, default=defaults.imbalance)
+    p.add_argument("--noise", type=finite_float, default=defaults.noise)
+    p.add_argument("--separation", type=finite_float, default=defaults.separation)
     p.add_argument("--iters", type=int, default=defaults.iters)
-    p.add_argument("--alpha", type=float, default=defaults.alpha,
+    p.add_argument("--alpha", type=finite_float, default=defaults.alpha,
                    help="reweighting amplitude (0 = uniform sampling)")
-    p.add_argument("--lambda", type=float, default=defaults.decay, dest="decay",
+    p.add_argument("--lambda", type=finite_float, default=defaults.decay, dest="decay",
                    help="multiplicative weight decay in (0, 1)")
     p.add_argument("--utility", choices=["01", "l1"], default="l1")
     p.add_argument("--rule", choices=["sgd", "adagrad"], default=defaults.rule)
     p.add_argument("--schedule", choices=["constant", "inverse_decay", "strongly_convex"],
                    default=defaults.schedule)
     p.add_argument("--batch", type=int, default=defaults.batch)
-    p.add_argument("--mu", type=float, default=defaults.mu, help="L2 regularization strength")
-    p.add_argument("--M", type=float, default=defaults.loss_bound, dest="loss_bound",
+    p.add_argument("--mu", type=finite_float, default=defaults.mu,
+                   help="L2 regularization strength")
+    p.add_argument("--M", type=finite_float, default=defaults.loss_bound, dest="loss_bound",
                    help="loss clamp")
-    p.add_argument("--domain-radius", type=float, default=None, dest="domain_radius")
-    p.add_argument("--eta", type=float, default=defaults.eta)
-    p.add_argument("--kappa", type=float, default=defaults.kappa)
-    p.add_argument("--delta", type=float, default=defaults.delta)
+    p.add_argument("--domain-radius", type=finite_float, default=None, dest="domain_radius")
+    p.add_argument("--eta", type=finite_float, default=defaults.eta)
+    p.add_argument("--kappa", type=finite_float, default=defaults.kappa)
+    p.add_argument("--delta", type=finite_float, default=defaults.delta)
     p.add_argument("--trials", type=int, default=defaults.trials)
     p.add_argument("--cadence", type=int, default=defaults.cadence)
-    p.add_argument("--target", type=float, default=None,
+    p.add_argument("--target", type=finite_float, default=None,
                    help="explicit loss target for iterations-to-target")
     p.add_argument("--track-kl", action="store_true", dest="track_kl",
                    help="record the full conditional KL to uniform every iteration")
@@ -148,10 +131,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    chosen = {k: v for k, v in vars(args).items() if k in fields}
-    if args.utility == "01":
-        chosen["utility"] = "zero_one"
-    return ExperimentConfig(**chosen)
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def cmd_train(args) -> int:
@@ -237,6 +217,8 @@ def cmd_probe_stability(args) -> int:
 
 def cmd_verify_sampler(args) -> int:
     """Distribution, goodness-of-fit, and touched-node checks on random trees."""
+    from scipy import stats  # only this subcommand needs it, and it is slow to import
+
     rng = np.random.default_rng(args.seed)
     failures = []
     for n in args.sizes:
@@ -266,8 +248,8 @@ def cmd_verify_sampler(args) -> int:
     return 0
 
 
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(prog="adasamp",
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="adasamp",
                              description="adaptive-sampling SGD experiments and bound evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -277,7 +259,7 @@ def build_parser() -> _TrackingParser:
 
     p = sub.add_parser("compare", help="uniform vs adaptive arms on shared seeds")
     _add_experiment_flags(p)
-    p.add_argument("--alphas", type=float, nargs="*", default=None,
+    p.add_argument("--alphas", type=finite_float, nargs="*", default=None,
                    help="adaptive arm amplitudes (default: just --alpha)")
     p.set_defaults(func=cmd_compare)
 
@@ -286,19 +268,19 @@ def build_parser() -> _TrackingParser:
                    choices=["stab-convex", "stab-nonconvex", "stab-initial-risk",
                             "stab-strongly-convex", "chisq", "kl", "sgd-strongly-convex",
                             "derandomized"])
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=0.1)
+    p.add_argument("--L", type=finite_float, default=1.0)
+    p.add_argument("--eta", type=finite_float, default=0.1)
     p.add_argument("--T", type=int, default=100)
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--M", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.1)
-    p.add_argument("--smoothness", type=float, default=1.0)
-    p.add_argument("--risk-h0", type=float, default=1.0, dest="risk_h0")
-    p.add_argument("--kl", type=float, default=0.0)
-    p.add_argument("--chisq", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--M", type=finite_float, default=1.0)
+    p.add_argument("--mu", type=finite_float, default=0.1)
+    p.add_argument("--smoothness", type=finite_float, default=1.0)
+    p.add_argument("--risk-h0", type=finite_float, default=1.0, dest="risk_h0")
+    p.add_argument("--kl", type=finite_float, default=0.0)
+    p.add_argument("--chisq", type=finite_float, default=0.0)
+    p.add_argument("--beta", type=finite_float, default=0.0)
+    p.add_argument("--gamma", type=finite_float, default=0.0)
+    p.add_argument("--delta", type=finite_float, default=0.05)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("probe-stability", help="empirical stability vs closed forms")
@@ -311,9 +293,9 @@ def build_parser() -> _TrackingParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--imbalance", type=float, default=0.7)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--separation", type=float, default=3.4)
+    p.add_argument("--imbalance", type=finite_float, default=0.7)
+    p.add_argument("--noise", type=finite_float, default=0.05)
+    p.add_argument("--separation", type=finite_float, default=3.4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV path to write")
     p.set_defaults(func=cmd_synth_data)
@@ -327,14 +309,24 @@ def build_parser() -> _TrackingParser:
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv; with --config, parse it again with the file's values as
+    the subcommand's defaults, so every explicit flag wins over the file."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        if hasattr(args, "config"):
-            defaults = {a.dest: a.default for a in parser._iter_all_actions()}
-            apply_config_file(args, defaults)
+        args = parse_args(argv)
         return args.func(args)
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -166,6 +166,8 @@ def _render(obj) -> str:
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, np.integer)):
         return json.dumps(None if obj is None else bool(obj) if isinstance(obj, bool) else int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {float(obj)!r} as JSON")
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -177,7 +179,10 @@ def _render(obj) -> str:
 
 
 def dumps_json(obj) -> str:
-    """json.dumps lookalike with floats rendered at 17 significant digits."""
+    """json.dumps lookalike with floats rendered at 17 significant digits.
+
+    Raises ValueError on nan or +-inf, which JSON cannot represent.
+    """
     return _render(obj)
 
 

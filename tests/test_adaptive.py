@@ -8,6 +8,7 @@ import pytest
 
 from adasamp import (
     Dataset,
+    DivergenceError,
     Example,
     SamplerConfig,
     StepSchedule,
@@ -153,6 +154,20 @@ def test_train_rejects_bad_inputs():
     with pytest.raises(ValueError):
         train(ds, cfg, sched, UpdateRuleState.sgd(), 0.0, 5.0,
               zeros_hypothesis(3, 3), np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["l1", "zero_one"])
+def test_train_reports_divergence_with_its_iteration(kind):
+    ds = _random_dataset(2)
+    cfg = SamplerConfig(amplitude=1.0, decay=0.5, utility=kind, iterations=5)
+    with pytest.raises(DivergenceError) as exc:
+        train(ds, cfg, StepSchedule.constant(1e308), UpdateRuleState.sgd(), 0.0, 5.0,
+              zeros_hypothesis(2, 3), np.random.default_rng(0))
+    assert not isinstance(exc.value, ValueError)  # not a rejected input
+    assert 1 <= exc.value.iteration <= 5
+    assert str(exc.value) == f"diverged at iteration {exc.value.iteration}"
 
 
 def test_zero_amplitude_reduces_to_uniform_sampling():

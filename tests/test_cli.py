@@ -2,29 +2,43 @@
 printed bound values match the underlying functions."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasamp import bounds
-from adasamp.cli import _coerce, load_config_file, main
+from adasamp.cli import load_config_file, main, parse_args
 from adasamp.data import load_csv
 
 SMALL = ["--n", "60", "--test-n", "40", "--dim", "4", "--iters", "40",
          "--trials", "2", "--cadence", "10", "--batch", "4"]
 
 
-def test_load_config_file(tmp_path):
+def test_config_file_keys_are_flag_names(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("# comment\n"
                  "alpha = 1.5\n"
-                 "lambda = 0.25   # alias for decay\n"
+                 "lambda = 0.25   # the --lambda flag, dest decay\n"
                  "M = 3.0\n"
                  "test-n = 33\n"
                  "\n"
                  "track-kl = true\n")
-    values = load_config_file(p)
-    assert values == {"alpha": "1.5", "decay": "0.25", "loss_bound": "3.0",
-                      "test_n": "33", "track_kl": "true"}
+    args = parse_args(["train", "--config", str(p)])
+    assert (args.alpha, args.decay, args.loss_bound) == (1.5, 0.25, 3.0)
+    assert args.test_n == 33 and args.track_kl is True
+
+
+def test_config_file_boolean_spellings(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text("track-kl = off\n")
+    assert parse_args(["train", "--config", str(p)]).track_kl is False
+    p.write_text("track-kl = maybe\n")
+    assert main(["train", "--config", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_load_config_file_rejects_bare_line(tmp_path):
@@ -34,14 +48,41 @@ def test_load_config_file_rejects_bare_line(tmp_path):
         load_config_file(p)
 
 
-def test_coerce():
-    assert _coerce("true", False) is True
-    assert _coerce("off", True) is False
-    assert _coerce("12", 0) == 12
-    assert _coerce("0.5", 0.0) == 0.5
-    assert _coerce("path/x", "") == "path/x"
-    with pytest.raises(ValueError):
-        _coerce("maybe", False)
+# flag -> (unique prefix, parsed dest, built-in default, values to try)
+PRECEDENCE_FLAGS = {
+    "--alpha": ("--alp", "alpha", 2.0, [0.5, 1.0, 3.0]),
+    "--lambda": ("--lam", "decay", 0.5, [0.1, 0.25, 0.9]),
+    "--iters": ("--it", "iters", 4000, [1, 7, 40]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), flag=st.sampled_from(sorted(PRECEDENCE_FLAGS)),
+       form=st.sampled_from(["space", "equals", "prefix"]))
+def test_flag_beats_file_beats_default(tmp_path_factory, data, flag, form):
+    prefix, dest, default, values = PRECEDENCE_FLAGS[flag]
+    file_value = data.draw(st.none() | st.sampled_from(values), label="file")
+    flag_value = data.draw(st.none() | st.sampled_from(values), label="flag")
+    cfg = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    cfg.write_text("" if file_value is None else f"{flag[2:]} = {file_value}\n")
+    argv = ["train", "--config", str(cfg)]
+    if flag_value is not None:
+        argv += {"space": [flag, str(flag_value)], "equals": [f"{flag}={flag_value}"],
+                 "prefix": [prefix, str(flag_value)]}[form]
+    want = next(v for v in (flag_value, file_value, default) if v is not None)
+    assert getattr(parse_args(argv), dest) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(form=st.sampled_from(["--track-kl", "--tra"]),
+       file_value=st.sampled_from([None, "true", "on", "1", "false", "no", "0"]),
+       flag=st.booleans())
+def test_track_kl_flag_beats_file_beats_default(tmp_path_factory, form, file_value, flag):
+    cfg = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    cfg.write_text("" if file_value is None else f"track-kl = {file_value}\n")
+    argv = ["train", "--config", str(cfg)] + ([form] if flag else [])
+    from_file = file_value in ("true", "on", "1")
+    assert parse_args(argv).track_kl is (flag or from_file)
 
 
 def test_train_writes_artifacts(tmp_path, capsys):
@@ -61,14 +102,71 @@ def test_config_file_fills_defaults_but_flags_win(tmp_path):
                        "test-n = 40\ndim = 4\ntrials = 1\ncadence = 10\n"
                        "batch = 4\n")
     out = tmp_path / "run"
-    rc = main(["train", "--config", str(cfgfile), "--alpha", "3.0",
-               "--out", str(out)])
-    assert rc == 0
-    echo = json.loads((out / "report.json").read_text())["config"]
-    assert echo["alpha"] == 3.0      # explicit flag beats the file
-    assert echo["decay"] == 0.25     # file beats the built-in default
-    assert echo["iters"] == 40
-    assert echo["n"] == 60
+    for flag in (["--alpha", "3.0"], ["--alpha=3.0"], ["--alp", "3.0"]):
+        rc = main(["train", "--config", str(cfgfile), *flag, "--out", str(out)])
+        assert rc == 0
+        echo = json.loads((out / "report.json").read_text())["config"]
+        assert echo["alpha"] == 3.0      # explicit flag beats the file
+        assert echo["decay"] == 0.25     # file beats the built-in default
+        assert echo["iters"] == 40
+        assert echo["n"] == 60
+
+
+def test_compare_reads_alphas_from_config(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("alphas = 1 2\n")
+    assert main(["compare", *SMALL, "--config", str(cfgfile)]) == 0
+    comp = json.loads(capsys.readouterr().out)
+    assert set(comp["arms"]) == {"uniform", "alpha_1", "alpha_2"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--formula", "kl", "--kl", "nan"],
+    ["bounds", "--formula", "chisq", "--chisq", "inf"],
+    ["bounds", "--formula", "kl", "--M=-inf"],
+    ["train", "--eta", "nan"],
+    ["compare", "--alphas", "1", "inf"],
+])
+def test_non_finite_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
+
+
+def test_non_finite_config_values_are_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("alpha = nan\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    cfgfile.write_text("alphas = 1 inf\n")
+    assert main(["compare", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_divergence_exits_3_naming_the_iteration(capsys):
+    rc = main(["train", *SMALL, "--schedule", "constant", "--eta", "1e308", "--mu", "0"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: diverged at iteration ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, adasamp.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):

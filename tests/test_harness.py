@@ -73,6 +73,12 @@ def test_dumps_json_shape():
     assert json.loads(s) == {"a": 1, "b": [0.5, None, True], "c": {"d": "x"}}
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_dumps_json_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_json({"a": [1.0, bad]})
+
+
 def test_run_experiment_schema_and_ranges(tmp_path):
     cfg = _small_cfg(out=str(tmp_path / "run"))
     res = run_experiment(cfg)
