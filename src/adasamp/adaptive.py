@@ -91,7 +91,7 @@ def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndar
         return (scores.argmax(axis=1) != y).astype(np.float64)
     if kind == "l1":
         P = predict_proba_batch(h, X)
-        return np.clip(1.0 - P[np.arange(X.shape[0]), y], 0.0, 1.0)
+        return np.minimum(np.maximum(1.0 - P[np.arange(X.shape[0]), y], 0.0), 1.0)
     raise ValueError(f"unknown utility kind {kind!r}")
 
 
@@ -177,8 +177,7 @@ class TrainTrace:
 
 
 def _first_appearance_unique(idx: np.ndarray) -> np.ndarray:
-    _, first = np.unique(idx, return_index=True)
-    return idx[np.sort(first)]
+    return np.array(list(dict.fromkeys(idx.tolist())), dtype=np.int64)
 
 
 def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRuleState,
@@ -191,10 +190,13 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     (recording each draw's probability from the pre-draw tree state), step the
     hypothesis with the batch-mean objective gradient, then for each unique
     drawn index evaluate the utility at the new hypothesis and reweight it
-    once. `rng` is consumed only by the draws: exactly depth uniforms per draw,
-    draws in order. If metric_every > 0, metric_fn(t, h, kl_stat, cond_kl) is
-    called at t = 1, every metric_every-th iteration, and t = T, where kl_stat
-    is amplitude/(1-decay) times the utility sum through iteration t-1.
+    once. One `WeightTree.descend_many` call draws the batch and one
+    `update_many` call reweights it, in first-appearance order, bitwise as one
+    draw and one update at a time would. `rng` is consumed only by the draws:
+    exactly depth uniforms per draw, draws in order. If metric_every > 0,
+    metric_fn(t, h, kl_stat, cond_kl) is called at t = 1, every
+    metric_every-th iteration, and t = T, where kl_stat is amplitude/(1-decay)
+    times the utility sum through iteration t-1.
 
     Raises DivergenceError if a step leaves h, or the utilities at h, non-finite.
     Returns (h_T, trace). The caller owns `rule` (its AdaGrad accumulator is
@@ -221,17 +223,15 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
 
     for t in range(1, cfg.iterations + 1):
         # draws, and everything read from the pre-update tree state Q_t
-        uni = rng.random((cfg.batch_size, tree.depth))
-        idx = np.fromiter((tree.descend(uni[r]) for r in range(cfg.batch_size)),
-                          dtype=np.int64, count=cfg.batch_size)
+        idx = tree.descend_many(rng.random((cfg.batch_size, tree.depth)))
         root = tree.total
         q = tree.probs(idx)
-        log_ratio = amp * acc[idx] - (math.log(root) - log_n)
+        acc_idx = acc[idx]
         trace.indices.append(idx)
         trace.probs.append(q)
-        trace.log_ratios.append(log_ratio)
-        trace.acc_before.append(acc[idx].copy())
-        trace.counts_before.append(counts[idx].copy())
+        trace.log_ratios.append(amp * acc_idx - (math.log(root) - log_n))
+        trace.acc_before.append(acc_idx)
+        trace.counts_before.append(counts[idx])
         trace.acc_mean_before.append(acc_total / n)
         if trace.conditional_kl is not None:
             trace.conditional_kl.append(conditional_kl(tree))
@@ -249,12 +249,14 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
         if not (math.isfinite(batch_util) and np.isfinite(h).all()):
             raise DivergenceError(t)
         prev_util_sum = util_sum
-        for j, i in enumerate(uniq):
-            old = acc[i]
-            acc[i] = dec * old + u[j]
-            counts[i] += 1
-            acc_total += acc[i] - old
-            tree.update(int(i), math.exp(amp * acc[i]))
+        old = acc[uniq]
+        new = dec * old + u
+        acc[uniq] = new
+        counts[uniq] += 1
+        new_list = new.tolist()
+        for a, b in zip(new_list, old.tolist()):  # in order, so acc_total rounds as before
+            acc_total += a - b
+        tree.update_many(uniq, [math.exp(amp * a) for a in new_list])
         util_sum += batch_util
         trace.updated.append(uniq)
         trace.utilities.append(u)

@@ -235,7 +235,7 @@ def kl_from_utility_sum(trace: TrainTrace, amplitude: float | None = None,
     total = 0.0
     for t in range(1, trace.iterations):
         u = trace.utilities[t - 1]
-        if np.any(u < 0):
+        if (u < 0).any():
             raise ValueError("negative utility in trace")
         total += float(u.sum())
     return amp / (1.0 - dec) * total

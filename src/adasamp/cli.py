@@ -4,9 +4,11 @@ Subcommands: train, compare, bounds, probe-stability, synth-data,
 verify-sampler. The experiment subcommands also read a flat `key = value`
 config file (--config PATH) whose keys are their flag names without the
 leading dashes; on/off keys take true/1/yes/on or false/0/no/off, and
-`alphas` takes whitespace-separated numbers. File values become the
-subcommand's defaults, so an explicit flag wins in every spelling and the
-file wins over built-in defaults. Float flags reject nan and +-inf.
+`alphas` takes whitespace-separated numbers. File values are converted
+with their flag's type (a bad one is reported as `error: config key ...`)
+and become the subcommand's defaults, so an explicit flag wins in every
+spelling and the file wins over built-in defaults. Float flags reject nan
+and +-inf.
 
 Exit codes: 0 on success, 1 when a verification finds a violation, 2 on a
 rejected input, 3 when training diverges (`error: diverged at iteration t`).
@@ -38,8 +40,11 @@ _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
 
 
 def finite_float(text: str) -> float:
-    """argparse type for every float flag: nan and +-inf are rejected."""
-    value = float(text)
+    """argparse type for every float flag: non-numbers, nan and +-inf are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below with the same message
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -69,7 +74,7 @@ def _file_value(action: argparse.Action, raw: str):
         return [action.type(word) for word in raw.split()]
     if action.choices is not None and raw not in action.choices:
         raise ValueError(f"expected one of {sorted(action.choices)}, got {raw!r}")
-    return raw  # argparse converts string defaults with the flag's own type
+    return raw if action.type is None else action.type(raw)
 
 
 def _config_defaults(sub: argparse.ArgumentParser, path) -> dict:

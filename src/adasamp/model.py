@@ -154,10 +154,11 @@ def batch_objective_grad(h, X, y, mu) -> tuple[np.ndarray, float]:
     """
     P = predict_proba_batch(h, X)
     b = X.shape[0]
-    py = np.maximum(P[np.arange(b), y], PROB_FLOOR)
+    rows = np.arange(b)
+    py = np.maximum(P[rows, y], PROB_FLOOR)
     reg = 0.5 * mu * float((h * h).sum())
-    value = float(-np.log(py).mean() + reg)
-    P[np.arange(b), y] -= 1.0
+    value = float(-np.log(py).sum() / b + reg)
+    P[rows, y] -= 1.0
     grad = P.T @ X
     grad /= b
     grad += mu * h

@@ -105,7 +105,7 @@ def apply_update(h: np.ndarray, grads, t: int, sched: StepSchedule,
     for g in grads:
         if g.shape != h.shape:
             raise ValueError("gradient shape mismatch")
-    gbar = np.mean(grads, axis=0)
+    gbar = grads[0] if len(grads) == 1 else np.mean(grads, axis=0)
     eta = step_size(sched, t)
     if state.kind == "sgd":
         out = h - eta * gbar

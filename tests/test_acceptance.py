@@ -1,8 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a single
 PASS/FAIL line (visible with pytest -s, or on failure).
 
-Criteria with runtime budgets assert them; reference decimals were evaluated
-independently with mpmath to 30 digits (see tests/test_bounds.py).
+Criteria with runtime budgets assert them, and those whose budget is 60 s or
+more are marked `slow` (the rerun check with them, as it shares the comparison
+fixture), so `pytest -m "not slow"` is a quick loop; reference decimals were
+evaluated independently with mpmath to 30 digits (see tests/test_bounds.py).
 """
 
 import dataclasses
@@ -70,6 +72,7 @@ def test_sampler_distribution_matches_naive_and_chi_square():
 
 # 2. sampler complexity
 
+@pytest.mark.slow
 def test_sampler_touch_counts_scale_with_depth():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
@@ -188,6 +191,7 @@ def _tiny_instance(seed):
     return ds, cfg, sched, rule, mu
 
 
+@pytest.mark.slow
 def test_enumerated_divergence_bounds_and_monte_carlo():
     t0 = time.perf_counter()
     ok = True
@@ -252,6 +256,7 @@ def test_zero_amplitude_reduces_to_uniform_sampling():
 
 # 7. empirical stability vs closed forms
 
+@pytest.mark.slow
 def test_stability_probes_respect_closed_form_coefficients():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(mu=0.1, n=500, iters=500)
@@ -323,6 +328,7 @@ def comparison_runs(tmp_path_factory):
     return cfg_a, cfg_b, out_a, elapsed
 
 
+@pytest.mark.slow
 def test_adaptive_beats_uniform_and_posterior_relaxes(comparison_runs):
     cfg, _, out, elapsed = comparison_runs
     comp = out["comparison"]
@@ -348,6 +354,7 @@ def test_adaptive_beats_uniform_and_posterior_relaxes(comparison_runs):
                  f"[{elapsed:.0f}s < 900s]")
 
 
+@pytest.mark.slow
 def test_comparison_reruns_are_byte_identical(comparison_runs):
     cfg_a, cfg_b, _, _ = comparison_runs
     from pathlib import Path

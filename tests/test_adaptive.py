@@ -18,11 +18,14 @@ from adasamp import (
     conditional_kl,
     objective_grad,
     posterior_objective,
+    predict_proba_batch,
+    project,
     step_size,
     train,
     utilities,
     utility,
     weight_update,
+    synth_data,
     zeros_hypothesis,
 )
 
@@ -253,6 +256,96 @@ def test_tree_trainer_matches_naive_reimplementation(seed, n, T, batch, kind):
     for t in range(T):
         assert np.array_equal(trace.indices[t], idx2[t])
         assert np.all(np.abs(trace.probs[t] - probs2[t]) <= 1e-12)
+
+
+def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
+    """The trainer as one draw and one reweighting per Python step: `descend`
+    per row, `update` per unique index, and the per-iteration numpy calls the
+    batched trainer replaced (np.unique, np.mean, np.clip, copies)."""
+    n = ds.n
+    amp, dec = cfg.amplitude, cfg.decay
+    tree = WeightTree(np.ones(n))
+    acc, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
+    acc_total = 0.0
+    h = h0.copy()
+    out = {key: [] for key in ("indices", "probs", "log_ratios", "acc_before", "counts_before",
+                               "acc_mean_before", "step_sizes", "batch_objective",
+                               "updated", "utilities")}
+    for t in range(1, cfg.iterations + 1):
+        uni = rng.random((cfg.batch_size, tree.depth))
+        idx = np.array([tree.descend(uni[r]) for r in range(cfg.batch_size)], dtype=np.int64)
+        root = tree.total
+        out["indices"].append(idx)
+        out["probs"].append(tree.probs(idx))
+        out["log_ratios"].append(amp * acc[idx] - (math.log(root) - math.log(n)))
+        out["acc_before"].append(acc[idx].copy())
+        out["counts_before"].append(counts[idx].copy())
+        out["acc_mean_before"].append(acc_total / n)
+        X, y = ds.features[idx], ds.labels[idx]
+        P = predict_proba_batch(h, X)
+        b = X.shape[0]
+        py = np.maximum(P[np.arange(b), y], 1e-12)
+        fbar = float(-np.log(py).mean() + 0.5 * mu * float((h * h).sum()))
+        P[np.arange(b), y] -= 1.0
+        gbar = P.T @ X
+        gbar /= b
+        gbar += mu * h
+        gbar = np.mean([gbar], axis=0)
+        eta = step_size(sched, t)
+        if rule.kind == "sgd":
+            h = h - eta * gbar
+        else:
+            rule.accumulator += gbar * gbar
+            h = h - eta * gbar / np.sqrt(rule.accumulator + rule.eps)
+        h = project(h, domain_radius)
+        out["step_sizes"].append(eta)
+        out["batch_objective"].append(fbar)
+        _, first = np.unique(idx, return_index=True)
+        uniq = idx[np.sort(first)]
+        Xu, yu = ds.features[uniq], ds.labels[uniq]
+        if cfg.utility == "l1":
+            u = np.clip(1.0 - predict_proba_batch(h, Xu)[np.arange(len(uniq)), yu], 0.0, 1.0)
+        else:
+            u = ((Xu @ h.T).argmax(axis=1) != yu).astype(np.float64)
+        for j, i in enumerate(uniq):
+            old = acc[i]
+            acc[i] = dec * old + u[j]
+            counts[i] += 1
+            acc_total += acc[i] - old
+            tree.update(int(i), math.exp(amp * acc[i]))
+        out["updated"].append(uniq)
+        out["utilities"].append(u)
+    return h, out, acc, counts
+
+
+@pytest.mark.parametrize("n,batch,T,amp,kind,rule", [
+    (5, 16, 40, 1.5, "l1", "sgd"),  # nearly every draw repeats an index
+    (2000, 100, 30, 2.0, "l1", "sgd"),  # the default compare run's shape
+    (37, 3, 60, 0.0, "zero_one", "adagrad"),
+    (9, 4, 50, 0.8, "zero_one", "adagrad"),
+])
+def test_batched_trainer_replays_the_scalar_loop_bitwise(n, batch, T, amp, kind, rule):
+    ds = synth_data(n, 8, 2, 0.7, 0.05, seed=n)
+    cfg = SamplerConfig(amplitude=amp, decay=0.5, utility=kind, batch_size=batch, iterations=T)
+    sched = StepSchedule.inverse_decay(0.5, 0.01)
+    rules = [UpdateRuleState.sgd() if rule == "sgd" else UpdateRuleState.adagrad((2, 8))
+             for _ in range(2)]
+    h0 = zeros_hypothesis(2, 8)
+    h, trace = train(ds, cfg, sched, rules[0], 0.01, 5.0, h0, np.random.default_rng(3),
+                     domain_radius=30.0)
+    h_ref, ref, acc, counts = _scalar_train(ds, cfg, sched, rules[1], 0.01, h0,
+                                            np.random.default_rng(3), domain_radius=30.0)
+    assert h.tobytes() == h_ref.tobytes()
+    for key, expect in ref.items():
+        got = getattr(trace, key)
+        assert len(got) == len(expect) == T, key
+        for a, b in zip(got, expect):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+    assert trace.final_acc.tobytes() == acc.tobytes()
+    assert trace.final_counts.tobytes() == counts.tobytes()
+    if amp == 0.0:
+        assert all(np.all(lr == 0.0) for lr in trace.log_ratios)
 
 
 def test_accumulator_replay_is_bitwise():

@@ -139,14 +139,35 @@ def test_non_finite_flags_are_rejected(argv, capsys):
 def test_non_finite_config_values_are_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("alpha = nan\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--config", str(cfgfile)])
-    assert exc.value.code == 2
+    assert main(["train", "--config", str(cfgfile)]) == 2
     cfgfile.write_text("alphas = 1 inf\n")
     assert main(["compare", "--config", str(cfgfile)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expected a finite number" in captured.err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("alpha", "abc", "expected a finite number, got 'abc'"),
+    ("alpha", "nan", "expected a finite number, got 'nan'"),
+    ("iters", "many", "invalid literal for int()"),
+])
+def test_config_value_failing_its_type_names_the_key(tmp_path, capsys, key, value, message):
+    # reported like an unknown key: exit 2, no usage, no flag the user never typed
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    assert main(["train", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config key {key!r}: {message}")
+    assert "usage" not in captured.err and "argument --" not in captured.err
+
+
+def test_non_numeric_float_flag_says_what_it_expected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--alpha", "abc"])
+    assert exc.value.code == 2
+    assert "argument --alpha: expected a finite number, got 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -82,6 +82,9 @@ def test_sample_consumes_exactly_depth_uniforms():
         assert tree.descend(rng2.random(tree.depth)) == d
     # both generators must now sit at the same stream position
     assert rng1.random() == rng2.random()
+    # sample_many is the same stream as sequential samples
+    assert tree.sample_many(50, rng1).tolist() == [tree.sample(rng2) for _ in range(50)]
+    assert rng1.random() == rng2.random()
 
 
 def test_descend_rejects_wrong_uniform_count():
@@ -96,6 +99,9 @@ def test_single_leaf_tree():
     assert tree.sample(rng) == 0
     # depth 0: no uniforms consumed
     assert rng.random() == np.random.default_rng(3).random()
+    assert tree.descend_many(np.empty((3, 0))).tolist() == [0, 0, 0]
+    tree.update_many([0], [5.0])
+    assert tree.total == 5.0 and tree.update_writes == 1
 
 
 def test_update_to_zero_renormalizes():
@@ -209,3 +215,126 @@ def test_updates_keep_probs_in_sync_with_naive(n, seed):
         w[i] = v
         if w.sum() > 0:
             assert np.all(np.abs(tree.distribution() - w / w.sum()) <= 1e-12)
+
+
+# ---- batched kernels against the scalar methods ----
+
+def _positive_weights(max_size):
+    # subnormal weights are left out: a product that underflows can pick a zero-weight leaf
+    return st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3,
+                                                      allow_subnormal=False)),
+                    min_size=1, max_size=max_size).filter(lambda w: sum(w) > 0)
+
+
+def _drift(tree, rng):
+    # nudge some internal labels by an ulp, as incremental updates do; the
+    # clamp in `update` keeps real labels nonnegative, so a zero only goes up
+    for j in rng.integers(0, tree.capacity - 1, size=min(3, tree.capacity - 1)):
+        down = rng.random() < 0.5 and tree._nodes[j] > 0
+        tree._nodes[j] = np.nextafter(tree._nodes[j], -np.inf if down else np.inf)
+
+
+@given(weights=_positive_weights(70), k=st.integers(0, 20), seed=st.integers(0, 2**31))
+@settings(max_examples=150, deadline=None)
+def test_descend_many_matches_rowwise_descend(weights, k, seed):
+    tree = WeightTree(weights)
+    u = np.random.default_rng(seed).random((k, tree.depth))
+    visits = tree.sample_visits
+    got = tree.descend_many(u)
+    assert tree.sample_visits - visits == k * tree.depth
+    expect = [tree.descend(row) for row in u]
+    assert got.dtype == np.int64 and got.tolist() == expect
+    assert all(0 <= i < tree.n and weights[i] > 0 for i in expect)
+
+
+@given(weights=_positive_weights(40), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_update_many_matches_sequential_updates(weights, data):
+    n = len(weights)
+    batched, scalar = WeightTree(weights), WeightTree(weights)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        new = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+                                 min_size=len(idx), max_size=len(idx)))
+        if data.draw(st.booleans()):
+            _drift(batched, rng)
+            scalar._nodes[:] = batched._nodes
+        batched.update_many(np.array(idx), np.array(new))
+        for i, v in zip(idx, new):
+            scalar.update(i, v)
+        assert batched._nodes.tobytes() == scalar._nodes.tobytes()
+        assert (batched.update_writes, batched.update_calls, batched._updates_since_rebuild) == (
+            scalar.update_writes, scalar.update_calls, scalar._updates_since_rebuild)
+        assert np.all(batched._nodes[batched.capacity - 1 + n:] == 0.0)  # padding untouched
+
+
+def test_update_many_reproduces_the_clamp_under_drift():
+    # leaves 0 and 1 go to zero while their shared label sits an ulp below 2, so
+    # `update` clamps it at 0 before leaf 2's weight arrives
+    def drifted():
+        tree = WeightTree([1, 1, 0, 0, 1, 1, 1, 1])
+        tree._nodes[1] = np.nextafter(2.0, 0.0)
+        return tree
+
+    batched, scalar = drifted(), drifted()
+    batched.update_many([0, 1, 2], [0.0, 0.0, 1e-3])
+    for i, v in ((0, 0.0), (1, 0.0), (2, 1e-3)):
+        scalar.update(i, v)
+    assert batched._nodes.tobytes() == scalar._nodes.tobytes()
+    assert scalar._nodes[1] == 1e-3 != drifted()._nodes[1] - 2.0 + 1e-3  # the clamp mattered
+
+
+def test_update_many_shared_ancestors_and_counters():
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0.5, 2.0, size=13)
+    batched, scalar = WeightTree(w), WeightTree(w)
+    order = rng.permutation(13)
+    new = rng.uniform(0.0, 3.0, size=13)
+    batched.update_many(order, new)  # every leaf: each label sees several deltas
+    for i, v in zip(order, new):
+        scalar.update(int(i), float(v))
+    assert batched._nodes.tobytes() == scalar._nodes.tobytes()
+    assert batched.update_writes == 13 * (batched.depth + 1)
+    assert batched.update_calls == 13
+    batched.update_many([], [])
+    assert batched.update_calls == 13
+
+
+def test_batched_methods_reject_bad_input_like_scalar():
+    tree = WeightTree(np.ones(5))
+    with pytest.raises(ValueError):
+        tree.descend_many(np.full((2, 2), 0.5))  # depth is 3
+    with pytest.raises(ValueError):
+        tree.descend_many(np.full(3, 0.5))  # one row must still be 2-d
+    for bad in ([5], [-1], [0, 7]):
+        with pytest.raises(IndexError):
+            tree.update_many(bad, np.ones(len(bad)))
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            tree.update_many([0, 1], [1.0, bad])
+    with pytest.raises(ValueError):
+        tree.update_many([1, 1], [2.0, 3.0])  # indices must be distinct
+    with pytest.raises(ValueError):
+        tree.update_many([0, 1], [2.0])
+    assert np.array_equal(tree._nodes, WeightTree(np.ones(5))._nodes)  # nothing written
+    assert tree.update_calls == 0
+
+
+def test_automatic_rebuild_runs_at_the_end_of_a_batch():
+    rng = np.random.default_rng(8)
+    w = rng.uniform(0.5, 2.0, size=16)
+    tree = WeightTree(w, rebuild_every=10)
+    reference = WeightTree(w, rebuild_every=1 << 20)
+    for batch in (rng.permutation(16)[:4], rng.permutation(16)[:4]):
+        new = rng.uniform(0.5, 2.0, size=4)
+        tree.update_many(batch, new)
+        reference.update_many(batch, new)
+    assert tree._updates_since_rebuild == 8
+    assert tree._nodes.tobytes() == reference._nodes.tobytes()
+    batch, new = rng.permutation(16)[:4], rng.uniform(0.5, 2.0, size=4)
+    tree.update_many(batch, new)  # crosses 10 at its 2nd row; rebuilds after its 4th
+    reference.update_many(batch, new)
+    reference.rebuild()
+    assert tree._updates_since_rebuild == 0
+    assert tree._nodes.tobytes() == reference._nodes.tobytes()
