@@ -191,8 +191,8 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     hypothesis with the batch-mean objective gradient, then for each unique
     drawn index evaluate the utility at the new hypothesis and reweight it
     once. One `WeightTree.descend_many` call draws the batch and one
-    `update_many` call reweights it, in first-appearance order, bitwise as one
-    draw and one update at a time would. `rng` is consumed only by the draws:
+    `update_many` call reweights it, in first-appearance order, bitwise as
+    calls of one row each would. `rng` is consumed only by the draws:
     exactly depth uniforms per draw, draws in order. If metric_every > 0,
     metric_fn(t, h, kl_stat, cond_kl) is called at t = 1, every
     metric_every-th iteration, and t = T, where kl_stat is amplitude/(1-decay)

@@ -230,14 +230,14 @@ def cmd_verify_sampler(args) -> int:
         w = rng.uniform(0.5, 1.5, size=n)
         tree = WeightTree(w)
         exact = w / w.sum()
-        max_err = max(abs(tree.prob(i) - exact[i]) for i in range(n))
+        max_err = float(np.abs(tree.probs(np.arange(n)) - exact).max())
         counts = np.bincount(tree.sample_many(args.draws, rng), minlength=n)
         pvalue = float(stats.chisquare(counts, exact * args.draws).pvalue)
         v0 = tree.sample_visits
-        tree.sample(rng)
+        tree.sample_many(1, rng)
         sample_touch = tree.sample_visits - v0
         w0 = tree.update_writes
-        tree.update(n // 2, 2.0)
+        tree.update_many([n // 2], [2.0])
         update_touch = tree.update_writes - w0
         ok = (max_err < 1e-12 and pvalue > 1e-3
               and sample_touch == tree.depth and update_touch == tree.depth + 1)

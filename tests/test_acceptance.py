@@ -39,6 +39,7 @@ from adasamp import (
     zeros_hypothesis,
 )
 from adasamp.harness import ExperimentConfig, probe_stability, run_comparison
+from oracles import naive_descend
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -83,11 +84,11 @@ def test_sampler_touch_counts_scale_with_depth():
         ok = ok and depth == max(0, math.ceil(math.log2(n)))
         v0 = tree.sample_visits
         for _ in range(5):
-            tree.sample(rng)
+            tree.sample_many(1, rng)
         ok = ok and tree.sample_visits - v0 == 5 * depth
         w0 = tree.update_writes
         for i in rng.integers(0, n, size=3):
-            tree.update(int(i), float(rng.uniform(0.5, 2.0)))
+            tree.update_many([i], [float(rng.uniform(0.5, 2.0))])
         ok = ok and tree.update_writes - w0 == 3 * (depth + 1)
     dt = time.perf_counter() - t0
     ok = ok and dt < 60.0
@@ -228,6 +229,7 @@ def test_enumerated_divergence_bounds_and_monte_carlo():
 def test_zero_amplitude_reduces_to_uniform_sampling():
     rng0 = np.random.default_rng(40)
     n, d, T, batch = 37, 3, 150, 3
+    depth = math.ceil(math.log2(n))
     X = rng0.standard_normal((n, d))
     y = rng0.integers(0, 2, size=n)
     y[0], y[1] = 0, 1
@@ -241,10 +243,9 @@ def test_zero_amplitude_reduces_to_uniform_sampling():
                          UpdateRuleState.sgd(), 0.05, 5.0, h0,
                          np.random.default_rng(seed))
         ref_rng = np.random.default_rng(seed)
-        uniform_tree = WeightTree(np.ones(n))
         for t in range(T):
-            uni = ref_rng.random((batch, uniform_tree.depth))
-            expect = np.array([uniform_tree.descend(uni[r]) for r in range(batch)])
+            uni = ref_rng.random((batch, depth))
+            expect = np.array([naive_descend(np.ones(n), uni[r]) for r in range(batch)])
             ok = ok and np.array_equal(trace.indices[t], expect)
         ok = ok and trace.total_log_ratio() == 0.0
         ok = ok and all(np.all(lr == 0.0) for lr in trace.log_ratios)

@@ -28,6 +28,7 @@ from adasamp import (
     synth_data,
     zeros_hypothesis,
 )
+from oracles import naive_descend
 
 
 def _random_dataset(seed, n=10, d=3, classes=2):
@@ -182,30 +183,12 @@ def test_zero_amplitude_reduces_to_uniform_sampling():
         assert np.all(lr == 0.0)
         assert np.all(q == 1.0 / 8.0)
     assert trace.total_log_ratio() == 0.0
-    # same stream on an equal-weight tree reproduces the index sequence
+    # same stream on equal weights reproduces the index sequence
     rng = np.random.default_rng(42)
-    uniform_tree = WeightTree(np.ones(8))
     for idx in trace.indices:
-        uni = rng.random((2, uniform_tree.depth))
+        uni = rng.random((2, 3))  # depth 3 for n = 8
         for r in range(2):
-            assert uniform_tree.descend(uni[r]) == idx[r]
-
-
-def _naive_descend(weights, uniforms):
-    # recompute every interval sum from scratch; no maintained structure
-    cap = 1
-    while cap < len(weights):
-        cap *= 2
-    padded = np.zeros(cap)
-    padded[:len(weights)] = weights
-    lo, width = 0, cap
-    for u in uniforms:
-        width //= 2
-        left = padded[lo:lo + width].sum()
-        right = padded[lo + width:lo + 2 * width].sum()
-        if not u * (left + right) < left:
-            lo += width
-    return lo
+            assert naive_descend(np.ones(8), uni[r]) == idx[r]
 
 
 def _naive_train(ds, cfg, sched, mu, h0, seed):
@@ -218,7 +201,7 @@ def _naive_train(ds, cfg, sched, mu, h0, seed):
     all_idx, all_probs, all_h = [], [], []
     for t in range(1, cfg.iterations + 1):
         uni = rng.random((cfg.batch_size, depth))
-        idx = np.array([_naive_descend(w, uni[r]) for r in range(cfg.batch_size)])
+        idx = np.array([naive_descend(w, uni[r]) for r in range(cfg.batch_size)])
         all_idx.append(idx)
         all_probs.append(w[idx] / w.sum())
         gbar, _ = batch_objective_grad(h, ds.features[idx], ds.labels[idx], mu)
@@ -259,9 +242,10 @@ def test_tree_trainer_matches_naive_reimplementation(seed, n, T, batch, kind):
 
 
 def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
-    """The trainer as one draw and one reweighting per Python step: `descend`
-    per row, `update` per unique index, and the per-iteration numpy calls the
-    batched trainer replaced (np.unique, np.mean, np.clip, copies)."""
+    """The trainer as one draw and one reweighting per Python step: a one-row
+    `descend_many` per draw, a one-row `update_many` per unique index, and the
+    per-iteration numpy calls the batched trainer replaced (np.unique, np.mean,
+    np.clip, copies)."""
     n = ds.n
     amp, dec = cfg.amplitude, cfg.decay
     tree = WeightTree(np.ones(n))
@@ -273,7 +257,8 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
                                "updated", "utilities")}
     for t in range(1, cfg.iterations + 1):
         uni = rng.random((cfg.batch_size, tree.depth))
-        idx = np.array([tree.descend(uni[r]) for r in range(cfg.batch_size)], dtype=np.int64)
+        idx = np.array([tree.descend_many(uni[r:r + 1])[0] for r in range(cfg.batch_size)],
+                       dtype=np.int64)
         root = tree.total
         out["indices"].append(idx)
         out["probs"].append(tree.probs(idx))
@@ -312,7 +297,7 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
             acc[i] = dec * old + u[j]
             counts[i] += 1
             acc_total += acc[i] - old
-            tree.update(int(i), math.exp(amp * acc[i]))
+            tree.update_many([i], [math.exp(amp * acc[i])])
         out["updated"].append(uniq)
         out["utilities"].append(u)
     return h, out, acc, counts
