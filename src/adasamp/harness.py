@@ -10,7 +10,10 @@ fixed order, and every float is serialized with 17 significant digits.
 
 probe_stability estimates the replace-one-example stability beta and the
 perturb-one-index stability gamma of the uniform-sampling strongly convex
-regime empirically, for comparison against the closed-form coefficients.
+regime empirically, for comparison against the closed-form coefficients. Its
+coupled SGD runs are stepped together, as one stacked array, by one kernel
+call; a replaced example is an index redirected to a row past S in one
+feature/label table, so no dataset is copied per perturbation.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from .model import (
     accuracy,
     default_domain_radius,
     mean_bounded_loss,
-    objective_grad,
     predict_proba_batch,
     regularity_constants,
+    softmax,
     zeros_hypothesis,
 )
-from .optim import StepSchedule, UpdateRuleState, apply_update
+from .optim import StepSchedule, UpdateRuleState, step_size
 
 UTILITY_FLAGS = {"01": "zero_one", "l1": "l1"}
 
@@ -462,15 +465,28 @@ class StabilityProbeResult:
     hyper_diffs: np.ndarray
 
 
-def _run_indexed(ds: Dataset, indices, sched, mu, h0, radius) -> np.ndarray:
-    """Plain SGD driven by a forced index sequence (the coupled runs of the
-    stability definitions). Always batch 1, sgd rule, no reweighting."""
-    h = h0.copy()
-    state = UpdateRuleState.sgd()
-    for t, i in enumerate(indices, start=1):
-        g = objective_grad(h, ds.example(int(i)), mu)
-        h = apply_update(h, [g], t, sched, state, radius)
-    return h
+def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
+    """Plain SGD from h0, batch 1, one run per row of the (R, T) index matrix
+    over the table (X, y), all R runs stepped together as one (R, C, d) array
+    (the coupled runs of the stability definitions). Returns H[R, C, d].
+
+    Each run's iterates are bitwise those of a per-run loop of objective_grad
+    and apply_update with projection onto the radius ball: the stacked matmul
+    makes the same per-run gemv call as h @ x, softmax and the norm reduce
+    each run's own row, and a run inside the ball is scaled by radius / radius,
+    which is exactly 1.0. The radius must be positive.
+    """
+    R = indices.shape[0]
+    rows = np.arange(R)
+    H = np.broadcast_to(h0, (R,) + h0.shape).copy()
+    for t, idx in enumerate(np.ascontiguousarray(indices.T), start=1):
+        x = X[idx]
+        P = softmax((H @ x[:, :, None])[:, :, 0])
+        P[rows, y[idx]] -= 1.0
+        H = H - step_size(sched, t) * (P[:, :, None] * x[:, None, :] + mu * H)
+        norm = np.sqrt((H * H).reshape(R, -1).sum(axis=1))
+        H *= (radius / np.maximum(norm, radius))[:, None, None]
+    return H
 
 
 def probe_stability(cfg: ExperimentConfig, perturbations: int,
@@ -484,21 +500,29 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
     `probe_seeds` sequences before taking absolute differences; the sequence
     probe compares two runs on sequences differing in exactly one position.
     Returns max (and per-probe) loss differences over `eval_n` fresh points.
+
+    Every sequence, site and position is drawn first; then all coupled runs
+    are stepped together by one kernel call over one table holding S followed
+    by the replacement examples, so a replaced example is an index redirected
+    from its site in S to its row in that table.
     """
     if cfg.mu <= 0:
         raise ValueError("stability probes need mu > 0")
     if perturbations < 1:
         raise ValueError("perturbations must be >= 1")
+    if probe_seeds < 1:
+        raise ValueError("probe_seeds must be >= 1")
+    if eval_n < 1:
+        raise ValueError("eval_n must be >= 1")
     n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu
     pool = synth_data(n + perturbations + eval_n, cfg.dim, cfg.classes, cfg.imbalance,
                       cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
     consts = regularity_constants(pool, mu, M)
     radius = default_domain_radius(pool, mu)
     sched = StepSchedule.strongly_convex(mu, consts.smoothness)
-    S = Dataset.from_arrays(pool.features[:n], pool.labels[:n], pool.num_classes)
-    repl = slice(n, n + perturbations)
-    eval_X = pool.features[n + perturbations:]
-    eval_y = pool.labels[n + perturbations:]
+    table = n + perturbations  # S, then the replacement examples
+    eval_X = pool.features[table:]
+    eval_y = pool.labels[table:]
     h0 = zeros_hypothesis(pool.num_classes, pool.feature_dim)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
 
@@ -507,33 +531,33 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
         py = np.maximum(P[np.arange(eval_X.shape[0]), eval_y], PROB_FLOOR)
         return np.minimum(-np.log(py), M)
 
-    # replace-one-example probe: |E_r[L(A(S,r),z) - L(A(S',r),z)]|, max over z
-    seqs = [rng.integers(0, n, size=T) for _ in range(probe_seeds)]
-    base_losses = [losses(_run_indexed(S, seq, sched, mu, h0, radius)) for seq in seqs]
-    data_diffs = np.zeros(perturbations)
-    for p in range(perturbations):
-        site = int(rng.integers(n))
-        X2 = S.features.copy()
-        y2 = S.labels.copy()
-        X2[site] = pool.features[repl][p]
-        y2[site] = pool.labels[repl][p]
-        S2 = Dataset.from_arrays(X2, y2, pool.num_classes)
-        gap = np.zeros(eval_X.shape[0])
-        for j, seq in enumerate(seqs):
-            gap += base_losses[j] - losses(_run_indexed(S2, seq, sched, mu, h0, radius))
-        data_diffs[p] = np.abs(gap / probe_seeds).max()
-
-    # perturb-one-index probe: sequences at Hamming distance one
-    hyper_diffs = np.zeros(perturbations)
+    # replace-one-example probe: shared sequences, site p redirected to row n + p
+    base = np.stack([rng.integers(0, n, size=T) for _ in range(probe_seeds)])
+    sites = np.array([rng.integers(n) for _ in range(perturbations)])
+    swapped = np.where(base == sites[:, None, None],
+                       n + np.arange(perturbations)[:, None, None], base)
+    # perturb-one-index probe: pairs of sequences at Hamming distance one
+    pairs = np.empty((perturbations, 2, T), dtype=base.dtype)
     for p in range(perturbations):
         seq = rng.integers(0, n, size=T)
         k = int(rng.integers(T))
         v = int(rng.integers(n - 1))
-        seq2 = seq.copy()
-        seq2[k] = v + (v >= seq[k])
-        la = losses(_run_indexed(S, seq, sched, mu, h0, radius))
-        lb = losses(_run_indexed(S, seq2, sched, mu, h0, radius))
-        hyper_diffs[p] = np.abs(la - lb).max()
+        pairs[p] = seq
+        pairs[p, 1, k] = v + (v >= seq[k])
+
+    indices = np.concatenate([base, swapped.reshape(-1, T), pairs.reshape(-1, T)])
+    H = _run_coupled(pool.features[:table], pool.labels[:table], indices, sched, mu, h0, radius)
+    base_losses, swapped_losses, pair_losses = np.split(
+        np.array([losses(h) for h in H]), [probe_seeds, probe_seeds * (1 + perturbations)])
+
+    # |E_r[L(A(S,r),z) - L(A(S',r),z)]|, max over z
+    swapped_losses = swapped_losses.reshape(perturbations, probe_seeds, -1)
+    gap = np.zeros((perturbations, eval_X.shape[0]))
+    for j in range(probe_seeds):
+        gap += base_losses[j] - swapped_losses[:, j]
+    data_diffs = np.abs(gap / probe_seeds).max(axis=1)
+    pair_losses = pair_losses.reshape(perturbations, 2, -1)
+    hyper_diffs = np.abs(pair_losses[:, 0] - pair_losses[:, 1]).max(axis=1)
 
     beta_bound, gamma_bound = bounds.sgd_stability_strongly_convex(consts.lipschitz, mu, n, T)
     return StabilityProbeResult(float(data_diffs.max()), float(hyper_diffs.max()),

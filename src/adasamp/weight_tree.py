@@ -7,20 +7,23 @@ import math
 import numpy as np
 
 REBUILD_EVERY = 1 << 20  # leaf writes between automatic relabels
-_TINY = float(np.finfo(np.float64).tiny)  # smallest normal float
+# Smallest positive weight: 2 * np.finfo(float).tiny. From here up, u * w < w for
+# every uniform u <= 1 - 2**-53; at tiny itself that product ties back to w.
+_MIN_WEIGHT = 2.0 ** -1021
 
 
 class WeightTree:
-    """Full binary tree over n weights, each 0 or a normal float, in one flat array.
+    """Full binary tree over n weights, each 0 or >= 2**-1021, in one flat array.
 
     Leaves are padded out to the next power of two (padding leaves hold 0 and are
     never written again), every internal node holds the sum of its two children,
     and indexing is implicit: node j has children 2j+1 and 2j+2, leaf i lives at
     capacity-1+i. A draw walks root to leaf flipping one biased coin per level,
     so it costs exactly `depth` uniforms; rewriting a leaf adds its delta along
-    its root-to-leaf path. Positive weights below the smallest normal float are
-    rejected: a coin weighted by a subnormal can round back to the side whose
-    weight is 0.
+    its root-to-leaf path. Positive weights below 2**-1021 (twice the smallest
+    normal float) are rejected: beside a zero sibling, a coin weighted by a
+    smaller one can round back to the side whose weight is 0 (`(1 - 2**-53) * w`
+    rounds to `w` for w = np.finfo(float).tiny).
 
     Each operation has one batched path, a few numpy calls per tree level:
     `descend_many` walks k rows of uniforms level by level (row r is draw r),
@@ -48,7 +51,7 @@ class WeightTree:
             raise ValueError("weights must be finite and nonnegative")
         if not hi > 0:
             raise ValueError("at least one weight must be positive")
-        _reject_subnormal(w, lo)
+        _reject_below_min_weight(w, lo)
         self.n = w.size
         self.depth = max(0, math.ceil(math.log2(self.n)))
         self.capacity = 1 << self.depth
@@ -134,7 +137,7 @@ class WeightTree:
         lo = w.min()
         if not (lo >= 0 and w.max() < math.inf):
             raise ValueError("weight must be finite and nonnegative")
-        _reject_subnormal(w, lo)
+        _reject_below_min_weight(w, lo)
         if k > 1 and len(set(idx.tolist())) < k:
             raise ValueError("indices must be distinct")
         nodes = self._nodes
@@ -166,7 +169,7 @@ class WeightTree:
         self._updates_since_rebuild = 0
 
 
-def _reject_subnormal(w: np.ndarray, lo: float) -> None:
-    """Raise if a positive weight is below the smallest normal float; `lo` is w.min()."""
-    if lo < _TINY and ((w > 0) & (w < _TINY)).any():
-        raise ValueError("positive weights must be at least the smallest normal float")
+def _reject_below_min_weight(w: np.ndarray, lo: float) -> None:
+    """Raise if a positive weight is below _MIN_WEIGHT; `lo` is w.min()."""
+    if lo < _MIN_WEIGHT and ((w > 0) & (w < _MIN_WEIGHT)).any():
+        raise ValueError("positive weights must be at least 2**-1021")

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from adasamp.model import objective_grad
+from adasamp.optim import UpdateRuleState, apply_update
+
 
 def naive_descend(weights, uniforms):
     """The weight tree's draw for one row of uniforms, recomputing every
@@ -19,3 +22,14 @@ def naive_descend(weights, uniforms):
         if not u * (left + right) < left:
             lo += width
     return lo
+
+
+def naive_run_indexed(ds, indices, sched, mu, h0, radius):
+    """Plain SGD driven by a forced index sequence (the coupled runs of the
+    stability definitions). Always batch 1, sgd rule, no reweighting."""
+    h = h0.copy()
+    state = UpdateRuleState.sgd()
+    for t, i in enumerate(indices, start=1):
+        g = objective_grad(h, ds.example(int(i)), mu)
+        h = apply_update(h, [g], t, sched, state, radius)
+    return h

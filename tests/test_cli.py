@@ -269,6 +269,16 @@ def test_probe_stability_subcommand(capsys):
     assert report["gamma_emp"] <= report["gamma_bound"]
 
 
+def test_probe_stability_rejects_zero_probe_seeds(capsys):
+    rc = main(["probe-stability", "--n", "80", "--test-n", "40", "--dim", "3",
+               "--iters", "60", "--mu", "0.2", "--perturbations", "3",
+               "--probe-seeds", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: probe_seeds must be >= 1\n"
+
+
 def test_missing_required_flag_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["synth-data"])  # --out is required

@@ -17,10 +17,12 @@ from adasamp import (
     sgd_stability_strongly_convex,
     zeros_hypothesis,
 )
+from adasamp.data import synth_data
 from adasamp.harness import (
     ExperimentConfig,
     MetricsRecord,
-    _run_indexed,
+    _data_seed,
+    _run_coupled,
     build_datasets,
     dumps_json,
     format_float,
@@ -30,6 +32,14 @@ from adasamp.harness import (
     run_comparison,
     run_experiment,
 )
+from adasamp.model import (
+    PROB_FLOOR,
+    Dataset,
+    default_domain_radius,
+    predict_proba_batch,
+    regularity_constants,
+)
+from oracles import naive_run_indexed
 
 
 def _small_cfg(**overrides):
@@ -178,9 +188,98 @@ def test_indexed_replay_is_deterministic_and_identity_stable():
     sched = StepSchedule.strongly_convex(0.1, 2.0)
     h0 = zeros_hypothesis(2, 4)
     seq = np.random.default_rng(0).integers(0, train_ds.n, size=50)
-    a = _run_indexed(train_ds, seq, sched, 0.1, h0, 30.0)
-    b = _run_indexed(train_ds, seq, sched, 0.1, h0, 30.0)
-    assert np.array_equal(a, b)  # replaying the same sequence is exact
+    X, y = train_ds.features, train_ds.labels
+    pair = _run_coupled(X, y, np.stack([seq, seq]), sched, 0.1, h0, 30.0)
+    alone = _run_coupled(X, y, seq[None], sched, 0.1, h0, 30.0)
+    # replaying the same sequence is exact, alone or beside another run
+    assert np.array_equal(pair[0], pair[1]) and np.array_equal(pair[0], alone[0])
+    assert not h0.any()
+
+
+@pytest.mark.parametrize("classes,dim,R,T", [
+    (2, 4, 12, 25), (3, 5, 12, 25), (2, 3, 1, 40), (3, 3, 9, 1), (2, 8, 1, 1),
+])
+def test_coupled_kernel_replays_the_per_run_loop_bitwise(classes, dim, R, T):
+    ds = synth_data(30, dim, classes, 0.7, 0.05, seed=3, separation=3.4)
+    mu = 0.1
+    sched = StepSchedule.strongly_convex(mu, 0.5 * ds.feature_radius ** 2 + mu)
+    rng = np.random.default_rng(R * T)
+    h0 = 0.01 * rng.standard_normal((classes, dim))
+    indices = rng.integers(0, ds.n, size=(R, T))
+    free = [naive_run_indexed(ds, row, sched, mu, h0, None) for row in indices]
+    # a radius at the median unprojected final norm: the projection fires on
+    # some runs and never on others
+    radius = float(np.median([np.sqrt((h * h).sum()) for h in free]))
+    H = _run_coupled(ds.features, ds.labels, indices, sched, mu, h0, radius)
+    expect = [naive_run_indexed(ds, row, sched, mu, h0, radius) for row in indices]
+    assert H.shape == (R, classes, dim)
+    for r in range(R):
+        assert np.array_equal(H[r], expect[r])
+    if R > 1:
+        projected = [not np.array_equal(a, b) for a, b in zip(expect, free)]
+        assert any(projected) and not all(projected)
+
+
+def _per_run_probe(cfg, perturbations, probe_seeds, eval_n):
+    """probe_stability's diffs with one per-run loop per coupled run and a
+    dataset copy per replaced example."""
+    n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu
+    pool = synth_data(n + perturbations + eval_n, cfg.dim, cfg.classes, cfg.imbalance,
+                      cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
+    consts = regularity_constants(pool, mu, M)
+    radius = default_domain_radius(pool, mu)
+    sched = StepSchedule.strongly_convex(mu, consts.smoothness)
+    S = Dataset.from_arrays(pool.features[:n], pool.labels[:n], pool.num_classes)
+    repl = slice(n, n + perturbations)
+    eval_X = pool.features[n + perturbations:]
+    eval_y = pool.labels[n + perturbations:]
+    h0 = zeros_hypothesis(pool.num_classes, pool.feature_dim)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
+
+    def losses(h):
+        P = predict_proba_batch(h, eval_X)
+        py = np.maximum(P[np.arange(eval_X.shape[0]), eval_y], PROB_FLOOR)
+        return np.minimum(-np.log(py), M)
+
+    def run(ds, seq):
+        return naive_run_indexed(ds, seq, sched, mu, h0, radius)
+
+    seqs = [rng.integers(0, n, size=T) for _ in range(probe_seeds)]
+    base_losses = [losses(run(S, seq)) for seq in seqs]
+    data_diffs = np.zeros(perturbations)
+    for p in range(perturbations):
+        site = int(rng.integers(n))
+        X2 = S.features.copy()
+        y2 = S.labels.copy()
+        X2[site] = pool.features[repl][p]
+        y2[site] = pool.labels[repl][p]
+        S2 = Dataset.from_arrays(X2, y2, pool.num_classes)
+        gap = np.zeros(eval_X.shape[0])
+        for j, seq in enumerate(seqs):
+            gap += base_losses[j] - losses(run(S2, seq))
+        data_diffs[p] = np.abs(gap / probe_seeds).max()
+    hyper_diffs = np.zeros(perturbations)
+    for p in range(perturbations):
+        seq = rng.integers(0, n, size=T)
+        k = int(rng.integers(T))
+        v = int(rng.integers(n - 1))
+        seq2 = seq.copy()
+        seq2[k] = v + (v >= seq[k])
+        hyper_diffs[p] = np.abs(losses(run(S, seq)) - losses(run(S, seq2))).max()
+    return data_diffs, hyper_diffs
+
+
+@pytest.mark.parametrize("overrides,perturbations,probe_seeds,eval_n", [
+    (dict(n=50, dim=3, iters=30, mu=0.2, seed=1), 3, 4, 30),
+    (dict(n=41, dim=4, classes=3, iters=23, mu=0.3, seed=5), 4, 1, 17),
+])
+def test_probe_stability_replays_per_run_probes_bitwise(overrides, perturbations,
+                                                        probe_seeds, eval_n):
+    cfg = ExperimentConfig(**overrides)
+    res = probe_stability(cfg, perturbations, probe_seeds=probe_seeds, eval_n=eval_n)
+    data_diffs, hyper_diffs = _per_run_probe(cfg, perturbations, probe_seeds, eval_n)
+    assert np.array_equal(res.data_diffs, data_diffs)
+    assert np.array_equal(res.hyper_diffs, hyper_diffs)
 
 
 def test_probe_stability_small_run():
@@ -198,3 +297,13 @@ def test_probe_stability_small_run():
 def test_probe_stability_requires_regularization():
     with pytest.raises(ValueError):
         probe_stability(_small_cfg(mu=0.0), perturbations=2)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(perturbations=0), "perturbations must be >= 1"),
+    (dict(perturbations=2, probe_seeds=0), "probe_seeds must be >= 1"),
+    (dict(perturbations=2, eval_n=0), "eval_n must be >= 1"),
+])
+def test_probe_stability_rejects_empty_counts(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        probe_stability(_small_cfg(mu=0.1), **kwargs)

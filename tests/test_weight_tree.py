@@ -224,15 +224,26 @@ def test_subnormal_weights_are_rejected():
     with pytest.raises(ValueError):
         tree.update_many([0, 1], [2.0, 1e-310])
     assert np.array_equal(tree._nodes, WeightTree([1.0, 0.0])._nodes)  # nothing written
+    # (1 - 2**-53) * tiny ties to even back to tiny, so the smallest normal float
+    # is rejected too; from 2**-1021 up the largest uniform stays on its side
     tiny = np.finfo(np.float64).tiny
-    tree = WeightTree([tiny, 0.0])
-    assert tree.descend_many([[0.7]]).tolist() == [0]
-    tree.update_many([1], [tiny])
-    assert tree.total == 2 * tiny
+    with pytest.raises(ValueError, match=r"2\*\*-1021"):
+        WeightTree([tiny, 0.0])
+    with pytest.raises(ValueError, match=r"2\*\*-1021"):
+        tree.update_many([0], [tiny])
+    floor = 2.0 ** -1021
+    tree = WeightTree([floor, 0.0])
+    assert tree.descend_many([[1 - 2**-53]]).tolist() == [0]
+    tree.update_many([1], [floor])
+    assert tree.total == 2 * floor
 
 
-@given(weights=st.lists(st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False),
-                        min_size=1, max_size=200).filter(lambda w: sum(w) > 0))
+def _weight(max_value=1e3):
+    # positive weights below 2**-1021 are rejected by the tree
+    return st.one_of(st.just(0.0), st.floats(min_value=2.0**-1021, max_value=max_value))
+
+
+@given(weights=st.lists(_weight(1e6), min_size=1, max_size=200).filter(lambda w: sum(w) > 0))
 @settings(max_examples=200, deadline=None)
 def test_prob_matches_naive_normalization(weights):
     w = np.asarray(weights)
@@ -259,12 +270,6 @@ def test_updates_keep_probs_in_sync_with_naive(n, seed):
 
 
 # ---- batched kernels against independent references ----
-
-def _weight():
-    # subnormal weights are rejected by the tree
-    return st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3,
-                                             allow_subnormal=False))
-
 
 def _dyadic_weight():
     # multiples of 1/64 below 2**14: every sum and difference of at most 70 is exact
