@@ -16,11 +16,12 @@ and ln w_i stays in [0, amplitude / (1 - decay)] for utilities in [0, 1].
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 
-from .model import Dataset, Example, batch_objective_grad, predict_proba, predict_proba_batch
+from .model import Dataset, Example, batch_objective_grads, predict_proba, softmax
 from .optim import StepSchedule, UpdateRuleState, apply_update, step_size
 from .weight_tree import WeightTree
 
@@ -85,14 +86,16 @@ def utility(kind: str, z: Example, h: np.ndarray) -> float:
 
 
 def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized `utility` over rows of X."""
+    """Vectorized `utility` over rows of X. With a leading run axis, run r's
+    rows X[r] (labels y[r]) are scored at its own hypothesis h[r]."""
+    if kind not in UTILITY_KINDS:
+        raise ValueError(f"unknown utility kind {kind!r}")
+    scores = X @ h.swapaxes(-1, -2)
     if kind == "zero_one":
-        scores = X @ h.T
-        return (scores.argmax(axis=1) != y).astype(np.float64)
-    if kind == "l1":
-        P = predict_proba_batch(h, X)
-        return np.minimum(np.maximum(1.0 - P[np.arange(X.shape[0]), y], 0.0), 1.0)
-    raise ValueError(f"unknown utility kind {kind!r}")
+        return (scores.argmax(axis=-1) != y).astype(np.float64)
+    P = softmax(scores).reshape(-1, scores.shape[-1])
+    py = P[np.arange(len(P)), y.reshape(-1)].reshape(y.shape)
+    return np.minimum(np.maximum(1.0 - py, 0.0), 1.0)
 
 
 def weight_update(w: float, u: float, amplitude: float, decay: float) -> float:
@@ -102,10 +105,10 @@ def weight_update(w: float, u: float, amplitude: float, decay: float) -> float:
     return w**decay * math.exp(amplitude * u)
 
 
-def conditional_kl(tree: WeightTree) -> float:
-    """KL(Q || uniform) of the tree's current sampling distribution, i.e.
+def conditional_kl(tree: WeightTree, run: int = 0) -> float:
+    """KL(Q || uniform) of one run's current sampling distribution, i.e.
     sum_i Q(i) * ln(n * Q(i)) over the live leaves (zero-weight leaves drop out)."""
-    q = tree.distribution()
+    q = tree.distribution(run)
     pos = q > 0
     return float((q[pos] * np.log(tree.n * q[pos])).sum())
 
@@ -144,10 +147,10 @@ class TrainTrace:
     Per-iteration lists (index t-1 holds iteration t): drawn indices with
     repeats, their pre-draw probabilities Q_t(i) and log ratios
     ln(n * Q_t(i)), the drawn indices' decayed-utility accumulators S(i, t)
-    and update counts m_{i, t} before the step, the accumulator mean over all
-    examples at the start of the iteration, the step size, the batch mean
-    objective at h_{t-1}, the unique updated indices with their utilities at
-    h_t, and (optionally) the full conditional KL of Q_t to uniform.
+    before the step, the accumulator mean over all examples at the start of
+    the iteration, the step size, the unique updated indices with their
+    utilities at h_t, and (optionally) the full conditional KL of Q_t to
+    uniform.
     """
 
     n: int
@@ -160,10 +163,8 @@ class TrainTrace:
     probs: list = dataclasses.field(default_factory=list)
     log_ratios: list = dataclasses.field(default_factory=list)
     acc_before: list = dataclasses.field(default_factory=list)
-    counts_before: list = dataclasses.field(default_factory=list)
     acc_mean_before: list = dataclasses.field(default_factory=list)
     step_sizes: list = dataclasses.field(default_factory=list)
-    batch_objective: list = dataclasses.field(default_factory=list)
     updated: list = dataclasses.field(default_factory=list)
     utilities: list = dataclasses.field(default_factory=list)
     conditional_kl: list | None = None
@@ -176,15 +177,247 @@ class TrainTrace:
         return float(sum(lr.sum() for lr in self.log_ratios))
 
 
-def _first_appearance_unique(idx: np.ndarray) -> np.ndarray:
-    return np.array(list(dict.fromkeys(idx.tolist())), dtype=np.int64)
+# Uniforms drawn ahead per call, summed over runs: each run's rng fills a block
+# of whole iterations at once, which is the same stream as one draw per iteration.
+_UNIFORMS_AHEAD = 1 << 16
+
+
+def _ragged_utilities(kind, H, X, y, uniq, sizes):
+    """Utilities of run r's sizes[r] indices at H[r], for uniq holding every
+    run's indices one run after another (sizes None: uniq is a (runs, k)
+    array, k indices each); returns them flat and each run's sum.
+
+    Runs holding equally many indices are scored together, so each run's rows
+    go through the same BLAS call shape, and the same sum, as on their own.
+    """
+    if sizes is None or min(sizes) == max(sizes):
+        rows = uniq if sizes is None else uniq.reshape(len(sizes), -1)
+        ug = utilities(kind, H, X[rows], y[rows])
+        return ug.reshape(-1), ug.sum(axis=1)
+    u = np.empty(len(uniq))
+    sums = np.empty(len(sizes))
+    groups = {}
+    start = 0
+    for r, k in enumerate(sizes):
+        groups.setdefault(k, ([], []))
+        groups[k][0].append(r)
+        groups[k][1].append(start)
+        start += k
+    for k, (runs, starts) in groups.items():
+        if len(runs) == 1:  # one run: slices, not index arrays
+            at, runs = slice(starts[0], starts[0] + k), slice(runs[0], runs[0] + 1)
+            rows = uniq[None, at]
+        else:
+            at = np.add.outer(starts, np.arange(k))
+            rows = uniq[at]
+        ug = utilities(kind, H[runs], X[rows], y[rows])
+        u[at] = ug
+        sums[runs] = ug.sum(axis=1)
+    return u, sums
+
+
+def _live_rule(rules, accumulators, live) -> UpdateRuleState:
+    """The rule that steps runs 0..live-1: any run's plain SGD rule, or an
+    AdaGrad rule over their rows of the stacked accumulators."""
+    if accumulators is None:
+        return rules[0]
+    return UpdateRuleState("adagrad", accumulators[:live], rules[0].eps)
+
+
+def _shared_settings(cfg: SamplerConfig) -> tuple:
+    return (cfg.decay, cfg.utility, cfg.batch_size, cfg.iterations,
+            cfg.track_full_conditional_kl)
+
+
+def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: float,
+               h0s, rngs, domain_radius: float | None = None,
+               metric_every: int = 0, metric_fn=None, record: bool = True) -> list:
+    """Run R adaptively sampled SGD runs in lockstep, one per entry of `cfgs`,
+    `rules`, `h0s` and `rngs`; returns [(h_T, trace)] in run order.
+
+    Every iteration steps all runs with a fixed number of numpy calls: one
+    `WeightTree.descend_many` call draws every run's batch, one stacked
+    gradient and `apply_update` step moves every hypothesis, and one
+    `update_many` call reweights every run. The runs share the data, the
+    schedule, mu, M and the radius, and their configs may differ only in the
+    amplitude. Each run has its own h0, rule state (the AdaGrad accumulators
+    are stacked and written back to each rule at the end) and rng, which only
+    its draws read: exactly depth uniforms per draw, draws in order. Every
+    number run r produces is bitwise that of `train` on run r alone, down to
+    the per-value `math.exp` weights and the in-order accumulator total.
+    If metric_every > 0, metric_fn(r, t, h, kl_stat, cond_kl) is called for
+    run r at t = 1, every metric_every-th iteration, and t = T (see `train`).
+    With record=False the traces keep only the metrics and final_acc: no
+    per-iteration list is filled, nothing only they read is computed, and a
+    tracked conditional KL is computed at the metric ticks alone.
+
+    Raises DivergenceError naming the iteration at which the first diverging
+    run in run order diverged, the one R separate calls would have raised
+    first. A run stops being stepped once it, or an earlier run, diverges.
+    """
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if M <= 0:
+        raise ValueError("M must be positive")
+    R = len(cfgs)
+    if R == 0 or len(rules) != R or len(rngs) != R:
+        raise ValueError("need one sampler config, rule and rng per run, and at least one run")
+    H = np.array(h0s, dtype=np.float64)
+    if H.shape != (R, ds.num_classes, ds.feature_dim):
+        raise ValueError("h0 shape must be (num_classes, feature_dim)")
+    cfg, shared = cfgs[0], _shared_settings(cfgs[0])
+    if any(_shared_settings(c) != shared for c in cfgs[1:]):
+        raise ValueError("runs may differ only in the sampler amplitude")
+    kind, eps = rules[0].kind, rules[0].eps
+    if any(r.kind != kind or r.eps != eps for r in rules[1:]):
+        raise ValueError("runs must share the update rule")
+    accumulators = (np.array([r.accumulator for r in rules], dtype=np.float64)
+                    if kind == "adagrad" else None)
+    if accumulators is not None and accumulators.shape != H.shape:
+        raise ValueError("adagrad accumulators must match the hypothesis shape")
+
+    n, b, T = ds.n, cfg.batch_size, cfg.iterations
+    X, Y = ds.features, ds.labels
+    amp_list = [c.amplitude for c in cfgs]
+    amps, dec = np.array(amp_list), cfg.decay
+    tree = WeightTree(np.ones((R, n)))
+    acc = np.zeros((R, n))
+    counts = np.zeros((R, n), dtype=np.int64)
+    acc_flat, counts_flat = acc.reshape(-1), counts.reshape(-1)
+    # run r's examples start at offsets[r] in the flat accumulators
+    offsets = np.arange(0, R * n, n)[:, None] if R > 1 else None
+    acc_totals = [0.0] * R
+    util_sums = [0.0] * R
+    traces = [TrainTrace(n, b, T, a, dec, cfg.utility) for a in amp_list]
+    track_kl = cfg.track_full_conditional_kl
+    if track_kl and record:
+        for trace in traces:
+            trace.conditional_kl = []
+    log_n = math.log(n)
+    ahead = max(1, _UNIFORMS_AHEAD // (R * b * max(tree.depth, 1)))
+    diverged_at = None
+    live = R  # runs 0..live-1 are stepped; the first diverged run ends the prefix
+    live_offsets = offsets
+    step_rule = _live_rule(rules, accumulators, live)
+
+    for t in range(1, T + 1):
+        tick = metric_every and metric_fn is not None and (
+            t == 1 or t % metric_every == 0 or t == T)
+        ahead_t = (t - 1) % ahead
+        if ahead_t == 0:
+            shape = (min(ahead, T - t + 1), b, tree.depth)
+            block = (np.stack([rngs[r].random(shape) for r in range(live)]) if live > 1
+                     else rngs[0].random(shape)[None])
+        # draws, and everything read from the pre-update tree state Q_t
+        if track_kl and (record or tick):
+            cond_kl = [conditional_kl(tree, r) for r in range(live)]
+        idx = tree.descend_many(block[:live, ahead_t])
+        drawn = idx + live_offsets if live > 1 else idx  # run 0's offset is 0
+        if record:
+            q = tree.probs(idx)
+            acc_idx = acc_flat[drawn]
+            shift = np.fromiter(map(math.log, tree.totals[:live].tolist()), float, live) - log_n
+            log_ratios = amps[:live, None] * acc_idx - shift[:, None]
+            for r in range(live):
+                trace = traces[r]
+                trace.indices.append(idx[r])
+                trace.probs.append(q[r])
+                trace.log_ratios.append(log_ratios[r])
+                trace.acc_before.append(acc_idx[r])
+                trace.acc_mean_before.append(acc_totals[r] / n)
+                if track_kl:
+                    trace.conditional_kl.append(cond_kl[r])
+
+        # gradient step at h_{t-1}
+        G = batch_objective_grads(H, X[idx], Y[idx], mu)
+        H = apply_update(H, [G], t, sched, step_rule, domain_radius)
+        if record:
+            eta = step_size(sched, t)
+            for r in range(live):
+                traces[r].step_sizes.append(eta)
+
+        # one reweighting per unique drawn index, utility taken at h_t: uniq
+        # holds each run's unique indices in first-appearance order, run after
+        # run, `at` the same entries of the flat accumulators, and sizes[r]
+        # how many run r has (None: one each, uniq is idx)
+        uniq, at, sizes = idx, drawn.reshape(-1), None
+        if b > 1:
+            uniq = idx.reshape(-1)
+            order = at.argsort(kind="stable")
+            ranked = at[order]
+            first = np.empty(at.size, dtype=bool)
+            first[0] = True
+            np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+            keep = np.empty_like(first)
+            keep[order] = first
+            uniq, at = uniq[keep], at[keep]
+            counts_of = keep.reshape(live, b).sum(axis=1)
+            sizes = counts_of.tolist()
+        u, batch_utils = _ragged_utilities(cfg.utility, H, X, Y, uniq, sizes)
+        uniq = uniq.reshape(-1)
+        batch_utils = batch_utils.tolist()
+        if not (np.isfinite(H).all() and all(map(math.isfinite, batch_utils))):
+            finite = np.isfinite(H).reshape(live, -1).all(axis=1).tolist()
+            live = next(r for r in range(live) if not (finite[r] and math.isfinite(batch_utils[r])))
+            diverged_at = t
+            if live == 0:
+                break
+            H = H[:live]
+            live_offsets = offsets[:live]
+            step_rule = _live_rule(rules, accumulators, live)
+            K = live if sizes is None else sum(sizes[:live])
+            at, uniq, u = at[:K], uniq[:K], u[:K]
+        if tick:
+            for r in range(live):
+                kl_stat = amp_list[r] / (1.0 - dec) * util_sums[r]
+                cond = cond_kl[r] if track_kl else None
+                traces[r].metrics.append(metric_fn(r, t, H[r], kl_stat, cond))
+        if sizes is None:
+            ends, entry_amps = range(1, live + 1), amps[:live]
+            owner = np.arange(live) if live > 1 else None
+        else:
+            ends = list(itertools.accumulate(sizes[:live]))
+            entry_amps = np.repeat(amps[:live], counts_of[:live])
+            owner = np.repeat(np.arange(live), counts_of[:live]) if live > 1 else None
+        old = acc_flat[at]
+        new = dec * old + u
+        acc_flat[at] = new
+        # valid by construction: distinct drawn indices, weights exp(amplitude * A) >= 1
+        tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
+                                      len(at)), owner)
+        if record:
+            counts_flat[at] += 1
+            deltas = zip(new.tolist(), old.tolist())
+        start = 0
+        for r, end in enumerate(ends):
+            util_sums[r] += batch_utils[r]
+            if record:
+                total = acc_totals[r]
+                # in order, so each acc_total rounds as in a run of its own
+                for a, c in itertools.islice(deltas, end - start):
+                    total += a - c
+                acc_totals[r] = total
+                traces[r].updated.append(uniq[start:end])
+                traces[r].utilities.append(u[start:end])
+            start = end
+
+    if accumulators is not None:
+        for rule, a in zip(rules, accumulators):
+            rule.accumulator[...] = a
+    if diverged_at is not None:
+        raise DivergenceError(diverged_at)
+    for r, trace in enumerate(traces):
+        trace.final_acc = acc[r]
+        trace.final_counts = counts[r] if record else None
+    return [(H[r], trace) for r, trace in enumerate(traces)]
 
 
 def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRuleState,
           mu: float, M: float, h0: np.ndarray, rng: np.random.Generator,
           domain_radius: float | None = None,
           metric_every: int = 0, metric_fn=None) -> tuple[np.ndarray, TrainTrace]:
-    """Run `cfg.iterations` steps of adaptively sampled SGD from h0.
+    """Run `cfg.iterations` steps of adaptively sampled SGD from h0: the
+    one-run case of `train_many`.
 
     Each iteration: draw batch_size indices i.i.d. from the weight tree
     (recording each draw's probability from the pre-draw tree state), step the
@@ -202,71 +435,6 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     Returns (h_T, trace). The caller owns `rule` (its AdaGrad accumulator is
     mutated) and `h0` is never modified.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if M <= 0:
-        raise ValueError("M must be positive")
-    if h0.shape != (ds.num_classes, ds.feature_dim):
-        raise ValueError("h0 shape must be (num_classes, feature_dim)")
-    n = ds.n
-    amp, dec = cfg.amplitude, cfg.decay
-    tree = WeightTree(np.ones(n))
-    acc = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    acc_total = 0.0
-    util_sum = 0.0
-    h = h0.copy()
-    trace = TrainTrace(n, cfg.batch_size, cfg.iterations, amp, dec, cfg.utility)
-    if cfg.track_full_conditional_kl:
-        trace.conditional_kl = []
-    log_n = math.log(n)
-
-    for t in range(1, cfg.iterations + 1):
-        # draws, and everything read from the pre-update tree state Q_t
-        idx = tree.descend_many(rng.random((cfg.batch_size, tree.depth)))
-        root = tree.total
-        q = tree.probs(idx)
-        acc_idx = acc[idx]
-        trace.indices.append(idx)
-        trace.probs.append(q)
-        trace.log_ratios.append(amp * acc_idx - (math.log(root) - log_n))
-        trace.acc_before.append(acc_idx)
-        trace.counts_before.append(counts[idx])
-        trace.acc_mean_before.append(acc_total / n)
-        if trace.conditional_kl is not None:
-            trace.conditional_kl.append(conditional_kl(tree))
-
-        # gradient step at h_{t-1}
-        gbar, fbar = batch_objective_grad(h, ds.features[idx], ds.labels[idx], mu)
-        h = apply_update(h, [gbar], t, sched, rule, domain_radius)
-        trace.step_sizes.append(step_size(sched, t))
-        trace.batch_objective.append(fbar)
-
-        # one reweighting per unique drawn index, utility taken at h_t
-        uniq = _first_appearance_unique(idx)
-        u = utilities(cfg.utility, h, ds.features[uniq], ds.labels[uniq])
-        batch_util = float(u.sum())
-        if not (math.isfinite(batch_util) and np.isfinite(h).all()):
-            raise DivergenceError(t)
-        prev_util_sum = util_sum
-        old = acc[uniq]
-        new = dec * old + u
-        acc[uniq] = new
-        counts[uniq] += 1
-        new_list = new.tolist()
-        for a, b in zip(new_list, old.tolist()):  # in order, so acc_total rounds as before
-            acc_total += a - b
-        tree.update_many(uniq, [math.exp(amp * a) for a in new_list])
-        util_sum += batch_util
-        trace.updated.append(uniq)
-        trace.utilities.append(u)
-
-        if metric_every and metric_fn is not None and (
-                t == 1 or t % metric_every == 0 or t == cfg.iterations):
-            kl_stat = amp / (1.0 - dec) * prev_util_sum
-            cond = trace.conditional_kl[-1] if trace.conditional_kl is not None else None
-            trace.metrics.append(metric_fn(t, h, kl_stat, cond))
-
-    trace.final_acc = acc
-    trace.final_counts = counts
-    return h, trace
+    tick = None if metric_fn is None else lambda r, t, h, kl, cond: metric_fn(t, h, kl, cond)
+    return train_many(ds, [cfg], sched, [rule], mu, M, [h0], [rng], domain_radius,
+                      metric_every, tick)[0]

@@ -21,6 +21,8 @@ import numpy as np
 
 from .model import Dataset
 
+_D2_ROWS = 1 << 16  # rows per block of class distances, bounding the (rows, classes, dim) temporary
+
 
 def _class_means(classes: int, dim: int, separation: float) -> np.ndarray:
     if classes == 2:
@@ -73,22 +75,37 @@ def synth_data(n: int, dim: int, classes: int, imbalance: float, noise: float,
     means = _class_means(classes, dim, separation)
     counts = _class_counts(n, classes, imbalance)
     y = np.repeat(np.arange(classes, dtype=np.int64), counts)
-    X = means[y] + rng.standard_normal((n, dim))
+    X = rng.standard_normal((n, dim))
+    for c, hi in enumerate(np.cumsum(counts).tolist()):  # y is sorted by class here
+        X[hi - counts[c] : hi] += means[c]
     perm = rng.permutation(n)
     X, y = X[perm], y[perm]
 
     flips = int(round(n * noise))
     if flips:
-        d2 = ((X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        own = d2[np.arange(n), y]
-        d2_other = d2.copy()
-        d2_other[np.arange(n), y] = np.inf
-        nearest_other = d2_other.argmin(axis=1)
-        margin = d2_other[np.arange(n), nearest_other] - own
-        hard = np.argsort(margin, kind="stable")[:flips]
-        y = y.copy()
+        rows = np.arange(n)
+        d2 = np.empty((n, classes))
+        for lo in range(0, n, _D2_ROWS):
+            x = X[lo : lo + _D2_ROWS]
+            d2[lo : lo + _D2_ROWS] = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        own = d2[rows, y]
+        d2[rows, y] = np.inf  # leaves the squared distances to the other classes
+        nearest_other = d2.argmin(axis=1)
+        margin = d2[rows, nearest_other] - own
+        hard = _smallest_k(margin, flips)
         y[hard] = nearest_other[hard]
     return Dataset.from_arrays(X, y, classes)
+
+
+def _smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest values, ties at the k-th smallest going to the
+    lower indices: the set np.argsort(values, kind="stable")[:k], in index
+    order, found in O(n) by np.partition rather than a full sort."""
+    kth = np.partition(values, k - 1)[k - 1]
+    chosen = values < kth
+    ties = np.flatnonzero(values == kth)
+    chosen[ties[: k - int(chosen.sum())]] = True
+    return np.flatnonzero(chosen)
 
 
 def save_csv(ds: Dataset, path) -> None:

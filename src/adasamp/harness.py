@@ -1,12 +1,16 @@
 """Experiment harness: configs, metrics files, trials, and stability probes.
 
 run_experiment trains `trials` independent runs of one sampler configuration on
-a shared dataset, streaming per-iteration metrics to JSONL (with a CSV mirror)
-and writing a final JSON report that echoes the config, the regularity
-constants, per-trial summaries, and evaluated stability/generalization bounds
-with the recorded utility-sum KL statistic substituted for KL(Q || P). All
-output is deterministic for a fixed config and master seed: trials run in a
-fixed order, and every float is serialized with 17 significant digits.
+a shared dataset, writing per-iteration metrics to JSONL (with a CSV mirror)
+and a final JSON report that echoes the config, the regularity constants,
+per-trial summaries, and evaluated stability/generalization bounds with the
+recorded utility-sum KL statistic substituted for KL(Q || P). run_comparison
+does the same for a uniform arm and one arm per amplitude on one dataset.
+Every arm and trial is trained in one lockstep `train_many` call, which keeps
+no per-iteration trace, and the files are written afterwards. All output is
+deterministic for a fixed config and master seed, and byte-identical to
+training the arms and trials one at a time: runs are stacked in a fixed order,
+and every float is serialized with 17 significant digits.
 
 probe_stability estimates the replace-one-example stability beta and the
 perturb-one-index stability gamma of the uniform-sampling strongly convex
@@ -26,7 +30,7 @@ import os
 import numpy as np
 
 from . import bounds
-from .adaptive import SamplerConfig, train
+from .adaptive import SamplerConfig, train_many
 from .data import load_csv, synth_data
 from .model import (
     PROB_FLOOR,
@@ -36,6 +40,7 @@ from .model import (
     default_domain_radius,
     mean_bounded_loss,
     predict_proba_batch,
+    project,
     regularity_constants,
     softmax,
     zeros_hypothesis,
@@ -244,53 +249,75 @@ def run_experiment(cfg: ExperimentConfig, alpha: float | None = None) -> Experim
     """Train `cfg.trials` runs of one sampler setting (alpha overrides cfg.alpha)
     and assemble metrics plus the final bound report. Writes
     trial_<k>.metrics.jsonl / .csv and report.json under cfg.out when set."""
+    return _run_arms(cfg, [(alpha, cfg.out)])[0]
+
+
+def _run_arms(cfg: ExperimentConfig, arms) -> list:
+    """One ExperimentResult per (alpha, out dir) arm: build the datasets once,
+    train every arm's `cfg.trials` trials in one `train_many` call, arm after
+    arm in run order, then write each arm's files under its out dir (if any).
+
+    Trial k of every arm starts from the same h0 and sampling seed, and every
+    file is byte-identical to training the arms and trials one at a time.
+    """
     train_ds, test_ds = build_datasets(cfg)
     consts = regularity_constants(train_ds, cfg.mu, cfg.loss_bound, cfg.domain_radius)
     radius = cfg.domain_radius
     if radius is None and cfg.mu > 0:
         radius = default_domain_radius(train_ds, cfg.mu)
     sched = cfg.step_schedule(consts)
-    sampler = cfg.sampler_config(alpha)
-    out_dir = None
-    if cfg.out is not None:
-        out_dir = str(cfg.out)
-        os.makedirs(out_dir, exist_ok=True)
-
-    trials = []
-    for trial, (init_rng, sample_rng) in enumerate(_trial_streams(cfg.seed, cfg.trials)):
-        h0 = 0.01 * init_rng.standard_normal((train_ds.num_classes, train_ds.feature_dim))
-        rule = _make_rule(cfg, h0.shape)
-        records = []
-
-        def metric_fn(t, h, kl_stat, cond_kl):
-            rec = MetricsRecord(
-                iteration=t,
-                empirical_risk=mean_bounded_loss(h, train_ds, cfg.loss_bound),
-                heldout_risk=mean_bounded_loss(h, test_ds, cfg.loss_bound),
-                train_accuracy=accuracy(h, train_ds),
-                test_accuracy=accuracy(h, test_ds),
-                kl_stat=kl_stat,
-                conditional_kl=cond_kl,
-            )
-            records.append(rec)
-            return rec
-
-        h, trace = train(train_ds, sampler, sched, rule, cfg.mu, cfg.loss_bound,
-                         h0, sample_rng, domain_radius=radius,
-                         metric_every=cfg.cadence, metric_fn=metric_fn)
-        kl_stat = bounds.kl_from_utility_sum(trace)
-        summary = _trial_summary(cfg, records, kl_stat)
-        trials.append(TrialResult(trial, records, h, kl_stat, summary))
+    samplers = [cfg.sampler_config(alpha) for alpha, _ in arms]
+    out_dirs = [None if out is None else str(out) for _, out in arms]
+    for out_dir in out_dirs:
         if out_dir is not None:
-            write_metrics(records,
-                          os.path.join(out_dir, f"trial_{trial}.metrics.jsonl"),
-                          os.path.join(out_dir, f"trial_{trial}.metrics.csv"))
+            os.makedirs(out_dir, exist_ok=True)
 
-    report = build_report(cfg, sampler, consts, train_ds, test_ds, trials)
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(dumps_json(report) + "\n")
-    return ExperimentResult(cfg, train_ds, test_ds, consts, trials, report, out_dir)
+    shape = (train_ds.num_classes, train_ds.feature_dim)
+    cfgs, h0s, rules, rngs = [], [], [], []
+    for sampler in samplers:
+        for init_rng, sample_rng in _trial_streams(cfg.seed, cfg.trials):
+            cfgs.append(sampler)
+            h0s.append(0.01 * init_rng.standard_normal(shape))
+            rules.append(_make_rule(cfg, shape))
+            rngs.append(sample_rng)
+
+    def metric_fn(r, t, h, kl_stat, cond_kl):
+        return MetricsRecord(
+            iteration=t,
+            empirical_risk=mean_bounded_loss(h, train_ds, cfg.loss_bound),
+            heldout_risk=mean_bounded_loss(h, test_ds, cfg.loss_bound),
+            train_accuracy=accuracy(h, train_ds),
+            test_accuracy=accuracy(h, test_ds),
+            kl_stat=kl_stat,
+            conditional_kl=cond_kl,
+        )
+
+    runs = train_many(train_ds, cfgs, sched, rules, cfg.mu, cfg.loss_bound, h0s, rngs,
+                      domain_radius=radius, metric_every=cfg.cadence, metric_fn=metric_fn,
+                      record=False)
+
+    results = []
+    for a, (sampler, out_dir) in enumerate(zip(samplers, out_dirs)):
+        trials = []
+        for trial in range(cfg.trials):
+            h, trace = runs[a * cfg.trials + trial]
+            records = trace.metrics
+            # the t = T tick's statistic is kl_from_utility_sum of the run's trace
+            kl_stat = records[-1].kl_stat
+            summary = _trial_summary(cfg, records, kl_stat)
+            trials.append(TrialResult(trial, records, h, kl_stat, summary))
+            if out_dir is not None:
+                write_metrics(records,
+                              os.path.join(out_dir, f"trial_{trial}.metrics.jsonl"),
+                              os.path.join(out_dir, f"trial_{trial}.metrics.csv"))
+        arm_cfg = dataclasses.replace(cfg, out=arms[a][1])
+        report = build_report(arm_cfg, sampler, consts, train_ds, test_ds, trials)
+        if out_dir is not None:
+            with open(os.path.join(out_dir, "report.json"), "w") as fh:
+                fh.write(dumps_json(report) + "\n")
+        results.append(ExperimentResult(arm_cfg, train_ds, test_ds, consts, trials, report,
+                                        out_dir))
+    return results
 
 
 def _make_rule(cfg: ExperimentConfig, shape) -> UpdateRuleState:
@@ -411,6 +438,8 @@ def _config_echo(cfg: ExperimentConfig, sampler: SamplerConfig) -> dict:
 def run_comparison(cfg: ExperimentConfig, alphas=None) -> dict:
     """Run a uniform arm (alpha 0) plus one arm per value in `alphas` (default:
     just cfg.alpha) on the same data and seeds; compare iterations-to-target.
+    Every arm and trial is trained in one lockstep call. Arms are named
+    `alpha_<value:g>`; alphas that would share a name are rejected.
 
     The per-trial loss target defaults to 1.2x the uniform arm's empirical risk
     at T/2 for that trial. Writes each arm under out/<arm>/ plus comparison.json.
@@ -418,13 +447,15 @@ def run_comparison(cfg: ExperimentConfig, alphas=None) -> dict:
     if alphas is None:
         alphas = [cfg.alpha]
     base_out = cfg.out
-    arms = {}
-    arm_results = {}
-    for name, alpha in [("uniform", 0.0)] + [(f"alpha_{a:g}", a) for a in alphas]:
-        arm_cfg = dataclasses.replace(cfg, out=None if base_out is None
-                                      else os.path.join(base_out, name))
-        arm_results[name] = run_experiment(arm_cfg, alpha=alpha)
-        arms[name] = alpha
+    arms = {"uniform": 0.0}
+    for a in alphas:
+        name = f"alpha_{a:g}"
+        if name in arms:
+            raise ValueError(f"alphas {arms[name]!r} and {a!r} both name the arm {name!r}")
+        arms[name] = a
+    results = _run_arms(cfg, [(alpha, None if base_out is None else os.path.join(base_out, name))
+                              for name, alpha in arms.items()])
+    arm_results = dict(zip(arms, results))
 
     uniform = arm_results["uniform"]
     targets = []
@@ -472,9 +503,9 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
 
     Each run's iterates are bitwise those of a per-run loop of objective_grad
     and apply_update with projection onto the radius ball: the stacked matmul
-    makes the same per-run gemv call as h @ x, softmax and the norm reduce
-    each run's own row, and a run inside the ball is scaled by radius / radius,
-    which is exactly 1.0. The radius must be positive.
+    makes the same per-run gemv call as h @ x, softmax reduces each run's own
+    row, and `project` scales each run by its own norm. The radius must be
+    positive.
     """
     R = indices.shape[0]
     rows = np.arange(R)
@@ -483,9 +514,7 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
         x = X[idx]
         P = softmax((H @ x[:, :, None])[:, :, 0])
         P[rows, y[idx]] -= 1.0
-        H = H - step_size(sched, t) * (P[:, :, None] * x[:, None, :] + mu * H)
-        norm = np.sqrt((H * H).reshape(R, -1).sum(axis=1))
-        H *= (radius / np.maximum(norm, radius))[:, None, None]
+        H = project(H - step_size(sched, t) * (P[:, :, None] * x[:, None, :] + mu * H), radius)
     return H
 
 
@@ -514,6 +543,10 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
         raise ValueError("probe_seeds must be >= 1")
     if eval_n < 1:
         raise ValueError("eval_n must be >= 1")
+    if cfg.iters < 1:
+        raise ValueError("iters must be >= 1")
+    if cfg.n < 2:
+        raise ValueError("n must be >= 2")
     n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu
     pool = synth_data(n + perturbations + eval_n, cfg.dim, cfg.classes, cfg.imbalance,
                       cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)

@@ -165,6 +165,24 @@ def batch_objective_grad(h, X, y, mu) -> tuple[np.ndarray, float]:
     return grad, value
 
 
+def batch_objective_grads(H, X, y, mu) -> np.ndarray:
+    """Mean objective gradient of every run over its own batch: run r's
+    gradient of F at H[r] over rows X[r] with labels y[r], as an (R, C, d)
+    array from H (R, C, d), X (R, b, d) and y (R, b).
+
+    Run r's gradient is bitwise the gradient `batch_objective_grad` returns
+    for H[r], X[r] and y[r]: numpy's stacked matmul makes the same BLAS call
+    for each run as the 2-d product, and every reduction runs along the
+    contiguous last axis of one run's own rows.
+    """
+    P = softmax(X @ H.transpose(0, 2, 1))
+    P.reshape(-1, P.shape[-1])[np.arange(y.size), y.reshape(-1)] -= 1.0
+    G = P.transpose(0, 2, 1) @ X
+    G /= y.shape[1]
+    G += mu * H
+    return G
+
+
 def mean_bounded_loss(h: np.ndarray, ds: Dataset, M: float) -> float:
     """Average of min(CE, M) over a dataset (the empirical risk estimate)."""
     if M <= 0:
@@ -188,13 +206,21 @@ def default_domain_radius(ds: Dataset, mu: float) -> float:
 
 
 def project(h: np.ndarray, radius: float | None) -> np.ndarray:
-    """Euclidean projection onto the centered ball (no-op when radius is None)."""
+    """Euclidean projection onto the centered ball (no-op when radius is None).
+
+    An (R, C, d) stack of hypotheses projects each one on its own. A
+    hypothesis inside the ball is kept (scaled by exactly 1.0 when another one
+    is not) and one outside is scaled by radius / norm, its norm summed along
+    the contiguous last axis of its own entries, so every run's result is
+    bitwise that of projecting it alone.
+    """
     if radius is None:
         return h
-    norm = float(np.sqrt((h * h).sum()))
-    if norm <= radius:
+    norm = np.sqrt((h * h).reshape(h.shape[:-2] + (-1,)).sum(axis=-1))
+    if not (norm > radius).any():
         return h
-    return h * (radius / norm)
+    scale = np.divide(radius, norm, out=np.ones_like(norm), where=norm > radius)
+    return h * scale[..., None, None]
 
 
 def regularity_constants(ds: Dataset, mu: float, M: float,

@@ -99,6 +99,10 @@ def apply_update(h: np.ndarray, grads, t: int, sched: StepSchedule,
 
     If domain_radius is given, the result is projected back onto that ball.
     Mutates the AdaGrad accumulator in place; returns a new hypothesis array.
+    An (R, C, d) stack of runs, with one gradient stack and an (R, C, d)
+    accumulator, steps every run; the arithmetic is elementwise apart from the
+    projection, which scales each run by its own norm, so run r's result is
+    bitwise that of stepping it alone.
     """
     if not len(grads):
         raise ValueError("grads must be nonempty")

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from adasamp.model import objective_grad
+from adasamp.data import _class_counts, _class_means
+from adasamp.model import Dataset, objective_grad
 from adasamp.optim import UpdateRuleState, apply_update
 
 
@@ -33,3 +34,29 @@ def naive_run_indexed(ds, indices, sched, mu, h0, radius):
         g = objective_grad(h, ds.example(int(i)), mu)
         h = apply_update(h, [g], t, sched, state, radius)
     return h
+
+
+def naive_synth_data(n, dim, classes, imbalance, noise, seed, separation=4.0):
+    """The synthetic task as first written: means gathered per row, every
+    squared distance in one (n, classes, dim) temporary, a copy for the
+    other-class distances, and a full stable sort to pick the flipped labels.
+    Arguments are not validated."""
+    rng = np.random.default_rng(seed)
+    means = _class_means(classes, dim, separation)
+    counts = _class_counts(n, classes, imbalance)
+    y = np.repeat(np.arange(classes, dtype=np.int64), counts)
+    X = means[y] + rng.standard_normal((n, dim))
+    perm = rng.permutation(n)
+    X, y = X[perm], y[perm]
+    flips = int(round(n * noise))
+    if flips:
+        d2 = ((X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        own = d2[np.arange(n), y]
+        d2_other = d2.copy()
+        d2_other[np.arange(n), y] = np.inf
+        nearest_other = d2_other.argmin(axis=1)
+        margin = d2_other[np.arange(n), nearest_other] - own
+        hard = np.argsort(margin, kind="stable")[:flips]
+        y = y.copy()
+        y[hard] = nearest_other[hard]
+    return Dataset.from_arrays(X, y, classes)

@@ -36,6 +36,7 @@ from adasamp import (
     sgd_stability_nonconvex,
     sgd_stability_strongly_convex,
     train,
+    train_many,
     zeros_hypothesis,
 )
 from adasamp.harness import ExperimentConfig, probe_stability, run_comparison
@@ -204,13 +205,13 @@ def test_enumerated_divergence_bounds_and_monte_carlo():
                                              5.0, h0)
         ok = ok and res.kl <= res.advantage_bound + 1e-9
         ok = ok and res.kl <= res.sum_bound + 1e-9
-        draws = {"kl": [], "adv": [], "sum": []}
-        for seed in range(10_000):
-            _, trace = train(ds, cfg, sched, rule.copy(), mu, 5.0, h0,
-                             np.random.default_rng(seed))
-            draws["kl"].append(trace.total_log_ratio())
-            draws["adv"].append(kl_from_utility_advantage(trace))
-            draws["sum"].append(kl_from_utility_sum(trace))
+        seeds = range(10_000)
+        runs = train_many(ds, [cfg] * len(seeds), sched, [rule.copy() for _ in seeds], mu,
+                          5.0, [h0] * len(seeds), [np.random.default_rng(s) for s in seeds])
+        traces = [trace for _, trace in runs]
+        draws = {"kl": [trace.total_log_ratio() for trace in traces],
+                 "adv": [kl_from_utility_advantage(trace) for trace in traces],
+                 "sum": [kl_from_utility_sum(trace) for trace in traces]}
         for key, exact in (("kl", res.kl), ("adv", res.advantage_bound),
                            ("sum", res.sum_bound)):
             xs = np.asarray(draws[key])
@@ -218,10 +219,10 @@ def test_enumerated_divergence_bounds_and_monte_carlo():
             z = abs(float(xs.mean()) - exact) / se if se > 0 else 0.0
             max_z = max(max_z, z)
     dt = time.perf_counter() - t0
-    ok = ok and max_z <= 3.0 and dt < 300.0
+    ok = ok and max_z <= 3.0 and dt < 120.0
     _verdict(ok, "on 50 tiny instances, exact enumerated KL <= both trace "
                  "statistics' expectations (1e-9 slack) and 1e4-seed Monte Carlo "
-                 f"agrees within 3 SE (max |z| {max_z:.2f}) [{dt:.0f}s < 300s]")
+                 f"agrees within 3 SE (max |z| {max_z:.2f}) [{dt:.0f}s < 120s]")
 
 
 # 6. zero-amplitude reduction to uniform sampling
@@ -345,13 +346,13 @@ def test_adaptive_beats_uniform_and_posterior_relaxes(comparison_runs):
         first = ck[it <= cfg.iters // 4].mean()
         last = ck[it > 3 * cfg.iters // 4].mean()
         ok_decay = ok_decay and last < first
-    ok = ok_target and ok_sweep and ok_decay and elapsed < 900.0
+    ok = ok_target and ok_sweep and ok_decay and elapsed < 60.0
     _verdict(ok, "10-trial imbalanced/noisy task: adaptive reaches the loss "
                  f"target in fewer median iterations ({med_adaptive:.0f} < "
                  f"{med_uniform:.0f}), the KL statistic is nondecreasing across "
                  "the amplitude sweep, and the tracked conditional KL's "
                  f"final-quarter mean is below its first-quarter mean "
-                 f"[{elapsed:.0f}s < 900s]")
+                 f"[{elapsed:.0f}s < 60s]")
 
 
 @pytest.mark.slow

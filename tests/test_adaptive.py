@@ -1,6 +1,8 @@
-"""Adaptive trainer: utilities, reweighting, trace bookkeeping, and the
-tree-based sampler against a straight-line reimplementation."""
+"""Adaptive trainer: utilities, reweighting, trace bookkeeping, the
+tree-based sampler against a straight-line reimplementation, and lockstep
+runs against separate calls."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,12 +24,14 @@ from adasamp import (
     project,
     step_size,
     train,
+    train_many,
     utilities,
     utility,
     weight_update,
     synth_data,
     zeros_hypothesis,
 )
+import adasamp.weight_tree as weight_tree
 from oracles import naive_descend
 
 
@@ -252,9 +256,8 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
     acc, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
     acc_total = 0.0
     h = h0.copy()
-    out = {key: [] for key in ("indices", "probs", "log_ratios", "acc_before", "counts_before",
-                               "acc_mean_before", "step_sizes", "batch_objective",
-                               "updated", "utilities")}
+    out = {key: [] for key in ("indices", "probs", "log_ratios", "acc_before",
+                               "acc_mean_before", "step_sizes", "updated", "utilities")}
     for t in range(1, cfg.iterations + 1):
         uni = rng.random((cfg.batch_size, tree.depth))
         idx = np.array([tree.descend_many(uni[r:r + 1])[0] for r in range(cfg.batch_size)],
@@ -264,13 +267,10 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
         out["probs"].append(tree.probs(idx))
         out["log_ratios"].append(amp * acc[idx] - (math.log(root) - math.log(n)))
         out["acc_before"].append(acc[idx].copy())
-        out["counts_before"].append(counts[idx].copy())
         out["acc_mean_before"].append(acc_total / n)
         X, y = ds.features[idx], ds.labels[idx]
         P = predict_proba_batch(h, X)
         b = X.shape[0]
-        py = np.maximum(P[np.arange(b), y], 1e-12)
-        fbar = float(-np.log(py).mean() + 0.5 * mu * float((h * h).sum()))
         P[np.arange(b), y] -= 1.0
         gbar = P.T @ X
         gbar /= b
@@ -284,7 +284,6 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
             h = h - eta * gbar / np.sqrt(rule.accumulator + rule.eps)
         h = project(h, domain_radius)
         out["step_sizes"].append(eta)
-        out["batch_objective"].append(fbar)
         _, first = np.unique(idx, return_index=True)
         uniq = idx[np.sort(first)]
         Xu, yu = ds.features[uniq], ds.labels[uniq]
@@ -331,6 +330,144 @@ def test_batched_trainer_replays_the_scalar_loop_bitwise(n, batch, T, amp, kind,
     assert trace.final_counts.tobytes() == counts.tobytes()
     if amp == 0.0:
         assert all(np.all(lr == 0.0) for lr in trace.log_ratios)
+
+
+def _bitwise_equal(a, b) -> bool:
+    if isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(b, float):
+        return isinstance(a, float) and a.hex() == b.hex()
+    if isinstance(b, list):
+        return isinstance(a, list) and len(a) == len(b) and all(map(_bitwise_equal, a, b))
+    return a == b
+
+
+def _assert_same_run(got, expect):
+    """Two (h, trace) results are bitwise equal, every trace field included."""
+    (h, trace), (h_ref, ref) = got, expect
+    assert _bitwise_equal(h, h_ref)
+    for field in dataclasses.fields(ref):
+        assert _bitwise_equal(getattr(trace, field.name), getattr(ref, field.name)), field.name
+
+
+@pytest.mark.parametrize("n,classes,batch,T,kind,rule,radius,track", [
+    (5, 2, 1, 40, "l1", "sgd", None, False),
+    (7, 3, 1, 30, "zero_one", "adagrad", 0.9, True),
+    (6, 2, 4, 25, "zero_one", "adagrad", None, False),
+    (40, 3, 16, 20, "l1", "adagrad", 1.2, True),
+    (300, 2, 100, 12, "l1", "sgd", 1.5, False),  # desk-shaped: unequal unique counts
+    (9, 2, 3, 40, "zero_one", "sgd", 0.8, False),
+])
+def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classes, batch, T,
+                                                          kind, rule, radius, track):
+    # a relabel every few leaf writes: each run must relabel after the same
+    # update_many call as alone, though the runs write different numbers of leaves
+    monkeypatch.setattr(weight_tree, "REBUILD_EVERY", 7)
+    ds = synth_data(n, 4, classes, 0.6, 0.1, seed=n)
+    amps = [0.0, 1.3, 2.0, 0.0, 0.7]
+    cfgs = [SamplerConfig(amplitude=a, decay=0.4, utility=kind, batch_size=batch, iterations=T,
+                          track_full_conditional_kl=track) for a in amps]
+    rng = np.random.default_rng(n + batch)
+    h0s = [0.5 * rng.standard_normal((classes, 4)) for _ in amps]
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=len(amps))]
+    sched = StepSchedule.inverse_decay(0.6, 0.01)
+
+    def make_rule():
+        return UpdateRuleState.sgd() if rule == "sgd" else UpdateRuleState.adagrad((classes, 4))
+
+    def ticks(calls):
+        def metric_fn(*args):  # (r,) t h kl_stat cond_kl, r only when stepped together
+            record = (args[-4], args[-3].tobytes(), args[-2], args[-1])
+            calls.append((args[:-4], record))
+            return record
+        return metric_fn
+
+    rules, calls = [make_rule() for _ in amps], []
+    together = train_many(ds, cfgs, sched, rules, 0.05, 5.0, h0s,
+                          [np.random.default_rng(s) for s in seeds], domain_radius=radius,
+                          metric_every=3, metric_fn=ticks(calls))
+    sizes = set()
+    for r, (amp, h0, seed) in enumerate(zip(amps, h0s, seeds)):
+        alone_rule, alone_calls = make_rule(), []
+        alone = train(ds, cfgs[r], sched, alone_rule, 0.05, 5.0, h0, np.random.default_rng(seed),
+                      domain_radius=radius, metric_every=3, metric_fn=ticks(alone_calls))
+        _assert_same_run(together[r], alone)
+        assert [c[1] for c in calls if c[0] == (r,)] == [c[1] for c in alone_calls]
+        if rule == "adagrad":
+            assert rules[r].accumulator.tobytes() == alone_rule.accumulator.tobytes()
+        sizes.add(tuple(len(u) for u in alone[1].updated))
+        assert not h0.any() or not np.array_equal(h0, alone[0])  # h0 is left alone
+    if batch > 4:
+        assert len(sizes) > 1  # runs scored in different groups in some iteration
+    # without a trace: the same hypotheses, metrics and accumulators
+    quiet_calls = []
+    quiet = train_many(ds, cfgs, sched, [make_rule() for _ in amps], 0.05, 5.0, h0s,
+                       [np.random.default_rng(s) for s in seeds], domain_radius=radius,
+                       metric_every=3, metric_fn=ticks(quiet_calls), record=False)
+    assert quiet_calls == calls
+    for (h, trace), (h_ref, ref) in zip(quiet, together):
+        assert _bitwise_equal(h, h_ref) and _bitwise_equal(trace.final_acc, ref.final_acc)
+        assert trace.indices == trace.utilities == [] and trace.final_counts is None
+        assert trace.conditional_kl is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scales", [(1.0, 1e150, 1e250), (1e250, 1e150, 1.0),
+                                    (1e150, 1.0, 1e250)])
+def test_lockstep_divergence_names_the_first_diverging_run_in_run_order(scales):
+    # h_t ~ (1 - eta * mu)^t * h0: the larger h0, the sooner the run overflows
+    ds = _random_dataset(21, n=6)
+    cfg = SamplerConfig(amplitude=1.0, decay=0.5, iterations=8)
+    sched = StepSchedule.constant(1e50)
+    h0s = [s * np.ones((2, 3)) for s in scales]
+    alone = []
+    for h0 in h0s:
+        with pytest.raises(DivergenceError) as exc:
+            train(ds, cfg, sched, UpdateRuleState.sgd(), 1e50, 5.0, h0, np.random.default_rng(4))
+        alone.append(exc.value.iteration)
+    assert len(set(alone)) == 3  # each run diverges at its own iteration
+    calls = []
+    with pytest.raises(DivergenceError) as exc:
+        train_many(ds, [cfg] * 3, sched, [UpdateRuleState.sgd() for _ in h0s], 1e50, 5.0, h0s,
+                   [np.random.default_rng(4) for _ in h0s], metric_every=1,
+                   metric_fn=lambda r, t, h, kl, cond: calls.append((r, t)))
+    assert exc.value.iteration == alone[0]
+    assert str(exc.value) == f"diverged at iteration {alone[0]}"
+    # a run is stepped only until it, or an earlier run, diverges
+    assert all(t < min(alone[: r + 1]) for r, t in calls)
+    assert bool(calls) == (alone[0] > 1)
+
+
+def test_train_many_rejects_runs_that_do_not_share_their_settings():
+    ds = _random_dataset(22)
+    cfg = SamplerConfig(amplitude=1.0, decay=0.5, iterations=3)
+    h0s = [zeros_hypothesis(2, 3)] * 2
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    sched = StepSchedule.constant(0.1)
+    with pytest.raises(ValueError, match="only in the sampler amplitude"):
+        train_many(ds, [cfg, dataclasses.replace(cfg, decay=0.6)], sched,
+                   [UpdateRuleState.sgd()] * 2, 0.0, 5.0, h0s, rngs)
+    with pytest.raises(ValueError, match="share the update rule"):
+        train_many(ds, [cfg, cfg], sched, [UpdateRuleState.sgd(), UpdateRuleState.adagrad((2, 3))],
+                   0.0, 5.0, h0s, rngs)
+    with pytest.raises(ValueError, match="one sampler config"):
+        train_many(ds, [cfg, cfg], sched, [UpdateRuleState.sgd()] * 2, 0.0, 5.0, h0s, rngs[:1])
+    with pytest.raises(ValueError, match="h0 shape"):
+        train_many(ds, [cfg, cfg], sched, [UpdateRuleState.sgd()] * 2, 0.0, 5.0, h0s[:1] * 3, rngs)
+
+
+def test_stacked_utilities_equal_per_run_calls_bitwise():
+    rng = np.random.default_rng(23)
+    for k in (1, 2, 7, 100):
+        H = rng.standard_normal((4, 3, 5))
+        X = rng.standard_normal((4, k, 5))
+        y = rng.integers(0, 3, size=(4, k))
+        for kind in ("l1", "zero_one"):
+            stacked = utilities(kind, H, X, y)
+            for r in range(4):
+                assert stacked[r].tobytes() == utilities(kind, H[r], X[r], y[r]).tobytes()
+                assert stacked.sum(axis=1)[r] == stacked[r].sum()
 
 
 def test_accumulator_replay_is_bitwise():

@@ -279,6 +279,30 @@ def test_probe_stability_rejects_zero_probe_seeds(capsys):
     assert captured.err == "error: probe_seeds must be >= 1\n"
 
 
+@pytest.mark.parametrize("n,iters,message", [
+    ("80", "0", "iters must be >= 1"),
+    ("1", "60", "n must be >= 2"),
+])
+def test_probe_stability_rejects_empty_runs_and_datasets(capsys, n, iters, message):
+    rc = main(["probe-stability", "--n", n, "--test-n", "40", "--dim", "3",
+               "--iters", iters, "--mu", "0.2", "--perturbations", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_compare_rejects_alphas_that_name_one_arm(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    rc = main(["compare", *SMALL, "--alphas", "1.0000001", "1.0000002", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: alphas 1.0000001 and 1.0000002 both name the arm "
+                            "'alpha_1'\n")
+    assert not out.exists()  # rejected before anything is trained or written
+
+
 def test_missing_required_flag_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["synth-data"])  # --out is required

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import adasamp.data as data
 from adasamp import Dataset, accuracy, load_csv, save_csv, synth_data
+from adasamp.data import _smallest_k
+from oracles import naive_synth_data
 
 
 def test_same_seed_is_bit_identical():
@@ -130,3 +133,29 @@ def test_dataset_radius_from_synth_matches_rows():
     ds = synth_data(40, 3, 2, 0.5, 0.0, seed=7)
     assert ds.feature_radius == np.linalg.norm(ds.features, axis=1).max()
     assert isinstance(ds, Dataset)
+
+
+def test_synth_data_replays_the_first_written_generator_bitwise(monkeypatch):
+    # small distance blocks, so several blocks and a ragged last one are hit
+    monkeypatch.setattr(data, "_D2_ROWS", 37)
+    rng = np.random.default_rng(31)
+    for _ in range(120):
+        classes = int(rng.integers(2, 5))
+        dim = int(rng.integers(classes if classes > 2 else 1, 9))
+        n = int(rng.integers(classes, 400))
+        noise = float(rng.choice([0.0, 0.01, 0.2, 0.6]))
+        args = (n, dim, classes, float(rng.uniform(0, 0.95)), noise, int(rng.integers(2**32)),
+                float(rng.choice([0.5, 3.4, 12.0])))
+        got, want = synth_data(*args[:6], separation=args[6]), naive_synth_data(*args)
+        assert got.features.tobytes() == want.features.tobytes(), args
+        assert got.labels.tobytes() == want.labels.tobytes(), args
+
+
+def test_smallest_picks_the_stable_sort_prefix_under_ties():
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        size = int(rng.integers(1, 60))
+        values = rng.integers(-3, 4, size=size) * rng.choice([0.5, -0.0, 0.0], size=size)
+        k = int(rng.integers(1, size + 1))
+        expect = np.sort(np.argsort(values, kind="stable")[:k])
+        assert np.array_equal(_smallest_k(values, k), expect)

@@ -1,6 +1,7 @@
 """Experiment harness: config plumbing, deterministic artifacts, report
 self-consistency, and the stability probe."""
 
+import dataclasses
 import json
 import math
 
@@ -171,6 +172,20 @@ def test_run_comparison_structure(tmp_path):
     assert (tmp_path / "cmp" / "comparison.json").exists()
 
 
+def test_arms_trained_together_write_the_bytes_of_arms_trained_alone(tmp_path):
+    cfg = _small_cfg(out=str(tmp_path / "cmp"), trials=3, rule="adagrad")
+    run_comparison(cfg, alphas=[1.0, 2.5])
+    for name, alpha in (("uniform", 0.0), ("alpha_1", 1.0), ("alpha_2.5", 2.5)):
+        together, alone = tmp_path / "cmp" / name, tmp_path / "alone" / name
+        run_experiment(dataclasses.replace(cfg, out=str(alone)), alpha=alpha)
+        for k in range(cfg.trials):
+            for ext in ("jsonl", "csv"):
+                f = f"trial_{k}.metrics.{ext}"
+                assert (together / f).read_bytes() == (alone / f).read_bytes()
+        report = (together / "report.json").read_text().replace(str(together), "OUT")
+        assert report == (alone / "report.json").read_text().replace(str(alone), "OUT")
+
+
 def test_iterations_to_target_and_risk_at():
     recs = [MetricsRecord(iteration=t, empirical_risk=r, heldout_risk=r,
                           train_accuracy=1.0, test_accuracy=1.0, kl_stat=0.0,
@@ -307,3 +322,12 @@ def test_probe_stability_requires_regularization():
 def test_probe_stability_rejects_empty_counts(kwargs, message):
     with pytest.raises(ValueError, match=message):
         probe_stability(_small_cfg(mu=0.1), **kwargs)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(iters=0), "iters must be >= 1"),
+    (dict(n=1), "n must be >= 2"),
+])
+def test_probe_stability_rejects_empty_runs_and_datasets(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        probe_stability(_small_cfg(mu=0.1, **overrides), perturbations=2)

@@ -25,6 +25,7 @@ from adasamp import (
     surrogate_loss,
     zeros_hypothesis,
 )
+from adasamp.model import batch_objective_grads
 
 
 def _random_dataset(rng, n=20, d=3, classes=2):
@@ -223,6 +224,50 @@ def test_project_examples():
     assert np.allclose(project(h, 2.5), [[1.5, 2.0]], atol=1e-12)
     assert np.array_equal(project(h, 10.0), h)
     assert project(h, None) is h
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 16, 100])
+@pytest.mark.parametrize("classes,dim", [(2, 8), (3, 5)])
+def test_stacked_products_and_gradients_equal_per_run_calls_bitwise(batch, classes, dim):
+    # the stacked (R, b, d) @ (R, d, C) product makes each run's 2-d BLAS call
+    rng = np.random.default_rng(batch * classes)
+    R = 6
+    H = rng.standard_normal((R, classes, dim))
+    X = rng.standard_normal((R, batch, dim))
+    y = rng.integers(0, classes, size=(R, batch))
+    scores = X @ H.transpose(0, 2, 1)
+    P = rng.random((R, batch, classes))
+    back = P.transpose(0, 2, 1) @ X
+    G = batch_objective_grads(H, X, y, 0.3)
+    for r in range(R):
+        assert scores[r].tobytes() == (X[r] @ H[r].T).tobytes()
+        assert back[r].tobytes() == (P[r].T @ X[r]).tobytes()
+        assert G[r].tobytes() == batch_objective_grad(H[r], X[r], y[r], 0.3)[0].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 127, 128, 129, 300, 1000])
+def test_last_axis_sums_equal_per_row_sums_bitwise(k):
+    # every reduction the stacked paths make runs along the contiguous last axis
+    x = np.random.default_rng(k).standard_normal((64, k)) * np.logspace(-8, 8, k)
+    sums = x.sum(axis=1)
+    for r in range(64):
+        assert sums[r] == x[r].sum()
+
+
+def test_stacked_projection_equals_per_run_projection_bitwise():
+    rng = np.random.default_rng(5)
+    H = rng.standard_normal((20, 3, 4)) * rng.uniform(0.1, 3.0, size=(20, 1, 1))
+    radius = float(np.median(np.sqrt((H * H).sum(axis=(1, 2)))))
+    out = project(H, radius)
+    moved = 0
+    for r in range(20):
+        alone = project(H[r], radius)
+        assert out[r].tobytes() == alone.tobytes()
+        moved += not np.array_equal(alone, H[r])
+    assert 0 < moved < 20
+    inside = H[: 1] * (0.5 * radius / np.sqrt((H[0] * H[0]).sum()))
+    assert project(inside, radius) is inside
+    assert project(H, None) is H
 
 
 def test_accuracy_and_mean_loss():

@@ -403,6 +403,47 @@ def test_automatic_rebuild_runs_at_the_end_of_a_batch(monkeypatch):
     assert tree._nodes.tobytes() == WeightTree(_leaves(tree))._nodes.tobytes()
 
 
+def test_run_axis_matches_separate_trees(monkeypatch):
+    # each run of a stacked tree draws, reads and writes bitwise as a tree of
+    # its own, relabelling after the same write, whichever prefix of runs a call
+    # addresses
+    monkeypatch.setattr(weight_tree, "REBUILD_EVERY", 5)
+    rng = np.random.default_rng(41)
+    W = rng.uniform(0.5, 2.0, size=(3, 11))
+    stacked, alone = WeightTree(W), [WeightTree(w) for w in W]
+    assert (stacked.runs, stacked.n) == (3, 11)
+    for _ in range(12):
+        m = int(rng.integers(1, 4))
+        u = rng.random((m, 4, stacked.depth))
+        drawn = stacked.descend_many(u)
+        probs = stacked.probs(drawn)
+        idx, vals, runs = [], [], []
+        for r in range(m):
+            assert np.array_equal(drawn[r], alone[r].descend_many(u[r]))
+            assert probs[r].tobytes() == alone[r].probs(drawn[r]).tobytes()
+            leaves, new = rng.permutation(11)[: r + 1], rng.uniform(0.5, 2.0, size=r + 1)
+            alone[r].update_many(leaves, new)
+            idx.append(leaves), vals.append(new), runs.append(np.full(r + 1, r))
+        stacked.update_many(np.concatenate(idx), np.concatenate(vals), np.concatenate(runs))
+        rows = stacked._nodes.reshape(3, -1)
+        for r in range(3):
+            assert rows[r].tobytes() == alone[r]._nodes.tobytes()
+            assert stacked._updates_since_rebuild[r] == alone[r]._updates_since_rebuild[0]
+            assert stacked.totals[r] == alone[r].total
+            assert stacked.distribution(r).tobytes() == alone[r].distribution().tobytes()
+    with pytest.raises(ValueError):
+        stacked.descend_many(rng.random((4, 2, stacked.depth)))  # more slabs than runs
+    with pytest.raises(ValueError):
+        stacked.descend_many(rng.random((2, stacked.depth)))  # the run axis is required
+    with pytest.raises(IndexError):
+        stacked.update_many([0], [1.0], [3])
+    with pytest.raises(ValueError):
+        stacked.update_many([4, 4], [1.0, 2.0], [1, 1])
+    stacked.update_many([4, 4], [1.0, 2.0], [0, 1])  # one leaf in each of two runs
+    with pytest.raises(ValueError):
+        WeightTree([[1.0, 0.0], [0.0, 0.0]])  # every run needs a positive weight
+
+
 def test_tracer_reads_these_names_and_counters():
     # perfbench/tracer.py keeps trees by the span weight_tree.WeightTree.__init__,
     # derives draws and leaf writes from the two counters, times draws by the
