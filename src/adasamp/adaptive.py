@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .model import Dataset, Example, batch_objective_grads, predict_proba, softmax
-from .optim import StepSchedule, UpdateRuleState, apply_update, step_size
+from .optim import StepSchedule, UpdateRuleState, apply_update
 from .weight_tree import WeightTree
 
 UTILITY_KINDS = ("zero_one", "l1")
@@ -42,8 +42,8 @@ class DivergenceError(ArithmeticError):
 @dataclasses.dataclass(frozen=True)
 class SamplerConfig:
     """Sampler hyperparameters: reweighting amplitude >= 0, multiplicative decay
-    in (0, 1), utility kind, batch size, iteration count, and whether to record
-    the full O(n) conditional KL to uniform every iteration."""
+    in (0, 1), utility kind, batch size, iteration count, and whether to compute
+    the full O(n) conditional KL to uniform at each metric tick."""
 
     amplitude: float
     decay: float
@@ -140,17 +140,21 @@ def posterior_objective(q_next, utils, q_ref, amplitude: float, decay: float) ->
     return float((q * u).sum()) - kl / amplitude
 
 
+# the per-iteration fields of a TrainTrace, filled only by a recorded run
+_RECORDED = ("indices", "log_ratios", "acc_before", "acc_mean_before", "updated", "utilities")
+
+
 @dataclasses.dataclass
 class TrainTrace:
-    """Everything recorded along one training run.
+    """What one training run leaves behind.
 
-    Per-iteration lists (index t-1 holds iteration t): drawn indices with
-    repeats, their pre-draw probabilities Q_t(i) and log ratios
-    ln(n * Q_t(i)), the drawn indices' decayed-utility accumulators S(i, t)
-    before the step, the accumulator mean over all examples at the start of
-    the iteration, the step size, the unique updated indices with their
-    utilities at h_t, and (optionally) the full conditional KL of Q_t to
-    uniform.
+    Per-iteration lists (index t-1 holds iteration t), None for a run trained
+    with record=False: drawn indices with repeats, their log ratios
+    ln(n * Q_t(i)) under the pre-draw tree state, the drawn indices'
+    decayed-utility accumulators S(i, t) before the step, the accumulator mean
+    over all examples at the start of the iteration, and the unique updated
+    indices with their utilities at h_t. Every run keeps its metric_fn results
+    and its final accumulators.
     """
 
     n: int
@@ -159,22 +163,25 @@ class TrainTrace:
     amplitude: float
     decay: float
     utility: str
-    indices: list = dataclasses.field(default_factory=list)
-    probs: list = dataclasses.field(default_factory=list)
-    log_ratios: list = dataclasses.field(default_factory=list)
-    acc_before: list = dataclasses.field(default_factory=list)
-    acc_mean_before: list = dataclasses.field(default_factory=list)
-    step_sizes: list = dataclasses.field(default_factory=list)
-    updated: list = dataclasses.field(default_factory=list)
-    utilities: list = dataclasses.field(default_factory=list)
-    conditional_kl: list | None = None
+    indices: list | None = None
+    log_ratios: list | None = None
+    acc_before: list | None = None
+    acc_mean_before: list | None = None
+    updated: list | None = None
+    utilities: list | None = None
     metrics: list = dataclasses.field(default_factory=list)
     final_acc: np.ndarray | None = None
-    final_counts: np.ndarray | None = None
+
+    def recorded(self, name: str) -> list:
+        """The per-iteration list `name`; ValueError if the run did not record it."""
+        values = getattr(self, name)
+        if values is None:
+            raise ValueError(f"trace has no per-iteration {name} record (record=False)")
+        return values
 
     def total_log_ratio(self) -> float:
         """Sum over draws of ln(n * Q_t(i_t)): the realized per-path KL statistic."""
-        return float(sum(lr.sum() for lr in self.log_ratios))
+        return float(sum(lr.sum() for lr in self.recorded("log_ratios")))
 
 
 # Uniforms drawn ahead per call, summed over runs: each run's rng fills a block
@@ -246,10 +253,11 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
     number run r produces is bitwise that of `train` on run r alone, down to
     the per-value `math.exp` weights and the in-order accumulator total.
     If metric_every > 0, metric_fn(r, t, h, kl_stat, cond_kl) is called for
-    run r at t = 1, every metric_every-th iteration, and t = T (see `train`).
-    With record=False the traces keep only the metrics and final_acc: no
-    per-iteration list is filled, nothing only they read is computed, and a
-    tracked conditional KL is computed at the metric ticks alone.
+    run r at t = 1, every metric_every-th iteration, and t = T (see `train`);
+    a tracked conditional KL is computed at these ticks alone, and cond_kl is
+    None when it is not tracked. With record=False the traces keep only the
+    metrics and final_acc: their per-iteration fields stay None and nothing
+    only those fields read is computed.
 
     Raises DivergenceError naming the iteration at which the first diverging
     run in run order diverged, the one R separate calls would have raised
@@ -282,17 +290,17 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
     amps, dec = np.array(amp_list), cfg.decay
     tree = WeightTree(np.ones((R, n)))
     acc = np.zeros((R, n))
-    counts = np.zeros((R, n), dtype=np.int64)
-    acc_flat, counts_flat = acc.reshape(-1), counts.reshape(-1)
+    acc_flat = acc.reshape(-1)
     # run r's examples start at offsets[r] in the flat accumulators
     offsets = np.arange(0, R * n, n)[:, None] if R > 1 else None
     acc_totals = [0.0] * R
     util_sums = [0.0] * R
     traces = [TrainTrace(n, b, T, a, dec, cfg.utility) for a in amp_list]
-    track_kl = cfg.track_full_conditional_kl
-    if track_kl and record:
+    if record:
         for trace in traces:
-            trace.conditional_kl = []
+            for name in _RECORDED:
+                setattr(trace, name, [])
+    track_kl = cfg.track_full_conditional_kl
     log_n = math.log(n)
     ahead = max(1, _UNIFORMS_AHEAD // (R * b * max(tree.depth, 1)))
     diverged_at = None
@@ -309,32 +317,24 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
             block = (np.stack([rngs[r].random(shape) for r in range(live)]) if live > 1
                      else rngs[0].random(shape)[None])
         # draws, and everything read from the pre-update tree state Q_t
-        if track_kl and (record or tick):
+        if track_kl and tick:
             cond_kl = [conditional_kl(tree, r) for r in range(live)]
         idx = tree.descend_many(block[:live, ahead_t])
         drawn = idx + live_offsets if live > 1 else idx  # run 0's offset is 0
         if record:
-            q = tree.probs(idx)
             acc_idx = acc_flat[drawn]
             shift = np.fromiter(map(math.log, tree.totals[:live].tolist()), float, live) - log_n
             log_ratios = amps[:live, None] * acc_idx - shift[:, None]
             for r in range(live):
                 trace = traces[r]
                 trace.indices.append(idx[r])
-                trace.probs.append(q[r])
                 trace.log_ratios.append(log_ratios[r])
                 trace.acc_before.append(acc_idx[r])
                 trace.acc_mean_before.append(acc_totals[r] / n)
-                if track_kl:
-                    trace.conditional_kl.append(cond_kl[r])
 
         # gradient step at h_{t-1}
         G = batch_objective_grads(H, X[idx], Y[idx], mu)
-        H = apply_update(H, [G], t, sched, step_rule, domain_radius)
-        if record:
-            eta = step_size(sched, t)
-            for r in range(live):
-                traces[r].step_sizes.append(eta)
+        H = apply_update(H, G, t, sched, step_rule, domain_radius)
 
         # one reweighting per unique drawn index, utility taken at h_t: uniq
         # holds each run's unique indices in first-appearance order, run after
@@ -386,7 +386,6 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
         tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
                                       len(at)), owner)
         if record:
-            counts_flat[at] += 1
             deltas = zip(new.tolist(), old.tolist())
         start = 0
         for r, end in enumerate(ends):
@@ -408,7 +407,6 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
         raise DivergenceError(diverged_at)
     for r, trace in enumerate(traces):
         trace.final_acc = acc[r]
-        trace.final_counts = counts[r] if record else None
     return [(H[r], trace) for r, trace in enumerate(traces)]
 
 
@@ -420,7 +418,7 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     one-run case of `train_many`.
 
     Each iteration: draw batch_size indices i.i.d. from the weight tree
-    (recording each draw's probability from the pre-draw tree state), step the
+    (recording each draw's log ratio under the pre-draw tree state), step the
     hypothesis with the batch-mean objective gradient, then for each unique
     drawn index evaluate the utility at the new hypothesis and reweight it
     once. One `WeightTree.descend_many` call draws the batch and one

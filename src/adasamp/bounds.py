@@ -213,28 +213,31 @@ def kl_from_utility_advantage(trace: TrainTrace, amplitude: float | None = None)
 
     where S(i, t) is the decayed utility accumulator of i entering iteration t.
     Its expectation over sample paths upper-bounds KL(Q || uniform). Requires a
-    single-draw trace. The statistic is linear in amplitude, so an override may
-    be supplied to rescale a fixed trace.
+    recorded single-draw trace. The statistic is linear in amplitude, so an
+    override may be supplied to rescale a fixed trace.
     """
+    before, means = trace.recorded("acc_before"), trace.recorded("acc_mean_before")
     if trace.batch_size != 1:
         raise ValueError("utility-advantage statistic requires batch_size = 1")
     amp = trace.amplitude if amplitude is None else amplitude
     total = 0.0
     for t in range(2, trace.iterations + 1):
-        total += float(trace.acc_before[t - 1][0]) - trace.acc_mean_before[t - 1]
+        total += float(before[t - 1][0]) - means[t - 1]
     return amp * total
 
 
 def kl_from_utility_sum(trace: TrainTrace, amplitude: float | None = None,
                         decay: float | None = None) -> float:
     """Per-path KL statistic amplitude/(1-decay) * sum of recorded utilities over
-    iterations 1..T-1 (each unique updated index contributes once per iteration).
-    Looser than the advantage statistic but O(T) and batch-friendly."""
+    iterations 1..T-1 (each unique updated index contributes once per iteration)
+    of a recorded trace. Looser than the advantage statistic but O(T) and
+    batch-friendly."""
+    utilities = trace.recorded("utilities")
     amp = trace.amplitude if amplitude is None else amplitude
     dec = trace.decay if decay is None else decay
     total = 0.0
     for t in range(1, trace.iterations):
-        u = trace.utilities[t - 1]
+        u = utilities[t - 1]
         if (u < 0).any():
             raise ValueError("negative utility in trace")
         total += float(u.sum())
@@ -283,7 +286,7 @@ def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepS
             z = ds.example(i)
             g = objective_grad(h, z, mu)
             branch_state = state.copy()
-            h2 = apply_update(h, [g], t, sched, branch_state, domain_radius)
+            h2 = apply_update(h, g, t, sched, branch_state, domain_radius)
             u = utility(cfg.utility, z, h2)
             acc2 = acc.copy()
             acc2[i] = dec * acc[i] + u

@@ -130,7 +130,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", type=finite_float, default=None,
                    help="explicit loss target for iterations-to-target")
     p.add_argument("--track-kl", action="store_true", dest="track_kl",
-                   help="record the full conditional KL to uniform every iteration")
+                   help="report the full conditional KL to uniform at each metrics tick")
     p.add_argument("--out", help="output directory for metrics and reports")
 
 
@@ -163,40 +163,34 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-_BOUND_BUILDERS = {
-    "stab-convex": lambda a: ("stability_convex",
-                              bounds.sgd_stability_convex(a.L, a.eta, a.T, a.n)),
-    "stab-nonconvex": lambda a: ("stability_nonconvex",
-                                 bounds.sgd_stability_nonconvex(a.L, a.smoothness, a.eta,
-                                                                a.T, a.n, a.M)),
-    "stab-initial-risk": lambda a: ("stability_initial_risk",
-                                    bounds.sgd_stability_initial_risk(a.L, a.eta, a.T, a.n,
-                                                                      a.smoothness, a.risk_h0)),
+def _stability_pair(a) -> dict:
+    beta, gamma = bounds.sgd_stability_strongly_convex(a.L, a.mu, a.n, a.T)
+    return {"formula": "stability_strongly_convex", "beta": beta, "gamma": gamma}
+
+
+# `bounds --formula` choice -> the report it prints
+_BOUND_REPORTS = {
+    "stab-convex": lambda a: {"formula": "stability_convex",
+                              "value": bounds.sgd_stability_convex(a.L, a.eta, a.T, a.n)},
+    "stab-nonconvex": lambda a: {"formula": "stability_nonconvex",
+                                 "value": bounds.sgd_stability_nonconvex(
+                                     a.L, a.smoothness, a.eta, a.T, a.n, a.M)},
+    "stab-initial-risk": lambda a: {"formula": "stability_initial_risk",
+                                    "value": bounds.sgd_stability_initial_risk(
+                                        a.L, a.eta, a.T, a.n, a.smoothness, a.risk_h0)},
+    "stab-strongly-convex": _stability_pair,
+    "chisq": lambda a: bounds.gen_bound_chisq(a.chisq, a.M, a.n, a.beta, a.delta).to_json(),
+    "kl": lambda a: bounds.gen_bound_kl(a.kl, a.M, a.n, a.T, a.beta, a.gamma,
+                                        a.delta).to_json(),
+    "sgd-strongly-convex": lambda a: bounds.gen_bound_sgd_strongly_convex(
+        a.kl, a.M, a.L, a.mu, a.n, a.T, a.delta).to_json(),
+    "derandomized": lambda a: bounds.gen_bound_derandomized(
+        a.kl, a.M, a.n, a.T, a.beta, a.gamma, a.delta).to_json(),
 }
 
 
 def cmd_bounds(args) -> int:
-    if args.formula in _BOUND_BUILDERS:
-        name, value = _BOUND_BUILDERS[args.formula](args)
-        report = {"formula": name, "value": value}
-    elif args.formula == "stab-strongly-convex":
-        beta, gamma = bounds.sgd_stability_strongly_convex(args.L, args.mu, args.n, args.T)
-        report = {"formula": "stability_strongly_convex", "beta": beta, "gamma": gamma}
-    elif args.formula == "chisq":
-        report = bounds.gen_bound_chisq(args.chisq, args.M, args.n, args.beta,
-                                        args.delta).to_json()
-    elif args.formula == "kl":
-        report = bounds.gen_bound_kl(args.kl, args.M, args.n, args.T, args.beta,
-                                     args.gamma, args.delta).to_json()
-    elif args.formula == "sgd-strongly-convex":
-        report = bounds.gen_bound_sgd_strongly_convex(args.kl, args.M, args.L, args.mu,
-                                                      args.n, args.T, args.delta).to_json()
-    elif args.formula == "derandomized":
-        report = bounds.gen_bound_derandomized(args.kl, args.M, args.n, args.T, args.beta,
-                                               args.gamma, args.delta).to_json()
-    else:
-        raise ValueError(f"unknown formula {args.formula!r}")
-    print(dumps_json(report))
+    print(dumps_json(_BOUND_REPORTS[args.formula](args)))
     return 0
 
 
@@ -222,6 +216,10 @@ def cmd_probe_stability(args) -> int:
 
 def cmd_verify_sampler(args) -> int:
     """Distribution, goodness-of-fit, and touched-node checks on random trees."""
+    if not args.sizes or min(args.sizes) < 2:
+        raise ValueError("--sizes needs one or more sizes, each >= 2")
+    if args.draws < 1:
+        raise ValueError("--draws must be >= 1")
     from scipy import stats  # only this subcommand needs it, and it is slow to import
 
     rng = np.random.default_rng(args.seed)
@@ -269,10 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bounds", help="evaluate one closed-form coefficient or bound")
-    p.add_argument("--formula", required=True,
-                   choices=["stab-convex", "stab-nonconvex", "stab-initial-risk",
-                            "stab-strongly-convex", "chisq", "kl", "sgd-strongly-convex",
-                            "derandomized"])
+    p.add_argument("--formula", required=True, choices=list(_BOUND_REPORTS))
     p.add_argument("--L", type=finite_float, default=1.0)
     p.add_argument("--eta", type=finite_float, default=0.1)
     p.add_argument("--T", type=int, default=100)

@@ -255,7 +255,8 @@ def run_experiment(cfg: ExperimentConfig, alpha: float | None = None) -> Experim
 def _run_arms(cfg: ExperimentConfig, arms) -> list:
     """One ExperimentResult per (alpha, out dir) arm: build the datasets once,
     train every arm's `cfg.trials` trials in one `train_many` call, arm after
-    arm in run order, then write each arm's files under its out dir (if any).
+    arm in run order, then create each arm's out dir (if any) and write its
+    files there, so a run that diverges leaves no directory behind.
 
     Trial k of every arm starts from the same h0 and sampling seed, and every
     file is byte-identical to training the arms and trials one at a time.
@@ -268,9 +269,6 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
     sched = cfg.step_schedule(consts)
     samplers = [cfg.sampler_config(alpha) for alpha, _ in arms]
     out_dirs = [None if out is None else str(out) for _, out in arms]
-    for out_dir in out_dirs:
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
 
     shape = (train_ds.num_classes, train_ds.feature_dim)
     cfgs, h0s, rules, rngs = [], [], [], []
@@ -298,6 +296,8 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
 
     results = []
     for a, (sampler, out_dir) in enumerate(zip(samplers, out_dirs)):
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
         trials = []
         for trial in range(cfg.trials):
             h, trace = runs[a * cfg.trials + trial]

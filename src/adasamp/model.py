@@ -146,34 +146,14 @@ def objective_grad(h: np.ndarray, z: Example, mu: float) -> np.ndarray:
     return np.outer(p, z.features) + mu * h
 
 
-def batch_objective_grad(h, X, y, mu) -> tuple[np.ndarray, float]:
-    """Mean gradient and mean objective value of F over a batch (vectorized).
-
-    Equivalent to averaging objective_grad / objective_value over the rows; the
-    batch at iteration t is the multiset of drawn examples, duplicates included.
-    """
-    P = predict_proba_batch(h, X)
-    b = X.shape[0]
-    rows = np.arange(b)
-    py = np.maximum(P[rows, y], PROB_FLOOR)
-    reg = 0.5 * mu * float((h * h).sum())
-    value = float(-np.log(py).sum() / b + reg)
-    P[rows, y] -= 1.0
-    grad = P.T @ X
-    grad /= b
-    grad += mu * h
-    return grad, value
-
-
 def batch_objective_grads(H, X, y, mu) -> np.ndarray:
-    """Mean objective gradient of every run over its own batch: run r's
-    gradient of F at H[r] over rows X[r] with labels y[r], as an (R, C, d)
-    array from H (R, C, d), X (R, b, d) and y (R, b).
+    """Mean objective gradient of every run over its own batch: run r's mean
+    of `objective_grad` at H[r] over rows X[r] (duplicates included) with
+    labels y[r], as an (R, C, d) array from H (R, C, d), X (R, b, d), y (R, b).
 
-    Run r's gradient is bitwise the gradient `batch_objective_grad` returns
-    for H[r], X[r] and y[r]: numpy's stacked matmul makes the same BLAS call
-    for each run as the 2-d product, and every reduction runs along the
-    contiguous last axis of one run's own rows.
+    Run r's gradient is bitwise that of the one-run stack H[r:r+1]: numpy's
+    stacked matmul makes the same BLAS call for each run, and every reduction
+    runs along the contiguous last axis of one run's own rows.
     """
     P = softmax(X @ H.transpose(0, 2, 1))
     P.reshape(-1, P.shape[-1])[np.arange(y.size), y.reshape(-1)] -= 1.0

@@ -90,32 +90,28 @@ class UpdateRuleState:
         return UpdateRuleState(self.kind, acc, self.eps)
 
 
-def apply_update(h: np.ndarray, grads, t: int, sched: StepSchedule,
+def apply_update(h: np.ndarray, grad: np.ndarray, t: int, sched: StepSchedule,
                  state: UpdateRuleState, domain_radius: float | None = None) -> np.ndarray:
-    """One step from h using the mean of `grads` (a nonempty list of arrays).
+    """One step from h along the gradient `grad`, an array of h's shape.
 
-    sgd:      h - eta_t * gbar
-    adagrad:  accum += gbar^2 first, then h - eta_t * gbar / sqrt(accum + eps)
+    sgd:      h - eta_t * grad
+    adagrad:  accum += grad^2 first, then h - eta_t * grad / sqrt(accum + eps)
 
     If domain_radius is given, the result is projected back onto that ball.
     Mutates the AdaGrad accumulator in place; returns a new hypothesis array.
-    An (R, C, d) stack of runs, with one gradient stack and an (R, C, d)
-    accumulator, steps every run; the arithmetic is elementwise apart from the
-    projection, which scales each run by its own norm, so run r's result is
-    bitwise that of stepping it alone.
+    An (R, C, d) stack of runs, with an (R, C, d) gradient and accumulator,
+    steps every run; the arithmetic is elementwise apart from the projection,
+    which scales each run by its own norm, so run r's result is bitwise that
+    of stepping it alone.
     """
-    if not len(grads):
-        raise ValueError("grads must be nonempty")
-    for g in grads:
-        if g.shape != h.shape:
-            raise ValueError("gradient shape mismatch")
-    gbar = grads[0] if len(grads) == 1 else np.mean(grads, axis=0)
+    if grad.shape != h.shape:
+        raise ValueError("gradient shape mismatch")
     eta = step_size(sched, t)
     if state.kind == "sgd":
-        out = h - eta * gbar
+        out = h - eta * grad
     else:
-        state.accumulator += gbar * gbar
-        out = h - eta * gbar / np.sqrt(state.accumulator + state.eps)
+        state.accumulator += grad * grad
+        out = h - eta * grad / np.sqrt(state.accumulator + state.eps)
     if domain_radius is not None:
         out = project(out, domain_radius)
     return out

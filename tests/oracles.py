@@ -32,7 +32,7 @@ def naive_run_indexed(ds, indices, sched, mu, h0, radius):
     state = UpdateRuleState.sgd()
     for t, i in enumerate(indices, start=1):
         g = objective_grad(h, ds.example(int(i)), mu)
-        h = apply_update(h, [g], t, sched, state, radius)
+        h = apply_update(h, g, t, sched, state, radius)
     return h
 
 

@@ -16,7 +16,6 @@ from adasamp import (
     StepSchedule,
     UpdateRuleState,
     WeightTree,
-    batch_objective_grad,
     conditional_kl,
     objective_grad,
     posterior_objective,
@@ -32,6 +31,7 @@ from adasamp import (
     zeros_hypothesis,
 )
 import adasamp.weight_tree as weight_tree
+from adasamp.model import batch_objective_grads
 from oracles import naive_descend
 
 
@@ -145,7 +145,6 @@ def test_single_iteration_is_one_sgd_step():
     i = int(trace.indices[0][0])
     expected = -0.1 * objective_grad(h0, ds.example(i), 0.0)
     assert np.allclose(h, expected, atol=1e-15)
-    assert trace.step_sizes == [0.1]
     assert np.array_equal(h0, zeros_hypothesis(2, 3))  # caller's h0 untouched
 
 
@@ -183,9 +182,8 @@ def test_zero_amplitude_reduces_to_uniform_sampling():
     cfg = SamplerConfig(amplitude=0.0, decay=0.5, batch_size=2, iterations=25)
     _, trace = train(ds, cfg, StepSchedule.constant(0.05), UpdateRuleState.sgd(),
                      0.0, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(42))
-    for lr, q in zip(trace.log_ratios, trace.probs):
+    for lr in trace.log_ratios:
         assert np.all(lr == 0.0)
-        assert np.all(q == 1.0 / 8.0)
     assert trace.total_log_ratio() == 0.0
     # same stream on equal weights reproduces the index sequence
     rng = np.random.default_rng(42)
@@ -208,7 +206,8 @@ def _naive_train(ds, cfg, sched, mu, h0, seed):
         idx = np.array([naive_descend(w, uni[r]) for r in range(cfg.batch_size)])
         all_idx.append(idx)
         all_probs.append(w[idx] / w.sum())
-        gbar, _ = batch_objective_grad(h, ds.features[idx], ds.labels[idx], mu)
+        X, y = ds.features[idx], ds.labels[idx]
+        gbar = batch_objective_grads(h[None], X[None], y[None], mu)[0]
         h = h - step_size(sched, t) * gbar
         seen = []
         for i in idx:
@@ -242,7 +241,7 @@ def test_tree_trainer_matches_naive_reimplementation(seed, n, T, batch, kind):
     idx2, probs2, _ = _naive_train(ds, cfg, sched, 0.05, h0, seed)
     for t in range(T):
         assert np.array_equal(trace.indices[t], idx2[t])
-        assert np.all(np.abs(trace.probs[t] - probs2[t]) <= 1e-12)
+        assert np.all(np.abs(np.exp(trace.log_ratios[t]) / n - probs2[t]) <= 1e-12)
 
 
 def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
@@ -253,18 +252,17 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
     n = ds.n
     amp, dec = cfg.amplitude, cfg.decay
     tree = WeightTree(np.ones(n))
-    acc, counts = np.zeros(n), np.zeros(n, dtype=np.int64)
+    acc = np.zeros(n)
     acc_total = 0.0
     h = h0.copy()
-    out = {key: [] for key in ("indices", "probs", "log_ratios", "acc_before",
-                               "acc_mean_before", "step_sizes", "updated", "utilities")}
+    out = {key: [] for key in ("indices", "log_ratios", "acc_before", "acc_mean_before",
+                               "updated", "utilities")}
     for t in range(1, cfg.iterations + 1):
         uni = rng.random((cfg.batch_size, tree.depth))
         idx = np.array([tree.descend_many(uni[r:r + 1])[0] for r in range(cfg.batch_size)],
                        dtype=np.int64)
         root = tree.total
         out["indices"].append(idx)
-        out["probs"].append(tree.probs(idx))
         out["log_ratios"].append(amp * acc[idx] - (math.log(root) - math.log(n)))
         out["acc_before"].append(acc[idx].copy())
         out["acc_mean_before"].append(acc_total / n)
@@ -283,7 +281,6 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
             rule.accumulator += gbar * gbar
             h = h - eta * gbar / np.sqrt(rule.accumulator + rule.eps)
         h = project(h, domain_radius)
-        out["step_sizes"].append(eta)
         _, first = np.unique(idx, return_index=True)
         uniq = idx[np.sort(first)]
         Xu, yu = ds.features[uniq], ds.labels[uniq]
@@ -294,12 +291,11 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
         for j, i in enumerate(uniq):
             old = acc[i]
             acc[i] = dec * old + u[j]
-            counts[i] += 1
             acc_total += acc[i] - old
             tree.update_many([i], [math.exp(amp * acc[i])])
         out["updated"].append(uniq)
         out["utilities"].append(u)
-    return h, out, acc, counts
+    return h, out, acc
 
 
 @pytest.mark.parametrize("n,batch,T,amp,kind,rule", [
@@ -317,8 +313,8 @@ def test_batched_trainer_replays_the_scalar_loop_bitwise(n, batch, T, amp, kind,
     h0 = zeros_hypothesis(2, 8)
     h, trace = train(ds, cfg, sched, rules[0], 0.01, 5.0, h0, np.random.default_rng(3),
                      domain_radius=30.0)
-    h_ref, ref, acc, counts = _scalar_train(ds, cfg, sched, rules[1], 0.01, h0,
-                                            np.random.default_rng(3), domain_radius=30.0)
+    h_ref, ref, acc = _scalar_train(ds, cfg, sched, rules[1], 0.01, h0,
+                                    np.random.default_rng(3), domain_radius=30.0)
     assert h.tobytes() == h_ref.tobytes()
     for key, expect in ref.items():
         got = getattr(trace, key)
@@ -327,7 +323,6 @@ def test_batched_trainer_replays_the_scalar_loop_bitwise(n, batch, T, amp, kind,
             a, b = np.asarray(a), np.asarray(b)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
     assert trace.final_acc.tobytes() == acc.tobytes()
-    assert trace.final_counts.tobytes() == counts.tobytes()
     if amp == 0.0:
         assert all(np.all(lr == 0.0) for lr in trace.log_ratios)
 
@@ -407,8 +402,7 @@ def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classe
     assert quiet_calls == calls
     for (h, trace), (h_ref, ref) in zip(quiet, together):
         assert _bitwise_equal(h, h_ref) and _bitwise_equal(trace.final_acc, ref.final_acc)
-        assert trace.indices == trace.utilities == [] and trace.final_counts is None
-        assert trace.conditional_kl is None
+        assert trace.indices is None and trace.log_ratios is None and trace.utilities is None
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -476,13 +470,10 @@ def test_accumulator_replay_is_bitwise():
     _, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
                      0.01, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(9))
     acc = np.zeros(12)
-    counts = np.zeros(12, dtype=np.int64)
     for uniq, us in zip(trace.updated, trace.utilities):
         for j, i in enumerate(uniq):
             acc[i] = cfg.decay * acc[i] + us[j]
-            counts[i] += 1
     assert np.array_equal(acc, trace.final_acc)
-    assert np.array_equal(counts, trace.final_counts)
 
 
 def test_log_weights_stay_in_band():
@@ -494,9 +485,9 @@ def test_log_weights_stay_in_band():
     cap = 1.0 / (1.0 - cfg.decay)
     assert np.all(trace.final_acc >= 0.0)
     assert np.all(trace.final_acc <= cap + 1e-12)
-    # recorded log ratios agree with the recorded probabilities
-    for lr, q in zip(trace.log_ratios, trace.probs):
-        assert np.all(np.abs(lr - np.log(9.0 * q)) <= 1e-10)
+    # every weight is >= 1, so ln(n * Q_t(i)) <= ln w_i <= amplitude/(1-decay)
+    for lr in trace.log_ratios:
+        assert np.all(lr <= cfg.amplitude / (1.0 - cfg.decay))
 
 
 def test_batch_updates_each_unique_index_once():
@@ -529,10 +520,11 @@ def test_tracked_conditional_kl():
     cfg = SamplerConfig(amplitude=2.0, decay=0.5, iterations=15,
                         track_full_conditional_kl=True)
     _, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
-                     0.0, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(15))
-    assert len(trace.conditional_kl) == 15
-    assert trace.conditional_kl[0] == 0.0  # weights start uniform
-    assert all(v >= 0.0 for v in trace.conditional_kl)
+                     0.0, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(15),
+                     metric_every=1, metric_fn=lambda t, h, kl, cond: cond)
+    assert len(trace.metrics) == 15
+    assert trace.metrics[0] == 0.0  # weights start uniform
+    assert all(v >= 0.0 for v in trace.metrics)
 
 
 def test_metric_callback_cadence():

@@ -30,6 +30,7 @@ from adasamp import (
     sgd_stability_nonconvex,
     sgd_stability_strongly_convex,
     train,
+    train_many,
     zeros_hypothesis,
 )
 from adasamp.adaptive import TrainTrace
@@ -310,6 +311,20 @@ def test_advantage_statistic_requires_single_draws():
     with pytest.raises(ValueError):
         kl_from_utility_advantage(trace)
     assert kl_from_utility_sum(trace) > 0.0  # the batch form still applies
+
+
+@pytest.mark.parametrize("T", [1, 2, 5])
+@pytest.mark.parametrize("statistic", [TrainTrace.total_log_ratio, kl_from_utility_sum,
+                                       kl_from_utility_advantage])
+def test_statistics_of_an_unrecorded_trace_fail_loudly(statistic, T):
+    # record=False keeps no per-iteration lists: no statistic may read 0.0 or
+    # fail with a bare IndexError from them
+    cfg = SamplerConfig(amplitude=0.5, decay=0.5, utility="zero_one", iterations=T)
+    [(_, trace)] = train_many(_constant_utility_dataset(), [cfg], StepSchedule.constant(0.1),
+                              [UpdateRuleState.sgd()], 0.0, 5.0, [zeros_hypothesis(2, 1)],
+                              [np.random.default_rng(0)], record=False)
+    with pytest.raises(ValueError, match="no per-iteration .* record"):
+        statistic(trace)
 
 
 def test_negative_utility_rejected_by_sum_statistic():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from adasamp import bounds
 from adasamp.cli import load_config_file, main, parse_args
 from adasamp.data import load_csv
+from adasamp.harness import dumps_json
 
 SMALL = ["--n", "60", "--test-n", "40", "--dim", "4", "--iters", "40",
          "--trials", "2", "--cadence", "10", "--batch", "4"]
@@ -180,6 +181,18 @@ def test_divergence_exits_3_naming_the_iteration(capsys):
     assert captured.err.startswith("error: diverged at iteration ")
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverged_compare_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "D"
+    rc = main(["compare", "--n", "60", "--test-n", "40", "--iters", "40", "--batch", "4",
+               "--trials", "3", "--schedule", "constant", "--eta", "1e308", "--mu", "0",
+               "--alphas", "1", "2", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: diverged at iteration ")
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -222,6 +235,36 @@ def test_bounds_stability_pair(capsys):
                    "beta": beta, "gamma": gamma}
 
 
+_BOUND_FLAGS = ["--L", "2.0", "--eta", "0.05", "--T", "200", "--n", "100", "--M", "1.5",
+                "--mu", "0.5", "--smoothness", "3.0", "--risk-h0", "0.7", "--kl", "0.4",
+                "--chisq", "0.3", "--beta", "0.01", "--gamma", "0.002", "--delta", "0.05"]
+
+
+@pytest.mark.parametrize("formula,direct", [
+    ("stab-convex", lambda: {"formula": "stability_convex",
+                             "value": bounds.sgd_stability_convex(2.0, 0.05, 200, 100)}),
+    ("stab-nonconvex", lambda: {"formula": "stability_nonconvex",
+                                "value": bounds.sgd_stability_nonconvex(2.0, 3.0, 0.05, 200,
+                                                                        100, 1.5)}),
+    ("stab-initial-risk", lambda: {"formula": "stability_initial_risk",
+                                   "value": bounds.sgd_stability_initial_risk(2.0, 0.05, 200,
+                                                                              100, 3.0, 0.7)}),
+    ("stab-strongly-convex", lambda: dict(zip(
+        ("formula", "beta", "gamma"),
+        ("stability_strongly_convex", *bounds.sgd_stability_strongly_convex(2.0, 0.5, 100,
+                                                                            200))))),
+    ("chisq", lambda: bounds.gen_bound_chisq(0.3, 1.5, 100, 0.01, 0.05).to_json()),
+    ("kl", lambda: bounds.gen_bound_kl(0.4, 1.5, 100, 200, 0.01, 0.002, 0.05).to_json()),
+    ("sgd-strongly-convex", lambda: bounds.gen_bound_sgd_strongly_convex(
+        0.4, 1.5, 2.0, 0.5, 100, 200, 0.05).to_json()),
+    ("derandomized", lambda: bounds.gen_bound_derandomized(
+        0.4, 1.5, 100, 200, 0.01, 0.002, 0.05).to_json()),
+])
+def test_every_bounds_formula_prints_its_direct_call(capsys, formula, direct):
+    assert main(["bounds", "--formula", formula, *_BOUND_FLAGS]) == 0
+    assert capsys.readouterr().out == dumps_json(direct()) + "\n"
+
+
 def test_bounds_rejects_bad_inputs(capsys):
     rc = main(["bounds", "--formula", "chisq", "--chisq", "-1.0"])
     assert rc == 2
@@ -257,6 +300,21 @@ def test_verify_sampler_passes(capsys):
         assert row["max_prob_error"] < 1e-12
         assert row["sample_touches"] == row["depth"]
         assert row["update_touches"] == row["depth"] + 1
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--sizes"], "--sizes"),
+    (["--sizes", "1"], "--sizes"),
+    (["--sizes", "4", "1"], "--sizes"),
+    (["--draws", "0"], "--draws"),
+    (["--draws", "-5"], "--draws"),
+])
+def test_verify_sampler_rejects_inputs_that_check_nothing(capsys, argv, flag):
+    rc = main(["verify-sampler", *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any size is checked
+    assert captured.err.startswith(f"error: {flag} ")
 
 
 def test_probe_stability_subcommand(capsys):

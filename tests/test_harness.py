@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 
 from adasamp import (
+    SamplerConfig,
     StepSchedule,
+    UpdateRuleState,
     gen_bound_derandomized,
     gen_bound_kl,
     gen_bound_sgd_strongly_convex,
+    kl_from_utility_sum,
     sgd_stability_convex,
     sgd_stability_initial_risk,
     sgd_stability_strongly_convex,
+    train_many,
     zeros_hypothesis,
 )
 from adasamp.data import synth_data
@@ -331,3 +335,24 @@ def test_probe_stability_rejects_empty_counts(kwargs, message):
 def test_probe_stability_rejects_empty_runs_and_datasets(overrides, message):
     with pytest.raises(ValueError, match=message):
         probe_stability(_small_cfg(mu=0.1, **overrides), perturbations=2)
+
+
+@pytest.mark.parametrize("n,batch", [(7, 1), (5, 8)])
+def test_final_tick_kl_stat_is_the_trace_utility_sum_bitwise(n, batch):
+    # _run_arms reads each trial's KL statistic from its t = T metrics record
+    # in place of kl_from_utility_sum of a recorded trace
+    ds = synth_data(n, 3, 2, 0.6, 0.1, seed=n)
+    T, amps = 23, [0.7, 1.3, 2.0]
+    cfgs = [SamplerConfig(amplitude=a, decay=0.4, batch_size=batch, iterations=T) for a in amps]
+    runs = train_many(ds, cfgs, StepSchedule.inverse_decay(0.3, 0.01),
+                      [UpdateRuleState.sgd() for _ in amps], 0.01, 5.0,
+                      [zeros_hypothesis(2, 3)] * len(amps),
+                      [np.random.default_rng(s) for s in range(len(amps))],
+                      metric_every=5, metric_fn=lambda r, t, h, kl_stat, cond: (t, kl_stat))
+    for _, trace in runs:
+        t, kl_stat = trace.metrics[-1]
+        assert t == T
+        assert kl_stat > 0.0
+        assert kl_stat.hex() == kl_from_utility_sum(trace).hex()
+    if batch > 1:  # some batch drew an index twice, so it updated fewer than it drew
+        assert any(len(u) < batch for _, trace in runs for u in trace.updated)

@@ -50,27 +50,19 @@ def test_schedule_validation():
 
 def test_sgd_single_step():
     g = np.array([[1.0, -2.0]])
-    h = apply_update(np.zeros((1, 2)), [g], 1, StepSchedule.constant(0.1),
+    h = apply_update(np.zeros((1, 2)), g, 1, StepSchedule.constant(0.1),
                      UpdateRuleState.sgd())
     assert np.allclose(h, -0.1 * g, atol=1e-15)
-
-
-def test_sgd_averages_the_batch():
-    g1 = np.array([[2.0, 0.0]])
-    g2 = np.array([[0.0, 2.0]])
-    h = apply_update(np.zeros((1, 2)), [g1, g2], 1, StepSchedule.constant(1.0),
-                     UpdateRuleState.sgd())
-    assert np.allclose(h, [[-1.0, -1.0]], atol=1e-15)
 
 
 def test_zero_gradient_is_noop_for_both_rules():
     h0 = np.array([[0.3, -0.4]])
     zero = np.zeros((1, 2))
     sched = StepSchedule.constant(0.1)
-    assert np.array_equal(apply_update(h0, [zero], 1, sched, UpdateRuleState.sgd()), h0)
+    assert np.array_equal(apply_update(h0, zero, 1, sched, UpdateRuleState.sgd()), h0)
     ada = UpdateRuleState.adagrad((1, 2))
     before = ada.accumulator.copy()
-    assert np.array_equal(apply_update(h0, [zero], 1, sched, ada), h0)
+    assert np.array_equal(apply_update(h0, zero, 1, sched, ada), h0)
     assert np.array_equal(ada.accumulator, before)
 
 
@@ -78,7 +70,7 @@ def test_adagrad_first_step_approaches_sign_step():
     # fresh accumulator, eps -> 0: g / sqrt(g^2) = sign(g)
     g = np.array([[3.0, -3.0, 0.5, -0.5]])
     ada = UpdateRuleState.adagrad((1, 4), eps=1e-18)
-    h = apply_update(np.zeros((1, 4)), [g], 1, StepSchedule.constant(0.2), ada)
+    h = apply_update(np.zeros((1, 4)), g, 1, StepSchedule.constant(0.2), ada)
     assert np.allclose(h, -0.2 * np.sign(g), atol=1e-8)
 
 
@@ -87,7 +79,7 @@ def test_adagrad_accumulates_squared_gradients():
     ada = UpdateRuleState.adagrad((1, 2))
     h = np.zeros((1, 2))
     for t in (1, 2, 3):
-        h = apply_update(h, [g], t, StepSchedule.constant(0.1), ada)
+        h = apply_update(h, g, t, StepSchedule.constant(0.1), ada)
     assert np.allclose(ada.accumulator, 3.0 * g * g, atol=1e-12)
 
 
@@ -98,7 +90,7 @@ def test_adagrad_shrinks_effective_steps():
     h = np.zeros((1, 1))
     deltas = []
     for t in range(1, 6):
-        h2 = apply_update(h, [g], t, sched, ada)
+        h2 = apply_update(h, g, t, sched, ada)
         deltas.append(abs(float(h2[0, 0] - h[0, 0])))
         h = h2
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
@@ -106,7 +98,7 @@ def test_adagrad_shrinks_effective_steps():
 
 def test_projection_applies_after_the_step():
     g = np.array([[-10.0, 0.0]])
-    h = apply_update(np.zeros((1, 2)), [g], 1, StepSchedule.constant(1.0),
+    h = apply_update(np.zeros((1, 2)), g, 1, StepSchedule.constant(1.0),
                      UpdateRuleState.sgd(), domain_radius=1.0)
     assert np.allclose(h, [[1.0, 0.0]], atol=1e-12)
 
@@ -127,17 +119,15 @@ def test_strongly_convex_sgd_contracts_between_optima():
         eta = step_size(sched, t)
         a = rng.standard_normal((1, 2))
         b = rng.standard_normal((1, 2))
-        a2 = apply_update(a, [grad(a)], t, sched, UpdateRuleState.sgd())
-        b2 = apply_update(b, [grad(b)], t, sched, UpdateRuleState.sgd())
+        a2 = apply_update(a, grad(a), t, sched, UpdateRuleState.sgd())
+        b2 = apply_update(b, grad(b), t, sched, UpdateRuleState.sgd())
         assert np.linalg.norm(a2 - b2) <= (1.0 - eta * mu) * np.linalg.norm(a - b) + 1e-12
 
 
 def test_apply_update_validation():
     sched = StepSchedule.constant(0.1)
     with pytest.raises(ValueError):
-        apply_update(np.zeros((1, 2)), [], 1, sched, UpdateRuleState.sgd())
-    with pytest.raises(ValueError):
-        apply_update(np.zeros((1, 2)), [np.zeros((2, 2))], 1, sched, UpdateRuleState.sgd())
+        apply_update(np.zeros((1, 2)), np.zeros((2, 2)), 1, sched, UpdateRuleState.sgd())
 
 
 def test_updates_are_deterministic():
@@ -147,6 +137,6 @@ def test_updates_are_deterministic():
         ada = UpdateRuleState.adagrad((1, 2))
         h = np.zeros((1, 2))
         for t in (1, 2, 3):
-            h = apply_update(h, [g], t, StepSchedule.inverse_decay(0.1, 0.01), ada)
+            h = apply_update(h, g, t, StepSchedule.inverse_decay(0.1, 0.01), ada)
         runs.append(h)
     assert np.array_equal(runs[0], runs[1])
