@@ -184,11 +184,6 @@ class TrainTrace:
         return float(sum(lr.sum() for lr in self.recorded("log_ratios")))
 
 
-# Uniforms drawn ahead per call, summed over runs: each run's rng fills a block
-# of whole iterations at once, which is the same stream as one draw per iteration.
-_UNIFORMS_AHEAD = 1 << 16
-
-
 def _ragged_utilities(kind, H, X, y, uniq, sizes):
     """Utilities of run r's sizes[r] indices at H[r], for uniq holding every
     run's indices one run after another (sizes None: uniq is a (runs, k)
@@ -223,14 +218,6 @@ def _ragged_utilities(kind, H, X, y, uniq, sizes):
     return u, sums
 
 
-def _live_rule(rules, accumulators, live) -> UpdateRuleState:
-    """The rule that steps runs 0..live-1: any run's plain SGD rule, or an
-    AdaGrad rule over their rows of the stacked accumulators."""
-    if accumulators is None:
-        return rules[0]
-    return UpdateRuleState("adagrad", accumulators[:live], rules[0].eps)
-
-
 def _shared_settings(cfg: SamplerConfig) -> tuple:
     return (cfg.decay, cfg.utility, cfg.batch_size, cfg.iterations,
             cfg.track_full_conditional_kl)
@@ -248,10 +235,11 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
     `update_many` call reweights every run. The runs share the data, the
     schedule, mu, M and the radius, and their configs may differ only in the
     amplitude. Each run has its own h0, rule state (the AdaGrad accumulators
-    are stacked and written back to each rule at the end) and rng, which only
-    its draws read: exactly depth uniforms per draw, draws in order. Every
-    number run r produces is bitwise that of `train` on run r alone, down to
-    the per-value `math.exp` weights and the in-order accumulator total.
+    are stacked and written back to each rule when the call ends, however it
+    ends) and rng, which only its draws read: exactly depth uniforms per draw,
+    draws in order. Every number run r produces is bitwise that of `train` on
+    run r alone, down to the per-value `math.exp` weights and the in-order
+    accumulator total.
     If metric_every > 0, metric_fn(r, t, h, kl_stat, cond_kl) is called for
     run r at t = 1, every metric_every-th iteration, and t = T (see `train`);
     a tracked conditional KL is computed at these ticks alone, and cond_kl is
@@ -259,9 +247,10 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
     metrics and final_acc: their per-iteration fields stay None and nothing
     only those fields read is computed.
 
-    Raises DivergenceError naming the iteration at which the first diverging
-    run in run order diverged, the one R separate calls would have raised
-    first. A run stops being stepped once it, or an earlier run, diverges.
+    Raises DivergenceError(t) at the first iteration t after whose step any
+    run's hypothesis, or the sum of its utilities, is non-finite: the earliest
+    iteration at which R separate `train` calls would raise. Every run has
+    then been stepped through t, and metric_fn has seen no iteration from t on.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -276,23 +265,26 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
     cfg, shared = cfgs[0], _shared_settings(cfgs[0])
     if any(_shared_settings(c) != shared for c in cfgs[1:]):
         raise ValueError("runs may differ only in the sampler amplitude")
-    kind, eps = rules[0].kind, rules[0].eps
-    if any(r.kind != kind or r.eps != eps for r in rules[1:]):
+    if any(r.kind != rules[0].kind for r in rules[1:]):
         raise ValueError("runs must share the update rule")
-    accumulators = (np.array([r.accumulator for r in rules], dtype=np.float64)
-                    if kind == "adagrad" else None)
-    if accumulators is not None and accumulators.shape != H.shape:
-        raise ValueError("adagrad accumulators must match the hypothesis shape")
+    step_rule = rules[0]  # plain SGD keeps no state
+    if step_rule.kind == "adagrad":
+        step_rule = UpdateRuleState("adagrad", np.array([r.accumulator for r in rules],
+                                                        dtype=np.float64))
+        if step_rule.accumulator.shape != H.shape:
+            raise ValueError("adagrad accumulators must match the hypothesis shape")
 
     n, b, T = ds.n, cfg.batch_size, cfg.iterations
     X, Y = ds.features, ds.labels
     amp_list = [c.amplitude for c in cfgs]
     amps, dec = np.array(amp_list), cfg.decay
     tree = WeightTree(np.ones((R, n)))
+    uniforms = np.empty((R, b, tree.depth))  # refilled by each run's rng every iteration
     acc = np.zeros((R, n))
     acc_flat = acc.reshape(-1)
     # run r's examples start at offsets[r] in the flat accumulators
-    offsets = np.arange(0, R * n, n)[:, None] if R > 1 else None
+    run_ids = np.arange(R) if R > 1 else None
+    offsets = run_ids[:, None] * n if R > 1 else None
     acc_totals = [0.0] * R
     util_sums = [0.0] * R
     traces = [TrainTrace(n, b, T, a, dec, cfg.utility) for a in amp_list]
@@ -302,109 +294,90 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
                 setattr(trace, name, [])
     track_kl = cfg.track_full_conditional_kl
     log_n = math.log(n)
-    ahead = max(1, _UNIFORMS_AHEAD // (R * b * max(tree.depth, 1)))
-    diverged_at = None
-    live = R  # runs 0..live-1 are stepped; the first diverged run ends the prefix
-    live_offsets = offsets
-    step_rule = _live_rule(rules, accumulators, live)
 
-    for t in range(1, T + 1):
-        tick = metric_every and metric_fn is not None and (
-            t == 1 or t % metric_every == 0 or t == T)
-        ahead_t = (t - 1) % ahead
-        if ahead_t == 0:
-            shape = (min(ahead, T - t + 1), b, tree.depth)
-            block = (np.stack([rngs[r].random(shape) for r in range(live)]) if live > 1
-                     else rngs[0].random(shape)[None])
-        # draws, and everything read from the pre-update tree state Q_t
-        if track_kl and tick:
-            cond_kl = [conditional_kl(tree, r) for r in range(live)]
-        idx = tree.descend_many(block[:live, ahead_t])
-        drawn = idx + live_offsets if live > 1 else idx  # run 0's offset is 0
-        if record:
-            acc_idx = acc_flat[drawn]
-            shift = np.fromiter(map(math.log, tree.totals[:live].tolist()), float, live) - log_n
-            log_ratios = amps[:live, None] * acc_idx - shift[:, None]
-            for r in range(live):
-                trace = traces[r]
-                trace.indices.append(idx[r])
-                trace.log_ratios.append(log_ratios[r])
-                trace.acc_before.append(acc_idx[r])
-                trace.acc_mean_before.append(acc_totals[r] / n)
-
-        # gradient step at h_{t-1}
-        G = batch_objective_grads(H, X[idx], Y[idx], mu)
-        H = apply_update(H, G, t, sched, step_rule, domain_radius)
-
-        # one reweighting per unique drawn index, utility taken at h_t: uniq
-        # holds each run's unique indices in first-appearance order, run after
-        # run, `at` the same entries of the flat accumulators, and sizes[r]
-        # how many run r has (None: one each, uniq is idx)
-        uniq, at, sizes = idx, drawn.reshape(-1), None
-        if b > 1:
-            uniq = idx.reshape(-1)
-            order = at.argsort(kind="stable")
-            ranked = at[order]
-            first = np.empty(at.size, dtype=bool)
-            first[0] = True
-            np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-            keep = np.empty_like(first)
-            keep[order] = first
-            uniq, at = uniq[keep], at[keep]
-            counts_of = keep.reshape(live, b).sum(axis=1)
-            sizes = counts_of.tolist()
-        u, batch_utils = _ragged_utilities(cfg.utility, H, X, Y, uniq, sizes)
-        uniq = uniq.reshape(-1)
-        batch_utils = batch_utils.tolist()
-        if not (np.isfinite(H).all() and all(map(math.isfinite, batch_utils))):
-            finite = np.isfinite(H).reshape(live, -1).all(axis=1).tolist()
-            live = next(r for r in range(live) if not (finite[r] and math.isfinite(batch_utils[r])))
-            diverged_at = t
-            if live == 0:
-                break
-            H = H[:live]
-            live_offsets = offsets[:live]
-            step_rule = _live_rule(rules, accumulators, live)
-            K = live if sizes is None else sum(sizes[:live])
-            at, uniq, u = at[:K], uniq[:K], u[:K]
-        if tick:
-            for r in range(live):
-                kl_stat = amp_list[r] / (1.0 - dec) * util_sums[r]
-                cond = cond_kl[r] if track_kl else None
-                traces[r].metrics.append(metric_fn(r, t, H[r], kl_stat, cond))
-        if sizes is None:
-            ends, entry_amps = range(1, live + 1), amps[:live]
-            owner = np.arange(live) if live > 1 else None
-        else:
-            ends = list(itertools.accumulate(sizes[:live]))
-            entry_amps = np.repeat(amps[:live], counts_of[:live])
-            owner = np.repeat(np.arange(live), counts_of[:live]) if live > 1 else None
-        old = acc_flat[at]
-        new = dec * old + u
-        acc_flat[at] = new
-        # valid by construction: distinct drawn indices, weights exp(amplitude * A) >= 1
-        tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
-                                      len(at)), owner)
-        if record:
-            deltas = zip(new.tolist(), old.tolist())
-        start = 0
-        for r, end in enumerate(ends):
-            util_sums[r] += batch_utils[r]
+    try:
+        for t in range(1, T + 1):
+            tick = metric_every and metric_fn is not None and (
+                t == 1 or t % metric_every == 0 or t == T)
+            # draws, and everything read from the pre-update tree state Q_t
+            if track_kl and tick:
+                cond_kl = [conditional_kl(tree, r) for r in range(R)]
+            for rng, row in zip(rngs, uniforms):
+                rng.random(out=row)
+            idx = tree.descend_many(uniforms)
+            drawn = idx + offsets if R > 1 else idx  # run 0's offset is 0
             if record:
-                total = acc_totals[r]
-                # in order, so each acc_total rounds as in a run of its own
-                for a, c in itertools.islice(deltas, end - start):
-                    total += a - c
-                acc_totals[r] = total
-                traces[r].updated.append(uniq[start:end])
-                traces[r].utilities.append(u[start:end])
-            start = end
+                acc_idx = acc_flat[drawn]
+                shift = np.fromiter(map(math.log, tree.totals.tolist()), float, R) - log_n
+                log_ratios = amps[:, None] * acc_idx - shift[:, None]
+                for r, trace in enumerate(traces):
+                    trace.indices.append(idx[r])
+                    trace.log_ratios.append(log_ratios[r])
+                    trace.acc_before.append(acc_idx[r])
+                    trace.acc_mean_before.append(acc_totals[r] / n)
 
-    if accumulators is not None:
-        for rule, a in zip(rules, accumulators):
-            rule.accumulator[...] = a
-    if diverged_at is not None:
-        raise DivergenceError(diverged_at)
+            # gradient step at h_{t-1}
+            G = batch_objective_grads(H, X[idx], Y[idx], mu)
+            H = apply_update(H, G, t, sched, step_rule, domain_radius)
+
+            # one reweighting per unique drawn index, utility taken at h_t: uniq
+            # holds each run's unique indices in first-appearance order, run after
+            # run, `at` the same entries of the flat accumulators, and sizes[r]
+            # how many run r has (None: one each, uniq is idx)
+            uniq, at, sizes = idx, drawn.reshape(-1), None
+            if b > 1:
+                uniq = idx.reshape(-1)
+                order = at.argsort(kind="stable")
+                ranked = at[order]
+                first = np.empty(at.size, dtype=bool)
+                first[0] = True
+                np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+                keep = np.empty_like(first)
+                keep[order] = first
+                uniq, at = uniq[keep], at[keep]
+                counts_of = keep.reshape(R, b).sum(axis=1)
+                sizes = counts_of.tolist()
+            u, batch_utils = _ragged_utilities(cfg.utility, H, X, Y, uniq, sizes)
+            uniq = uniq.reshape(-1)
+            batch_utils = batch_utils.tolist()
+            if not (np.isfinite(H).all() and all(map(math.isfinite, batch_utils))):
+                raise DivergenceError(t)
+            if tick:
+                for r, trace in enumerate(traces):
+                    kl_stat = amp_list[r] / (1.0 - dec) * util_sums[r]
+                    cond = cond_kl[r] if track_kl else None
+                    trace.metrics.append(metric_fn(r, t, H[r], kl_stat, cond))
+            if sizes is None:
+                ends, entry_amps, owner = range(1, R + 1), amps, run_ids
+            else:
+                ends = list(itertools.accumulate(sizes))
+                entry_amps = np.repeat(amps, counts_of)
+                owner = np.repeat(run_ids, counts_of) if R > 1 else None
+            old = acc_flat[at]
+            new = dec * old + u
+            acc_flat[at] = new
+            # valid by construction: distinct drawn indices, weights exp(amplitude * A) >= 1
+            tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
+                                          len(at)), owner)
+            if record:
+                deltas = zip(new.tolist(), old.tolist())
+            start = 0
+            for r, end in enumerate(ends):
+                util_sums[r] += batch_utils[r]
+                if record:
+                    total = acc_totals[r]
+                    # in order, so each acc_total rounds as in a run of its own
+                    for a, c in itertools.islice(deltas, end - start):
+                        total += a - c
+                    acc_totals[r] = total
+                    traces[r].updated.append(uniq[start:end])
+                    traces[r].utilities.append(u[start:end])
+                start = end
+    finally:
+        if step_rule.kind == "adagrad":
+            for rule, a in zip(rules, step_rule.accumulator):
+                rule.accumulator[...] = a
+
     for r, trace in enumerate(traces):
         trace.final_acc = acc[r]
     return [(H[r], trace) for r, trace in enumerate(traces)]

@@ -22,6 +22,8 @@ import numpy as np
 from .model import Dataset
 
 _D2_ROWS = 1 << 16  # rows per block of class distances, bounding the (rows, classes, dim) temporary
+# labels are parsed as floats, which hold every integer exactly only below 2**53
+_MAX_LABEL = 2.0 ** 53
 
 
 def _class_means(classes: int, dim: int, separation: float) -> np.ndarray:
@@ -119,7 +121,8 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a `label,f1,...,fd` file; rejects ragged or malformed rows with the
+    """Read a `label,f1,...,fd` file; rejects ragged or malformed rows, labels
+    that are not integers in [0, 2**53) and non-finite features with the
     offending data-row number (counted from 1, just below the header)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -139,8 +142,11 @@ def load_csv(path) -> Dataset:
                 feats = [float(v) for v in row[1:]]
             except ValueError:
                 raise ValueError(f"row {r}: non-numeric value") from None
-            if raw != int(raw) or raw < 0:
-                raise ValueError(f"row {r}: label must be a nonnegative integer")
+            # nan and inf fail the range test before int() sees them
+            if not (0 <= raw < _MAX_LABEL and raw == int(raw)):
+                raise ValueError(f"row {r}: label must be an integer in [0, 2**53)")
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"row {r}: features must be finite")
             labels.append(int(raw))
             rows.append(feats)
     if not rows:

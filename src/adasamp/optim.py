@@ -10,6 +10,7 @@ from .model import project
 
 SCHEDULE_KINDS = ("constant", "inverse_decay", "strongly_convex")
 RULE_KINDS = ("sgd", "adagrad")
+ADAGRAD_EPS = 1e-8  # added to the AdaGrad accumulator under the square root
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,7 +70,6 @@ class UpdateRuleState:
 
     kind: str
     accumulator: np.ndarray | None = None
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
@@ -82,12 +82,12 @@ class UpdateRuleState:
         return cls("sgd")
 
     @classmethod
-    def adagrad(cls, shape, eps: float = 1e-8) -> "UpdateRuleState":
-        return cls("adagrad", accumulator=np.zeros(shape), eps=eps)
+    def adagrad(cls, shape) -> "UpdateRuleState":
+        return cls("adagrad", accumulator=np.zeros(shape))
 
     def copy(self) -> "UpdateRuleState":
         acc = None if self.accumulator is None else self.accumulator.copy()
-        return UpdateRuleState(self.kind, acc, self.eps)
+        return UpdateRuleState(self.kind, acc)
 
 
 def apply_update(h: np.ndarray, grad: np.ndarray, t: int, sched: StepSchedule,
@@ -95,7 +95,7 @@ def apply_update(h: np.ndarray, grad: np.ndarray, t: int, sched: StepSchedule,
     """One step from h along the gradient `grad`, an array of h's shape.
 
     sgd:      h - eta_t * grad
-    adagrad:  accum += grad^2 first, then h - eta_t * grad / sqrt(accum + eps)
+    adagrad:  accum += grad^2 first, then h - eta_t * grad / sqrt(accum + ADAGRAD_EPS)
 
     If domain_radius is given, the result is projected back onto that ball.
     Mutates the AdaGrad accumulator in place; returns a new hypothesis array.
@@ -111,7 +111,7 @@ def apply_update(h: np.ndarray, grad: np.ndarray, t: int, sched: StepSchedule,
         out = h - eta * grad
     else:
         state.accumulator += grad * grad
-        out = h - eta * grad / np.sqrt(state.accumulator + state.eps)
+        out = h - eta * grad / np.sqrt(state.accumulator + ADAGRAD_EPS)
     if domain_radius is not None:
         out = project(out, domain_radius)
     return out

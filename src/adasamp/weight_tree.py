@@ -33,9 +33,8 @@ class WeightTree:
     `descend_many` walks rows of uniforms level by level (row r is draw r),
     `sample_many` feeds it fresh rows, and `update_many` writes distinct leaves,
     adds every delta to its ancestors with one `np.add.at` in row order, and
-    clamps the touched labels at 0 once per batch. Arrays with a leading run
-    axis of length m <= R address runs 0..m-1, so a caller can stop stepping
-    the runs past a prefix; on a one-run tree that axis may be left out.
+    clamps the touched labels at 0 once per batch. An array with a leading run
+    axis carries all R runs; on a one-run tree that axis may be left out.
 
     Incremental updates accumulate float drift in the internal labels, bounded in
     practice far below 1e-9 of the root; `rebuild` recomputes the labels bottom-up
@@ -78,14 +77,11 @@ class WeightTree:
         """Every run's labels, one row per run, or the flat array itself for one run."""
         return self._nodes.reshape(self.runs, self._stride) if self.runs > 1 else self._nodes
 
-    def _run_count(self, a: np.ndarray, ndim: int) -> int:
-        """How many runs `a` addresses: its leading run axis, which a one-run
-        tree lets a caller leave out of an `ndim`-d array."""
-        if a.ndim == ndim and 1 <= len(a) <= self.runs:
-            return len(a)
-        if a.ndim == ndim - 1 and self.runs == 1:
-            return 1
-        raise ValueError(f"expected {ndim}-d input with at most {self.runs} runs")
+    def _check_runs(self, a: np.ndarray, ndim: int) -> None:
+        """Reject `a` unless it is `ndim`-d with a leading axis of all R runs,
+        an axis that a one-run tree lets a caller leave out."""
+        if not (a.ndim == ndim and len(a) == self.runs or a.ndim == ndim - 1 and self.runs == 1):
+            raise ValueError(f"expected {ndim}-d input with {self.runs} runs")
 
     # ---- reading ----
 
@@ -101,16 +97,16 @@ class WeightTree:
 
     def probs(self, indices) -> np.ndarray:
         """Current sampling probabilities, weight / root, of an integer array of
-        indices: (k,) on a one-run tree, or (m, k) for runs 0..m-1."""
+        indices: (k,) on a one-run tree, or (R, k) with row r for run r."""
         idx = np.asarray(indices, dtype=np.int64)
-        m = self._run_count(idx, 2)
+        self._check_runs(idx, 2)
         if idx.size and idx.view(np.uint64).max() >= self.n:  # negatives wrap to huge
             raise IndexError(f"index out of range for n={self.n}")
-        if m == 1:  # one run needs no row offsets
+        if self.runs == 1:  # one run needs no row offsets
             roots, leaves = self._nodes[0], idx + (self.capacity - 1)
             positive = roots > 0
         else:
-            base = np.arange(0, m * self._stride, self._stride)[:, None]
+            base = np.arange(0, self.runs * self._stride, self._stride)[:, None]
             roots, leaves = self._nodes[base], idx + (base + (self.capacity - 1))
             positive = roots.min() > 0
         if not positive:
@@ -130,7 +126,7 @@ class WeightTree:
 
     def descend_many(self, uniforms) -> np.ndarray:
         """Walk root to leaf for every row of a (k, depth) array of uniforms, or
-        of an (m, k, depth) array whose slab r draws from run r.
+        of an (R, k, depth) array whose slab r draws from run r.
 
         At each internal node, go left iff u * (left + right) < left, i.e. with
         probability left / (left + right). A subtree labelled 0 can never win the
@@ -138,11 +134,11 @@ class WeightTree:
         ancestors' labels are exact. Row r's leaf index depends on row r alone.
         """
         u = np.asarray(uniforms, dtype=np.float64)
-        m = self._run_count(u, 3)
+        self._check_runs(u, 3)
         if u.shape[-1] != self.depth:
             raise ValueError(f"expected rows of {self.depth} uniforms")
-        k = u.shape[-2]
-        if not (self._nodes[0] if m == 1 else self.totals[:m].min()) > 0:
+        m, k = self.runs, u.shape[-2]
+        if not (self._nodes[0] if m == 1 else self.totals.min()) > 0:
             raise ValueError("total weight is zero")
         # x = node + 2, so node j's children 2j+1 and 2j+2 are _padded[2x] and
         # _padded[2x + 1], and the child taken is 2x, or 2x - 1 for the left one
@@ -159,8 +155,8 @@ class WeightTree:
         return (x - (self.capacity + 1)).reshape(u.shape[:-1])
 
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw k indices i.i.d. from run 0 with probability proportional to
-        weight, taking depth uniforms per draw from `rng`, draws in order."""
+        """Draw k indices i.i.d. from a one-run tree with probability proportional
+        to weight, taking depth uniforms per draw from `rng`, draws in order."""
         return self.descend_many(rng.random((k, self.depth)))
 
     # ---- writing ----

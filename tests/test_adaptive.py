@@ -32,6 +32,7 @@ from adasamp import (
 )
 import adasamp.weight_tree as weight_tree
 from adasamp.model import batch_objective_grads
+from adasamp.optim import ADAGRAD_EPS
 from oracles import naive_descend
 
 
@@ -279,7 +280,7 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
             h = h - eta * gbar
         else:
             rule.accumulator += gbar * gbar
-            h = h - eta * gbar / np.sqrt(rule.accumulator + rule.eps)
+            h = h - eta * gbar / np.sqrt(rule.accumulator + ADAGRAD_EPS)
         h = project(h, domain_radius)
         _, first = np.unique(idx, return_index=True)
         uniq = idx[np.sort(first)]
@@ -409,7 +410,7 @@ def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classe
                             "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("scales", [(1.0, 1e150, 1e250), (1e250, 1e150, 1.0),
                                     (1e150, 1.0, 1e250)])
-def test_lockstep_divergence_names_the_first_diverging_run_in_run_order(scales):
+def test_lockstep_divergence_names_the_earliest_diverging_iteration(scales):
     # h_t ~ (1 - eta * mu)^t * h0: the larger h0, the sooner the run overflows
     ds = _random_dataset(21, n=6)
     cfg = SamplerConfig(amplitude=1.0, decay=0.5, iterations=8)
@@ -426,11 +427,11 @@ def test_lockstep_divergence_names_the_first_diverging_run_in_run_order(scales):
         train_many(ds, [cfg] * 3, sched, [UpdateRuleState.sgd() for _ in h0s], 1e50, 5.0, h0s,
                    [np.random.default_rng(4) for _ in h0s], metric_every=1,
                    metric_fn=lambda r, t, h, kl, cond: calls.append((r, t)))
-    assert exc.value.iteration == alone[0]
-    assert str(exc.value) == f"diverged at iteration {alone[0]}"
-    # a run is stepped only until it, or an earlier run, diverges
-    assert all(t < min(alone[: r + 1]) for r, t in calls)
-    assert bool(calls) == (alone[0] > 1)
+    first = min(alone)
+    assert exc.value.iteration == first
+    assert str(exc.value) == f"diverged at iteration {first}"
+    # every run is stepped until any run diverges, and no metric tick reaches that iteration
+    assert calls == [(r, t) for t in range(1, first) for r in range(3)]
 
 
 def test_train_many_rejects_runs_that_do_not_share_their_settings():

@@ -3,15 +3,17 @@ printed bound values match the underlying functions."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasamp import bounds
-from adasamp.cli import load_config_file, main, parse_args
+from adasamp.cli import build_parser, load_config_file, main, parse_args
 from adasamp.data import load_csv
 from adasamp.harness import dumps_json
 
@@ -278,6 +280,43 @@ def test_synth_data_round_trip(tmp_path, capsys):
     assert rc == 0
     ds = load_csv(path)
     assert ds.n == 30 and ds.feature_dim == 3 and ds.num_classes == 3
+
+
+@pytest.mark.parametrize("row", ["inf,1.0", "1e300,1.0", "nan,1.0", "0,inf"])
+def test_csv_with_a_non_finite_or_oversized_number_exits_2_naming_the_row(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,f1\n0,1.0\n1,-1.0\n{row}\n")
+    rc = main(["train", "--csv", str(path), "--test-n", "1", "--iters", "2", "--batch", "1",
+               "--trials", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: row 3: ") and captured.out == ""
+
+
+def _readme_block(first_line: str) -> str:
+    """The README's fenced code block whose first line is `first_line`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in text.split("```\n")[1::2]:
+        if block.startswith(first_line):
+            return block
+    raise AssertionError(f"README has no code block starting {first_line!r}")
+
+
+def test_readme_cli_commands_parse():
+    lines = _readme_block("adasamp train").replace("\\\n", " ").splitlines()
+    assert lines
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "adasamp"
+        build_parser().parse_args(argv)
+
+
+def test_readme_config_example_sets_its_flags(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(_readme_block("# exp.cfg"))
+    args = parse_args(["train", "--config", str(path)])
+    assert (args.alpha, args.decay, args.utility, args.iters, args.track_kl) == (
+        2.0, 0.5, "l1", 4000, True)
 
 
 def test_compare_reports_arms(capsys):

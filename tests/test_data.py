@@ -116,6 +116,25 @@ def test_load_csv_reports_bad_values(tmp_path):
         load_csv(p3)
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("inf,1.0", "label"), ("-inf,1.0", "label"), ("nan,1.0", "label"), ("1e300,1.0", "label"),
+    ("9007199254740992,1.0", "label"),  # 2**53: the first integer a float cannot tell apart
+    ("0,inf", "features must be finite"), ("1,-inf", "features must be finite"),
+    ("0,nan", "features must be finite"),
+])
+def test_load_csv_rejects_non_finite_and_oversized_numbers_naming_the_row(tmp_path, row, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,f1\n0,1.0\n{row}\n1,2.0\n")
+    with pytest.raises(ValueError, match=f"^row 2: {problem}"):
+        load_csv(path)
+
+
+def test_load_csv_accepts_the_largest_exact_label(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("label,f1\n0,1.0\n9007199254740991,2.0\n")  # 2**53 - 1
+    assert load_csv(path).labels.tolist() == [0, 2**53 - 1]
+
+
 def test_load_csv_header_and_emptiness_errors(tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("")

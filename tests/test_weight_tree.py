@@ -405,20 +405,18 @@ def test_automatic_rebuild_runs_at_the_end_of_a_batch(monkeypatch):
 
 def test_run_axis_matches_separate_trees(monkeypatch):
     # each run of a stacked tree draws, reads and writes bitwise as a tree of
-    # its own, relabelling after the same write, whichever prefix of runs a call
-    # addresses
+    # its own, relabelling after the same write
     monkeypatch.setattr(weight_tree, "REBUILD_EVERY", 5)
     rng = np.random.default_rng(41)
     W = rng.uniform(0.5, 2.0, size=(3, 11))
     stacked, alone = WeightTree(W), [WeightTree(w) for w in W]
     assert (stacked.runs, stacked.n) == (3, 11)
     for _ in range(12):
-        m = int(rng.integers(1, 4))
-        u = rng.random((m, 4, stacked.depth))
+        u = rng.random((3, 4, stacked.depth))
         drawn = stacked.descend_many(u)
         probs = stacked.probs(drawn)
         idx, vals, runs = [], [], []
-        for r in range(m):
+        for r in range(3):
             assert np.array_equal(drawn[r], alone[r].descend_many(u[r]))
             assert probs[r].tobytes() == alone[r].probs(drawn[r]).tobytes()
             leaves, new = rng.permutation(11)[: r + 1], rng.uniform(0.5, 2.0, size=r + 1)
@@ -433,6 +431,10 @@ def test_run_axis_matches_separate_trees(monkeypatch):
             assert stacked.distribution(r).tobytes() == alone[r].distribution().tobytes()
     with pytest.raises(ValueError):
         stacked.descend_many(rng.random((4, 2, stacked.depth)))  # more slabs than runs
+    with pytest.raises(ValueError):
+        stacked.descend_many(rng.random((2, 2, stacked.depth)))  # fewer slabs than runs
+    with pytest.raises(ValueError):
+        stacked.probs(np.zeros((2, 2), dtype=np.int64))  # fewer rows than runs
     with pytest.raises(ValueError):
         stacked.descend_many(rng.random((2, stacked.depth)))  # the run axis is required
     with pytest.raises(IndexError):
