@@ -184,45 +184,12 @@ class TrainTrace:
         return float(sum(lr.sum() for lr in self.recorded("log_ratios")))
 
 
-def _ragged_utilities(kind, H, X, y, uniq, sizes):
-    """Utilities of run r's sizes[r] indices at H[r], for uniq holding every
-    run's indices one run after another (sizes None: uniq is a (runs, k)
-    array, k indices each); returns them flat and each run's sum.
-
-    Runs holding equally many indices are scored together, so each run's rows
-    go through the same BLAS call shape, and the same sum, as on their own.
-    """
-    if sizes is None or min(sizes) == max(sizes):
-        rows = uniq if sizes is None else uniq.reshape(len(sizes), -1)
-        ug = utilities(kind, H, X[rows], y[rows])
-        return ug.reshape(-1), ug.sum(axis=1)
-    u = np.empty(len(uniq))
-    sums = np.empty(len(sizes))
-    groups = {}
-    start = 0
-    for r, k in enumerate(sizes):
-        groups.setdefault(k, ([], []))
-        groups[k][0].append(r)
-        groups[k][1].append(start)
-        start += k
-    for k, (runs, starts) in groups.items():
-        if len(runs) == 1:  # one run: slices, not index arrays
-            at, runs = slice(starts[0], starts[0] + k), slice(runs[0], runs[0] + 1)
-            rows = uniq[None, at]
-        else:
-            at = np.add.outer(starts, np.arange(k))
-            rows = uniq[at]
-        ug = utilities(kind, H[runs], X[rows], y[rows])
-        u[at] = ug
-        sums[runs] = ug.sum(axis=1)
-    return u, sums
-
-
 def _shared_settings(cfg: SamplerConfig) -> tuple:
     return (cfg.decay, cfg.utility, cfg.batch_size, cfg.iterations,
             cfg.track_full_conditional_kl)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises DivergenceError
 def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: float,
                h0s, rngs, domain_radius: float | None = None,
                metric_every: int = 0, metric_fn=None, record: bool = True) -> list:
@@ -231,8 +198,9 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
 
     Every iteration steps all runs with a fixed number of numpy calls: one
     `WeightTree.descend_many` call draws every run's batch, one stacked
-    gradient and `apply_update` step moves every hypothesis, and one
-    `update_many` call reweights every run. The runs share the data, the
+    gradient and `apply_update` step moves every hypothesis, one `utilities`
+    call scores every draw at its run's new hypothesis, and one tree write
+    reweights each run's unique drawn indices. The runs share the data, the
     schedule, mu, M and the radius, and their configs may differ only in the
     amplitude. Each run has its own h0, rule state (the AdaGrad accumulators
     are stacked and written back to each rule when the call ends, however it
@@ -251,6 +219,7 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
     run's hypothesis, or the sum of its utilities, is non-finite: the earliest
     iteration at which R separate `train` calls would raise. Every run has
     then been stepped through t, and metric_fn has seen no iteration from t on.
+    numpy's overflow and invalid-value warnings are off inside the call.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -317,16 +286,20 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
                     trace.acc_mean_before.append(acc_totals[r] / n)
 
             # gradient step at h_{t-1}
-            G = batch_objective_grads(H, X[idx], Y[idx], mu)
+            Xb, Yb = X[idx], Y[idx]
+            G = batch_objective_grads(H, Xb, Yb, mu)
             H = apply_update(H, G, t, sched, step_rule, domain_radius)
 
-            # one reweighting per unique drawn index, utility taken at h_t: uniq
-            # holds each run's unique indices in first-appearance order, run after
-            # run, `at` the same entries of the flat accumulators, and sizes[r]
-            # how many run r has (None: one each, uniq is idx)
-            uniq, at, sizes = idx, drawn.reshape(-1), None
-            if b > 1:
-                uniq = idx.reshape(-1)
+            # every draw's utility at h_t in one stacked call, then one reweighting
+            # per unique drawn index: uniq holds each run's unique indices in
+            # first-appearance order, run after run, `at` the same entries of the
+            # flat accumulators, and run r's entries end at ends[r]
+            U = utilities(cfg.utility, H, Xb, Yb)
+            u, uniq, at = U.reshape(-1), idx.reshape(-1), drawn.reshape(-1)
+            if b == 1:
+                ends, entry_amps, owner = range(1, R + 1), amps, run_ids
+                batch_utils = u.tolist()
+            else:
                 order = at.argsort(kind="stable")
                 ranked = at[order]
                 first = np.empty(at.size, dtype=bool)
@@ -334,12 +307,12 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
                 np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
                 keep = np.empty_like(first)
                 keep[order] = first
-                uniq, at = uniq[keep], at[keep]
+                u, uniq, at = u[keep], uniq[keep], at[keep]
                 counts_of = keep.reshape(R, b).sum(axis=1)
-                sizes = counts_of.tolist()
-            u, batch_utils = _ragged_utilities(cfg.utility, H, X, Y, uniq, sizes)
-            uniq = uniq.reshape(-1)
-            batch_utils = batch_utils.tolist()
+                ends = list(itertools.accumulate(counts_of.tolist()))
+                batch_utils = [float(u[s:e].sum()) for s, e in zip([0, *ends], ends)]
+                entry_amps = np.repeat(amps, counts_of)
+                owner = np.repeat(run_ids, counts_of) if R > 1 else None
             if not (np.isfinite(H).all() and all(map(math.isfinite, batch_utils))):
                 raise DivergenceError(t)
             if tick:
@@ -347,12 +320,6 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
                     kl_stat = amp_list[r] / (1.0 - dec) * util_sums[r]
                     cond = cond_kl[r] if track_kl else None
                     trace.metrics.append(metric_fn(r, t, H[r], kl_stat, cond))
-            if sizes is None:
-                ends, entry_amps, owner = range(1, R + 1), amps, run_ids
-            else:
-                ends = list(itertools.accumulate(sizes))
-                entry_amps = np.repeat(amps, counts_of)
-                owner = np.repeat(run_ids, counts_of) if R > 1 else None
             old = acc_flat[at]
             new = dec * old + u
             acc_flat[at] = new

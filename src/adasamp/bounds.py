@@ -206,42 +206,37 @@ def gen_bound_derandomized(kl: float, M: float, n: int, T: int, beta: float, gam
 
 # ---- KL statistics of recorded traces ----
 
-def kl_from_utility_advantage(trace: TrainTrace, amplitude: float | None = None) -> float:
+def kl_from_utility_advantage(trace: TrainTrace) -> float:
     """Per-path KL statistic from the drawn index's decayed-utility advantage:
 
         amplitude * sum_{t=2..T} ( S(i_t, t) - mean_i S(i, t) )
 
     where S(i, t) is the decayed utility accumulator of i entering iteration t.
     Its expectation over sample paths upper-bounds KL(Q || uniform). Requires a
-    recorded single-draw trace. The statistic is linear in amplitude, so an
-    override may be supplied to rescale a fixed trace.
+    recorded single-draw trace.
     """
     before, means = trace.recorded("acc_before"), trace.recorded("acc_mean_before")
     if trace.batch_size != 1:
         raise ValueError("utility-advantage statistic requires batch_size = 1")
-    amp = trace.amplitude if amplitude is None else amplitude
     total = 0.0
     for t in range(2, trace.iterations + 1):
         total += float(before[t - 1][0]) - means[t - 1]
-    return amp * total
+    return trace.amplitude * total
 
 
-def kl_from_utility_sum(trace: TrainTrace, amplitude: float | None = None,
-                        decay: float | None = None) -> float:
+def kl_from_utility_sum(trace: TrainTrace) -> float:
     """Per-path KL statistic amplitude/(1-decay) * sum of recorded utilities over
     iterations 1..T-1 (each unique updated index contributes once per iteration)
     of a recorded trace. Looser than the advantage statistic but O(T) and
     batch-friendly."""
     utilities = trace.recorded("utilities")
-    amp = trace.amplitude if amplitude is None else amplitude
-    dec = trace.decay if decay is None else decay
     total = 0.0
     for t in range(1, trace.iterations):
         u = utilities[t - 1]
         if (u < 0).any():
             raise ValueError("negative utility in trace")
         total += float(u.sum())
-    return amp / (1.0 - dec) * total
+    return trace.amplitude / (1.0 - trace.decay) * total
 
 
 # ---- exact enumeration oracle ----

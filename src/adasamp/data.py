@@ -123,7 +123,8 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Read a `label,f1,...,fd` file; rejects ragged or malformed rows, labels
     that are not integers in [0, 2**53) and non-finite features with the
-    offending data-row number (counted from 1, just below the header)."""
+    offending data-row number (counted from 1, just below the header), and
+    labels that skip a class (each class sizes the model) naming the first."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -151,4 +152,10 @@ def load_csv(path) -> Dataset:
             rows.append(feats)
     if not rows:
         raise ValueError("no data rows")
-    return Dataset.from_arrays(np.array(rows), np.array(labels, dtype=np.int64))
+    y = np.array(labels, dtype=np.int64)
+    present = np.unique(y)  # not bincount: it would allocate max label + 1 counts
+    gaps = np.flatnonzero(present != np.arange(present.size))
+    if gaps.size:
+        raise ValueError(f"no row has label {gaps[0]}: every class from 0 to the "
+                         "largest label needs a row")
+    return Dataset.from_arrays(np.array(rows), y)

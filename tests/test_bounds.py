@@ -280,13 +280,6 @@ def test_utility_sum_statistic_hand_example():
     assert kl_from_utility_sum(trace) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_utility_sum_statistic_linear_in_amplitude():
-    _, trace = _train_rigged(T=11, amplitude=0.1, decay=0.5)
-    base = kl_from_utility_sum(trace)
-    assert kl_from_utility_sum(trace, amplitude=0.2) == pytest.approx(2.0 * base, rel=1e-15)
-    assert kl_from_utility_sum(trace, amplitude=0.0) == 0.0
-
-
 def test_statistics_vanish_at_zero_amplitude():
     ds = _constant_utility_dataset()
     cfg = SamplerConfig(amplitude=0.0, decay=0.5, utility="zero_one", iterations=5)

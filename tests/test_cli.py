@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -173,8 +174,6 @@ def test_non_numeric_float_flag_says_what_it_expected(capsys):
     assert "argument --alpha: expected a finite number, got 'abc'" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_divergence_exits_3_naming_the_iteration(capsys):
     rc = main(["train", *SMALL, "--schedule", "constant", "--eta", "1e308", "--mu", "0"])
     assert rc == 3
@@ -183,8 +182,17 @@ def test_divergence_exits_3_naming_the_iteration(capsys):
     assert captured.err.startswith("error: diverged at iteration ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+def test_diverged_run_prints_only_its_error_line(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["compare", "--n", "60", "--test-n", "20", "--iters", "30", "--batch", "4",
+                   "--trials", "2", "--eta", "1e308", "--mu", "0", "--alphas", "1", "2",
+                   "--out", str(tmp_path / "D")])
+    assert rc == 3
+    assert caught == []
+    assert capsys.readouterr().err == "error: diverged at iteration 1\n"
+
+
 def test_diverged_compare_leaves_no_output_directory(tmp_path, capsys):
     out = tmp_path / "D"
     rc = main(["compare", "--n", "60", "--test-n", "40", "--iters", "40", "--batch", "4",
@@ -291,6 +299,16 @@ def test_csv_with_a_non_finite_or_oversized_number_exits_2_naming_the_row(tmp_pa
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: row 3: ") and captured.out == ""
+
+
+def test_csv_with_a_huge_label_exits_2_naming_the_missing_class(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("label,f1\n0,1.0\n1000000000000,2.0\n1,0.5\n")
+    rc = main(["train", "--csv", str(path), "--test-n", "1", "--iters", "2", "--batch", "1",
+               "--trials", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no row has label 2: ") and captured.out == ""
 
 
 def _readme_block(first_line: str) -> str:

@@ -129,10 +129,16 @@ def test_load_csv_rejects_non_finite_and_oversized_numbers_naming_the_row(tmp_pa
         load_csv(path)
 
 
-def test_load_csv_accepts_the_largest_exact_label(tmp_path):
-    path = tmp_path / "big.csv"
-    path.write_text("label,f1\n0,1.0\n9007199254740991,2.0\n")  # 2**53 - 1
-    assert load_csv(path).labels.tolist() == [0, 2**53 - 1]
+def test_load_csv_rejects_labels_that_skip_a_class(tmp_path):
+    path = tmp_path / "gap.csv"
+    # (0, 2**53 - 1): the largest exact label would size a hypothesis of 2**53 rows
+    for labels, missing in [((0, 2**53 - 1), 1), ((0, 1, 3), 2), ((1, 2), 0),
+                            ((0, 2, 2, 5), 1)]:
+        path.write_text("label,f1\n" + "".join(f"{c},1.0\n" for c in labels))
+        with pytest.raises(ValueError, match=f"^no row has label {missing}: "):
+            load_csv(path)
+    path.write_text("label,f1\n2,1.0\n0,1.0\n1,1.0\n0,2.0\n")  # any order, repeats
+    assert load_csv(path).num_classes == 3
 
 
 def test_load_csv_header_and_emptiness_errors(tmp_path):
