@@ -140,21 +140,19 @@ def posterior_objective(q_next, utils, q_ref, amplitude: float, decay: float) ->
     return float((q * u).sum()) - kl / amplitude
 
 
-# the per-iteration fields of a TrainTrace, filled only by a recorded run
-_RECORDED = ("indices", "log_ratios", "acc_before", "acc_mean_before", "updated", "utilities")
-
-
 @dataclasses.dataclass
 class TrainTrace:
     """What one training run leaves behind.
 
-    Per-iteration lists (index t-1 holds iteration t), None for a run trained
-    with record=False: drawn indices with repeats, their log ratios
-    ln(n * Q_t(i)) under the pre-draw tree state, the drawn indices'
-    decayed-utility accumulators S(i, t) before the step, the accumulator mean
-    over all examples at the start of the iteration, and the unique updated
-    indices with their utilities at h_t. Every run keeps its metric_fn results
-    and its final accumulators.
+    Every run keeps utility_sum, the sum of its unique updated indices'
+    utilities at h_t over iterations 1..T-1, its metric_fn results and its
+    final accumulators. A run trained with record=False keeps no more: its
+    other fields stay None. A recorded run also keeps the drawn indices with
+    repeats, one array per iteration (index t-1 holds iteration t), and two
+    running sums over every draw of every iteration: log_ratio_sum, of
+    ln(n * Q_t(i)) under the pre-draw tree state, and advantage_sum, of the
+    drawn index's decayed-utility accumulator S(i, t) before the step minus
+    the accumulator mean over all examples at the start of the iteration.
     """
 
     n: int
@@ -164,24 +162,22 @@ class TrainTrace:
     decay: float
     utility: str
     indices: list | None = None
-    log_ratios: list | None = None
-    acc_before: list | None = None
-    acc_mean_before: list | None = None
-    updated: list | None = None
-    utilities: list | None = None
+    log_ratio_sum: float | None = None
+    advantage_sum: float | None = None
+    utility_sum: float = 0.0
     metrics: list = dataclasses.field(default_factory=list)
     final_acc: np.ndarray | None = None
 
-    def recorded(self, name: str) -> list:
-        """The per-iteration list `name`; ValueError if the run did not record it."""
-        values = getattr(self, name)
-        if values is None:
+    def recorded(self, name: str):
+        """The field `name` of a recorded run; ValueError if the run did not record it."""
+        value = getattr(self, name)
+        if value is None:
             raise ValueError(f"trace has no per-iteration {name} record (record=False)")
-        return values
+        return value
 
     def total_log_ratio(self) -> float:
         """Sum over draws of ln(n * Q_t(i_t)): the realized per-path KL statistic."""
-        return float(sum(lr.sum() for lr in self.recorded("log_ratios")))
+        return self.recorded("log_ratio_sum")
 
 
 def _shared_settings(cfg: SamplerConfig) -> tuple:
@@ -190,30 +186,30 @@ def _shared_settings(cfg: SamplerConfig) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises DivergenceError
-def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: float,
-               h0s, rngs, domain_radius: float | None = None,
+def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu: float,
+               M: float, h0s, rngs, domain_radius: float | None = None,
                metric_every: int = 0, metric_fn=None, record: bool = True) -> list:
     """Run R adaptively sampled SGD runs in lockstep, one per entry of `cfgs`,
-    `rules`, `h0s` and `rngs`; returns [(h_T, trace)] in run order.
+    `h0s` and `rngs`; returns [(h_T, trace)] in run order.
 
     Every iteration steps all runs with a fixed number of numpy calls: one
     `WeightTree.descend_many` call draws every run's batch, one stacked
     gradient and `apply_update` step moves every hypothesis, one `utilities`
     call scores every draw at its run's new hypothesis, and one tree write
     reweights each run's unique drawn indices. The runs share the data, the
-    schedule, mu, M and the radius, and their configs may differ only in the
-    amplitude. Each run has its own h0, rule state (the AdaGrad accumulators
-    are stacked and written back to each rule when the call ends, however it
-    ends) and rng, which only its draws read: exactly depth uniforms per draw,
-    draws in order. Every number run r produces is bitwise that of `train` on
-    run r alone, down to the per-value `math.exp` weights and the in-order
-    accumulator total.
+    schedule, mu, M, the radius and the update rule, and their configs may
+    differ only in the amplitude. An AdaGrad `rule` holds one accumulator per
+    run, shape (R, num_classes, feature_dim), stepped in place. Each run has
+    its own h0 and rng, which only its draws read: exactly depth uniforms per
+    draw, draws in order. Every number run r produces is bitwise that of
+    `train` on run r alone, down to the per-value `math.exp` weights, the
+    in-order accumulator total and each running sum of its trace.
     If metric_every > 0, metric_fn(r, t, h, kl_stat, cond_kl) is called for
     run r at t = 1, every metric_every-th iteration, and t = T (see `train`);
     a tracked conditional KL is computed at these ticks alone, and cond_kl is
-    None when it is not tracked. With record=False the traces keep only the
-    metrics and final_acc: their per-iteration fields stay None and nothing
-    only those fields read is computed.
+    None when it is not tracked. With record=False the traces keep only
+    utility_sum, the metrics and final_acc (see `TrainTrace`), and nothing
+    only the other fields read is computed.
 
     Raises DivergenceError(t) at the first iteration t after whose step any
     run's hypothesis, or the sum of its utilities, is non-finite: the earliest
@@ -226,22 +222,16 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
     if M <= 0:
         raise ValueError("M must be positive")
     R = len(cfgs)
-    if R == 0 or len(rules) != R or len(rngs) != R:
-        raise ValueError("need one sampler config, rule and rng per run, and at least one run")
+    if R == 0 or len(rngs) != R:
+        raise ValueError("need one sampler config and rng per run, and at least one run")
     H = np.array(h0s, dtype=np.float64)
     if H.shape != (R, ds.num_classes, ds.feature_dim):
         raise ValueError("h0 shape must be (num_classes, feature_dim)")
     cfg, shared = cfgs[0], _shared_settings(cfgs[0])
     if any(_shared_settings(c) != shared for c in cfgs[1:]):
         raise ValueError("runs may differ only in the sampler amplitude")
-    if any(r.kind != rules[0].kind for r in rules[1:]):
-        raise ValueError("runs must share the update rule")
-    step_rule = rules[0]  # plain SGD keeps no state
-    if step_rule.kind == "adagrad":
-        step_rule = UpdateRuleState("adagrad", np.array([r.accumulator for r in rules],
-                                                        dtype=np.float64))
-        if step_rule.accumulator.shape != H.shape:
-            raise ValueError("adagrad accumulators must match the hypothesis shape")
+    if rule.kind == "adagrad" and rule.accumulator.shape != H.shape:
+        raise ValueError("adagrad accumulator shape must be (runs, num_classes, feature_dim)")
 
     n, b, T = ds.n, cfg.batch_size, cfg.iterations
     X, Y = ds.features, ds.labels
@@ -255,95 +245,84 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rules, mu: float, M: floa
     run_ids = np.arange(R) if R > 1 else None
     offsets = run_ids[:, None] * n if R > 1 else None
     acc_totals = [0.0] * R
-    util_sums = [0.0] * R
     traces = [TrainTrace(n, b, T, a, dec, cfg.utility) for a in amp_list]
     if record:
         for trace in traces:
-            for name in _RECORDED:
-                setattr(trace, name, [])
+            trace.indices, trace.log_ratio_sum, trace.advantage_sum = [], 0.0, 0.0
     track_kl = cfg.track_full_conditional_kl
     log_n = math.log(n)
 
-    try:
-        for t in range(1, T + 1):
-            tick = metric_every and metric_fn is not None and (
-                t == 1 or t % metric_every == 0 or t == T)
-            # draws, and everything read from the pre-update tree state Q_t
-            if track_kl and tick:
-                cond_kl = [conditional_kl(tree, r) for r in range(R)]
-            for rng, row in zip(rngs, uniforms):
-                rng.random(out=row)
-            idx = tree.descend_many(uniforms)
-            drawn = idx + offsets if R > 1 else idx  # run 0's offset is 0
-            if record:
-                acc_idx = acc_flat[drawn]
-                shift = np.fromiter(map(math.log, tree.totals.tolist()), float, R) - log_n
-                log_ratios = amps[:, None] * acc_idx - shift[:, None]
-                for r, trace in enumerate(traces):
-                    trace.indices.append(idx[r])
-                    trace.log_ratios.append(log_ratios[r])
-                    trace.acc_before.append(acc_idx[r])
-                    trace.acc_mean_before.append(acc_totals[r] / n)
+    for t in range(1, T + 1):
+        tick = metric_every and metric_fn is not None and (
+            t == 1 or t % metric_every == 0 or t == T)
+        # draws, and everything read from the pre-update tree state Q_t
+        if track_kl and tick:
+            cond_kl = [conditional_kl(tree, r) for r in range(R)]
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row)
+        idx = tree.descend_many(uniforms)
+        drawn = idx + offsets if R > 1 else idx  # run 0's offset is 0
+        if record:
+            acc_idx = acc_flat[drawn]
+            shift = np.fromiter(map(math.log, tree.totals.tolist()), float, R) - log_n
+            # each row sum is bitwise the 1-d sum of that run's batch
+            log_ratios = (amps[:, None] * acc_idx - shift[:, None]).sum(axis=1).tolist()
+            means = np.array(acc_totals) / n
+            advantages = (acc_idx - means[:, None]).sum(axis=1).tolist()
+            for r, trace in enumerate(traces):
+                trace.indices.append(idx[r])
+                trace.log_ratio_sum += log_ratios[r]
+                trace.advantage_sum += advantages[r]
 
-            # gradient step at h_{t-1}
-            Xb, Yb = X[idx], Y[idx]
-            G = batch_objective_grads(H, Xb, Yb, mu)
-            H = apply_update(H, G, t, sched, step_rule, domain_radius)
+        # gradient step at h_{t-1}
+        Xb, Yb = X[idx], Y[idx]
+        G = batch_objective_grads(H, Xb, Yb, mu)
+        H = apply_update(H, G, t, sched, rule, domain_radius)
 
-            # every draw's utility at h_t in one stacked call, then one reweighting
-            # per unique drawn index: uniq holds each run's unique indices in
-            # first-appearance order, run after run, `at` the same entries of the
-            # flat accumulators, and run r's entries end at ends[r]
-            U = utilities(cfg.utility, H, Xb, Yb)
-            u, uniq, at = U.reshape(-1), idx.reshape(-1), drawn.reshape(-1)
-            if b == 1:
-                ends, entry_amps, owner = range(1, R + 1), amps, run_ids
-                batch_utils = u.tolist()
-            else:
-                order = at.argsort(kind="stable")
-                ranked = at[order]
-                first = np.empty(at.size, dtype=bool)
-                first[0] = True
-                np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-                keep = np.empty_like(first)
-                keep[order] = first
-                u, uniq, at = u[keep], uniq[keep], at[keep]
-                counts_of = keep.reshape(R, b).sum(axis=1)
-                ends = list(itertools.accumulate(counts_of.tolist()))
-                batch_utils = [float(u[s:e].sum()) for s, e in zip([0, *ends], ends)]
-                entry_amps = np.repeat(amps, counts_of)
-                owner = np.repeat(run_ids, counts_of) if R > 1 else None
-            if not (np.isfinite(H).all() and all(map(math.isfinite, batch_utils))):
-                raise DivergenceError(t)
-            if tick:
-                for r, trace in enumerate(traces):
-                    kl_stat = amp_list[r] / (1.0 - dec) * util_sums[r]
-                    cond = cond_kl[r] if track_kl else None
-                    trace.metrics.append(metric_fn(r, t, H[r], kl_stat, cond))
-            old = acc_flat[at]
-            new = dec * old + u
-            acc_flat[at] = new
-            # valid by construction: distinct drawn indices, weights exp(amplitude * A) >= 1
-            tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
-                                          len(at)), owner)
-            if record:
-                deltas = zip(new.tolist(), old.tolist())
-            start = 0
-            for r, end in enumerate(ends):
-                util_sums[r] += batch_utils[r]
-                if record:
-                    total = acc_totals[r]
-                    # in order, so each acc_total rounds as in a run of its own
-                    for a, c in itertools.islice(deltas, end - start):
-                        total += a - c
-                    acc_totals[r] = total
-                    traces[r].updated.append(uniq[start:end])
-                    traces[r].utilities.append(u[start:end])
-                start = end
-    finally:
-        if step_rule.kind == "adagrad":
-            for rule, a in zip(rules, step_rule.accumulator):
-                rule.accumulator[...] = a
+        # every draw's utility at h_t in one stacked call, then one reweighting
+        # per unique drawn index: uniq holds each run's unique indices in
+        # first-appearance order, run after run, `at` the same entries of the
+        # flat accumulators, and run r's entries end at ends[r]
+        U = utilities(cfg.utility, H, Xb, Yb)
+        u, uniq, at = U.reshape(-1), idx.reshape(-1), drawn.reshape(-1)
+        if b == 1:
+            ends, entry_amps, owner = range(1, R + 1), amps, run_ids
+            batch_utils = u.tolist()
+        else:
+            order = at.argsort(kind="stable")
+            ranked = at[order]
+            first = np.empty(at.size, dtype=bool)
+            first[0] = True
+            np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+            keep = np.empty_like(first)
+            keep[order] = first
+            u, uniq, at = u[keep], uniq[keep], at[keep]
+            counts_of = keep.reshape(R, b).sum(axis=1)
+            ends = list(itertools.accumulate(counts_of.tolist()))
+            batch_utils = [float(u[s:e].sum()) for s, e in zip([0, *ends], ends)]
+            entry_amps = np.repeat(amps, counts_of)
+            owner = np.repeat(run_ids, counts_of) if R > 1 else None
+        if not (np.isfinite(H).all() and all(map(math.isfinite, batch_utils))):
+            raise DivergenceError(t)
+        if tick:
+            for r, trace in enumerate(traces):
+                kl_stat = amp_list[r] / (1.0 - dec) * trace.utility_sum
+                cond = cond_kl[r] if track_kl else None
+                trace.metrics.append(metric_fn(r, t, H[r], kl_stat, cond))
+        if t < T:  # the utility sum covers iterations 1..T-1
+            for trace, s in zip(traces, batch_utils):
+                trace.utility_sum += s
+        old = acc_flat[at]
+        new = dec * old + u
+        acc_flat[at] = new
+        # valid by construction: distinct drawn indices, weights exp(amplitude * A) >= 1
+        tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
+                                      len(at)), owner)
+        if record:
+            deltas = (new - old).tolist()
+            for r, (start, end) in enumerate(zip([0, *ends], ends)):
+                for d in deltas[start:end]:  # in order, as in a run of its own
+                    acc_totals[r] += d
 
     for r, trace in enumerate(traces):
         trace.final_acc = acc[r]
@@ -357,22 +336,24 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     """Run `cfg.iterations` steps of adaptively sampled SGD from h0: the
     one-run case of `train_many`.
 
-    Each iteration: draw batch_size indices i.i.d. from the weight tree
-    (recording each draw's log ratio under the pre-draw tree state), step the
-    hypothesis with the batch-mean objective gradient, then for each unique
-    drawn index evaluate the utility at the new hypothesis and reweight it
-    once. One `WeightTree.descend_many` call draws the batch and one
-    `update_many` call reweights it, in first-appearance order, bitwise as
-    calls of one row each would. `rng` is consumed only by the draws:
-    exactly depth uniforms per draw, draws in order. If metric_every > 0,
-    metric_fn(t, h, kl_stat, cond_kl) is called at t = 1, every
-    metric_every-th iteration, and t = T, where kl_stat is amplitude/(1-decay)
-    times the utility sum through iteration t-1.
+    Each iteration: draw batch_size indices i.i.d. from the weight tree, step
+    the hypothesis with the batch-mean objective gradient, then for each
+    unique drawn index evaluate the utility at the new hypothesis and
+    reweight it once. One `WeightTree.descend_many` call draws the batch and
+    one `update_many` call reweights it, in first-appearance order, bitwise
+    as calls of one row each would. `rng` is consumed only by the draws:
+    exactly depth uniforms per draw, draws in order. The trace is recorded
+    (see `TrainTrace`). If metric_every > 0, metric_fn(t, h, kl_stat,
+    cond_kl) is called at t = 1, every metric_every-th iteration, and t = T,
+    where kl_stat is amplitude/(1-decay) times the utility sum through
+    iteration t-1.
 
     Raises DivergenceError if a step leaves h, or the utilities at h, non-finite.
-    Returns (h_T, trace). The caller owns `rule` (its AdaGrad accumulator is
-    mutated) and `h0` is never modified.
+    Returns (h_T, trace). The caller owns `rule` (its AdaGrad accumulator, of
+    h0's shape, is mutated) and `h0` is never modified.
     """
+    if rule.kind == "adagrad":
+        rule = UpdateRuleState("adagrad", rule.accumulator[None])  # a view: steps in place
     tick = None if metric_fn is None else lambda r, t, h, kl, cond: metric_fn(t, h, kl, cond)
-    return train_many(ds, [cfg], sched, [rule], mu, M, [h0], [rng], domain_radius,
+    return train_many(ds, [cfg], sched, rule, mu, M, [h0], [rng], domain_radius,
                       metric_every, tick)[0]

@@ -6,9 +6,10 @@ functions evaluate high-probability generalization bounds for a sampling
 distribution Q over the n training examples, given a divergence of Q from the
 uniform prior and stability coefficients (beta for resampling one data point,
 gamma for perturbing one index of the draw sequence). kl_from_utility_advantage
-and kl_from_utility_sum turn a recorded training trace into upper statistics
-for KL(Q || uniform), and enumerate_posterior_divergence computes the exact KL
-and both statistics on instances small enough to enumerate every sample path.
+and kl_from_utility_sum scale a training trace's running sums into upper
+statistics for KL(Q || uniform), and enumerate_posterior_divergence computes
+the exact KL and both statistics on instances small enough to enumerate every
+sample path.
 """
 
 from __future__ import annotations
@@ -211,32 +212,23 @@ def kl_from_utility_advantage(trace: TrainTrace) -> float:
 
         amplitude * sum_{t=2..T} ( S(i_t, t) - mean_i S(i, t) )
 
-    where S(i, t) is the decayed utility accumulator of i entering iteration t.
-    Its expectation over sample paths upper-bounds KL(Q || uniform). Requires a
-    recorded single-draw trace.
+    where S(i, t) is the decayed utility accumulator of i entering iteration t
+    (every accumulator is 0 at t = 1): amplitude times the trace's
+    advantage_sum. Its expectation over sample paths upper-bounds
+    KL(Q || uniform). Requires a recorded single-draw trace.
     """
-    before, means = trace.recorded("acc_before"), trace.recorded("acc_mean_before")
+    total = trace.recorded("advantage_sum")
     if trace.batch_size != 1:
         raise ValueError("utility-advantage statistic requires batch_size = 1")
-    total = 0.0
-    for t in range(2, trace.iterations + 1):
-        total += float(before[t - 1][0]) - means[t - 1]
     return trace.amplitude * total
 
 
 def kl_from_utility_sum(trace: TrainTrace) -> float:
-    """Per-path KL statistic amplitude/(1-decay) * sum of recorded utilities over
-    iterations 1..T-1 (each unique updated index contributes once per iteration)
-    of a recorded trace. Looser than the advantage statistic but O(T) and
-    batch-friendly."""
-    utilities = trace.recorded("utilities")
-    total = 0.0
-    for t in range(1, trace.iterations):
-        u = utilities[t - 1]
-        if (u < 0).any():
-            raise ValueError("negative utility in trace")
-        total += float(u.sum())
-    return trace.amplitude / (1.0 - trace.decay) * total
+    """Per-path KL statistic amplitude/(1-decay) * the trace's utility_sum, the
+    utilities over iterations 1..T-1 (each unique updated index contributes
+    once per iteration). Looser than the advantage statistic, but kept by
+    every run, recorded or not, and batch-friendly."""
+    return trace.amplitude / (1.0 - trace.decay) * trace.utility_sum
 
 
 # ---- exact enumeration oracle ----

@@ -158,6 +158,11 @@ def cmd_compare(args) -> int:
 def cmd_synth_data(args) -> int:
     ds = synth_data(args.n, args.dim, args.classes, args.imbalance, args.noise,
                     seed=args.seed, separation=args.separation)
+    # label noise can empty a class, and `load_csv` rejects such a file
+    empty = np.flatnonzero(np.bincount(ds.labels, minlength=ds.num_classes) == 0)
+    if empty.size:
+        raise ValueError(f"no example has label {empty[0]} after label noise; "
+                         f"nothing written to {args.out}")
     save_csv(ds, args.out)
     print(f"wrote {ds.n} examples ({ds.num_classes} classes, dim {ds.feature_dim}) to {args.out}")
     return 0

@@ -271,12 +271,11 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
     out_dirs = [None if out is None else str(out) for _, out in arms]
 
     shape = (train_ds.num_classes, train_ds.feature_dim)
-    cfgs, h0s, rules, rngs = [], [], [], []
+    cfgs, h0s, rngs = [], [], []
     for sampler in samplers:
         for init_rng, sample_rng in _trial_streams(cfg.seed, cfg.trials):
             cfgs.append(sampler)
             h0s.append(0.01 * init_rng.standard_normal(shape))
-            rules.append(_make_rule(cfg, shape))
             rngs.append(sample_rng)
 
     def metric_fn(r, t, h, kl_stat, cond_kl):
@@ -290,7 +289,8 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
             conditional_kl=cond_kl,
         )
 
-    runs = train_many(train_ds, cfgs, sched, rules, cfg.mu, cfg.loss_bound, h0s, rngs,
+    rule = _make_rule(cfg, (len(cfgs), *shape))  # AdaGrad: one accumulator per run
+    runs = train_many(train_ds, cfgs, sched, rule, cfg.mu, cfg.loss_bound, h0s, rngs,
                       domain_radius=radius, metric_every=cfg.cadence, metric_fn=metric_fn,
                       record=False)
 
@@ -302,8 +302,7 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
         for trial in range(cfg.trials):
             h, trace = runs[a * cfg.trials + trial]
             records = trace.metrics
-            # the t = T tick's statistic is kl_from_utility_sum of the run's trace
-            kl_stat = records[-1].kl_stat
+            kl_stat = bounds.kl_from_utility_sum(trace)
             summary = _trial_summary(cfg, records, kl_stat)
             trials.append(TrialResult(trial, records, h, kl_stat, summary))
             if out_dir is not None:

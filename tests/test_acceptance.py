@@ -206,7 +206,9 @@ def test_enumerated_divergence_bounds_and_monte_carlo():
         ok = ok and res.kl <= res.advantage_bound + 1e-9
         ok = ok and res.kl <= res.sum_bound + 1e-9
         seeds = range(10_000)
-        runs = train_many(ds, [cfg] * len(seeds), sched, [rule.copy() for _ in seeds], mu,
+        stacked = UpdateRuleState(rule.kind, None if rule.accumulator is None
+                                  else np.repeat(rule.accumulator[None], len(seeds), axis=0))
+        runs = train_many(ds, [cfg] * len(seeds), sched, stacked, mu,
                           5.0, [h0] * len(seeds), [np.random.default_rng(s) for s in seeds])
         traces = [trace for _, trace in runs]
         draws = {"kl": [trace.total_log_ratio() for trace in traces],
@@ -249,8 +251,14 @@ def test_zero_amplitude_reduces_to_uniform_sampling():
             expect = np.array([naive_descend(np.ones(n), uni[r]) for r in range(batch)])
             ok = ok and np.array_equal(trace.indices[t], expect)
         ok = ok and trace.total_log_ratio() == 0.0
-        ok = ok and all(np.all(lr == 0.0) for lr in trace.log_ratios)
         ok = ok and kl_from_utility_sum(trace) == 0.0
+    # the 10 seeds trained T' = 1..T iterations: every prefix's log-ratio sum
+    # is 0.0, so every iteration's equal log ratios are 0
+    for prefix in range(1, T + 1):
+        runs = train_many(ds, [dataclasses.replace(cfg, iterations=prefix)] * 10,
+                          StepSchedule.inverse_decay(0.1, 0.01), UpdateRuleState.sgd(), 0.05,
+                          5.0, [h0] * 10, [np.random.default_rng(seed) for seed in range(10)])
+        ok = ok and all(trace.total_log_ratio() == 0.0 for _, trace in runs)
     _verdict(ok, "zero-amplitude index streams are bit-identical to a uniform "
                  "sampler on the same rng stream for 10 seeds, with per-path "
                  "log-ratio sum exactly 0")

@@ -182,9 +182,10 @@ def test_zero_amplitude_reduces_to_uniform_sampling():
     cfg = SamplerConfig(amplitude=0.0, decay=0.5, batch_size=2, iterations=25)
     _, trace = train(ds, cfg, StepSchedule.constant(0.05), UpdateRuleState.sgd(),
                      0.0, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(42))
-    for lr in trace.log_ratios:
-        assert np.all(lr == 0.0)
-    assert trace.total_log_ratio() == 0.0
+    # every prefix sums to 0.0, so every iteration's equal log ratios are 0
+    for prefix in _prefix_traces(ds, cfg, StepSchedule.constant(0.05), 0.0,
+                                 zeros_hypothesis(2, 3), 42):
+        assert prefix.total_log_ratio() == 0.0
     # same stream on equal weights reproduces the index sequence
     rng = np.random.default_rng(42)
     for idx in trace.indices:
@@ -220,6 +221,19 @@ def _naive_train(ds, cfg, sched, mu, h0, seed):
     return all_idx, all_probs, all_h
 
 
+# the largest |trainer - naive| log-ratio prefix sum over the cases below is
+# 3.4e-15; the bound leaves 30x room for another libm or BLAS
+NAIVE_LOG_RATIO_TOL = 1e-13
+
+
+def _prefix_traces(ds, cfg, sched, mu, h0, seed):
+    """The traces of training T' = 1..T iterations on the same rng seed: each is
+    a prefix of the full run, so prefix t's statistics sum iterations 1..t."""
+    return [train(ds, dataclasses.replace(cfg, iterations=t), sched, UpdateRuleState.sgd(),
+                  mu, 5.0, h0, np.random.default_rng(seed))[1]
+            for t in range(1, cfg.iterations + 1)]
+
+
 @pytest.mark.parametrize("seed,n,T,batch,kind", [
     (0, 3, 3, 1, "l1"),
     (1, 3, 3, 1, "zero_one"),
@@ -241,31 +255,31 @@ def test_tree_trainer_matches_naive_reimplementation(seed, n, T, batch, kind):
     idx2, probs2, _ = _naive_train(ds, cfg, sched, 0.05, h0, seed)
     for t in range(T):
         assert np.array_equal(trace.indices[t], idx2[t])
-        assert np.all(np.abs(np.exp(trace.log_ratios[t]) / n - probs2[t]) <= 1e-12)
+    naive = itertools.accumulate(float(np.log(n * p).sum()) for p in probs2)
+    for prefix, expect in zip(_prefix_traces(ds, cfg, sched, 0.05, h0, seed), naive):
+        assert abs(prefix.total_log_ratio() - expect) <= NAIVE_LOG_RATIO_TOL
 
 
 def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
     """The trainer as one draw and one reweighting per Python step: a one-row
     `descend_many` per draw, a one-row `update_many` per unique index, and the
     per-iteration numpy calls the batched trainer replaced (np.unique, np.mean,
-    np.clip, copies)."""
+    np.clip, copies), keeping the trace's three running sums itself."""
     n = ds.n
     amp, dec = cfg.amplitude, cfg.decay
     tree = WeightTree(np.ones(n))
     acc = np.zeros(n)
     acc_total = 0.0
     h = h0.copy()
-    out = {key: [] for key in ("indices", "log_ratios", "acc_before", "acc_mean_before",
-                               "updated", "utilities")}
+    out = {"indices": [], "log_ratio_sum": 0.0, "advantage_sum": 0.0, "utility_sum": 0.0}
     for t in range(1, cfg.iterations + 1):
         uni = rng.random((cfg.batch_size, tree.depth))
         idx = np.array([tree.descend_many(uni[r:r + 1])[0] for r in range(cfg.batch_size)],
                        dtype=np.int64)
         root = tree.total
         out["indices"].append(idx)
-        out["log_ratios"].append(amp * acc[idx] - (math.log(root) - math.log(n)))
-        out["acc_before"].append(acc[idx].copy())
-        out["acc_mean_before"].append(acc_total / n)
+        out["log_ratio_sum"] += float((amp * acc[idx] - (math.log(root) - math.log(n))).sum())
+        out["advantage_sum"] += float((acc[idx] - acc_total / n).sum())
         X, y = ds.features[idx], ds.labels[idx]
         P = predict_proba_batch(h, X)
         b = X.shape[0]
@@ -293,8 +307,8 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
             acc[i] = dec * old + u[j]
             acc_total += acc[i] - old
             tree.update_many([i], [math.exp(amp * acc[i])])
-        out["updated"].append(uniq)
-        out["utilities"].append(u)
+        if t < cfg.iterations:
+            out["utility_sum"] += float(u.sum())
     return h, out, acc
 
 
@@ -316,15 +330,14 @@ def test_batched_trainer_replays_the_scalar_loop_bitwise(n, batch, T, amp, kind,
     h_ref, ref, acc = _scalar_train(ds, cfg, sched, rules[1], 0.01, h0,
                                     np.random.default_rng(3), domain_radius=30.0)
     assert h.tobytes() == h_ref.tobytes()
-    for key, expect in ref.items():
-        got = getattr(trace, key)
-        assert len(got) == len(expect) == T, key
-        for a, b in zip(got, expect):
-            a, b = np.asarray(a), np.asarray(b)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+    assert len(trace.indices) == len(ref["indices"]) == T
+    for a, b in zip(trace.indices, ref["indices"]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for key in ("log_ratio_sum", "advantage_sum", "utility_sum"):
+        assert getattr(trace, key).hex() == ref[key].hex(), key
     assert trace.final_acc.tobytes() == acc.tobytes()
     if amp == 0.0:
-        assert all(np.all(lr == 0.0) for lr in trace.log_ratios)
+        assert trace.log_ratio_sum == 0.0
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -367,8 +380,9 @@ def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classe
     seeds = [int(s) for s in rng.integers(0, 2**32, size=len(amps))]
     sched = StepSchedule.inverse_decay(0.6, 0.01)
 
-    def make_rule():
-        return UpdateRuleState.sgd() if rule == "sgd" else UpdateRuleState.adagrad((classes, 4))
+    def make_rule(*runs):
+        return (UpdateRuleState.sgd() if rule == "sgd"
+                else UpdateRuleState.adagrad((*runs, classes, 4)))
 
     def ticks(calls):
         def metric_fn(*args):  # (r,) t h kl_stat cond_kl, r only when stepped together
@@ -377,8 +391,8 @@ def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classe
             return record
         return metric_fn
 
-    rules, calls = [make_rule() for _ in amps], []
-    together = train_many(ds, cfgs, sched, rules, 0.05, 5.0, h0s,
+    stacked, calls = make_rule(len(amps)), []
+    together = train_many(ds, cfgs, sched, stacked, 0.05, 5.0, h0s,
                           [np.random.default_rng(s) for s in seeds], domain_radius=radius,
                           metric_every=3, metric_fn=ticks(calls))
     sizes = set()
@@ -389,20 +403,21 @@ def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classe
         _assert_same_run(together[r], alone)
         assert [c[1] for c in calls if c[0] == (r,)] == [c[1] for c in alone_calls]
         if rule == "adagrad":
-            assert rules[r].accumulator.tobytes() == alone_rule.accumulator.tobytes()
-        sizes.add(tuple(len(u) for u in alone[1].updated))
+            assert stacked.accumulator[r].tobytes() == alone_rule.accumulator.tobytes()
+        sizes.add(tuple(len(np.unique(idx)) for idx in alone[1].indices))
         assert not h0.any() or not np.array_equal(h0, alone[0])  # h0 is left alone
     if batch > 4:
-        assert len(sizes) > 1  # runs scored in different groups in some iteration
+        assert len(sizes) > 1  # the runs drew different unique counts in some iteration
     # without a trace: the same hypotheses, metrics and accumulators
     quiet_calls = []
-    quiet = train_many(ds, cfgs, sched, [make_rule() for _ in amps], 0.05, 5.0, h0s,
+    quiet = train_many(ds, cfgs, sched, make_rule(len(amps)), 0.05, 5.0, h0s,
                        [np.random.default_rng(s) for s in seeds], domain_radius=radius,
                        metric_every=3, metric_fn=ticks(quiet_calls), record=False)
     assert quiet_calls == calls
     for (h, trace), (h_ref, ref) in zip(quiet, together):
         assert _bitwise_equal(h, h_ref) and _bitwise_equal(trace.final_acc, ref.final_acc)
-        assert trace.indices is None and trace.log_ratios is None and trace.utilities is None
+        assert _bitwise_equal(trace.utility_sum, ref.utility_sum)
+        assert trace.indices is trace.log_ratio_sum is trace.advantage_sum is None
 
 
 @pytest.mark.parametrize("scales", [(1.0, 1e150, 1e250), (1e250, 1e150, 1.0),
@@ -421,7 +436,7 @@ def test_lockstep_divergence_names_the_earliest_diverging_iteration(scales):
     assert len(set(alone)) == 3  # each run diverges at its own iteration
     calls = []
     with pytest.raises(DivergenceError) as exc:
-        train_many(ds, [cfg] * 3, sched, [UpdateRuleState.sgd() for _ in h0s], 1e50, 5.0, h0s,
+        train_many(ds, [cfg] * 3, sched, UpdateRuleState.sgd(), 1e50, 5.0, h0s,
                    [np.random.default_rng(4) for _ in h0s], metric_every=1,
                    metric_fn=lambda r, t, h, kl, cond: calls.append((r, t)))
     first = min(alone)
@@ -439,14 +454,13 @@ def test_train_many_rejects_runs_that_do_not_share_their_settings():
     sched = StepSchedule.constant(0.1)
     with pytest.raises(ValueError, match="only in the sampler amplitude"):
         train_many(ds, [cfg, dataclasses.replace(cfg, decay=0.6)], sched,
-                   [UpdateRuleState.sgd()] * 2, 0.0, 5.0, h0s, rngs)
-    with pytest.raises(ValueError, match="share the update rule"):
-        train_many(ds, [cfg, cfg], sched, [UpdateRuleState.sgd(), UpdateRuleState.adagrad((2, 3))],
-                   0.0, 5.0, h0s, rngs)
+                   UpdateRuleState.sgd(), 0.0, 5.0, h0s, rngs)
+    with pytest.raises(ValueError, match="accumulator shape"):  # one per run
+        train_many(ds, [cfg, cfg], sched, UpdateRuleState.adagrad((2, 3)), 0.0, 5.0, h0s, rngs)
     with pytest.raises(ValueError, match="one sampler config"):
-        train_many(ds, [cfg, cfg], sched, [UpdateRuleState.sgd()] * 2, 0.0, 5.0, h0s, rngs[:1])
+        train_many(ds, [cfg, cfg], sched, UpdateRuleState.sgd(), 0.0, 5.0, h0s, rngs[:1])
     with pytest.raises(ValueError, match="h0 shape"):
-        train_many(ds, [cfg, cfg], sched, [UpdateRuleState.sgd()] * 2, 0.0, 5.0, h0s[:1] * 3, rngs)
+        train_many(ds, [cfg, cfg], sched, UpdateRuleState.sgd(), 0.0, 5.0, h0s[:1] * 3, rngs)
 
 
 def test_stacked_utilities_equal_per_run_calls_bitwise():
@@ -475,6 +489,12 @@ def test_stacked_utilities_equal_per_run_calls_bitwise():
                     assert first.tobytes() == stacked[:, :k].tobytes()
                     sums = first.sum(axis=1)
                     assert all(stacked[r, :k].sum() == sums[r] for r in range(4))
+    # a recorded trace's log-ratio and advantage sums add one 2-d row sum per
+    # iteration: each row is bitwise the 1-d sum of that run's batch alone
+    for R, b in itertools.product((1, 2, 5, 50), (1, 2, 7, 8, 9, 100, 1001)):
+        M = rng.standard_normal((R, b)) * rng.uniform(0.0, 50.0, size=(R, 1))
+        rows = M.sum(axis=1).tolist()
+        assert [v.hex() for v in rows] == [float(M[r].sum()).hex() for r in range(R)]
 
 
 def test_recorded_utilities_are_the_batch_scored_at_the_new_hypothesis():
@@ -486,30 +506,48 @@ def test_recorded_utilities_are_the_batch_scored_at_the_new_hypothesis():
         ds = _random_dataset(seed, n=2)
         cfgs = [SamplerConfig(amplitude=a, decay=0.5, utility=kind, batch_size=4,
                               iterations=20) for a in (0.0, 1.0, 3.0)]
-        runs = train_many(ds, cfgs, StepSchedule.constant(0.3), [UpdateRuleState.sgd()] * 3,
+        runs = train_many(ds, cfgs, StepSchedule.constant(0.3), UpdateRuleState.sgd(),
                           0.01, 5.0, [zeros_hypothesis(2, 3)] * 3,
                           [np.random.default_rng(s) for s in (5, 6, 7)], metric_every=1,
-                          metric_fn=lambda r, t, h, kl, cond: h.copy())
-        for _, trace in runs:
-            for t, (idx, h_t) in enumerate(zip(trace.indices, trace.metrics), start=1):
+                          metric_fn=lambda r, t, h, kl, cond: (h.copy(), kl))
+        for cfg, (_, trace) in zip(cfgs, runs):
+            # tick t + 1 reports the utilities of the first appearances through t
+            total = 0.0
+            for idx, (h_t, _), (_, kl_next) in zip(trace.indices, trace.metrics,
+                                                   trace.metrics[1:]):
                 firsts = np.sort(np.unique(idx, return_index=True)[1])
                 scored = utilities(kind, h_t[None], ds.features[idx][None],
                                    ds.labels[idx][None])[0]
-                assert trace.updated[t - 1].tolist() == idx[firsts].tolist()
-                assert trace.utilities[t - 1].tobytes() == scored[firsts].tobytes()
+                total += float(scored[firsts].sum())
+                assert kl_next.hex() == (cfg.amplitude / (1.0 - cfg.decay) * total).hex()
                 single += len(firsts) == 1
     assert single > 0
+
+
+def _replay(ds, cfg, trace):
+    """Replay a recorded trace trained with metric_every=1 and metric_fn
+    returning h: each unique drawn index, in first-appearance order, takes
+    the utility at h_t. Returns every iteration's draws' ln(n * Q_t(i)),
+    recomputed from the replayed accumulators, and the final accumulators."""
+    acc = np.zeros(ds.n)
+    log_ratios = []
+    for idx, h_t in zip(trace.indices, trace.metrics):
+        w = np.exp(cfg.amplitude * acc)
+        log_ratios.append(np.log(ds.n * w[idx] / w.sum()))
+        firsts = np.sort(np.unique(idx, return_index=True)[1])
+        us = utilities(cfg.utility, h_t[None], ds.features[idx][None], ds.labels[idx][None])[0]
+        for i, u in zip(idx[firsts], us[firsts]):
+            acc[i] = cfg.decay * acc[i] + u
+    return log_ratios, acc
 
 
 def test_accumulator_replay_is_bitwise():
     ds = _random_dataset(8, n=12)
     cfg = SamplerConfig(amplitude=2.0, decay=0.5, batch_size=3, iterations=30)
     _, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
-                     0.01, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(9))
-    acc = np.zeros(12)
-    for uniq, us in zip(trace.updated, trace.utilities):
-        for j, i in enumerate(uniq):
-            acc[i] = cfg.decay * acc[i] + us[j]
+                     0.01, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(9),
+                     metric_every=1, metric_fn=lambda t, h, kl, cond: h.copy())
+    _, acc = _replay(ds, cfg, trace)
     assert np.array_equal(acc, trace.final_acc)
 
 
@@ -518,13 +556,17 @@ def test_log_weights_stay_in_band():
     ds = _random_dataset(10, n=9)
     cfg = SamplerConfig(amplitude=2.0, decay=0.5, batch_size=2, iterations=200)
     _, trace = train(ds, cfg, StepSchedule.constant(0.05), UpdateRuleState.sgd(),
-                     0.0, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(11))
+                     0.0, 5.0, zeros_hypothesis(2, 3), np.random.default_rng(11),
+                     metric_every=1, metric_fn=lambda t, h, kl, cond: h.copy())
     cap = 1.0 / (1.0 - cfg.decay)
     assert np.all(trace.final_acc >= 0.0)
     assert np.all(trace.final_acc <= cap + 1e-12)
     # every weight is >= 1, so ln(n * Q_t(i)) <= ln w_i <= amplitude/(1-decay)
-    for lr in trace.log_ratios:
+    log_ratios, acc = _replay(ds, cfg, trace)
+    assert np.array_equal(acc, trace.final_acc)
+    for lr in log_ratios:
         assert np.all(lr <= cfg.amplitude / (1.0 - cfg.decay))
+    assert abs(sum(float(lr.sum()) for lr in log_ratios) - trace.total_log_ratio()) <= 1e-9
 
 
 def test_batch_updates_each_unique_index_once():
@@ -533,13 +575,16 @@ def test_batch_updates_each_unique_index_once():
                         batch_size=8, iterations=10)
     _, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
                      0.0, 5.0, zeros_hypothesis(2, 1), np.random.default_rng(12))
-    for idx, uniq in zip(trace.indices, trace.updated):
-        assert len(np.unique(uniq)) == len(uniq)
-        assert set(uniq) == set(np.unique(idx))
-        # first-appearance order
-        firsts = [int(idx[np.flatnonzero(idx == i)[0]]) for i in uniq]
-        order = sorted(range(len(uniq)), key=lambda k: np.flatnonzero(idx == uniq[k])[0])
-        assert list(uniq[order]) == sorted(firsts, key=lambda i: np.flatnonzero(idx == i)[0])
+    # the utility is 1 throughout, so each drawn index is updated once per
+    # iteration exactly when the accumulators equal this replay, and each
+    # iteration adds its unique count to the utility sum
+    acc, total = np.zeros(2), 0.0
+    for t, idx in enumerate(trace.indices, start=1):
+        uniq = np.unique(idx)
+        acc[uniq] = cfg.decay * acc[uniq] + 1.0
+        total += len(uniq) if t < cfg.iterations else 0
+    assert trace.final_acc.tobytes() == acc.tobytes()
+    assert trace.utility_sum == total
 
 
 def test_constant_utility_dataset_freezes_everything():
@@ -548,8 +593,8 @@ def test_constant_utility_dataset_freezes_everything():
     h, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
                      0.0, 5.0, zeros_hypothesis(2, 1), np.random.default_rng(13))
     assert np.array_equal(h, zeros_hypothesis(2, 1))
-    for us in trace.utilities:
-        assert np.all(us == 1.0)
+    # one utility in [0, 1] per iteration before T sums to T - 1: every one is 1
+    assert trace.utility_sum == cfg.iterations - 1
 
 
 def test_tracked_conditional_kl():

@@ -306,26 +306,29 @@ def test_advantage_statistic_requires_single_draws():
     assert kl_from_utility_sum(trace) > 0.0  # the batch form still applies
 
 
-@pytest.mark.parametrize("T", [1, 2, 5])
-@pytest.mark.parametrize("statistic", [TrainTrace.total_log_ratio, kl_from_utility_sum,
-                                       kl_from_utility_advantage])
-def test_statistics_of_an_unrecorded_trace_fail_loudly(statistic, T):
-    # record=False keeps no per-iteration lists: no statistic may read 0.0 or
-    # fail with a bare IndexError from them
+def _train_unrecorded(T):
     cfg = SamplerConfig(amplitude=0.5, decay=0.5, utility="zero_one", iterations=T)
     [(_, trace)] = train_many(_constant_utility_dataset(), [cfg], StepSchedule.constant(0.1),
-                              [UpdateRuleState.sgd()], 0.0, 5.0, [zeros_hypothesis(2, 1)],
-                              [np.random.default_rng(0)], record=False)
+                              UpdateRuleState.sgd(), 0.0, 5.0, [zeros_hypothesis(2, 1)],
+                              [np.random.default_rng(0)], metric_every=1,
+                              metric_fn=lambda r, t, h, kl_stat, cond: kl_stat, record=False)
+    return trace
+
+
+@pytest.mark.parametrize("T", [1, 2, 5])
+@pytest.mark.parametrize("statistic", [TrainTrace.total_log_ratio, kl_from_utility_advantage])
+def test_statistics_of_an_unrecorded_trace_fail_loudly(statistic, T):
+    # record=False keeps no log-ratio or advantage sum: neither statistic may read 0.0
     with pytest.raises(ValueError, match="no per-iteration .* record"):
-        statistic(trace)
+        statistic(_train_unrecorded(T))
 
 
-def test_negative_utility_rejected_by_sum_statistic():
-    trace = TrainTrace(n=2, batch_size=1, iterations=2, amplitude=1.0, decay=0.5,
-                       utility="l1")
-    trace.utilities = [np.array([-0.1]), np.array([0.5])]
-    with pytest.raises(ValueError):
-        kl_from_utility_sum(trace)
+@pytest.mark.parametrize("T", [1, 2, 5])
+def test_utility_sum_statistic_of_an_unrecorded_trace_is_its_last_kl_stat(T):
+    # every run keeps its utility sum, so the statistic needs no record
+    trace = _train_unrecorded(T)
+    assert kl_from_utility_sum(trace).hex() == trace.metrics[-1].hex()
+    assert kl_from_utility_sum(trace) == 0.5 / 0.5 * (T - 1)  # utility 1 throughout
 
 
 # ---- exact enumeration ----

@@ -290,6 +290,17 @@ def test_synth_data_round_trip(tmp_path, capsys):
     assert ds.n == 30 and ds.feature_dim == 3 and ds.num_classes == 3
 
 
+def test_synth_data_that_empties_a_class_exits_2_and_writes_nothing(tmp_path, capsys):
+    # at this seed the label noise leaves labels 0, 0, 2: a file `load_csv` rejects
+    path = tmp_path / "ds.csv"
+    rc = main(["synth-data", "--n", "3", "--dim", "3", "--classes", "3", "--noise", "0.5",
+               "--seed", "0", "--out", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no example has label 1 ") and captured.out == ""
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("row", ["inf,1.0", "1e300,1.0", "nan,1.0", "0,inf"])
 def test_csv_with_a_non_finite_or_oversized_number_exits_2_naming_the_row(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"

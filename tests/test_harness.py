@@ -339,20 +339,25 @@ def test_probe_stability_rejects_empty_runs_and_datasets(overrides, message):
 
 @pytest.mark.parametrize("n,batch", [(7, 1), (5, 8)])
 def test_final_tick_kl_stat_is_the_trace_utility_sum_bitwise(n, batch):
-    # _run_arms reads each trial's KL statistic from its t = T metrics record
-    # in place of kl_from_utility_sum of a recorded trace
+    # _run_arms writes the t = T tick's statistic to the metrics files and
+    # kl_from_utility_sum of the run's unrecorded trace to the report
     ds = synth_data(n, 3, 2, 0.6, 0.1, seed=n)
     T, amps = 23, [0.7, 1.3, 2.0]
     cfgs = [SamplerConfig(amplitude=a, decay=0.4, batch_size=batch, iterations=T) for a in amps]
-    runs = train_many(ds, cfgs, StepSchedule.inverse_decay(0.3, 0.01),
-                      [UpdateRuleState.sgd() for _ in amps], 0.01, 5.0,
-                      [zeros_hypothesis(2, 3)] * len(amps),
-                      [np.random.default_rng(s) for s in range(len(amps))],
-                      metric_every=5, metric_fn=lambda r, t, h, kl_stat, cond: (t, kl_stat))
-    for _, trace in runs:
+
+    def runs(record):
+        return train_many(ds, cfgs, StepSchedule.inverse_decay(0.3, 0.01), UpdateRuleState.sgd(),
+                          0.01, 5.0, [zeros_hypothesis(2, 3)] * len(amps),
+                          [np.random.default_rng(s) for s in range(len(amps))],
+                          metric_every=5, metric_fn=lambda r, t, h, kl_stat, cond: (t, kl_stat),
+                          record=record)
+
+    recorded = runs(True)
+    for (_, trace), (_, ref) in zip(runs(False), recorded):
         t, kl_stat = trace.metrics[-1]
         assert t == T
         assert kl_stat > 0.0
         assert kl_stat.hex() == kl_from_utility_sum(trace).hex()
+        assert ref.utility_sum.hex() == trace.utility_sum.hex()
     if batch > 1:  # some batch drew an index twice, so it updated fewer than it drew
-        assert any(len(u) < batch for _, trace in runs for u in trace.updated)
+        assert any(len(np.unique(idx)) < batch for _, ref in recorded for idx in ref.indices)
