@@ -92,6 +92,8 @@ def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndar
         raise ValueError(f"unknown utility kind {kind!r}")
     scores = X @ h.swapaxes(-1, -2)
     if kind == "zero_one":
+        # np.argmax, not model's column form: on these few-row batches the
+        # column loop is no faster, and its fixed cost shows on tiny runs
         return (scores.argmax(axis=-1) != y).astype(np.float64)
     P = softmax(scores).reshape(-1, scores.shape[-1])
     py = P[np.arange(len(P)), y.reshape(-1)].reshape(y.shape)

@@ -63,6 +63,14 @@ def synth_data(n: int, dim: int, classes: int, imbalance: float, noise: float,
     the rng is consumed identically and the flip set is a deterministic function
     of the drawn features.
     """
+    X, y = synth_arrays(n, dim, classes, imbalance, noise, seed, separation)
+    return Dataset.from_arrays(X, y, classes)
+
+
+def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
+                 seed: int, separation: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
+    """`synth_data`'s features and labels as plain arrays, so a caller that
+    splits them builds only the split datasets."""
     if n < classes:
         raise ValueError("n must be >= classes")
     if classes < 2:
@@ -81,7 +89,7 @@ def synth_data(n: int, dim: int, classes: int, imbalance: float, noise: float,
     for c, hi in enumerate(np.cumsum(counts).tolist()):  # y is sorted by class here
         X[hi - counts[c] : hi] += means[c]
     perm = rng.permutation(n)
-    X, y = X[perm], y[perm]
+    X, y = np.take(X, perm, axis=0), y[perm]
 
     flips = int(round(n * noise))
     if flips:
@@ -96,7 +104,7 @@ def synth_data(n: int, dim: int, classes: int, imbalance: float, noise: float,
         margin = d2[rows, nearest_other] - own
         hard = _smallest_k(margin, flips)
         y[hard] = nearest_other[hard]
-    return Dataset.from_arrays(X, y, classes)
+    return X, y
 
 
 def _smallest_k(values: np.ndarray, k: int) -> np.ndarray:

@@ -7,10 +7,11 @@ per-trial summaries, and evaluated stability/generalization bounds with the
 recorded utility-sum KL statistic substituted for KL(Q || P). run_comparison
 does the same for a uniform arm and one arm per amplitude on one dataset.
 Every arm and trial is trained in one lockstep `train_many` call, which keeps
-no per-iteration trace, and the files are written afterwards. All output is
-deterministic for a fixed config and master seed, and byte-identical to
-training the arms and trials one at a time: runs are stacked in a fixed order,
-and every float is serialized with 17 significant digits.
+no per-iteration trace, and the files are written afterwards. A metrics tick
+scores each dataset once: one X @ h.T per dataset gives both its risk and its
+accuracy. All output is deterministic for a fixed config and master seed, and
+byte-identical to training the arms and trials one at a time: runs are stacked
+in a fixed order, and every float is serialized with 17 significant digits.
 
 probe_stability estimates the replace-one-example stability beta and the
 perturb-one-index stability gamma of the uniform-sampling strongly convex
@@ -31,15 +32,14 @@ import numpy as np
 
 from . import bounds
 from .adaptive import SamplerConfig, train_many
-from .data import load_csv, synth_data
+from .data import load_csv, synth_arrays, synth_data
 from .model import (
-    PROB_FLOOR,
     Dataset,
     RegularityConstants,
-    accuracy,
+    _bounded_losses,
+    _risk_and_accuracy,
     default_domain_radius,
     mean_bounded_loss,
-    predict_proba_batch,
     project,
     regularity_constants,
     softmax,
@@ -122,7 +122,8 @@ class ExperimentConfig:
 class MetricsRecord:
     """One metrics row: risks are M-clamped means, kl_stat is the running
     utility-sum KL statistic through the previous iteration, conditional_kl is
-    the tracked KL(Q_t || uniform) (None when tracking is off)."""
+    the tracked KL(Q_t || uniform) (None when tracking is off). A dataset's
+    risk and accuracy come from one scoring of it at the tick's hypothesis."""
 
     iteration: int
     empirical_risk: float
@@ -220,15 +221,21 @@ def write_metrics(records, jsonl_path, csv_path) -> None:
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """(train, test) from the configured source; the synthetic path draws
-    n + test_n examples in one call so both splits share the task."""
+    n + test_n examples in one call so both splits share the task, and
+    builds the two split datasets straight from the drawn arrays."""
     if cfg.csv is not None:
         full = load_csv(cfg.csv)
         if not 0 < cfg.test_n < full.n:
             raise ValueError("test_n must leave both splits nonempty")
         return full.split(full.n - cfg.test_n)
-    full = synth_data(cfg.n + cfg.test_n, cfg.dim, cfg.classes, cfg.imbalance,
-                      cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
-    return full.split(cfg.n)
+    if cfg.n < 1:
+        raise ValueError("n must be >= 1")
+    if cfg.test_n < 1:
+        raise ValueError("test_n must be >= 1")
+    X, y = synth_arrays(cfg.n + cfg.test_n, cfg.dim, cfg.classes, cfg.imbalance,
+                        cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
+    return (Dataset.from_arrays(X[:cfg.n], y[:cfg.n], cfg.classes),
+            Dataset.from_arrays(X[cfg.n:], y[cfg.n:], cfg.classes))
 
 
 def _data_seed(master_seed: int) -> np.random.SeedSequence:
@@ -279,15 +286,9 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
             rngs.append(sample_rng)
 
     def metric_fn(r, t, h, kl_stat, cond_kl):
-        return MetricsRecord(
-            iteration=t,
-            empirical_risk=mean_bounded_loss(h, train_ds, cfg.loss_bound),
-            heldout_risk=mean_bounded_loss(h, test_ds, cfg.loss_bound),
-            train_accuracy=accuracy(h, train_ds),
-            test_accuracy=accuracy(h, test_ds),
-            kl_stat=kl_stat,
-            conditional_kl=cond_kl,
-        )
+        train_risk, train_acc = _risk_and_accuracy(h, train_ds, cfg.loss_bound)
+        test_risk, test_acc = _risk_and_accuracy(h, test_ds, cfg.loss_bound)
+        return MetricsRecord(t, train_risk, test_risk, train_acc, test_acc, kl_stat, cond_kl)
 
     rule = _make_rule(cfg, (len(cfgs), *shape))  # AdaGrad: one accumulator per run
     runs = train_many(train_ds, cfgs, sched, rule, cfg.mu, cfg.loss_bound, h0s, rngs,
@@ -558,11 +559,6 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
     h0 = zeros_hypothesis(pool.num_classes, pool.feature_dim)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
 
-    def losses(h):
-        P = predict_proba_batch(h, eval_X)
-        py = np.maximum(P[np.arange(eval_X.shape[0]), eval_y], PROB_FLOOR)
-        return np.minimum(-np.log(py), M)
-
     # replace-one-example probe: shared sequences, site p redirected to row n + p
     base = np.stack([rng.integers(0, n, size=T) for _ in range(probe_seeds)])
     sites = np.array([rng.integers(n) for _ in range(perturbations)])
@@ -580,7 +576,8 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
     indices = np.concatenate([base, swapped.reshape(-1, T), pairs.reshape(-1, T)])
     H = _run_coupled(pool.features[:table], pool.labels[:table], indices, sched, mu, h0, radius)
     base_losses, swapped_losses, pair_losses = np.split(
-        np.array([losses(h) for h in H]), [probe_seeds, probe_seeds * (1 + perturbations)])
+        np.array([_bounded_losses(eval_X @ h.T, eval_y, M) for h in H]),
+        [probe_seeds, probe_seeds * (1 + perturbations)])
 
     # |E_r[L(A(S,r),z) - L(A(S',r),z)]|, max over z
     swapped_losses = swapped_losses.reshape(perturbations, probe_seeds, -1)

@@ -100,10 +100,40 @@ def zeros_hypothesis(num_classes: int, feature_dim: int) -> np.ndarray:
     return np.zeros((num_classes, feature_dim))
 
 
+def _class_max(scores: np.ndarray) -> np.ndarray:
+    """np.max over the last (class) axis, taken one class column at a time:
+    numpy reduces a short last axis with one tiny inner loop per row, while
+    np.maximum of two columns is one long loop. A max is exact in any order."""
+    best = scores[..., 0]
+    for c in range(1, scores.shape[-1]):
+        best = np.maximum(best, scores[..., c])
+    return best
+
+
+def _class_argmax(scores: np.ndarray) -> np.ndarray:
+    """np.argmax over the last (class) axis, one class column at a time: a
+    column takes the lead only when it beats the best so far, so the first of
+    tied maxima wins, and the first NaN wins over every number."""
+    best = scores[..., 0]
+    arg = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, scores.shape[-1]):
+        col = scores[..., c]
+        stay = best >= col
+        stay |= best != best
+        arg[~stay] = c
+        best = np.maximum(best, col)
+    return arg
+
+
+def _shifted_exp(scores: np.ndarray) -> np.ndarray:
+    """exp(scores - max) over the last axis: softmax before it is normalized."""
+    e = scores - _class_max(scores)[..., None]
+    return np.exp(e, out=e)
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = _shifted_exp(scores)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -163,18 +193,34 @@ def batch_objective_grads(H, X, y, mu) -> np.ndarray:
     return G
 
 
-def mean_bounded_loss(h: np.ndarray, ds: Dataset, M: float) -> float:
-    """Average of min(CE, M) over a dataset (the empirical risk estimate)."""
+def _bounded_losses(scores: np.ndarray, labels: np.ndarray, M: float) -> np.ndarray:
+    """min(CE, M) of each row of an (n, C) score matrix against its label.
+
+    The label's entry is picked before it is divided by its row's sum, which
+    is bitwise the picked entry of the divided softmax, with one division per
+    row instead of C.
+    """
     if M <= 0:
         raise ValueError("M must be positive")
-    P = predict_proba_batch(h, ds.features)
-    py = np.maximum(P[np.arange(ds.n), ds.labels], PROB_FLOOR)
-    return float(np.minimum(-np.log(py), M).mean())
+    e = _shifted_exp(scores)
+    py = e[np.arange(labels.size), labels] / e.sum(axis=-1)
+    return np.minimum(-np.log(np.maximum(py, PROB_FLOOR)), M)
+
+
+def _risk_and_accuracy(h: np.ndarray, ds: Dataset, M: float) -> tuple[float, float]:
+    """(mean_bounded_loss, accuracy) of h on ds from one scoring X @ h.T."""
+    scores = ds.features @ h.T
+    return (float(_bounded_losses(scores, ds.labels, M).mean()),
+            float((_class_argmax(scores) == ds.labels).mean()))
+
+
+def mean_bounded_loss(h: np.ndarray, ds: Dataset, M: float) -> float:
+    """Average of min(CE, M) over a dataset (the empirical risk estimate)."""
+    return float(_bounded_losses(ds.features @ h.T, ds.labels, M).mean())
 
 
 def accuracy(h: np.ndarray, ds: Dataset) -> float:
-    scores = ds.features @ h.T
-    return float((scores.argmax(axis=1) == ds.labels).mean())
+    return float((_class_argmax(ds.features @ h.T) == ds.labels).mean())
 
 
 def default_domain_radius(ds: Dataset, mu: float) -> float:

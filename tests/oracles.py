@@ -3,7 +3,7 @@
 import numpy as np
 
 from adasamp.data import _class_counts, _class_means
-from adasamp.model import Dataset, objective_grad
+from adasamp.model import PROB_FLOOR, Dataset, objective_grad
 from adasamp.optim import UpdateRuleState, apply_update
 
 
@@ -60,3 +60,24 @@ def naive_synth_data(n, dim, classes, imbalance, noise, seed, separation=4.0):
         y = y.copy()
         y[hard] = nearest_other[hard]
     return Dataset.from_arrays(X, y, classes)
+
+
+def naive_softmax(scores):
+    """Softmax as first written: the max and the sum as numpy reductions over
+    the last axis, then one division per entry."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def naive_mean_bounded_loss(h, ds, M):
+    """The empirical risk as first written: the full softmax matrix, then the
+    label's column of it."""
+    P = naive_softmax(ds.features @ h.T)
+    py = np.maximum(P[np.arange(ds.n), ds.labels], PROB_FLOOR)
+    return float(np.minimum(-np.log(py), M).mean())
+
+
+def naive_accuracy(h, ds):
+    scores = ds.features @ h.T
+    return float((scores.argmax(axis=1) == ds.labels).mean())

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adasamp.harness as harness
 from adasamp import bounds
 from adasamp.cli import build_parser, load_config_file, main, parse_args
 from adasamp.data import load_csv
@@ -320,6 +321,24 @@ def test_csv_with_a_huge_label_exits_2_naming_the_missing_class(tmp_path, capsys
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: no row has label 2: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("n,test_n,message", [
+    ("0", "40", "n must be >= 1"),
+    ("60", "0", "test_n must be >= 1"),
+    ("60", "-5", "test_n must be >= 1"),
+])
+def test_synthetic_split_sizes_below_one_exit_2_naming_the_flag(monkeypatch, capsys, n,
+                                                                 test_n, message):
+    def never(*args, **kwargs):
+        raise AssertionError("data drawn before the sizes were checked")
+
+    monkeypatch.setattr(harness, "synth_arrays", never)
+    rc = main(["train", "--n", n, "--test-n", test_n, "--iters", "2", "--trials", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _readme_block(first_line: str) -> str:

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import adasamp.harness as harness
+import adasamp.model as model
 from adasamp import (
     SamplerConfig,
     StepSchedule,
@@ -76,6 +78,21 @@ def test_build_datasets_sizes():
     train_ds, test_ds = build_datasets(_small_cfg())
     assert train_ds.n == 60 and test_ds.n == 40
     assert train_ds.num_classes == test_ds.num_classes == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(classes=3, noise=0.2, imbalance=0.0), dict(n=1, test_n=9, classes=4, dim=5),
+    dict(n=300, test_n=1, noise=0.0, separation=12.0),
+])
+def test_synthetic_build_is_the_split_of_one_synth_data_call_bitwise(overrides):
+    cfg = _small_cfg(**overrides)
+    full = synth_data(cfg.n + cfg.test_n, cfg.dim, cfg.classes, cfg.imbalance, cfg.noise,
+                      seed=_data_seed(cfg.seed), separation=cfg.separation)
+    for got, want in zip(build_datasets(cfg), full.split(cfg.n)):
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.feature_radius == want.feature_radius
+        assert got.num_classes == want.num_classes
 
 
 def test_format_float_round_trips():
@@ -174,6 +191,27 @@ def test_run_comparison_structure(tmp_path):
         assert len(arm["iterations_to_target"]) == cfg.trials
         assert "median_iterations_to_target" in arm
     assert (tmp_path / "cmp" / "comparison.json").exists()
+
+
+def test_each_metrics_tick_scores_each_dataset_once(monkeypatch):
+    calls = {"tick": 0, "losses": 0, "argmax": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "_risk_and_accuracy",
+                        counted("tick", harness._risk_and_accuracy))
+    monkeypatch.setattr(model, "_bounded_losses", counted("losses", model._bounded_losses))
+    monkeypatch.setattr(model, "_class_argmax", counted("argmax", model._class_argmax))
+    out = run_comparison(_small_cfg(), alphas=[1.0, 2.0])
+    results = out["results"].values()
+    ticks = sum(len(tr.metrics) for result in results for tr in result.trials)
+    assert ticks == 3 * 2 * 5  # arms x trials x (iters / cadence + 1)
+    # one scoring each of train and test per tick; the report's h0 risk once per arm
+    assert calls == {"tick": 2 * ticks, "losses": 2 * ticks + 3, "argmax": 2 * ticks}
 
 
 def test_arms_trained_together_write_the_bytes_of_arms_trained_alone(tmp_path):

@@ -24,7 +24,14 @@ from adasamp import (
     surrogate_loss,
     zeros_hypothesis,
 )
-from adasamp.model import batch_objective_grads
+from adasamp.model import (
+    PROB_FLOOR,
+    _class_argmax,
+    _class_max,
+    _risk_and_accuracy,
+    batch_objective_grads,
+)
+from oracles import naive_accuracy, naive_mean_bounded_loss, naive_softmax
 
 
 def _random_dataset(rng, n=20, d=3, classes=2):
@@ -274,6 +281,48 @@ def test_accuracy_and_mean_loss():
     h = np.array([[1.0, 0.0], [-1.0, 0.0]])
     assert accuracy(h, ds) == 1.0
     assert 0.0 <= mean_bounded_loss(h, ds, 1.0) <= 1.0
+
+
+def test_column_max_and_argmax_equal_numpy_bitwise():
+    # every row over these values: ties, signed zeros, +-inf and NaN anywhere
+    values = [0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan]
+    grids = [np.array(np.meshgrid(*[values] * C, indexing="ij")).reshape(C, -1).T
+             for C in (1, 2, 3, 4)]
+    rng = np.random.default_rng(11)
+    stacked = [rng.integers(-2, 3, size=(3, 50, C)) * 0.5 for C in range(2, 10)]
+    for S in grids + stacked + [np.array([1.0, 3.0, 3.0, -1.0])]:
+        assert _class_max(S).tobytes() == S.max(axis=-1).tobytes()
+        assert np.array_equal(_class_argmax(S), S.argmax(axis=-1))
+
+
+@pytest.mark.parametrize("C", range(2, 10))
+def test_softmax_equals_the_first_written_formula_bitwise(C):
+    rng = np.random.default_rng(C)
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        S = scale * rng.standard_normal((4, 37, C))
+        S[0, :5] = S[0, :5, :1]  # rows of ties
+        S[1, :5, -1] = -np.inf
+        assert softmax(S).tobytes() == naive_softmax(S).tobytes()
+        assert softmax(S[2, 7]).tobytes() == naive_softmax(S[2, 7]).tobytes()
+
+
+@pytest.mark.parametrize("C", [2, 3, 5])
+def test_one_scoring_gives_the_risk_and_accuracy_of_the_first_written_formulas(C):
+    rng = np.random.default_rng(C)
+    ds = _random_dataset(rng, n=400, d=4, classes=C)
+    floored = clamped = 0
+    for scale in (0.0, 0.01, 1.0, 10.0, 1e3):
+        h = scale * rng.standard_normal((C, 4))
+        scores = ds.features @ h.T
+        py = naive_softmax(scores)[np.arange(ds.n), ds.labels]
+        floored += int((py < PROB_FLOOR).sum())
+        for M in (0.5, 5.0, 100.0):
+            clamped += int((-np.log(np.maximum(py, PROB_FLOOR)) > M).sum())
+            want = (naive_mean_bounded_loss(h, ds, M), naive_accuracy(h, ds))
+            assert _risk_and_accuracy(h, ds, M) == want
+            assert (mean_bounded_loss(h, ds, M), accuracy(h, ds)) == want
+            assert all(type(v) is float for v in _risk_and_accuracy(h, ds, M))
+    assert floored and clamped  # the large h saturates both the floor and the clamp
 
 
 def test_dataset_validation_and_split():
