@@ -109,10 +109,13 @@ def weight_update(w: float, u: float, amplitude: float, decay: float) -> float:
 
 def conditional_kl(tree: WeightTree, run: int = 0) -> float:
     """KL(Q || uniform) of one run's current sampling distribution, i.e.
-    sum_i Q(i) * ln(n * Q(i)) over the live leaves (zero-weight leaves drop out)."""
+    sum_i Q(i) * ln(n * Q(i)) over the live leaves (zero-weight leaves drop out).
+    The trainer's weights are at least 1, so the filtering copy is made only
+    when some leaf is not positive; the sum runs over the same leaves either way."""
     q = tree.distribution(run)
-    pos = q > 0
-    return float((q[pos] * np.log(tree.n * q[pos])).sum())
+    if not q.min() > 0:
+        q = q[q > 0]
+    return float((q * np.log(tree.n * q)).sum())
 
 
 def posterior_objective(q_next, utils, q_ref, amplitude: float, decay: float) -> float:

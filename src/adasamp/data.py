@@ -19,11 +19,16 @@ import math
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _squared_distances
 
-_D2_ROWS = 1 << 16  # rows per block of class distances, bounding the (rows, classes, dim) temporary
+_D2_ROWS = 1 << 13  # rows per block of class distances, bounding their temporaries
+# Well above any standard normal draw: numpy draws the tail as
+# 3.65 - ln(v) / 3.65 with v >= 2**-53, under 14. So along every coordinate a
+# feature lies within separation + _NOISE_REACH of every class mean.
+_NOISE_REACH = 40.0
 # labels are parsed as floats, which hold every integer exactly only below 2**53
 _MAX_LABEL = 2.0 ** 53
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _class_means(classes: int, dim: int, separation: float) -> np.ndarray:
@@ -79,7 +84,7 @@ def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
         raise ValueError("dim must be >= 1")
     if not 0 <= imbalance < 1 or not 0 <= noise < 1:
         raise ValueError("imbalance and noise must lie in [0, 1)")
-    if separation <= 0:
+    if not separation > 0:
         raise ValueError("separation must be positive")
     rng = np.random.default_rng(seed)
     means = _class_means(classes, dim, separation)
@@ -93,17 +98,18 @@ def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
 
     flips = int(round(n * noise))
     if flips:
+        # bounds every squared distance to a mean, with a factor of 2 to spare
+        # for rounding; without label noise no distance is taken
+        if not dim * (separation + _NOISE_REACH) * (separation + _NOISE_REACH) < _FLOAT_MAX / 2:
+            raise ValueError(f"--separation {separation:.6g} is too large for label noise: "
+                             "squared distances to the class means overflow")
         rows = np.arange(n)
-        d2 = np.empty((n, classes))
-        for lo in range(0, n, _D2_ROWS):
-            x = X[lo : lo + _D2_ROWS]
-            d2[lo : lo + _D2_ROWS] = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        own = d2[rows, y]
-        d2[rows, y] = np.inf  # leaves the squared distances to the other classes
-        nearest_other = d2.argmin(axis=1)
-        margin = d2[rows, nearest_other] - own
+        d2 = _squared_distances(X, means, _D2_ROWS)  # (classes, n)
+        own = d2[y, rows]
+        d2[y, rows] = np.inf  # leaves the squared distances to the other classes
+        margin = d2.min(axis=0) - own  # a min is exact: the nearest other class's distance
         hard = _smallest_k(margin, flips)
-        y[hard] = nearest_other[hard]
+        y[hard] = d2[:, hard].argmin(axis=0)
     return X, y
 
 

@@ -262,8 +262,9 @@ def run_experiment(cfg: ExperimentConfig, alpha: float | None = None) -> Experim
 def _run_arms(cfg: ExperimentConfig, arms) -> list:
     """One ExperimentResult per (alpha, out dir) arm: build the datasets once,
     train every arm's `cfg.trials` trials in one `train_many` call, arm after
-    arm in run order, then create each arm's out dir (if any) and write its
-    files there, so a run that diverges leaves no directory behind.
+    arm in run order, and build every arm's report; only then create each
+    arm's out dir (if any) and write its files there, so a run that diverges
+    or whose report fails leaves no directory behind.
 
     Trial k of every arm starts from the same h0 and sampling seed, and every
     file is byte-identical to training the arms and trials one at a time.
@@ -296,27 +297,27 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
                       record=False)
 
     results = []
-    for a, (sampler, out_dir) in enumerate(zip(samplers, out_dirs)):
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
+    for a, sampler in enumerate(samplers):
         trials = []
         for trial in range(cfg.trials):
             h, trace = runs[a * cfg.trials + trial]
-            records = trace.metrics
             kl_stat = bounds.kl_from_utility_sum(trace)
-            summary = _trial_summary(cfg, records, kl_stat)
-            trials.append(TrialResult(trial, records, h, kl_stat, summary))
-            if out_dir is not None:
-                write_metrics(records,
-                              os.path.join(out_dir, f"trial_{trial}.metrics.jsonl"),
-                              os.path.join(out_dir, f"trial_{trial}.metrics.csv"))
+            summary = _trial_summary(cfg, trace.metrics, kl_stat)
+            trials.append(TrialResult(trial, trace.metrics, h, kl_stat, summary))
         arm_cfg = dataclasses.replace(cfg, out=arms[a][1])
         report = build_report(arm_cfg, sampler, consts, train_ds, test_ds, trials)
-        if out_dir is not None:
-            with open(os.path.join(out_dir, "report.json"), "w") as fh:
-                fh.write(dumps_json(report) + "\n")
         results.append(ExperimentResult(arm_cfg, train_ds, test_ds, consts, trials, report,
-                                        out_dir))
+                                        out_dirs[a]))
+    for res in results:
+        if res.out_dir is None:
+            continue
+        os.makedirs(res.out_dir, exist_ok=True)
+        for tr in res.trials:
+            write_metrics(tr.metrics,
+                          os.path.join(res.out_dir, f"trial_{tr.trial}.metrics.jsonl"),
+                          os.path.join(res.out_dir, f"trial_{tr.trial}.metrics.csv"))
+        with open(os.path.join(res.out_dir, "report.json"), "w") as fh:
+            fh.write(dumps_json(res.report) + "\n")
     return results
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 # Probabilities are clamped here before logs so the surrogate stays finite.
 PROB_FLOOR = 1e-12
+_RADIUS_ROWS = 1 << 13  # rows per block of the feature radius, bounding its temporaries
 
 
 class Example(NamedTuple):
@@ -54,8 +55,7 @@ class Dataset:
         y = np.asarray(labels, dtype=np.int64)
         if num_classes is None:
             num_classes = int(y.max()) + 1 if y.size else 0
-        radius = float(np.sqrt((X * X).sum(axis=1).max())) if X.size else 0.0
-        return cls(X, y, int(num_classes), radius)
+        return cls(X, y, int(num_classes), _feature_radius(X))
 
     @property
     def n(self) -> int:
@@ -77,6 +77,34 @@ class Dataset:
         return head, tail
 
 
+@np.errstate(over="ignore")  # an overflowing radius is inf, which the constants reject
+def _feature_radius(X: np.ndarray) -> float:
+    """max_i ||x_i||_2, bitwise np.sqrt((X * X).sum(axis=1).max()), without
+    an (n, d) temporary."""
+    if not X.size:
+        return 0.0
+    origin = np.zeros((1, X.shape[1]))
+    return float(np.sqrt(_squared_distances(X, origin, _RADIUS_ROWS).max()))
+
+
+def _squared_distances(X: np.ndarray, centers: np.ndarray, rows: int) -> np.ndarray:
+    """(k, n) array whose [c, i] is bitwise ((X[i] - centers[c]) ** 2).sum(),
+    from blocks of `rows` rows.
+
+    numpy reduces each row in an inner loop of its own, about 25 ns a row.
+    Each block is instead transposed once and summed by feature columns
+    through `_last_axis_sum`, one contiguous loop per feature.
+    """
+    out = np.empty((len(centers), X.shape[0]))
+    for lo in range(0, X.shape[0], rows):
+        xt = X[lo : lo + rows].T.copy()  # (d, rows), contiguous
+        for c, center in enumerate(centers):
+            diff = xt - center[:, None]
+            diff *= diff
+            out[c, lo : lo + rows] = _last_axis_sum(diff.T)
+    return out
+
+
 @dataclasses.dataclass(frozen=True)
 class RegularityConstants:
     """Lipschitz / smoothness / strong-convexity constants of the objective and
@@ -88,8 +116,8 @@ class RegularityConstants:
     loss_bound: float
 
     def __post_init__(self):
-        if self.lipschitz <= 0 or self.smoothness <= 0 or self.loss_bound <= 0:
-            raise ValueError("lipschitz, smoothness, and loss_bound must be positive")
+        if not all(0 < v < math.inf for v in (self.lipschitz, self.smoothness, self.loss_bound)):
+            raise ValueError("lipschitz, smoothness, and loss_bound must be positive and finite")
         if self.strong_convexity < 0:
             raise ValueError("strong_convexity must be nonnegative")
         if self.strong_convexity > 0 and self.smoothness < self.strong_convexity:
@@ -125,6 +153,40 @@ def _class_argmax(scores: np.ndarray) -> np.ndarray:
     return arg
 
 
+def _last_axis_sum(a: np.ndarray) -> np.ndarray:
+    """Bitwise np.ascontiguousarray(a).sum(axis=-1), one last-axis column at
+    a time: a short last axis then costs a few long loops instead of a tiny
+    inner loop per row, and the columns of a transposed view are contiguous.
+
+    numpy sums a contiguous row pairwise from +0.0, and this follows its order
+    for every length: under 8 entries left to right; up to 128 into eight
+    strided accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the remainder in order; longer rows split at n//2 - (n//2) % 8 and
+    recurse. Only a NaN's sign bit may differ: numpy's own add does not fix
+    it. (numpy sums a transposed view's last axis left to right instead, so
+    for such a view this is not a.sum(axis=-1).) The last axis must be
+    nonempty. A last-axis sum may be taken by columns only through here.
+    """
+    n = a.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _last_axis_sum(a[..., :half]) + _last_axis_sum(a[..., half:])
+    if n < 8:
+        res = a[..., 0] + 0.0
+        for j in range(1, n):
+            res += a[..., j]
+        return res
+    stop = n - n % 8
+    r = [a[..., j] for j in range(8)]
+    for i in range(8, stop, 8):
+        r = [r[j] + a[..., i + j] for j in range(8)]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(stop, n):
+        res += a[..., j]
+    res += 0.0  # numpy adds the pairwise sum to +0.0: a row of -0.0 sums to +0.0
+    return res
+
+
 def _shifted_exp(scores: np.ndarray) -> np.ndarray:
     """exp(scores - max) over the last axis: softmax before it is normalized."""
     e = scores - _class_max(scores)[..., None]
@@ -132,7 +194,12 @@ def _shifted_exp(scores: np.ndarray) -> np.ndarray:
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
+    """Numerically stable softmax over the last axis.
+
+    The sum stays numpy's per-row reduction: the trainer's batches are small
+    (100 rows by default), where it costs microseconds, and `_last_axis_sum`
+    would pay 15 or more column calls per batch once C >= 8.
+    """
     e = _shifted_exp(scores)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -198,12 +265,12 @@ def _bounded_losses(scores: np.ndarray, labels: np.ndarray, M: float) -> np.ndar
 
     The label's entry is picked before it is divided by its row's sum, which
     is bitwise the picked entry of the divided softmax, with one division per
-    row instead of C.
+    row instead of C. The row sums are taken by class columns.
     """
     if M <= 0:
         raise ValueError("M must be positive")
     e = _shifted_exp(scores)
-    py = e[np.arange(labels.size), labels] / e.sum(axis=-1)
+    py = e[np.arange(labels.size), labels] / _last_axis_sum(e)
     return np.minimum(-np.log(np.maximum(py, PROB_FLOOR)), M)
 
 
@@ -270,4 +337,10 @@ def regularity_constants(ds: Dataset, mu: float, M: float,
     R = ds.feature_radius
     lipschitz = math.sqrt(2.0) * R + mu * domain_radius
     smoothness = 0.5 * R * R + mu
+    if not math.isfinite(R * R):
+        raise ValueError(f"the feature radius R = {R:.6g} is too large: "
+                         "the smoothness constant R^2/2 + mu overflows")
+    if not math.isfinite(lipschitz):  # sqrt(2)*R is finite here, so mu * domain_radius is not
+        raise ValueError(f"mu * domain_radius = {mu:.6g} * {domain_radius:.6g} is too large: "
+                         "the Lipschitz constant sqrt(2)*R + mu * domain_radius overflows")
     return RegularityConstants(lipschitz, smoothness, mu, M)

@@ -62,6 +62,12 @@ def naive_synth_data(n, dim, classes, imbalance, noise, seed, separation=4.0):
     return Dataset.from_arrays(X, y, classes)
 
 
+def naive_feature_radius(X):
+    """The feature radius as first written: every squared norm from one
+    (n, d) temporary of squares."""
+    return float(np.sqrt((X * X).sum(axis=1).max()))
+
+
 def naive_softmax(scores):
     """Softmax as first written: the max and the sum as numpy reductions over
     the last axis, then one division per entry."""

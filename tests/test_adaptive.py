@@ -135,6 +135,23 @@ def test_conditional_kl_examples():
     assert conditional_kl(WeightTree([1, 3])) == pytest.approx(0.13081203594113696, abs=1e-12)
 
 
+def test_conditional_kl_is_the_masked_sum_bitwise():
+    # the scan filters zero leaves only when there are some; the sum is the same
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n = int(rng.integers(1, 3000))
+        weights = rng.uniform(1.0, 50.0, size=(2, n)) ** rng.uniform(0.0, 4.0)
+        if rng.random() < 0.5:
+            weights[:, rng.random(n) < 0.3] = 0.0
+            weights[:, 0] = 1.0
+        tree = WeightTree(weights)
+        for run in (0, 1):
+            q = tree.distribution(run)
+            pos = q > 0
+            want = float((q[pos] * np.log(n * q[pos])).sum())
+            assert conditional_kl(tree, run) == want
+
+
 # ---- training loop ----
 
 def test_single_iteration_is_one_sgd_step():

@@ -204,6 +204,28 @@ def test_diverged_compare_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--separation", "1e160"],
+     "--separation 1e+160 is too large for label noise: "
+     "squared distances to the class means overflow"),
+    (["--mu", "2", "--domain-radius", "1e308"],
+     "mu * domain_radius = 2 * 1e+308 is too large: "
+     "the Lipschitz constant sqrt(2)*R + mu * domain_radius overflows"),
+])
+def test_overflowing_constants_exit_2_before_training(tmp_path, capsys, flags, message):
+    out = tmp_path / "D"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--n", "60", "--test-n", "20", "--iters", "5", "--batch", "4",
+                   "--trials", "1", *flags, "--out", str(out)])
+    assert rc == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -300,6 +322,18 @@ def test_synth_data_that_empties_a_class_exits_2_and_writes_nothing(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.err.startswith("error: no example has label 1 ") and captured.out == ""
     assert not path.exists()
+
+
+def test_noise_free_synth_data_writes_features_at_any_finite_separation(tmp_path, capsys):
+    # no class distance is taken without label noise, so nothing overflows
+    path = tmp_path / "far.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["synth-data", "--n", "30", "--dim", "3", "--separation", "1e160",
+                   "--noise", "0", "--out", str(path)])
+    assert rc == 0 and caught == []
+    assert capsys.readouterr().err == ""
+    assert path.read_text().count("\n") == 31
 
 
 @pytest.mark.parametrize("row", ["inf,1.0", "1e300,1.0", "nan,1.0", "0,inf"])

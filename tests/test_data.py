@@ -1,12 +1,15 @@
 """Synthetic cluster tasks and CSV round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import adasamp.data as data
+import adasamp.model as model
 from adasamp import Dataset, accuracy, load_csv, save_csv, synth_data
 from adasamp.data import _smallest_k
-from oracles import naive_synth_data
+from oracles import naive_feature_radius, naive_synth_data
 
 
 def test_same_seed_is_bit_identical():
@@ -174,6 +177,54 @@ def test_synth_data_replays_the_first_written_generator_bitwise(monkeypatch):
         got, want = synth_data(*args[:6], separation=args[6]), naive_synth_data(*args)
         assert got.features.tobytes() == want.features.tobytes(), args
         assert got.labels.tobytes() == want.labels.tobytes(), args
+
+
+def test_synth_data_replays_the_first_written_generator_across_blocks_and_dims(monkeypatch):
+    # the dims reach every pairwise branch of the column sum
+    monkeypatch.setattr(data, "_D2_ROWS", 23)
+    rng = np.random.default_rng(33)
+    for dim in [1, 2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 136, 140]:
+        classes = int(rng.integers(2, min(dim, 9) + 1)) if dim > 2 else 2
+        n = int(rng.integers(classes, 120))
+        args = (n, dim, classes, float(rng.uniform(0, 0.95)), 0.3, int(rng.integers(2**32)),
+                float(rng.choice([0.5, 3.4, 12.0])))
+        got, want = synth_data(*args[:6], separation=args[6]), naive_synth_data(*args)
+        assert got.features.tobytes() == want.features.tobytes(), args
+        assert got.labels.tobytes() == want.labels.tobytes(), args
+    for classes in range(2, 10):
+        args = (int(rng.integers(classes, 120)), 9, classes, 0.3, 0.4, int(rng.integers(2**32)))
+        assert synth_data(*args).labels.tobytes() == naive_synth_data(*args).labels.tobytes()
+
+
+def test_feature_radius_is_the_first_written_formula_bitwise(monkeypatch):
+    # several blocks and a ragged last one, at dims across the column sum's branches
+    monkeypatch.setattr(model, "_RADIUS_ROWS", 29)
+    rng = np.random.default_rng(34)
+    for dim in [1, 2, 3, 7, 8, 9, 15, 16, 17, 40, 129, 140]:
+        for n in [1, 28, 29, 30, 100, 203]:
+            X = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-150, 150, size=(n, 1))
+            ds = Dataset.from_arrays(X, np.arange(n) % 2, 2)
+            assert np.float64(ds.feature_radius).tobytes() == \
+                np.float64(naive_feature_radius(X)).tobytes(), (n, dim)
+    assert Dataset.from_arrays(np.zeros((3, 0)), [0, 1, 1]).feature_radius == 0.0
+
+
+def test_overflowing_feature_radius_is_inf_without_warnings():
+    ds = Dataset.from_arrays([[1e200, 0.0], [1.0, 2.0]], [0, 1])
+    assert ds.feature_radius == np.inf
+
+
+def test_separation_whose_squared_distances_overflow_is_rejected_under_label_noise():
+    with pytest.raises(ValueError, match="^--separation 1e\\+160 is too large for label noise"):
+        synth_data(60, 4, 2, 0.0, 0.1, seed=0, separation=1e160)
+    # without label noise no distance is taken, and the features are finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = synth_data(60, 4, 2, 0.0, 0.0, seed=0, separation=1e160)
+    assert np.isfinite(far.features).all() and far.feature_radius == np.inf
+    with pytest.raises(ValueError, match="separation must be positive"):
+        synth_data(60, 4, 2, 0.0, 0.1, seed=0, separation=float("nan"))
+    synth_data(60, 4, 2, 0.0, 0.1, seed=0, separation=1e150)  # far but finite
 
 
 def test_smallest_picks_the_stable_sort_prefix_under_ties():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import adasamp.bounds as bounds
 import adasamp.harness as harness
 import adasamp.model as model
 from adasamp import (
@@ -226,6 +227,26 @@ def test_arms_trained_together_write_the_bytes_of_arms_trained_alone(tmp_path):
                 assert (together / f).read_bytes() == (alone / f).read_bytes()
         report = (together / "report.json").read_text().replace(str(together), "OUT")
         assert report == (alone / "report.json").read_text().replace(str(alone), "OUT")
+
+
+def test_a_failing_report_leaves_no_output_behind(tmp_path, monkeypatch):
+    # the last arm's bound fails after every arm has trained and the first arms'
+    # reports are built: still no directory or file is written
+    calls = []
+    gen_bound_kl = bounds.gen_bound_kl
+
+    def failing_last_arm(*args):
+        calls.append(1)
+        if len(calls) > 2 * 2:  # arms before the last x trials
+            raise ValueError("bound failed")
+        return gen_bound_kl(*args)
+
+    monkeypatch.setattr(bounds, "gen_bound_kl", failing_last_arm)
+    out = tmp_path / "cmp"
+    with pytest.raises(ValueError, match="bound failed"):
+        run_comparison(_small_cfg(out=str(out)), alphas=[1.0, 2.0])
+    assert len(calls) == 2 * 2 + 1
+    assert not out.exists()
 
 
 def test_iterations_to_target_and_risk_at():

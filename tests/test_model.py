@@ -26,8 +26,10 @@ from adasamp import (
 )
 from adasamp.model import (
     PROB_FLOOR,
+    RegularityConstants,
     _class_argmax,
     _class_max,
+    _last_axis_sum,
     _risk_and_accuracy,
     batch_objective_grads,
 )
@@ -182,6 +184,59 @@ def test_constants_examples():
     assert c1.smoothness == pytest.approx(c0.smoothness + 0.1, abs=1e-12)
     assert c1.strong_convexity == pytest.approx(0.1, abs=1e-12)
     assert c1.lipschitz == pytest.approx(math.sqrt(2.0) + 0.1 * r, abs=1e-12)
+
+
+def test_overflowing_constants_are_rejected_naming_the_cause():
+    wide = Dataset.from_arrays([[1e160, 0.0], [0.0, 1.0]], [0, 1])
+    with pytest.raises(ValueError, match="^the feature radius R = inf is too large"):
+        regularity_constants(wide, 0.01, 5.0)
+    ds = Dataset.from_arrays([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    with pytest.raises(ValueError, match="^mu \\* domain_radius = 2 \\* 1e\\+308 is too large"):
+        regularity_constants(ds, 2.0, 5.0, domain_radius=1e308)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RegularityConstants(bad, 1.0, 0.0, 5.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            RegularityConstants(1.0, bad, 0.0, 5.0)
+
+
+def _nan_blind_bytes(x):
+    """Bytes of x with every NaN made np.nan: numpy's own add gives a NaN
+    either sign, depending on where the element falls in the array."""
+    x = np.array(x, dtype=np.float64)
+    x[np.isnan(x)] = np.nan
+    return x.tobytes()
+
+
+def test_last_axis_sum_follows_numpys_summation_order():
+    # numpy's pairwise order, on the installed numpy: a change of order fails here
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.2e-308,
+               1e-300, -1e-300, 1e300, -1e300]
+    rng = np.random.default_rng(41)
+
+    def draw(shape):
+        # each row near one magnitude, so the order of its additions shows
+        scale = rng.choice([-300, -150, 0, 150, 300], size=shape[:-1] + (1,))
+        a = rng.standard_normal(shape) * 10.0 ** (scale + rng.integers(-4, 5, size=shape))
+        picked = rng.random(shape)
+        a[picked < 0.05] = rng.choice(special, size=int((picked < 0.05).sum()))
+        zeros = picked > 0.8
+        a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        return a
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 301):
+            for shape in [(k,), (5, k), (2, 3, k)]:
+                a = draw(shape)
+                want = _nan_blind_bytes(a.sum(axis=-1))
+                assert _nan_blind_bytes(_last_axis_sum(a)) == want, shape
+                # the same values as a transposed view: columns sum in contiguous runs
+                view = np.moveaxis(np.moveaxis(a, -1, 0).copy(), 0, -1)
+                assert _nan_blind_bytes(_last_axis_sum(view)) == want, shape
+                assert not view.flags.c_contiguous or view.ndim == 1 or k == 1
+            zeros = np.full((3, k), -0.0)
+            assert _last_axis_sum(zeros).tobytes() == zeros.sum(axis=-1).tobytes()
+    assert _last_axis_sum(np.array([[-0.0, -0.0]])).tobytes() == np.zeros(1).tobytes()
 
 
 def test_gradient_norm_never_exceeds_lipschitz():
