@@ -92,8 +92,6 @@ def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndar
         raise ValueError(f"unknown utility kind {kind!r}")
     scores = X @ h.swapaxes(-1, -2)
     if kind == "zero_one":
-        # np.argmax, not model's column form: on these few-row batches the
-        # column loop is no faster, and its fixed cost shows on tiny runs
         return (scores.argmax(axis=-1) != y).astype(np.float64)
     P = softmax(scores).reshape(-1, scores.shape[-1])
     py = P[np.arange(len(P)), y.reshape(-1)].reshape(y.shape)
@@ -149,23 +147,22 @@ def posterior_objective(q_next, utils, q_ref, amplitude: float, decay: float) ->
 class TrainTrace:
     """What one training run leaves behind.
 
-    Every run keeps utility_sum, the sum of its unique updated indices'
-    utilities at h_t over iterations 1..T-1, its metric_fn results and its
-    final accumulators. A run trained with record=False keeps no more: its
-    other fields stay None. A recorded run also keeps the drawn indices with
-    repeats, one array per iteration (index t-1 holds iteration t), and two
-    running sums over every draw of every iteration: log_ratio_sum, of
-    ln(n * Q_t(i)) under the pre-draw tree state, and advantage_sum, of the
-    drawn index's decayed-utility accumulator S(i, t) before the step minus
-    the accumulator mean over all examples at the start of the iteration.
+    Every run keeps its batch size, amplitude and decay (what the KL
+    statistics in `bounds` read), utility_sum, the sum of its unique updated
+    indices' utilities at h_t over iterations 1..T-1, its metric_fn results
+    and its final accumulators. A run trained with record=False keeps no
+    more: its other fields stay None. A recorded run also keeps the drawn
+    indices with repeats, one array per iteration (index t-1 holds iteration
+    t), and two running sums over every draw of every iteration:
+    log_ratio_sum, of ln(n * Q_t(i)) under the pre-draw tree state, and
+    advantage_sum, of the drawn index's decayed-utility accumulator S(i, t)
+    before the step minus the accumulator mean over all examples at the start
+    of the iteration.
     """
 
-    n: int
     batch_size: int
-    iterations: int
     amplitude: float
     decay: float
-    utility: str
     indices: list | None = None
     log_ratio_sum: float | None = None
     advantage_sum: float | None = None
@@ -177,7 +174,7 @@ class TrainTrace:
         """The field `name` of a recorded run; ValueError if the run did not record it."""
         value = getattr(self, name)
         if value is None:
-            raise ValueError(f"trace has no per-iteration {name} record (record=False)")
+            raise ValueError(f"trace has no {name} (trained with record=False)")
         return value
 
     def total_log_ratio(self) -> float:
@@ -250,7 +247,7 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     run_ids = np.arange(R) if R > 1 else None
     offsets = run_ids[:, None] * n if R > 1 else None
     acc_totals = [0.0] * R
-    traces = [TrainTrace(n, b, T, a, dec, cfg.utility) for a in amp_list]
+    traces = [TrainTrace(b, a, dec) for a in amp_list]
     if record:
         for trace in traces:
             trace.indices, trace.log_ratio_sum, trace.advantage_sum = [], 0.0, 0.0
@@ -345,13 +342,13 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     the hypothesis with the batch-mean objective gradient, then for each
     unique drawn index evaluate the utility at the new hypothesis and
     reweight it once. One `WeightTree.descend_many` call draws the batch and
-    one `update_many` call reweights it, in first-appearance order, bitwise
-    as calls of one row each would. `rng` is consumed only by the draws:
-    exactly depth uniforms per draw, draws in order. The trace is recorded
-    (see `TrainTrace`). If metric_every > 0, metric_fn(t, h, kl_stat,
-    cond_kl) is called at t = 1, every metric_every-th iteration, and t = T,
-    where kl_stat is amplitude/(1-decay) times the utility sum through
-    iteration t-1.
+    one unchecked `WeightTree._write` call reweights it, in first-appearance
+    order, bitwise as writes of one row each would. `rng` is consumed only by
+    the draws: exactly depth uniforms per draw, draws in order. The trace is
+    recorded (see `TrainTrace`). If metric_every > 0, metric_fn(t, h,
+    kl_stat, cond_kl) is called at t = 1, every metric_every-th iteration,
+    and t = T, where kl_stat is amplitude/(1-decay) times the utility sum
+    through iteration t-1.
 
     Raises DivergenceError if a step leaves h, or the utilities at h, non-finite.
     Returns (h_T, trace). The caller owns `rule` (its AdaGrad accumulator, of

@@ -133,33 +133,17 @@ class MetricsRecord:
     kl_stat: float
     conditional_kl: float | None
 
-    def row(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "empirical_risk": self.empirical_risk,
-            "heldout_risk": self.heldout_risk,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "kl_stat": self.kl_stat,
-            "conditional_kl": self.conditional_kl,
-        }
-
 
 @dataclasses.dataclass
 class TrialResult:
     trial: int
     metrics: list
-    final_h: np.ndarray
     kl_stat: float
     summary: dict
 
 
 @dataclasses.dataclass
 class ExperimentResult:
-    config: ExperimentConfig
-    train_ds: Dataset
-    test_ds: Dataset
-    constants: RegularityConstants
     trials: list
     report: dict
     out_dir: str | None
@@ -171,7 +155,11 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _render(obj) -> str:
+def dumps_json(obj) -> str:
+    """json.dumps lookalike with floats rendered at 17 significant digits.
+
+    Raises ValueError on nan or +-inf, which JSON cannot represent.
+    """
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, np.integer)):
         return json.dumps(None if obj is None else bool(obj) if isinstance(obj, bool) else int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -181,40 +169,24 @@ def _render(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items()) + "}"
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps_json(v)}"
+                               for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps_json(obj) -> str:
-    """json.dumps lookalike with floats rendered at 17 significant digits.
-
-    Raises ValueError on nan or +-inf, which JSON cannot represent.
-    """
-    return _render(obj)
-
-
 def write_metrics(records, jsonl_path, csv_path) -> None:
+    """One JSON object per record, and a CSV mirror of the same values in the
+    same text (None as an empty cell)."""
+    rows = [dataclasses.asdict(rec) for rec in records]
     with open(jsonl_path, "w") as fh:
-        for rec in records:
-            fh.write(dumps_json(rec.row()) + "\n")
-    keys = ["iteration", "empirical_risk", "heldout_risk", "train_accuracy",
-            "test_accuracy", "kl_stat", "conditional_kl"]
+        for row in rows:
+            fh.write(dumps_json(row) + "\n")
     with open(csv_path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for rec in records:
-            row = rec.row()
-            cells = []
-            for k in keys:
-                v = row[k]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, (int, np.integer)):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(format_float(float(v)))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(f.name for f in dataclasses.fields(MetricsRecord)) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else dumps_json(v) for v in row.values()) + "\n")
 
 
 # ---- dataset assembly ----
@@ -300,14 +272,13 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
     for a, sampler in enumerate(samplers):
         trials = []
         for trial in range(cfg.trials):
-            h, trace = runs[a * cfg.trials + trial]
+            _, trace = runs[a * cfg.trials + trial]
             kl_stat = bounds.kl_from_utility_sum(trace)
             summary = _trial_summary(cfg, trace.metrics, kl_stat)
-            trials.append(TrialResult(trial, trace.metrics, h, kl_stat, summary))
+            trials.append(TrialResult(trial, trace.metrics, kl_stat, summary))
         arm_cfg = dataclasses.replace(cfg, out=arms[a][1])
         report = build_report(arm_cfg, sampler, consts, train_ds, test_ds, trials)
-        results.append(ExperimentResult(arm_cfg, train_ds, test_ds, consts, trials, report,
-                                        out_dirs[a]))
+        results.append(ExperimentResult(trials, report, out_dirs[a]))
     for res in results:
         if res.out_dir is None:
             continue

@@ -138,21 +138,6 @@ def _class_max(scores: np.ndarray) -> np.ndarray:
     return best
 
 
-def _class_argmax(scores: np.ndarray) -> np.ndarray:
-    """np.argmax over the last (class) axis, one class column at a time: a
-    column takes the lead only when it beats the best so far, so the first of
-    tied maxima wins, and the first NaN wins over every number."""
-    best = scores[..., 0]
-    arg = np.zeros(best.shape, dtype=np.intp)
-    for c in range(1, scores.shape[-1]):
-        col = scores[..., c]
-        stay = best >= col
-        stay |= best != best
-        arg[~stay] = c
-        best = np.maximum(best, col)
-    return arg
-
-
 def _last_axis_sum(a: np.ndarray) -> np.ndarray:
     """Bitwise np.ascontiguousarray(a).sum(axis=-1), one last-axis column at
     a time: a short last axis then costs a few long loops instead of a tiny
@@ -211,29 +196,11 @@ def predict_proba(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return softmax(h @ x)
 
 
-def predict_proba_batch(h: np.ndarray, X: np.ndarray) -> np.ndarray:
-    if h.ndim != 2 or X.ndim != 2 or h.shape[1] != X.shape[1]:
-        raise ValueError("hypothesis and features disagree on dimension")
-    return softmax(X @ h.T)
-
-
-def surrogate_loss(h: np.ndarray, z: Example) -> float:
-    """Cross-entropy -ln p_y with the probability clamped below at PROB_FLOOR."""
-    p = predict_proba(h, z.features)
-    return float(-np.log(max(p[z.label], PROB_FLOOR)))
-
-
-def bounded_loss(h: np.ndarray, z: Example, M: float) -> float:
-    """The loss used everywhere a bounded range is required: min(CE, M) in [0, M]."""
-    if M <= 0:
-        raise ValueError("M must be positive")
-    return min(surrogate_loss(h, z), M)
-
-
 def objective_value(h: np.ndarray, z: Example, mu: float) -> float:
-    """F(h, z) = CE(h, z) + (mu/2) * ||h||^2 (unclamped; this is what SGD descends)."""
-    reg = 0.5 * mu * float((h * h).sum())
-    return surrogate_loss(h, z) + reg
+    """F(h, z) = CE(h, z) + (mu/2) * ||h||^2, what SGD descends: CE = -ln p_y
+    with p_y clamped below at PROB_FLOOR, and not clamped at M."""
+    ce = float(-np.log(max(predict_proba(h, z.features)[z.label], PROB_FLOOR)))
+    return ce + 0.5 * mu * float((h * h).sum())
 
 
 def objective_grad(h: np.ndarray, z: Example, mu: float) -> np.ndarray:
@@ -278,16 +245,12 @@ def _risk_and_accuracy(h: np.ndarray, ds: Dataset, M: float) -> tuple[float, flo
     """(mean_bounded_loss, accuracy) of h on ds from one scoring X @ h.T."""
     scores = ds.features @ h.T
     return (float(_bounded_losses(scores, ds.labels, M).mean()),
-            float((_class_argmax(scores) == ds.labels).mean()))
+            float((scores.argmax(axis=-1) == ds.labels).mean()))
 
 
 def mean_bounded_loss(h: np.ndarray, ds: Dataset, M: float) -> float:
     """Average of min(CE, M) over a dataset (the empirical risk estimate)."""
     return float(_bounded_losses(ds.features @ h.T, ds.labels, M).mean())
-
-
-def accuracy(h: np.ndarray, ds: Dataset) -> float:
-    return float((_class_argmax(ds.features @ h.T) == ds.labels).mean())
 
 
 def default_domain_radius(ds: Dataset, mu: float) -> float:

@@ -86,11 +86,6 @@ class WeightTree:
     # ---- reading ----
 
     @property
-    def total(self) -> float:
-        """Run 0's root label: the (drift-tolerant) sum of its weights."""
-        return float(self._nodes[0])
-
-    @property
     def totals(self) -> np.ndarray:
         """Every run's root label, as a view of length R."""
         return self._nodes[:: self._stride]

@@ -20,7 +20,6 @@ from adasamp import (
     conditional_kl,
     objective_grad,
     posterior_objective,
-    predict_proba_batch,
     project,
     step_size,
     train,
@@ -34,7 +33,7 @@ from adasamp import (
 import adasamp.weight_tree as weight_tree
 from adasamp.model import batch_objective_grads
 from adasamp.optim import ADAGRAD_EPS
-from oracles import naive_descend
+from oracles import naive_descend, naive_softmax
 
 
 def _random_dataset(seed, n=10, d=3, classes=2):
@@ -293,12 +292,12 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
         uni = rng.random((cfg.batch_size, tree.depth))
         idx = np.array([tree.descend_many(uni[r:r + 1])[0] for r in range(cfg.batch_size)],
                        dtype=np.int64)
-        root = tree.total
+        root = tree.totals[0]
         out["indices"].append(idx)
         out["log_ratio_sum"] += float((amp * acc[idx] - (math.log(root) - math.log(n))).sum())
         out["advantage_sum"] += float((acc[idx] - acc_total / n).sum())
         X, y = ds.features[idx], ds.labels[idx]
-        P = predict_proba_batch(h, X)
+        P = naive_softmax(X @ h.T)
         b = X.shape[0]
         P[np.arange(b), y] -= 1.0
         gbar = P.T @ X
@@ -316,7 +315,7 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
         uniq = idx[np.sort(first)]
         Xu, yu = ds.features[uniq], ds.labels[uniq]
         if cfg.utility == "l1":
-            u = np.clip(1.0 - predict_proba_batch(h, Xu)[np.arange(len(uniq)), yu], 0.0, 1.0)
+            u = np.clip(1.0 - naive_softmax(Xu @ h.T)[np.arange(len(uniq)), yu], 0.0, 1.0)
         else:
             u = ((Xu @ h.T).argmax(axis=1) != yu).astype(np.float64)
         for j, i in enumerate(uniq):

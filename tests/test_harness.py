@@ -44,10 +44,9 @@ from adasamp.model import (
     PROB_FLOOR,
     Dataset,
     default_domain_radius,
-    predict_proba_batch,
     regularity_constants,
 )
-from oracles import naive_run_indexed
+from oracles import naive_run_indexed, naive_softmax
 
 
 def _small_cfg(**overrides):
@@ -110,6 +109,26 @@ def test_dumps_json_shape():
 def test_dumps_json_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         dumps_json({"a": [1.0, bad]})
+
+
+def test_metrics_files_bytes(tmp_path):
+    records = [MetricsRecord(1, 0.1, 1.0, -0.0, 5e-324, 1e300, None),
+               MetricsRecord(20, 1e300, 5e-324, 0.1, 1.0, -0.0, 0.1)]
+    jsonl, csv = tmp_path / "m.jsonl", tmp_path / "m.csv"
+    harness.write_metrics(records, jsonl, csv)
+    assert jsonl.read_text() == (
+        '{"iteration": 1, "empirical_risk": 0.10000000000000001, "heldout_risk": 1, '
+        '"train_accuracy": -0, "test_accuracy": 4.9406564584124654e-324, '
+        '"kl_stat": 1.0000000000000001e+300, "conditional_kl": null}\n'
+        '{"iteration": 20, "empirical_risk": 1.0000000000000001e+300, '
+        '"heldout_risk": 4.9406564584124654e-324, "train_accuracy": 0.10000000000000001, '
+        '"test_accuracy": 1, "kl_stat": -0, "conditional_kl": 0.10000000000000001}\n')
+    assert csv.read_text() == (
+        "iteration,empirical_risk,heldout_risk,train_accuracy,test_accuracy,kl_stat,"
+        "conditional_kl\n"
+        "1,0.10000000000000001,1,-0,4.9406564584124654e-324,1.0000000000000001e+300,\n"
+        "20,1.0000000000000001e+300,4.9406564584124654e-324,0.10000000000000001,1,-0,"
+        "0.10000000000000001\n")
 
 
 def test_run_experiment_schema_and_ranges(tmp_path):
@@ -195,7 +214,7 @@ def test_run_comparison_structure(tmp_path):
 
 
 def test_each_metrics_tick_scores_each_dataset_once(monkeypatch):
-    calls = {"tick": 0, "losses": 0, "argmax": 0}
+    calls = {"tick": 0, "losses": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -206,13 +225,12 @@ def test_each_metrics_tick_scores_each_dataset_once(monkeypatch):
     monkeypatch.setattr(harness, "_risk_and_accuracy",
                         counted("tick", harness._risk_and_accuracy))
     monkeypatch.setattr(model, "_bounded_losses", counted("losses", model._bounded_losses))
-    monkeypatch.setattr(model, "_class_argmax", counted("argmax", model._class_argmax))
     out = run_comparison(_small_cfg(), alphas=[1.0, 2.0])
     results = out["results"].values()
     ticks = sum(len(tr.metrics) for result in results for tr in result.trials)
     assert ticks == 3 * 2 * 5  # arms x trials x (iters / cadence + 1)
     # one scoring each of train and test per tick; the report's h0 risk once per arm
-    assert calls == {"tick": 2 * ticks, "losses": 2 * ticks + 3, "argmax": 2 * ticks}
+    assert calls == {"tick": 2 * ticks, "losses": 2 * ticks + 3}
 
 
 def test_arms_trained_together_write_the_bytes_of_arms_trained_alone(tmp_path):
@@ -315,7 +333,7 @@ def _per_run_probe(cfg, perturbations, probe_seeds, eval_n):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
 
     def losses(h):
-        P = predict_proba_batch(h, eval_X)
+        P = naive_softmax(eval_X @ h.T)
         py = np.maximum(P[np.arange(eval_X.shape[0]), eval_y], PROB_FLOOR)
         return np.minimum(-np.log(py), M)
 

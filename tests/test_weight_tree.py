@@ -126,7 +126,7 @@ def test_single_leaf_tree():
     assert rng.random() == np.random.default_rng(3).random()
     assert tree.descend_many(np.empty((3, 0))).tolist() == [0, 0, 0]
     tree.update_many([0], [5.0])
-    assert tree.total == 5.0 and tree.update_writes == 1
+    assert tree.totals[0] == 5.0 and tree.update_writes == 1
 
 
 def test_update_to_zero_renormalizes():
@@ -167,7 +167,7 @@ def test_sum_consistency_under_many_updates():
     for i, v in zip(rng.integers(0, 1000, size=100000),
                     rng.uniform(0.0, 2.0, size=100000)):
         tree.update_many([i], [v])
-    assert abs(tree.total - _leaves(tree).sum()) <= 1e-9 * tree.total
+    assert abs(tree.totals[0] - _leaves(tree).sum()) <= 1e-9 * tree.totals[0]
 
 
 def test_automatic_rebuild_resets_counter(monkeypatch):
@@ -179,7 +179,7 @@ def test_automatic_rebuild_resets_counter(monkeypatch):
     assert tree._updates_since_rebuild == 9
     tree.update_many([3], [1.2])
     assert tree._updates_since_rebuild == 0
-    assert abs(tree.total - _leaves(tree).sum()) == 0.0
+    assert abs(tree.totals[0] - _leaves(tree).sum()) == 0.0
 
 
 def test_rebuild_preserves_distribution():
@@ -235,7 +235,7 @@ def test_subnormal_weights_are_rejected():
     tree = WeightTree([floor, 0.0])
     assert tree.descend_many([[1 - 2**-53]]).tolist() == [0]
     tree.update_many([1], [floor])
-    assert tree.total == 2 * floor
+    assert tree.totals[0] == 2 * floor
 
 
 def _weight(max_value=1e3):
@@ -330,7 +330,7 @@ def test_update_many_under_drift_stays_near_its_rebuild(weights, data):
     n = len(weights)
     tree = WeightTree(weights)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    scale = tree.total  # the largest root the labels have carried
+    scale = tree.totals[0]  # the largest root the labels have carried
     for _ in range(data.draw(st.integers(1, 6))):
         idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         new = data.draw(st.lists(_weight(), min_size=len(idx), max_size=len(idx)))
@@ -341,7 +341,7 @@ def test_update_many_under_drift_stays_near_its_rebuild(weights, data):
         tree.update_many(np.array(idx), np.array(new))
         exact = copy.deepcopy(tree)
         exact.rebuild()
-        scale = max(scale, exact.total)
+        scale = max(scale, exact.totals[0])
         anc = _ancestors(tree, idx)
         assert np.all(tree._nodes[anc] >= 0)
         assert np.all(np.abs(tree._nodes[anc] - exact._nodes[anc]) <= 1e-12 * scale)
@@ -427,7 +427,7 @@ def test_run_axis_matches_separate_trees(monkeypatch):
         for r in range(3):
             assert rows[r].tobytes() == alone[r]._nodes.tobytes()
             assert stacked._updates_since_rebuild[r] == alone[r]._updates_since_rebuild[0]
-            assert stacked.totals[r] == alone[r].total
+            assert stacked.totals[r] == alone[r].totals[0]
             assert stacked.distribution(r).tobytes() == alone[r].distribution().tobytes()
     with pytest.raises(ValueError):
         stacked.descend_many(rng.random((4, 2, stacked.depth)))  # more slabs than runs
