@@ -5,8 +5,9 @@ coefficients of SGD under the stated regularity regime; the gen_bound_*
 functions evaluate high-probability generalization bounds for a sampling
 distribution Q over the n training examples, given a divergence of Q from the
 uniform prior and stability coefficients (beta for resampling one data point,
-gamma for perturbing one index of the draw sequence). kl_from_utility_advantage
-and kl_from_utility_sum scale a training trace's running sums into upper
+gamma for perturbing one index of the draw sequence); each raises ValueError
+naming its formula when its value is not finite. kl_from_utility_advantage and
+kl_from_utility_sum scale a training trace's running sums into upper
 statistics for KL(Q || uniform), and enumerate_posterior_divergence computes
 the exact KL and both statistics on instances small enough to enumerate every
 sample path.
@@ -34,7 +35,7 @@ def sgd_stability_convex(L: float, eta: float, T: int, n: int) -> float:
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     _check_counts(T=T, n=n)
-    return 2.0 * L * L * eta * (math.log(T) + 1.0) / n
+    return _finite("stability_convex coefficient", 2.0 * L * L * eta * (math.log(T) + 1.0) / n)
 
 
 def sgd_stability_nonconvex(L: float, smoothness: float, eta: float, T: int, n: int,
@@ -51,7 +52,8 @@ def sgd_stability_nonconvex(L: float, smoothness: float, eta: float, T: int, n: 
         raise ValueError("n must be >= 2")
     be = smoothness * eta
     lead = (M + 1.0 / be) / (n - 1)
-    return lead * (2.0 * L * L * eta) ** (1.0 / (be + 1.0)) * T ** (be / (be + 1.0))
+    return _finite("stability_nonconvex coefficient",
+                   lead * (2.0 * L * L * eta) ** (1.0 / (be + 1.0)) * T ** (be / (be + 1.0)))
 
 
 def sgd_stability_initial_risk(L: float, eta: float, T: int, n: int,
@@ -64,7 +66,8 @@ def sgd_stability_initial_risk(L: float, eta: float, T: int, n: int,
     _check_counts(T=T, n=n)
     if risk_h0 < 0:
         raise ValueError("risk_h0 must be nonnegative")
-    return 2.0 * L * eta * (math.log(T) + 1.0) * math.sqrt(2.0 * smoothness * risk_h0) / n
+    return _finite("stability_initial_risk coefficient",
+                   2.0 * L * eta * (math.log(T) + 1.0) * math.sqrt(2.0 * smoothness * risk_h0) / n)
 
 
 def sgd_stability_strongly_convex(L: float, mu: float, n: int, T: int) -> tuple[float, float]:
@@ -72,7 +75,8 @@ def sgd_stability_strongly_convex(L: float, mu: float, n: int, T: int) -> tuple[
     eta_t = 1/(mu t + smoothness): beta = 2L^2/(mu n), gamma = 2L^2/(mu T)."""
     _check_positive(L=L, mu=mu)
     _check_counts(T=T, n=n)
-    return 2.0 * L * L / (mu * n), 2.0 * L * L / (mu * T)
+    name = "stability_strongly_convex coefficient"
+    return _finite(name, 2.0 * L * L / (mu * n)), _finite(name, 2.0 * L * L / (mu * T))
 
 
 # ---- divergences ----
@@ -109,17 +113,27 @@ def chisq_divergence(q, p) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound: formula id, the value, and an echo of the inputs."""
+    """One evaluated bound: formula id, the value, and an echo of the inputs.
+    A value that is not finite is rejected, naming the formula."""
 
     formula: str
     value: float
     inputs: dict
+
+    def __post_init__(self):
+        _finite(f"{self.formula} bound", self.value)
 
     def to_json(self) -> dict:
         """Flat JSON object: formula, value, then the inputs."""
         out = {"formula": self.formula, "value": self.value}
         out.update(self.inputs)
         return out
+
+
+def _finite(what: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"the {what} is {value!r} at these inputs, not a finite number")
+    return value
 
 
 def _check_positive(**named):
@@ -155,6 +169,26 @@ def gen_bound_chisq(chisq: float, M: float, n: int, beta: float, delta: float) -
                        {"chisq": chisq, "M": M, "n": n, "beta": beta, "delta": delta})
 
 
+def _kl_width(kl: float, M: float, n: int, T: int, beta: float, gamma: float,
+              delta: float) -> float:
+    """(M + 2 n beta)^2 / n + 4 T gamma^2, once the KL bounds' inputs are
+    checked. Squared by multiplication, which overflows to inf, where ** would
+    raise OverflowError."""
+    if kl < 0 or beta < 0 or gamma < 0:
+        raise ValueError("kl, beta, gamma must be nonnegative")
+    _check_positive(M=M)
+    _check_counts(n=n, T=T)
+    _check_delta(delta)
+    lead = M + 2.0 * n * beta
+    return lead * lead / n + 4.0 * T * gamma * gamma
+
+
+def _kl_bound(kl: float, M: float, n: int, T: int, beta: float, gamma: float,
+              delta: float) -> float:
+    width = _kl_width(kl, M, n, T, beta, gamma, delta)
+    return beta + math.sqrt(2.0 * (kl + math.log(2.0 / delta)) * width)
+
+
 def gen_bound_kl(kl: float, M: float, n: int, T: int, beta: float, gamma: float,
                  delta: float) -> BoundReport:
     """Generalization gap bound from KL(Q || uniform) for a (beta, gamma)-stable
@@ -162,14 +196,7 @@ def gen_bound_kl(kl: float, M: float, n: int, T: int, beta: float, gamma: float,
 
         beta + sqrt( 2 (kl + ln(2/delta)) * ((M + 2 n beta)^2 / n + 4 T gamma^2) )
     """
-    if kl < 0 or beta < 0 or gamma < 0:
-        raise ValueError("kl, beta, gamma must be nonnegative")
-    _check_positive(M=M)
-    _check_counts(n=n, T=T)
-    _check_delta(delta)
-    width = (M + 2.0 * n * beta) ** 2 / n + 4.0 * T * gamma * gamma
-    value = beta + math.sqrt(2.0 * (kl + math.log(2.0 / delta)) * width)
-    return BoundReport("kl", value,
+    return BoundReport("kl", _kl_bound(kl, M, n, T, beta, gamma, delta),
                        {"kl": kl, "M": M, "n": n, "T": T, "beta": beta, "gamma": gamma,
                         "delta": delta})
 
@@ -179,8 +206,7 @@ def gen_bound_sgd_strongly_convex(kl: float, M: float, L: float, mu: float, n: i
     """The KL bound specialized to strongly convex SGD: gen_bound_kl evaluated
     exactly at the (beta, gamma) pair of sgd_stability_strongly_convex."""
     beta, gamma = sgd_stability_strongly_convex(L, mu, n, T)
-    inner = gen_bound_kl(kl, M, n, T, beta, gamma, delta)
-    return BoundReport("sgd_strongly_convex", inner.value,
+    return BoundReport("sgd_strongly_convex", _kl_bound(kl, M, n, T, beta, gamma, delta),
                        {"kl": kl, "M": M, "L": L, "mu": mu, "n": n, "T": T, "delta": delta,
                         "beta": beta, "gamma": gamma})
 
@@ -192,12 +218,7 @@ def gen_bound_derandomized(kl: float, M: float, n: int, T: int, beta: float, gam
         beta + gamma sqrt(2 T ln(2/delta))
              + sqrt( 2 (kl + ln(4/delta)) * ((M + 2 n beta)^2 / n + 4 T gamma^2) )
     """
-    if kl < 0 or beta < 0 or gamma < 0:
-        raise ValueError("kl, beta, gamma must be nonnegative")
-    _check_positive(M=M)
-    _check_counts(n=n, T=T)
-    _check_delta(delta)
-    width = (M + 2.0 * n * beta) ** 2 / n + 4.0 * T * gamma * gamma
+    width = _kl_width(kl, M, n, T, beta, gamma, delta)
     value = (beta + gamma * math.sqrt(2.0 * T * math.log(2.0 / delta))
              + math.sqrt(2.0 * (kl + math.log(4.0 / delta)) * width))
     return BoundReport("derandomized", value,

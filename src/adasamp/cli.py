@@ -143,8 +143,8 @@ def cmd_train(args) -> int:
     cfg = _experiment_config(args)
     result = run_experiment(cfg)
     print(dumps_json(result.report["aggregate"]))
-    if result.out_dir:
-        print(f"wrote metrics and report.json under {result.out_dir}")
+    if cfg.out:
+        print(f"wrote metrics and report.json under {cfg.out}")
     return 0
 
 

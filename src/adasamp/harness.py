@@ -1,17 +1,18 @@
 """Experiment harness: configs, metrics files, trials, and stability probes.
 
 run_experiment trains `trials` independent runs of one sampler configuration on
-a shared dataset, writing per-iteration metrics to JSONL (with a CSV mirror)
-and a final JSON report that echoes the config, the regularity constants,
-per-trial summaries, and evaluated stability/generalization bounds with the
-recorded utility-sum KL statistic substituted for KL(Q || P). run_comparison
-does the same for a uniform arm and one arm per amplitude on one dataset.
-Every arm and trial is trained in one lockstep `train_many` call, which keeps
-no per-iteration trace, and the files are written afterwards. A metrics tick
-scores each dataset once: one X @ h.T per dataset gives both its risk and its
-accuracy. All output is deterministic for a fixed config and master seed, and
-byte-identical to training the arms and trials one at a time: runs are stacked
-in a fixed order, and every float is serialized with 17 significant digits.
+a shared dataset and keeps each trial's metrics records and a final JSON report
+that echoes the config, the regularity constants, one summary per trial read
+from its last record, and evaluated stability/generalization bounds with that
+record's utility-sum KL statistic substituted for KL(Q || P). run_comparison
+does the same for a uniform arm and one arm per amplitude on one dataset. Every
+arm and trial is trained in one lockstep `train_many` call. A metrics tick
+scores each dataset once (one X @ h.T gives its risk and its accuracy), and a
+non-finite risk is a divergence. Every output file (metrics JSONL with a CSV
+mirror, reports) is rendered to text before any directory is created, so a run
+that fails writes nothing. Output is deterministic for a fixed config and
+master seed, and byte-identical to training the arms and trials one at a time:
+runs stack in a fixed order, and floats are written at 17 significant digits.
 
 probe_stability estimates the replace-one-example stability beta and the
 perturb-one-index stability gamma of the uniform-sampling strongly convex
@@ -31,7 +32,7 @@ import os
 import numpy as np
 
 from . import bounds
-from .adaptive import SamplerConfig, train_many
+from .adaptive import DivergenceError, SamplerConfig, train_many
 from .data import load_csv, synth_arrays, synth_data
 from .model import (
     Dataset,
@@ -48,6 +49,7 @@ from .model import (
 from .optim import StepSchedule, UpdateRuleState, step_size
 
 UTILITY_FLAGS = {"01": "zero_one", "l1": "l1"}
+PROBE_EVAL_N = 200  # fresh points the stability probes take their loss differences over
 
 
 @dataclasses.dataclass
@@ -135,18 +137,9 @@ class MetricsRecord:
 
 
 @dataclasses.dataclass
-class TrialResult:
-    trial: int
-    metrics: list
-    kl_stat: float
-    summary: dict
-
-
-@dataclasses.dataclass
 class ExperimentResult:
-    trials: list
+    metrics: list  # one MetricsRecord list per trial, in trial order
     report: dict
-    out_dir: str | None
 
 
 # ---- deterministic serialization: every float at 17 significant digits ----
@@ -176,17 +169,33 @@ def dumps_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def write_metrics(records, jsonl_path, csv_path) -> None:
-    """One JSON object per record, and a CSV mirror of the same values in the
-    same text (None as an empty cell)."""
+def write_metrics(records) -> tuple[str, str]:
+    """The texts of a metrics JSONL file, one JSON object per record, and of
+    its CSV mirror, the same values in the same text (None as an empty cell).
+    Writes nothing: `_write_files` does."""
     rows = [dataclasses.asdict(rec) for rec in records]
-    with open(jsonl_path, "w") as fh:
-        for row in rows:
-            fh.write(dumps_json(row) + "\n")
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(f.name for f in dataclasses.fields(MetricsRecord)) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else dumps_json(v) for v in row.values()) + "\n")
+    csv = [",".join(f.name for f in dataclasses.fields(MetricsRecord))]
+    csv += [",".join("" if v is None else dumps_json(v) for v in row.values()) for row in rows]
+    return "".join(dumps_json(row) + "\n" for row in rows), "\n".join(csv) + "\n"
+
+
+def _render_arm(out_dir: str, result: ExperimentResult) -> dict:
+    """path -> text for every file of one arm under out_dir."""
+    files = {}
+    for k, records in enumerate(result.metrics):
+        base = os.path.join(out_dir, f"trial_{k}.metrics")
+        files[base + ".jsonl"], files[base + ".csv"] = write_metrics(records)
+    files[os.path.join(out_dir, "report.json")] = dumps_json(result.report) + "\n"
+    return files
+
+
+def _write_files(files: dict) -> None:
+    """Create each path's directory and write its text: the harness's one
+    writer, called only once every file has been rendered."""
+    for path, text in files.items():
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 # ---- dataset assembly ----
@@ -226,20 +235,22 @@ def _trial_streams(master_seed: int, trials: int):
 
 def run_experiment(cfg: ExperimentConfig, alpha: float | None = None) -> ExperimentResult:
     """Train `cfg.trials` runs of one sampler setting (alpha overrides cfg.alpha)
-    and assemble metrics plus the final bound report. Writes
-    trial_<k>.metrics.jsonl / .csv and report.json under cfg.out when set."""
-    return _run_arms(cfg, [(alpha, cfg.out)])[0]
+    and assemble metrics plus the final bound report. With cfg.out set, renders
+    trial_<k>.metrics.jsonl / .csv and report.json, then writes them there."""
+    result = _run_arms(cfg, [(alpha, cfg.out)])[0]
+    if cfg.out is not None:
+        _write_files(_render_arm(cfg.out, result))
+    return result
 
 
 def _run_arms(cfg: ExperimentConfig, arms) -> list:
     """One ExperimentResult per (alpha, out dir) arm: build the datasets once,
     train every arm's `cfg.trials` trials in one `train_many` call, arm after
-    arm in run order, and build every arm's report; only then create each
-    arm's out dir (if any) and write its files there, so a run that diverges
-    or whose report fails leaves no directory behind.
+    arm in run order, and build every arm's report, which echoes its out dir.
+    Writes nothing.
 
     Trial k of every arm starts from the same h0 and sampling seed, and every
-    file is byte-identical to training the arms and trials one at a time.
+    result is bitwise that of training the arms and trials one at a time.
     """
     train_ds, test_ds = build_datasets(cfg)
     consts = regularity_constants(train_ds, cfg.mu, cfg.loss_bound, cfg.domain_radius)
@@ -248,7 +259,6 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
         radius = default_domain_radius(train_ds, cfg.mu)
     sched = cfg.step_schedule(consts)
     samplers = [cfg.sampler_config(alpha) for alpha, _ in arms]
-    out_dirs = [None if out is None else str(out) for _, out in arms]
 
     shape = (train_ds.num_classes, train_ds.feature_dim)
     cfgs, h0s, rngs = [], [], []
@@ -261,6 +271,8 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
     def metric_fn(r, t, h, kl_stat, cond_kl):
         train_risk, train_acc = _risk_and_accuracy(h, train_ds, cfg.loss_bound)
         test_risk, test_acc = _risk_and_accuracy(h, test_ds, cfg.loss_bound)
+        if not (math.isfinite(train_risk) and math.isfinite(test_risk)):
+            raise DivergenceError(t)  # scores of rows the run never drew overflowed
         return MetricsRecord(t, train_risk, test_risk, train_acc, test_acc, kl_stat, cond_kl)
 
     rule = _make_rule(cfg, (len(cfgs), *shape))  # AdaGrad: one accumulator per run
@@ -269,26 +281,11 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
                       record=False)
 
     results = []
-    for a, sampler in enumerate(samplers):
-        trials = []
-        for trial in range(cfg.trials):
-            _, trace = runs[a * cfg.trials + trial]
-            kl_stat = bounds.kl_from_utility_sum(trace)
-            summary = _trial_summary(cfg, trace.metrics, kl_stat)
-            trials.append(TrialResult(trial, trace.metrics, kl_stat, summary))
-        arm_cfg = dataclasses.replace(cfg, out=arms[a][1])
-        report = build_report(arm_cfg, sampler, consts, train_ds, test_ds, trials)
-        results.append(ExperimentResult(trials, report, out_dirs[a]))
-    for res in results:
-        if res.out_dir is None:
-            continue
-        os.makedirs(res.out_dir, exist_ok=True)
-        for tr in res.trials:
-            write_metrics(tr.metrics,
-                          os.path.join(res.out_dir, f"trial_{tr.trial}.metrics.jsonl"),
-                          os.path.join(res.out_dir, f"trial_{tr.trial}.metrics.csv"))
-        with open(os.path.join(res.out_dir, "report.json"), "w") as fh:
-            fh.write(dumps_json(res.report) + "\n")
+    for a, (sampler, (_, out)) in enumerate(zip(samplers, arms)):
+        metrics = [trace.metrics for _, trace in runs[a * cfg.trials:(a + 1) * cfg.trials]]
+        report = build_report(dataclasses.replace(cfg, out=out), sampler, consts,
+                              train_ds, test_ds, metrics)
+        results.append(ExperimentResult(metrics, report))
     return results
 
 
@@ -298,20 +295,6 @@ def _make_rule(cfg: ExperimentConfig, shape) -> UpdateRuleState:
     if cfg.rule == "adagrad":
         return UpdateRuleState.adagrad(shape)
     raise ValueError(f"unknown update rule {cfg.rule!r}")
-
-
-def _trial_summary(cfg: ExperimentConfig, records, kl_stat: float) -> dict:
-    final = records[-1]
-    summary = {
-        "final_empirical_risk": final.empirical_risk,
-        "final_heldout_risk": final.heldout_risk,
-        "final_train_accuracy": final.train_accuracy,
-        "final_test_accuracy": final.test_accuracy,
-        "kl_stat": kl_stat,
-    }
-    if cfg.target is not None:
-        summary["iterations_to_target"] = iterations_to_target(records, cfg.target)
-    return summary
 
 
 def iterations_to_target(records, target: float) -> int | None:
@@ -340,22 +323,32 @@ SCHEDULE_NOTE = (
 
 
 def build_report(cfg: ExperimentConfig, sampler: SamplerConfig, consts: RegularityConstants,
-                 train_ds: Dataset, test_ds: Dataset, trials) -> dict:
-    """The final JSON report: config echo, constants, per-trial summaries and
-    bound evaluations (KL statistic plugged in), and cross-trial aggregates."""
+                 train_ds: Dataset, test_ds: Dataset, metrics) -> dict:
+    """The final JSON report: config echo, constants, one row per trial read
+    from its last metrics record (the t = T tick) with bound evaluations (its
+    KL statistic plugged in), and cross-trial aggregates of those rows."""
     n, T = train_ds.n, cfg.iters
     h0_risk = mean_bounded_loss(zeros_hypothesis(train_ds.num_classes, train_ds.feature_dim),
                                 test_ds, consts.loss_bound)
     trial_rows = []
-    for tr in trials:
-        row = dict(tr.summary)
-        row["trial"] = tr.trial
-        row["bounds"] = _trial_bounds(cfg, consts, n, T, tr.kl_stat, h0_risk)
+    for trial, records in enumerate(metrics):
+        final = records[-1]
+        row = {
+            "final_empirical_risk": final.empirical_risk,
+            "final_heldout_risk": final.heldout_risk,
+            "final_train_accuracy": final.train_accuracy,
+            "final_test_accuracy": final.test_accuracy,
+            "kl_stat": final.kl_stat,
+        }
+        if cfg.target is not None:
+            row["iterations_to_target"] = iterations_to_target(records, cfg.target)
+        row["trial"] = trial
+        row["bounds"] = _trial_bounds(cfg, consts, n, T, final.kl_stat, h0_risk)
         trial_rows.append(row)
     agg = {}
     for key in ("final_empirical_risk", "final_heldout_risk", "final_train_accuracy",
                 "final_test_accuracy", "kl_stat"):
-        vals = [tr.summary[key] for tr in trials]
+        vals = [row[key] for row in trial_rows]
         agg[f"median_{key}"] = float(np.median(vals))
         agg[f"mean_{key}"] = float(np.mean(vals))
     return {
@@ -414,7 +407,9 @@ def run_comparison(cfg: ExperimentConfig, alphas=None) -> dict:
     `alpha_<value:g>`; alphas that would share a name are rejected.
 
     The per-trial loss target defaults to 1.2x the uniform arm's empirical risk
-    at T/2 for that trial. Writes each arm under out/<arm>/ plus comparison.json.
+    at T/2 for that trial. When cfg.out is set, renders every arm's files and
+    comparison.json, and only then writes each arm under out/<arm>/ and
+    comparison.json under out.
     """
     if alphas is None:
         alphas = [cfg.alpha]
@@ -429,26 +424,25 @@ def run_comparison(cfg: ExperimentConfig, alphas=None) -> dict:
                               for name, alpha in arms.items()])
     arm_results = dict(zip(arms, results))
 
-    uniform = arm_results["uniform"]
-    targets = []
-    for tr in uniform.trials:
-        targets.append(1.2 * risk_at(tr.metrics, cfg.iters // 2)
-                       if cfg.target is None else cfg.target)
+    targets = [1.2 * risk_at(records, cfg.iters // 2) if cfg.target is None else cfg.target
+               for records in arm_results["uniform"].metrics]
     comparison = {"targets": targets, "arms": {}}
     for name, result in arm_results.items():
-        iters = [iterations_to_target(tr.metrics, targets[k])
-                 for k, tr in enumerate(result.trials)]
+        iters = [iterations_to_target(records, target)
+                 for records, target in zip(result.metrics, targets)]
         finite = [i if i is not None else cfg.iters + 1 for i in iters]
         comparison["arms"][name] = {
             "alpha": arms[name],
             "iterations_to_target": iters,
             "median_iterations_to_target": float(np.median(finite)),
-            "kl_stat_mean": float(np.mean([tr.kl_stat for tr in result.trials])),
-            "kl_stat_median": float(np.median([tr.kl_stat for tr in result.trials])),
+            "kl_stat_mean": result.report["aggregate"]["mean_kl_stat"],
+            "kl_stat_median": result.report["aggregate"]["median_kl_stat"],
         }
     if base_out is not None:
-        with open(os.path.join(base_out, "comparison.json"), "w") as fh:
-            fh.write(dumps_json(comparison) + "\n")
+        files = {os.path.join(base_out, "comparison.json"): dumps_json(comparison) + "\n"}
+        for name, result in arm_results.items():
+            files.update(_render_arm(os.path.join(base_out, name), result))
+        _write_files(files)
     return {"comparison": comparison, "results": arm_results}
 
 
@@ -491,7 +485,7 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
 
 
 def probe_stability(cfg: ExperimentConfig, perturbations: int,
-                    probe_seeds: int = 8, eval_n: int = 200) -> StabilityProbeResult:
+                    probe_seeds: int = 8) -> StabilityProbeResult:
     """Empirical replace-one-example and perturb-one-index stability probes.
 
     Requires mu > 0; runs the strongly-convex regime exactly: uniform sampling
@@ -500,7 +494,7 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
     one-replacement through shared index sequences and averages over
     `probe_seeds` sequences before taking absolute differences; the sequence
     probe compares two runs on sequences differing in exactly one position.
-    Returns max (and per-probe) loss differences over `eval_n` fresh points.
+    Returns max (and per-probe) loss differences over PROBE_EVAL_N fresh points.
 
     Every sequence, site and position is drawn first; then all coupled runs
     are stepped together by one kernel call over one table holding S followed
@@ -513,14 +507,12 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
         raise ValueError("perturbations must be >= 1")
     if probe_seeds < 1:
         raise ValueError("probe_seeds must be >= 1")
-    if eval_n < 1:
-        raise ValueError("eval_n must be >= 1")
     if cfg.iters < 1:
         raise ValueError("iters must be >= 1")
     if cfg.n < 2:
         raise ValueError("n must be >= 2")
     n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu
-    pool = synth_data(n + perturbations + eval_n, cfg.dim, cfg.classes, cfg.imbalance,
+    pool = synth_data(n + perturbations + PROBE_EVAL_N, cfg.dim, cfg.classes, cfg.imbalance,
                       cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
     consts = regularity_constants(pool, mu, M)
     radius = default_domain_radius(pool, mu)

@@ -28,12 +28,13 @@ class Example(NamedTuple):
 @dataclasses.dataclass(frozen=True)
 class Dataset:
     """Feature matrix (n x d), integer labels in 0..num_classes-1, and the
-    empirical feature radius max_i ||x_i||_2 (used by the regularity constants)."""
+    empirical feature radius max_i ||x_i||_2 (used by the regularity constants),
+    which the dataset measures itself."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    feature_radius: float
+    feature_radius: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.ndim != 1:
@@ -42,8 +43,11 @@ class Dataset:
             raise ValueError("features and labels disagree on n")
         if self.features.shape[0] == 0:
             raise ValueError("dataset is empty")
-        if not np.all(np.isfinite(self.features)):
+        radius = _feature_radius(self.features)
+        # a non-finite feature makes the radius inf or nan, so only then scan
+        if not math.isfinite(radius) and not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
+        object.__setattr__(self, "feature_radius", radius)
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
@@ -55,7 +59,7 @@ class Dataset:
         y = np.asarray(labels, dtype=np.int64)
         if num_classes is None:
             num_classes = int(y.max()) + 1 if y.size else 0
-        return cls(X, y, int(num_classes), _feature_radius(X))
+        return cls(X, y, int(num_classes))
 
     @property
     def n(self) -> int:

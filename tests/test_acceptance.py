@@ -348,9 +348,9 @@ def test_adaptive_beats_uniform_and_posterior_relaxes(comparison_runs):
                                                        "alpha_2")]
     ok_sweep = kls[0] <= kls[1] <= kls[2]
     ok_decay = True
-    for tr in out["results"]["alpha_2"].trials:
-        it = np.array([r.iteration for r in tr.metrics])
-        ck = np.array([r.conditional_kl for r in tr.metrics])
+    for records in out["results"]["alpha_2"].metrics:
+        it = np.array([r.iteration for r in records])
+        ck = np.array([r.conditional_kl for r in records])
         first = ck[it <= cfg.iters // 4].mean()
         last = ck[it > 3 * cfg.iters // 4].mean()
         ok_decay = ok_decay and last < first

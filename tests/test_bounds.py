@@ -237,6 +237,26 @@ def test_derandomized_vs_kl_bound_at_zero_gamma():
     assert gen_bound_derandomized(kl, M, n, T, beta, 0.0, 0.2).value == b
 
 
+@pytest.mark.parametrize("evaluate,name", [
+    (lambda: sgd_stability_convex(1e200, 1e200, 10, 1), "stability_convex coefficient"),
+    (lambda: sgd_stability_nonconvex(1.0, 1e300, 1e300, 100, 100, 1.0),
+     "stability_nonconvex coefficient"),
+    (lambda: sgd_stability_initial_risk(1e200, 1e200, 10, 1, 1.0, 1.0),
+     "stability_initial_risk coefficient"),
+    (lambda: sgd_stability_strongly_convex(1e200, 1e-300, 1, 1),
+     "stability_strongly_convex coefficient"),
+    (lambda: gen_bound_chisq(1e300, 1.0, 1, 1e10, 0.05), "chisq bound"),
+    (lambda: gen_bound_kl(0.0, 1.0, 100, 1, 1e200, 0.0, 0.05), "kl bound"),
+    (lambda: gen_bound_sgd_strongly_convex(0.0, 1.0, 1.0, 1e-300, 100, 1, 0.05),
+     "sgd_strongly_convex bound"),
+    (lambda: gen_bound_derandomized(0.0, 1.0, 100, 1, 1e200, 0.0, 0.05), "derandomized bound"),
+])
+def test_an_evaluator_whose_value_is_not_finite_raises_naming_its_formula(evaluate, name):
+    # an overflowing square is inf, not OverflowError, and is rejected as such
+    with pytest.raises(ValueError, match=f"^the {name} is (inf|nan) at these inputs"):
+        evaluate()
+
+
 def test_gen_bound_validation():
     with pytest.raises(ValueError):
         gen_bound_kl(-0.1, 1.0, 10, 10, 0.0, 0.0, 0.05)

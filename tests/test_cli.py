@@ -204,6 +204,48 @@ def test_diverged_compare_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cadence,iteration", [("1", 2), ("20", 3)])
+def test_a_tick_whose_risk_is_not_finite_is_a_divergence(tmp_path, capsys, cadence, iteration):
+    # the hypothesis and the drawn rows' utilities stay finite, but the tick's
+    # scores of other rows overflow, so its risk is nan; the reported
+    # iteration is the tick that saw it
+    out = tmp_path / "D"
+    rc = main(["train", "--mu", "0", "--schedule", "constant", "--eta", "1.2e307",
+               "--n", "60", "--test-n", "40", "--iters", "3", "--batch", "1", "--trials", "1",
+               "--cadence", cadence, "--seed", "4", "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: diverged at iteration {iteration}\n"
+    assert not out.exists()
+
+
+_TINY_TRAIN = ["train", "--n", "60", "--test-n", "40", "--iters", "3", "--batch", "1",
+               "--trials", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--formula", "kl", "--beta", "1e200", "--mu", "1e-300", "--n", "100"],
+     "the kl bound is inf"),
+    (["bounds", "--formula", "derandomized", "--beta", "1e200", "--mu", "1e-300", "--n", "100"],
+     "the derandomized bound is inf"),
+    (["bounds", "--formula", "sgd-strongly-convex", "--mu", "1e-300", "--n", "100"],
+     "the sgd_strongly_convex bound is inf"),
+    (["bounds", "--formula", "stab-nonconvex", "--smoothness", "1e300", "--eta", "1e300"],
+     "the stability_nonconvex coefficient is nan"),
+    ([*_TINY_TRAIN, "--mu", "1e-300"], "the kl bound is inf"),
+    ([*_TINY_TRAIN, "--mu", "1e-306"], "the kl bound is inf"),
+])
+def test_a_bound_that_is_not_finite_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "D"
+    rc = main([*argv, *(["--out", str(out)] if argv[0] == "train" else [])])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} at these inputs, not a finite number\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--separation", "1e160"],
      "--separation 1e+160 is too large for label noise: "

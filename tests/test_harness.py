@@ -111,19 +111,18 @@ def test_dumps_json_rejects_non_finite(bad):
         dumps_json({"a": [1.0, bad]})
 
 
-def test_metrics_files_bytes(tmp_path):
+def test_metrics_files_bytes():
     records = [MetricsRecord(1, 0.1, 1.0, -0.0, 5e-324, 1e300, None),
                MetricsRecord(20, 1e300, 5e-324, 0.1, 1.0, -0.0, 0.1)]
-    jsonl, csv = tmp_path / "m.jsonl", tmp_path / "m.csv"
-    harness.write_metrics(records, jsonl, csv)
-    assert jsonl.read_text() == (
+    jsonl, csv = harness.write_metrics(records)
+    assert jsonl == (
         '{"iteration": 1, "empirical_risk": 0.10000000000000001, "heldout_risk": 1, '
         '"train_accuracy": -0, "test_accuracy": 4.9406564584124654e-324, '
         '"kl_stat": 1.0000000000000001e+300, "conditional_kl": null}\n'
         '{"iteration": 20, "empirical_risk": 1.0000000000000001e+300, '
         '"heldout_risk": 4.9406564584124654e-324, "train_accuracy": 0.10000000000000001, '
         '"test_accuracy": 1, "kl_stat": -0, "conditional_kl": 0.10000000000000001}\n')
-    assert csv.read_text() == (
+    assert csv == (
         "iteration,empirical_risk,heldout_risk,train_accuracy,test_accuracy,kl_stat,"
         "conditional_kl\n"
         "1,0.10000000000000001,1,-0,4.9406564584124654e-324,1.0000000000000001e+300,\n"
@@ -135,19 +134,18 @@ def test_run_experiment_schema_and_ranges(tmp_path):
     cfg = _small_cfg(out=str(tmp_path / "run"))
     res = run_experiment(cfg)
     assert set(res.report) == {"config", "constants", "schedule_note", "trials", "aggregate"}
-    assert len(res.trials) == 2
-    for tr in res.trials:
-        assert [r.iteration for r in tr.metrics] == [1, 10, 20, 30, 40]
-        for rec in tr.metrics:
+    assert len(res.metrics) == 2
+    for records, row in zip(res.metrics, res.report["trials"]):
+        assert [r.iteration for r in records] == [1, 10, 20, 30, 40]
+        for rec in records:
             assert 0.0 <= rec.empirical_risk <= cfg.loss_bound
             assert 0.0 <= rec.heldout_risk <= cfg.loss_bound
             assert 0.0 <= rec.train_accuracy <= 1.0
             assert 0.0 <= rec.test_accuracy <= 1.0
             assert rec.kl_stat >= 0.0
             assert rec.conditional_kl >= 0.0
-        # the t=T callback and the post-hoc statistic sum the same utilities
-        # in the same order
-        assert tr.metrics[-1].kl_stat == tr.kl_stat
+        # the report reads the t = T tick's statistic
+        assert records[-1].kl_stat == row["kl_stat"]
     for name in ("trial_0.metrics.jsonl", "trial_0.metrics.csv", "report.json"):
         assert (tmp_path / "run" / name).exists()
 
@@ -193,9 +191,9 @@ def test_report_bounds_are_self_consistent():
 
 def test_zero_amplitude_run_reports_zero_kl():
     res = run_experiment(_small_cfg(), alpha=0.0)
-    for tr in res.trials:
-        assert tr.kl_stat == 0.0
-        assert all(rec.kl_stat == 0.0 for rec in tr.metrics)
+    for records, row in zip(res.metrics, res.report["trials"]):
+        assert row["kl_stat"] == 0.0
+        assert all(rec.kl_stat == 0.0 for rec in records)
 
 
 def test_run_comparison_structure(tmp_path):
@@ -227,7 +225,7 @@ def test_each_metrics_tick_scores_each_dataset_once(monkeypatch):
     monkeypatch.setattr(model, "_bounded_losses", counted("losses", model._bounded_losses))
     out = run_comparison(_small_cfg(), alphas=[1.0, 2.0])
     results = out["results"].values()
-    ticks = sum(len(tr.metrics) for result in results for tr in result.trials)
+    ticks = sum(len(records) for result in results for records in result.metrics)
     assert ticks == 3 * 2 * 5  # arms x trials x (iters / cadence + 1)
     # one scoring each of train and test per tick; the report's h0 risk once per arm
     assert calls == {"tick": 2 * ticks, "losses": 2 * ticks + 3}
@@ -264,6 +262,24 @@ def test_a_failing_report_leaves_no_output_behind(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="bound failed"):
         run_comparison(_small_cfg(out=str(out)), alphas=[1.0, 2.0])
     assert len(calls) == 2 * 2 + 1
+    assert not out.exists()
+
+
+def test_a_report_that_cannot_be_written_leaves_no_output_behind(tmp_path, monkeypatch):
+    # the last arm's report holds an inf that only its JSON rendering rejects;
+    # every file is rendered before any is written, so nothing is
+    calls = []
+    convex = bounds.sgd_stability_convex
+
+    def inf_for_last_arm(*args):
+        calls.append(1)
+        return math.inf if len(calls) > 2 * 2 else convex(*args)
+
+    monkeypatch.setattr(bounds, "sgd_stability_convex", inf_for_last_arm)
+    out = tmp_path / "cmp"
+    with pytest.raises(ValueError, match="non-finite number inf"):
+        run_comparison(_small_cfg(out=str(out)), alphas=[1.0, 2.0])
+    assert len(calls) == 3 * 2
     assert not out.exists()
 
 
@@ -369,18 +385,20 @@ def _per_run_probe(cfg, perturbations, probe_seeds, eval_n):
     (dict(n=50, dim=3, iters=30, mu=0.2, seed=1), 3, 4, 30),
     (dict(n=41, dim=4, classes=3, iters=23, mu=0.3, seed=5), 4, 1, 17),
 ])
-def test_probe_stability_replays_per_run_probes_bitwise(overrides, perturbations,
+def test_probe_stability_replays_per_run_probes_bitwise(monkeypatch, overrides, perturbations,
                                                         probe_seeds, eval_n):
+    monkeypatch.setattr(harness, "PROBE_EVAL_N", eval_n)
     cfg = ExperimentConfig(**overrides)
-    res = probe_stability(cfg, perturbations, probe_seeds=probe_seeds, eval_n=eval_n)
+    res = probe_stability(cfg, perturbations, probe_seeds=probe_seeds)
     data_diffs, hyper_diffs = _per_run_probe(cfg, perturbations, probe_seeds, eval_n)
     assert np.array_equal(res.data_diffs, data_diffs)
     assert np.array_equal(res.hyper_diffs, hyper_diffs)
 
 
-def test_probe_stability_small_run():
+def test_probe_stability_small_run(monkeypatch):
+    monkeypatch.setattr(harness, "PROBE_EVAL_N", 40)
     cfg = _small_cfg(n=80, dim=3, iters=60, mu=0.2, trials=1)
-    res = probe_stability(cfg, perturbations=5, probe_seeds=3, eval_n=40)
+    res = probe_stability(cfg, perturbations=5, probe_seeds=3)
     assert len(res.data_diffs) == 5 and len(res.hyper_diffs) == 5
     assert all(d >= 0.0 for d in res.data_diffs)
     assert all(d >= 0.0 for d in res.hyper_diffs)
@@ -398,7 +416,6 @@ def test_probe_stability_requires_regularization():
 @pytest.mark.parametrize("kwargs,message", [
     (dict(perturbations=0), "perturbations must be >= 1"),
     (dict(perturbations=2, probe_seeds=0), "probe_seeds must be >= 1"),
-    (dict(perturbations=2, eval_n=0), "eval_n must be >= 1"),
 ])
 def test_probe_stability_rejects_empty_counts(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -416,8 +433,8 @@ def test_probe_stability_rejects_empty_runs_and_datasets(overrides, message):
 
 @pytest.mark.parametrize("n,batch", [(7, 1), (5, 8)])
 def test_final_tick_kl_stat_is_the_trace_utility_sum_bitwise(n, batch):
-    # _run_arms writes the t = T tick's statistic to the metrics files and
-    # kl_from_utility_sum of the run's unrecorded trace to the report
+    # the report and the metrics files read the t = T tick's statistic, which
+    # is kl_from_utility_sum of the run's unrecorded trace
     ds = synth_data(n, 3, 2, 0.6, 0.1, seed=n)
     T, amps = 23, [0.7, 1.3, 2.0]
     cfgs = [SamplerConfig(amplitude=a, decay=0.4, batch_size=batch, iterations=T) for a in amps]

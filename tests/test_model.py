@@ -389,6 +389,11 @@ def test_dataset_validation_and_split():
         Dataset.from_arrays(X, np.array([0, 1, 0]), 2)  # length mismatch
     with pytest.raises(ValueError):
         Dataset.from_arrays(X * np.nan, np.zeros(4, dtype=int), 2)
+    for bad in (np.nan, np.inf):  # one bad cell makes the radius non-finite, so the scan runs
+        X_bad = X.copy()
+        X_bad[2, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            Dataset.from_arrays(X_bad, np.zeros(4, dtype=int), 2)
     ds = Dataset.from_arrays(np.arange(8.0).reshape(4, 2), np.array([0, 1, 1, 0]), 2)
     left, right = ds.split(3)
     assert left.n == 3 and right.n == 1
