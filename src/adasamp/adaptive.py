@@ -258,8 +258,6 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
         tick = metric_every and metric_fn is not None and (
             t == 1 or t % metric_every == 0 or t == T)
         # draws, and everything read from the pre-update tree state Q_t
-        if track_kl and tick:
-            cond_kl = [conditional_kl(tree, r) for r in range(R)]
         for rng, row in zip(rngs, uniforms):
             rng.random(out=row)
         idx = tree.descend_many(uniforms)
@@ -309,7 +307,8 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
         if tick:
             for r, trace in enumerate(traces):
                 kl_stat = amp_list[r] / (1.0 - dec) * trace.utility_sum
-                cond = cond_kl[r] if track_kl else None
+                # Q_t: the tree is first written below, after the tick
+                cond = conditional_kl(tree, r) if track_kl else None
                 trace.metrics.append(metric_fn(r, t, H[r], kl_stat, cond))
         if t < T:  # the utility sum covers iterations 1..T-1
             for trace, s in zip(traces, batch_utils):

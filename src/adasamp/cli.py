@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: train, compare, bounds, probe-stability, synth-data,
-verify-sampler. The experiment subcommands also read a flat `key = value`
-config file (--config PATH) whose keys are their flag names without the
-leading dashes; on/off keys take true/1/yes/on or false/0/no/off, and
-`alphas` takes whitespace-separated numbers. File values are converted
-with their flag's type (a bad one is reported as `error: config key ...`)
-and become the subcommand's defaults, so an explicit flag wins in every
-spelling and the file wins over built-in defaults. Float flags reject nan
-and +-inf.
+verify-sampler. Each accepts only the flags it reads, and a bounds formula
+reads its evaluator's parameters; any other flag exits 2. The experiment
+subcommands also read a flat `key = value` config file (--config PATH) whose
+keys are exactly their flag names without the leading dashes; on/off keys take
+true/1/yes/on or false/0/no/off, and `alphas` takes whitespace-separated
+numbers. File values are converted with their flag's type (a bad one is
+reported as `error: config key ...`) and become the subcommand's defaults, so
+an explicit flag wins in every spelling and the file wins over built-in
+defaults. Float flags reject nan and +-inf.
 
 Exit codes: 0 on success, 1 when a verification finds a violation, 2 on a
 rejected input, 3 when training diverges (`error: diverged at iteration t`).
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import sys
 
@@ -37,6 +39,7 @@ from .weight_tree import WeightTree
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
              "false": False, "0": False, "no": False, "off": False}
+_DEFAULTS = ExperimentConfig()  # the experiment flags' defaults
 
 
 def finite_float(text: str) -> float:
@@ -94,39 +97,47 @@ def _config_defaults(sub: argparse.ArgumentParser, path) -> dict:
     return defaults
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    defaults = ExperimentConfig()
+def _add_task_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--n", type=int, default=_DEFAULTS.n, help="training examples")
+    p.add_argument("--dim", type=int, default=_DEFAULTS.dim)
+    p.add_argument("--classes", type=int, default=_DEFAULTS.classes)
+    p.add_argument("--imbalance", type=finite_float, default=_DEFAULTS.imbalance)
+    p.add_argument("--noise", type=finite_float, default=_DEFAULTS.noise)
+    p.add_argument("--separation", type=finite_float, default=_DEFAULTS.separation)
+
+
+def _add_probe_flags(p: argparse.ArgumentParser) -> None:
+    """--config and every ExperimentConfig field that `probe_stability` reads."""
     p.set_defaults(subparser=p)  # parse_args sets this parser's defaults from --config
     p.add_argument("--config", help="flat key=value config file")
+    _add_task_flags(p)
+    p.add_argument("--iters", type=int, default=_DEFAULTS.iters)
+    p.add_argument("--mu", type=finite_float, default=_DEFAULTS.mu,
+                   help="L2 regularization strength")
+    p.add_argument("--M", type=finite_float, default=_DEFAULTS.loss_bound, dest="loss_bound",
+                   help="loss clamp")
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    _add_probe_flags(p)
     p.add_argument("--csv", help="load the dataset from this CSV instead of synthesizing")
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--n", type=int, default=defaults.n, help="training examples")
-    p.add_argument("--test-n", type=int, default=defaults.test_n, dest="test_n")
-    p.add_argument("--dim", type=int, default=defaults.dim)
-    p.add_argument("--classes", type=int, default=defaults.classes)
-    p.add_argument("--imbalance", type=finite_float, default=defaults.imbalance)
-    p.add_argument("--noise", type=finite_float, default=defaults.noise)
-    p.add_argument("--separation", type=finite_float, default=defaults.separation)
-    p.add_argument("--iters", type=int, default=defaults.iters)
-    p.add_argument("--alpha", type=finite_float, default=defaults.alpha,
+    p.add_argument("--test-n", type=int, default=_DEFAULTS.test_n, dest="test_n")
+    p.add_argument("--alpha", type=finite_float, default=_DEFAULTS.alpha,
                    help="reweighting amplitude (0 = uniform sampling)")
-    p.add_argument("--lambda", type=finite_float, default=defaults.decay, dest="decay",
+    p.add_argument("--lambda", type=finite_float, default=_DEFAULTS.decay, dest="decay",
                    help="multiplicative weight decay in (0, 1)")
     p.add_argument("--utility", choices=["01", "l1"], default="l1")
-    p.add_argument("--rule", choices=["sgd", "adagrad"], default=defaults.rule)
+    p.add_argument("--rule", choices=["sgd", "adagrad"], default=_DEFAULTS.rule)
     p.add_argument("--schedule", choices=["constant", "inverse_decay", "strongly_convex"],
-                   default=defaults.schedule)
-    p.add_argument("--batch", type=int, default=defaults.batch)
-    p.add_argument("--mu", type=finite_float, default=defaults.mu,
-                   help="L2 regularization strength")
-    p.add_argument("--M", type=finite_float, default=defaults.loss_bound, dest="loss_bound",
-                   help="loss clamp")
+                   default=_DEFAULTS.schedule)
+    p.add_argument("--batch", type=int, default=_DEFAULTS.batch)
     p.add_argument("--domain-radius", type=finite_float, default=None, dest="domain_radius")
-    p.add_argument("--eta", type=finite_float, default=defaults.eta)
-    p.add_argument("--kappa", type=finite_float, default=defaults.kappa)
-    p.add_argument("--delta", type=finite_float, default=defaults.delta)
-    p.add_argument("--trials", type=int, default=defaults.trials)
-    p.add_argument("--cadence", type=int, default=defaults.cadence)
+    p.add_argument("--eta", type=finite_float, default=_DEFAULTS.eta)
+    p.add_argument("--kappa", type=finite_float, default=_DEFAULTS.kappa)
+    p.add_argument("--delta", type=finite_float, default=_DEFAULTS.delta)
+    p.add_argument("--trials", type=int, default=_DEFAULTS.trials)
+    p.add_argument("--cadence", type=int, default=_DEFAULTS.cadence)
     p.add_argument("--target", type=finite_float, default=None,
                    help="explicit loss target for iterations-to-target")
     p.add_argument("--track-kl", action="store_true", dest="track_kl",
@@ -168,34 +179,39 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def _stability_pair(a) -> dict:
-    beta, gamma = bounds.sgd_stability_strongly_convex(a.L, a.mu, a.n, a.T)
-    return {"formula": "stability_strongly_convex", "beta": beta, "gamma": gamma}
-
-
-# `bounds --formula` choice -> the report it prints
-_BOUND_REPORTS = {
-    "stab-convex": lambda a: {"formula": "stability_convex",
-                              "value": bounds.sgd_stability_convex(a.L, a.eta, a.T, a.n)},
-    "stab-nonconvex": lambda a: {"formula": "stability_nonconvex",
-                                 "value": bounds.sgd_stability_nonconvex(
-                                     a.L, a.smoothness, a.eta, a.T, a.n, a.M)},
-    "stab-initial-risk": lambda a: {"formula": "stability_initial_risk",
-                                    "value": bounds.sgd_stability_initial_risk(
-                                        a.L, a.eta, a.T, a.n, a.smoothness, a.risk_h0)},
-    "stab-strongly-convex": _stability_pair,
-    "chisq": lambda a: bounds.gen_bound_chisq(a.chisq, a.M, a.n, a.beta, a.delta).to_json(),
-    "kl": lambda a: bounds.gen_bound_kl(a.kl, a.M, a.n, a.T, a.beta, a.gamma,
-                                        a.delta).to_json(),
-    "sgd-strongly-convex": lambda a: bounds.gen_bound_sgd_strongly_convex(
-        a.kl, a.M, a.L, a.mu, a.n, a.T, a.delta).to_json(),
-    "derandomized": lambda a: bounds.gen_bound_derandomized(
-        a.kl, a.M, a.n, a.T, a.beta, a.gamma, a.delta).to_json(),
+# `bounds --formula` choice -> its evaluator, whose parameter names are the formula's flags
+_BOUND_FORMULAS = {
+    "stab-convex": bounds.sgd_stability_convex,
+    "stab-nonconvex": bounds.sgd_stability_nonconvex,
+    "stab-initial-risk": bounds.sgd_stability_initial_risk,
+    "stab-strongly-convex": bounds.sgd_stability_strongly_convex,
+    "chisq": bounds.gen_bound_chisq,
+    "kl": bounds.gen_bound_kl,
+    "sgd-strongly-convex": bounds.gen_bound_sgd_strongly_convex,
+    "derandomized": bounds.gen_bound_derandomized,
 }
+# each evaluator parameter's default (an int takes int flags), in the order unread flags are named
+_BOUND_DEFAULTS = {"L": 1.0, "eta": 0.1, "T": 100, "n": 100, "M": 1.0, "mu": 0.1,
+                   "smoothness": 1.0, "risk_h0": 1.0, "kl": 0.0, "chisq": 0.0,
+                   "beta": 0.0, "gamma": 0.0, "delta": 0.05}
 
 
 def cmd_bounds(args) -> int:
-    print(dumps_json(_BOUND_REPORTS[args.formula](args)))
+    evaluate = _BOUND_FORMULAS[args.formula]
+    params = inspect.signature(evaluate).parameters
+    unread = ["--" + k.replace("_", "-") for k in _BOUND_DEFAULTS
+              if hasattr(args, k) and k not in params]
+    if unread:
+        raise ValueError(f"--formula {args.formula} does not read {', '.join(unread)}")
+    value = evaluate(**{k: getattr(args, k, _BOUND_DEFAULTS[k]) for k in params})
+    name = evaluate.__name__.removeprefix("sgd_")
+    if isinstance(value, bounds.BoundReport):
+        report = value.to_json()
+    elif isinstance(value, tuple):  # the strongly convex (beta, gamma) pair
+        report = {"formula": name, "beta": value[0], "gamma": value[1]}
+    else:
+        report = {"formula": name, "value": value}
+    print(dumps_json(report))
     return 0
 
 
@@ -272,38 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bounds", help="evaluate one closed-form coefficient or bound")
-    p.add_argument("--formula", required=True, choices=list(_BOUND_REPORTS))
-    p.add_argument("--L", type=finite_float, default=1.0)
-    p.add_argument("--eta", type=finite_float, default=0.1)
-    p.add_argument("--T", type=int, default=100)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--M", type=finite_float, default=1.0)
-    p.add_argument("--mu", type=finite_float, default=0.1)
-    p.add_argument("--smoothness", type=finite_float, default=1.0)
-    p.add_argument("--risk-h0", type=finite_float, default=1.0, dest="risk_h0")
-    p.add_argument("--kl", type=finite_float, default=0.0)
-    p.add_argument("--chisq", type=finite_float, default=0.0)
-    p.add_argument("--beta", type=finite_float, default=0.0)
-    p.add_argument("--gamma", type=finite_float, default=0.0)
-    p.add_argument("--delta", type=finite_float, default=0.05)
+    p.add_argument("--formula", required=True, choices=list(_BOUND_FORMULAS))
+    for name, default in _BOUND_DEFAULTS.items():  # absent unless given: see cmd_bounds
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=argparse.SUPPRESS,
+                       type=int if isinstance(default, int) else finite_float)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("probe-stability", help="empirical stability vs closed forms")
-    _add_experiment_flags(p)
+    _add_probe_flags(p)
     p.add_argument("--perturbations", type=int, default=50)
     p.add_argument("--probe-seeds", type=int, default=8, dest="probe_seeds")
     p.set_defaults(func=cmd_probe_stability)
 
     p = sub.add_parser("synth-data", help="write a synthetic dataset CSV")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--imbalance", type=finite_float, default=0.7)
-    p.add_argument("--noise", type=finite_float, default=0.05)
-    p.add_argument("--separation", type=finite_float, default=3.4)
-    p.add_argument("--seed", type=int, default=0)
+    _add_task_flags(p)
     p.add_argument("--out", required=True, help="CSV path to write")
-    p.set_defaults(func=cmd_synth_data)
+    p.set_defaults(n=1000, func=cmd_synth_data)
 
     p = sub.add_parser("verify-sampler", help="distribution and complexity checks")
     p.add_argument("--sizes", type=int, nargs="*", default=[2, 7, 64, 1000])

@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("cadence must be >= 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        if self.out == "":
+            raise ValueError("out must name a directory, not the empty string")
 
     def sampler_config(self, alpha: float | None = None) -> SamplerConfig:
         return SamplerConfig(
@@ -488,7 +490,9 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
                     probe_seeds: int = 8) -> StabilityProbeResult:
     """Empirical replace-one-example and perturb-one-index stability probes.
 
-    Requires mu > 0; runs the strongly-convex regime exactly: uniform sampling
+    Requires mu > 0, and cfg.csv and cfg.domain_radius None: the probes
+    synthesize their own task and project onto the default radius sqrt(2)*R/mu.
+    Runs the strongly-convex regime exactly: uniform sampling
     (sequences drawn from the uniform prior), eta_t = 1/(mu t + smoothness),
     batch 1, shared zero init. The data probe couples runs on S and on S-with-
     one-replacement through shared index sequences and averages over
@@ -501,6 +505,9 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int,
     by the replacement examples, so a replaced example is an index redirected
     from its site in S to its row in that table.
     """
+    for name in ("csv", "domain_radius"):
+        if getattr(cfg, name) is not None:
+            raise ValueError(f"stability probes do not read {name}; it must be None")
     if cfg.mu <= 0:
         raise ValueError("stability probes need mu > 0")
     if perturbations < 1:

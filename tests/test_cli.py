@@ -1,6 +1,7 @@
 """CLI: subcommand behavior, config-file precedence, exit codes, and that
 printed bound values match the underlying functions."""
 
+import inspect
 import json
 import os
 import shlex
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adasamp.harness as harness
-from adasamp import bounds
+from adasamp import bounds, cli
 from adasamp.cli import build_parser, load_config_file, main, parse_args
 from adasamp.data import load_csv
 from adasamp.harness import dumps_json
@@ -225,9 +226,9 @@ _TINY_TRAIN = ["train", "--n", "60", "--test-n", "40", "--iters", "3", "--batch"
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["bounds", "--formula", "kl", "--beta", "1e200", "--mu", "1e-300", "--n", "100"],
+    (["bounds", "--formula", "kl", "--beta", "1e200", "--n", "100"],
      "the kl bound is inf"),
-    (["bounds", "--formula", "derandomized", "--beta", "1e200", "--mu", "1e-300", "--n", "100"],
+    (["bounds", "--formula", "derandomized", "--beta", "1e200", "--n", "100"],
      "the derandomized bound is inf"),
     (["bounds", "--formula", "sgd-strongly-convex", "--mu", "1e-300", "--n", "100"],
      "the sgd_strongly_convex bound is inf"),
@@ -310,9 +311,26 @@ def test_bounds_stability_pair(capsys):
                    "beta": beta, "gamma": gamma}
 
 
-_BOUND_FLAGS = ["--L", "2.0", "--eta", "0.05", "--T", "200", "--n", "100", "--M", "1.5",
-                "--mu", "0.5", "--smoothness", "3.0", "--risk-h0", "0.7", "--kl", "0.4",
-                "--chisq", "0.3", "--beta", "0.01", "--gamma", "0.002", "--delta", "0.05"]
+_BOUND_VALUES = {"--L": "2.0", "--eta": "0.05", "--T": "200", "--n": "100", "--M": "1.5",
+                 "--mu": "0.5", "--smoothness": "3.0", "--risk-h0": "0.7", "--kl": "0.4",
+                 "--chisq": "0.3", "--beta": "0.01", "--gamma": "0.002", "--delta": "0.05"}
+# the flags each formula reads: its evaluator's parameters, written out by hand
+_BOUND_READS = {
+    "stab-convex": ["--L", "--eta", "--T", "--n"],
+    "stab-nonconvex": ["--L", "--smoothness", "--eta", "--T", "--n", "--M"],
+    "stab-initial-risk": ["--L", "--eta", "--T", "--n", "--smoothness", "--risk-h0"],
+    "stab-strongly-convex": ["--L", "--mu", "--n", "--T"],
+    "chisq": ["--chisq", "--M", "--n", "--beta", "--delta"],
+    "kl": ["--kl", "--M", "--n", "--T", "--beta", "--gamma", "--delta"],
+    "sgd-strongly-convex": ["--kl", "--M", "--L", "--mu", "--n", "--T", "--delta"],
+    "derandomized": ["--kl", "--M", "--n", "--T", "--beta", "--gamma", "--delta"],
+}
+_BOUND_UNREAD = [(formula, flag) for formula, reads in _BOUND_READS.items()
+                 for flag in _BOUND_VALUES if flag not in reads]
+
+
+def _bound_flags(formula):
+    return [word for flag in _BOUND_READS[formula] for word in (flag, _BOUND_VALUES[flag])]
 
 
 @pytest.mark.parametrize("formula,direct", [
@@ -336,8 +354,32 @@ _BOUND_FLAGS = ["--L", "2.0", "--eta", "0.05", "--T", "200", "--n", "100", "--M"
         0.4, 1.5, 100, 200, 0.01, 0.002, 0.05).to_json()),
 ])
 def test_every_bounds_formula_prints_its_direct_call(capsys, formula, direct):
-    assert main(["bounds", "--formula", formula, *_BOUND_FLAGS]) == 0
+    assert main(["bounds", "--formula", formula, *_bound_flags(formula)]) == 0
     assert capsys.readouterr().out == dumps_json(direct()) + "\n"
+
+
+@pytest.mark.parametrize("formula,flag", _BOUND_UNREAD)
+def test_a_bounds_flag_the_formula_does_not_read_exits_2(capsys, formula, flag):
+    rc = main(["bounds", "--formula", formula, *_bound_flags(formula), flag, _BOUND_VALUES[flag]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --formula {formula} does not read {flag}\n"
+
+
+def test_unread_bounds_flags_are_named_in_a_fixed_order(capsys):
+    assert main(["bounds", "--formula", "kl", "--smoothness", "1", "--eta", "1", "--L", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --formula kl does not read --L, --eta, --smoothness\n")
+
+
+def test_every_bounds_evaluator_parameter_is_a_flag():
+    for formula, evaluate in cli._BOUND_FORMULAS.items():
+        for name in inspect.signature(evaluate).parameters:
+            assert name in cli._BOUND_DEFAULTS, (formula, name)
+            flag = "--" + name.replace("_", "-")
+            args = parse_args(["bounds", "--formula", formula, flag, "3"])
+            assert getattr(args, name) == 3, (formula, name)
 
 
 def test_bounds_rejects_bad_inputs(capsys):
@@ -481,8 +523,8 @@ def test_verify_sampler_rejects_inputs_that_check_nothing(capsys, argv, flag):
 
 
 def test_probe_stability_subcommand(capsys):
-    rc = main(["probe-stability", "--n", "80", "--test-n", "40", "--dim", "3",
-               "--iters", "60", "--mu", "0.2", "--trials", "1",
+    rc = main(["probe-stability", "--n", "80", "--dim", "3",
+               "--iters", "60", "--mu", "0.2",
                "--perturbations", "3", "--probe-seeds", "2"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
@@ -491,7 +533,7 @@ def test_probe_stability_subcommand(capsys):
 
 
 def test_probe_stability_rejects_zero_probe_seeds(capsys):
-    rc = main(["probe-stability", "--n", "80", "--test-n", "40", "--dim", "3",
+    rc = main(["probe-stability", "--n", "80", "--dim", "3",
                "--iters", "60", "--mu", "0.2", "--perturbations", "3",
                "--probe-seeds", "0"])
     assert rc == 2
@@ -505,12 +547,60 @@ def test_probe_stability_rejects_zero_probe_seeds(capsys):
     ("1", "60", "n must be >= 2"),
 ])
 def test_probe_stability_rejects_empty_runs_and_datasets(capsys, n, iters, message):
-    rc = main(["probe-stability", "--n", n, "--test-n", "40", "--dim", "3",
+    rc = main(["probe-stability", "--n", n, "--dim", "3",
                "--iters", iters, "--mu", "0.2", "--perturbations", "3"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+_PROBE = ["probe-stability", "--n", "50", "--iters", "20", "--mu", "0.2",
+          "--perturbations", "2", "--probe-seeds", "1"]
+
+
+@pytest.mark.parametrize("flag", [
+    ["--csv", "data.csv"], ["--test-n", "40"], ["--alpha", "1"], ["--lambda", "0.3"],
+    ["--utility", "01"], ["--rule", "adagrad"], ["--schedule", "constant"], ["--batch", "4"],
+    ["--domain-radius", "0.001"], ["--eta", "99"], ["--kappa", "0.1"], ["--delta", "0.1"],
+    ["--trials", "1"], ["--cadence", "5"], ["--target", "0.2"], ["--track-kl"],
+    ["--out", "D"],
+], ids=lambda flag: flag[0])
+def test_probe_stability_rejects_the_training_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*_PROBE, *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(flag)}\n" in captured.err
+
+
+def test_probe_stability_config_keys_are_its_flags(tmp_path, capsys):
+    cfgfile = tmp_path / "probe.cfg"
+    cfgfile.write_text("seed = 3\nn = 70\ndim = 5\nclasses = 3\nimbalance = 0.6\n"
+                       "noise = 0.1\nseparation = 2\niters = 30\nmu = 0.3\nM = 4\n"
+                       "perturbations = 4\nprobe-seeds = 2\n")
+    args = parse_args(["probe-stability", "--config", str(cfgfile)])
+    assert (args.seed, args.n, args.dim, args.classes, args.imbalance, args.noise,
+            args.separation, args.iters, args.mu, args.loss_bound, args.perturbations,
+            args.probe_seeds) == (3, 70, 5, 3, 0.6, 0.1, 2.0, 30, 0.3, 4.0, 4, 2)
+    cfgfile.write_text("alpha = 1.5\n")
+    assert main([*_PROBE, "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config key 'alpha'\n"
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_an_empty_out_is_rejected_before_training(monkeypatch, capsys, command):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the config was checked")
+
+    monkeypatch.setattr(harness, "train_many", no_training)
+    assert main([command, *SMALL, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out must name a directory, not the empty string\n"
 
 
 def test_compare_rejects_alphas_that_name_one_arm(tmp_path, capsys):

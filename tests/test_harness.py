@@ -431,6 +431,18 @@ def test_probe_stability_rejects_empty_runs_and_datasets(overrides, message):
         probe_stability(_small_cfg(mu=0.1, **overrides), perturbations=2)
 
 
+@pytest.mark.parametrize("field,value", [("csv", "data.csv"), ("domain_radius", 1e-3)])
+def test_probe_stability_rejects_the_fields_it_would_ignore(monkeypatch, field, value):
+    # the probes synthesize their own task at the default radius; a set field
+    # is refused before any data is drawn
+    def no_data(*args, **kwargs):
+        raise AssertionError("data drawn before the config was checked")
+
+    monkeypatch.setattr(harness, "synth_data", no_data)
+    with pytest.raises(ValueError, match=f"^stability probes do not read {field}; "):
+        probe_stability(_small_cfg(mu=0.1, **{field: value}), perturbations=2)
+
+
 @pytest.mark.parametrize("n,batch", [(7, 1), (5, 8)])
 def test_final_tick_kl_stat_is_the_trace_utility_sum_bitwise(n, batch):
     # the report and the metrics files read the t = T tick's statistic, which
