@@ -285,7 +285,7 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
         # flat accumulators, and run r's entries end at ends[r]
         U = utilities(cfg.utility, H, Xb, Yb)
         u, uniq, at = U.reshape(-1), idx.reshape(-1), drawn.reshape(-1)
-        if b == 1:
+        if b == 1:  # a speed path only: the general branch gives the same bits, slower
             ends, entry_amps, owner = range(1, R + 1), amps, run_ids
             batch_utils = u.tolist()
         else:

@@ -11,6 +11,15 @@ reported as `error: config key ...`) and become the subcommand's defaults, so
 an explicit flag wins in every spelling and the file wins over built-in
 defaults. Float flags reject nan and +-inf.
 
+Apart from verify-sampler's, no flag has a default here: the parsed namespace
+holds exactly the flags and config keys given, and what is not given takes
+the default of whatever reads it (ExperimentConfig for the experiment flags).
+`train` and `compare` also reject, before any data is read, a given flag or
+key that the run would not read (`harness.unread_fields`): the synthetic-task
+flags with --csv (`error: --csv does not read --n, --noise`), --kappa under a
+schedule whose StepSchedule constructor does not take it (`error: --schedule
+constant does not read --kappa`), and --alpha beside compare's --alphas.
+
 Exit codes: 0 on success, 1 when a verification finds a violation, 2 on a
 rejected input, 3 when training diverges (`error: diverged at iteration t`).
 """
@@ -29,17 +38,19 @@ from . import bounds
 from .adaptive import DivergenceError
 from .data import save_csv, synth_data
 from .harness import (
+    SYNTHETIC_TASK,
     ExperimentConfig,
     dumps_json,
     probe_stability,
     run_comparison,
     run_experiment,
+    unread_fields,
 )
 from .weight_tree import WeightTree
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
              "false": False, "0": False, "no": False, "off": False}
-_DEFAULTS = ExperimentConfig()  # the experiment flags' defaults
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def finite_float(text: str) -> float:
@@ -73,7 +84,9 @@ def _file_value(action: argparse.Action, raw: str):
         if raw.lower() not in _BOOLEANS:
             raise ValueError(f"expected a boolean, got {raw!r}")
         return _BOOLEANS[raw.lower()]
-    if action.nargs == "*":  # a list flag such as --alphas
+    if action.nargs == "+":  # a list flag such as --alphas
+        if not raw.split():
+            raise ValueError("expected at least one value")
         return [action.type(word) for word in raw.split()]
     if action.choices is not None and raw not in action.choices:
         raise ValueError(f"expected one of {sorted(action.choices)}, got {raw!r}")
@@ -98,13 +111,13 @@ def _config_defaults(sub: argparse.ArgumentParser, path) -> dict:
 
 
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    p.add_argument("--n", type=int, default=_DEFAULTS.n, help="training examples")
-    p.add_argument("--dim", type=int, default=_DEFAULTS.dim)
-    p.add_argument("--classes", type=int, default=_DEFAULTS.classes)
-    p.add_argument("--imbalance", type=finite_float, default=_DEFAULTS.imbalance)
-    p.add_argument("--noise", type=finite_float, default=_DEFAULTS.noise)
-    p.add_argument("--separation", type=finite_float, default=_DEFAULTS.separation)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=int, help="training examples")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--imbalance", type=finite_float)
+    p.add_argument("--noise", type=finite_float)
+    p.add_argument("--separation", type=finite_float)
 
 
 def _add_probe_flags(p: argparse.ArgumentParser) -> None:
@@ -112,46 +125,61 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(subparser=p)  # parse_args sets this parser's defaults from --config
     p.add_argument("--config", help="flat key=value config file")
     _add_task_flags(p)
-    p.add_argument("--iters", type=int, default=_DEFAULTS.iters)
-    p.add_argument("--mu", type=finite_float, default=_DEFAULTS.mu,
-                   help="L2 regularization strength")
-    p.add_argument("--M", type=finite_float, default=_DEFAULTS.loss_bound, dest="loss_bound",
-                   help="loss clamp")
+    p.add_argument("--iters", type=int)
+    p.add_argument("--mu", type=finite_float, help="L2 regularization strength")
+    p.add_argument("--M", type=finite_float, dest="loss_bound", help="loss clamp")
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     _add_probe_flags(p)
     p.add_argument("--csv", help="load the dataset from this CSV instead of synthesizing")
-    p.add_argument("--test-n", type=int, default=_DEFAULTS.test_n, dest="test_n")
-    p.add_argument("--alpha", type=finite_float, default=_DEFAULTS.alpha,
+    p.add_argument("--test-n", type=int, dest="test_n")
+    p.add_argument("--alpha", type=finite_float,
                    help="reweighting amplitude (0 = uniform sampling)")
-    p.add_argument("--lambda", type=finite_float, default=_DEFAULTS.decay, dest="decay",
+    p.add_argument("--lambda", type=finite_float, dest="decay",
                    help="multiplicative weight decay in (0, 1)")
-    p.add_argument("--utility", choices=["01", "l1"], default="l1")
-    p.add_argument("--rule", choices=["sgd", "adagrad"], default=_DEFAULTS.rule)
-    p.add_argument("--schedule", choices=["constant", "inverse_decay", "strongly_convex"],
-                   default=_DEFAULTS.schedule)
-    p.add_argument("--batch", type=int, default=_DEFAULTS.batch)
-    p.add_argument("--domain-radius", type=finite_float, default=None, dest="domain_radius")
-    p.add_argument("--eta", type=finite_float, default=_DEFAULTS.eta)
-    p.add_argument("--kappa", type=finite_float, default=_DEFAULTS.kappa)
-    p.add_argument("--delta", type=finite_float, default=_DEFAULTS.delta)
-    p.add_argument("--trials", type=int, default=_DEFAULTS.trials)
-    p.add_argument("--cadence", type=int, default=_DEFAULTS.cadence)
-    p.add_argument("--target", type=finite_float, default=None,
+    p.add_argument("--utility", choices=["01", "l1"])
+    p.add_argument("--rule", choices=["sgd", "adagrad"])
+    p.add_argument("--schedule", choices=["constant", "inverse_decay", "strongly_convex"])
+    p.add_argument("--batch", type=int)
+    p.add_argument("--domain-radius", type=finite_float, dest="domain_radius")
+    p.add_argument("--eta", type=finite_float)
+    p.add_argument("--kappa", type=finite_float)
+    p.add_argument("--delta", type=finite_float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--cadence", type=int)
+    p.add_argument("--target", type=finite_float,
                    help="explicit loss target for iterations-to-target")
     p.add_argument("--track-kl", action="store_true", dest="track_kl",
                    help="report the full conditional KL to uniform at each metrics tick")
     p.add_argument("--out", help="output directory for metrics and reports")
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
+def _given(args: argparse.Namespace, names) -> dict:
+    """The values of the flags and config keys among `names` that were given."""
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
+def experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The ExperimentConfig of the given flags and config keys; the rest take
+    its defaults. A given one that the run would not read is rejected."""
+    given = _given(args, _FIELDS)
+    cfg = ExperimentConfig(**given)
+    unread = unread_fields(cfg, given, getattr(args, "alphas", None))
+    if unread:
+        actions = {a.dest: a for a in args.subparser._actions}
+
+        def flag(dest):  # a choice flag such as --schedule is named with its value
+            action = actions[dest]
+            return action.option_strings[0] + (f" {getattr(args, dest)}" if action.choices else "")
+
+        raise ValueError("; ".join(f"{flag(cause)} does not read {', '.join(map(flag, names))}"
+                                   for cause, names in unread.items()))
+    return cfg
 
 
 def cmd_train(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = experiment_config(args)
     result = run_experiment(cfg)
     print(dumps_json(result.report["aggregate"]))
     if cfg.out:
@@ -160,15 +188,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _experiment_config(args)
-    out = run_comparison(cfg, alphas=args.alphas if args.alphas else None)
+    out = run_comparison(experiment_config(args), args.alphas)
     print(dumps_json(out["comparison"]))
     return 0
 
 
 def cmd_synth_data(args) -> int:
-    ds = synth_data(args.n, args.dim, args.classes, args.imbalance, args.noise,
-                    seed=args.seed, separation=args.separation)
+    task = ExperimentConfig(**_given(args, ("seed", *SYNTHETIC_TASK)))
+    ds = synth_data(task.n, task.dim, task.classes, task.imbalance, task.noise,
+                    seed=task.seed, separation=task.separation)
     # label noise can empty a class, and `load_csv` rejects such a file
     empty = np.flatnonzero(np.bincount(ds.labels, minlength=ds.num_classes) == 0)
     if empty.size:
@@ -216,8 +244,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_probe_stability(args) -> int:
-    cfg = _experiment_config(args)
-    res = probe_stability(cfg, args.perturbations, probe_seeds=args.probe_seeds)
+    res = probe_stability(experiment_config(args),
+                          **_given(args, ("perturbations", "probe_seeds")))
     report = {
         "beta_emp": res.beta_emp,
         "beta_bound": res.beta_bound,
@@ -225,7 +253,7 @@ def cmd_probe_stability(args) -> int:
         "gamma_bound": res.gamma_bound,
         "data_diff_median": float(np.median(res.data_diffs)),
         "hyper_diff_median": float(np.median(res.hyper_diffs)),
-        "perturbations": args.perturbations,
+        "perturbations": len(res.data_diffs),
     }
     print(dumps_json(report))
     ok = res.beta_emp <= res.beta_bound and res.gamma_emp <= res.gamma_bound
@@ -237,8 +265,8 @@ def cmd_probe_stability(args) -> int:
 
 def cmd_verify_sampler(args) -> int:
     """Distribution, goodness-of-fit, and touched-node checks on random trees."""
-    if not args.sizes or min(args.sizes) < 2:
-        raise ValueError("--sizes needs one or more sizes, each >= 2")
+    if min(args.sizes) < 2:
+        raise ValueError("--sizes needs every size >= 2")
     if args.draws < 1:
         raise ValueError("--draws must be >= 1")
     from scipy import stats  # only this subcommand needs it, and it is slow to import
@@ -276,37 +304,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adasamp",
                              description="adaptive-sampling SGD experiments and bound evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
+    # these subcommands' flags are absent unless given, and take their defaults
+    # where they are read: ExperimentConfig, probe_stability or _BOUND_DEFAULTS
+    unset = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("train", help="run one sampler configuration for several trials")
+    p = sub.add_parser("train", help="run one sampler configuration for several trials",
+                       **unset)
     _add_experiment_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("compare", help="uniform vs adaptive arms on shared seeds")
+    p = sub.add_parser("compare", help="uniform vs adaptive arms on shared seeds", **unset)
     _add_experiment_flags(p)
-    p.add_argument("--alphas", type=finite_float, nargs="*", default=None,
-                   help="adaptive arm amplitudes (default: just --alpha)")
+    p.add_argument("--alphas", type=finite_float, nargs="+", default=None,
+                   help="adaptive arm amplitudes, in place of --alpha")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("bounds", help="evaluate one closed-form coefficient or bound")
+    p = sub.add_parser("bounds", help="evaluate one closed-form coefficient or bound", **unset)
     p.add_argument("--formula", required=True, choices=list(_BOUND_FORMULAS))
-    for name, default in _BOUND_DEFAULTS.items():  # absent unless given: see cmd_bounds
-        p.add_argument("--" + name.replace("_", "-"), dest=name, default=argparse.SUPPRESS,
+    for name, default in _BOUND_DEFAULTS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
                        type=int if isinstance(default, int) else finite_float)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("probe-stability", help="empirical stability vs closed forms")
+    p = sub.add_parser("probe-stability", help="empirical stability vs closed forms", **unset)
     _add_probe_flags(p)
-    p.add_argument("--perturbations", type=int, default=50)
-    p.add_argument("--probe-seeds", type=int, default=8, dest="probe_seeds")
+    p.add_argument("--perturbations", type=int)
+    p.add_argument("--probe-seeds", type=int, dest="probe_seeds")
     p.set_defaults(func=cmd_probe_stability)
 
-    p = sub.add_parser("synth-data", help="write a synthetic dataset CSV")
+    p = sub.add_parser("synth-data", help="write a synthetic dataset CSV", **unset)
     _add_task_flags(p)
     p.add_argument("--out", required=True, help="CSV path to write")
     p.set_defaults(n=1000, func=cmd_synth_data)
 
     p = sub.add_parser("verify-sampler", help="distribution and complexity checks")
-    p.add_argument("--sizes", type=int, nargs="*", default=[2, 7, 64, 1000])
+    p.add_argument("--sizes", type=int, nargs="+", default=[2, 7, 64, 1000])
     p.add_argument("--draws", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_sampler)

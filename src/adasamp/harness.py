@@ -25,6 +25,7 @@ feature/label table, so no dataset is copied per perturbation.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -46,16 +47,18 @@ from .model import (
     softmax,
     zeros_hypothesis,
 )
-from .optim import StepSchedule, UpdateRuleState, step_size
+from .optim import SCHEDULE_KINDS, StepSchedule, UpdateRuleState, step_size
 
 UTILITY_FLAGS = {"01": "zero_one", "l1": "l1"}
+SYNTHETIC_TASK = ("n", "dim", "classes", "imbalance", "noise", "separation")  # unread with a csv
 PROBE_EVAL_N = 200  # fresh points the stability probes take their loss differences over
 
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """Flat experiment configuration; field names match the CLI flags
-    (``lambda`` is spelled ``decay``, ``M`` is ``loss_bound``)."""
+    """Flat experiment configuration and the one place each experiment
+    default is declared; field names match the CLI flags (``lambda`` is
+    spelled ``decay``, ``M`` is ``loss_bound``)."""
 
     # data source: a CSV path, or the synthetic task below
     csv: str | None = None
@@ -101,6 +104,8 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.out == "":
             raise ValueError("out must name a directory, not the empty string")
+        if self.schedule not in SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule {self.schedule!r}")
 
     def sampler_config(self, alpha: float | None = None) -> SamplerConfig:
         return SamplerConfig(
@@ -113,13 +118,38 @@ class ExperimentConfig:
         )
 
     def step_schedule(self, consts: RegularityConstants) -> StepSchedule:
-        if self.schedule == "constant":
-            return StepSchedule.constant(self.eta)
-        if self.schedule == "inverse_decay":
-            return StepSchedule.inverse_decay(self.eta, self.kappa)
-        if self.schedule == "strongly_convex":
-            return StepSchedule.strongly_convex(self.mu, consts.smoothness)
-        raise ValueError(f"unknown schedule {self.schedule!r}")
+        """The schedule's `StepSchedule` constructor, given the values its
+        parameters name."""
+        make = getattr(StepSchedule, self.schedule)
+        values = {"eta": self.eta, "kappa": self.kappa, "mu": self.mu,
+                  "smoothness": consts.smoothness}
+        return make(**{name: values[name] for name in inspect.signature(make).parameters})
+
+
+def unread_fields(cfg: ExperimentConfig, given, alphas=None) -> dict:
+    """cause -> the fields in `given` that a run of cfg never reads, in a
+    fixed order; empty when the run reads every given field. `alphas` is
+    run_comparison's. The causes, in this order:
+
+    - ``csv``: `build_datasets` loads the file and reads no SYNTHETIC_TASK field;
+    - ``schedule``: kappa is read only by a schedule whose constructor takes
+      it (eta is read under every schedule, by the report's coefficients);
+    - ``alphas``: given alphas replace alpha.
+
+    A value that only makes a field irrelevant does not count: delta at mu 0,
+    and decay or utility at alpha 0, stay accepted so that sweeps over mu or
+    alpha can keep them.
+    """
+    causes = {}
+    if cfg.csv is not None:
+        causes["csv"] = SYNTHETIC_TASK
+    if "kappa" not in inspect.signature(getattr(StepSchedule, cfg.schedule)).parameters:
+        causes["schedule"] = ("kappa",)
+    if alphas is not None:
+        causes["alphas"] = ("alpha",)
+    unread = {cause: [name for name in fields if name in given]
+              for cause, fields in causes.items()}
+    return {cause: names for cause, names in unread.items() if names}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,11 +265,11 @@ def _trial_streams(master_seed: int, trials: int):
 
 # ---- experiment driver ----
 
-def run_experiment(cfg: ExperimentConfig, alpha: float | None = None) -> ExperimentResult:
-    """Train `cfg.trials` runs of one sampler setting (alpha overrides cfg.alpha)
-    and assemble metrics plus the final bound report. With cfg.out set, renders
-    trial_<k>.metrics.jsonl / .csv and report.json, then writes them there."""
-    result = _run_arms(cfg, [(alpha, cfg.out)])[0]
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Train `cfg.trials` runs of one sampler setting and assemble metrics plus
+    the final bound report. With cfg.out set, renders trial_<k>.metrics.jsonl /
+    .csv and report.json, then writes them there."""
+    result = _run_arms(cfg, [(None, cfg.out)])[0]
     if cfg.out is not None:
         _write_files(_render_arm(cfg.out, result))
     return result
@@ -486,7 +516,7 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
     return H
 
 
-def probe_stability(cfg: ExperimentConfig, perturbations: int,
+def probe_stability(cfg: ExperimentConfig, perturbations: int = 50,
                     probe_seeds: int = 8) -> StabilityProbeResult:
     """Empirical replace-one-example and perturb-one-index stability probes.
 

@@ -34,7 +34,9 @@ class WeightTree:
     `sample_many` feeds it fresh rows, and `update_many` writes distinct leaves,
     adds every delta to its ancestors with one `np.add.at` in row order, and
     clamps the touched labels at 0 once per batch. An array with a leading run
-    axis carries all R runs; on a one-run tree that axis may be left out.
+    axis carries all R runs; on a one-run tree that axis may be left out. The
+    one-run forks (`runs is None`) are speed paths only: the run-offset path
+    gives the same labels, but tiny calls pay for its extra arrays.
 
     Incremental updates accumulate float drift in the internal labels, bounded in
     practice far below 1e-9 of the root; `rebuild` recomputes the labels bottom-up

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import adasamp.harness as harness
 from adasamp import bounds, cli
-from adasamp.cli import build_parser, load_config_file, main, parse_args
+from adasamp.cli import experiment_config, load_config_file, main, parse_args
 from adasamp.data import load_csv
-from adasamp.harness import dumps_json
+from adasamp.harness import ExperimentConfig, dumps_json
 
 SMALL = ["--n", "60", "--test-n", "40", "--dim", "4", "--iters", "40",
          "--trials", "2", "--cadence", "10", "--batch", "4"]
@@ -76,7 +76,7 @@ def test_flag_beats_file_beats_default(tmp_path_factory, data, flag, form):
         argv += {"space": [flag, str(flag_value)], "equals": [f"{flag}={flag_value}"],
                  "prefix": [prefix, str(flag_value)]}[form]
     want = next(v for v in (flag_value, file_value, default) if v is not None)
-    assert getattr(parse_args(argv), dest) == want
+    assert getattr(experiment_config(parse_args(argv)), dest) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,7 +88,7 @@ def test_track_kl_flag_beats_file_beats_default(tmp_path_factory, form, file_val
     cfg.write_text("" if file_value is None else f"track-kl = {file_value}\n")
     argv = ["train", "--config", str(cfg)] + ([form] if flag else [])
     from_file = file_value in ("true", "on", "1")
-    assert parse_args(argv).track_kl is (flag or from_file)
+    assert experiment_config(parse_args(argv)).track_kl is (flag or from_file)
 
 
 def test_train_writes_artifacts(tmp_path, capsys):
@@ -469,12 +469,15 @@ def _readme_block(first_line: str) -> str:
 
 
 def test_readme_cli_commands_parse():
+    # train and compare also build their config, which checks for unread flags
     lines = _readme_block("adasamp train").replace("\\\n", " ").splitlines()
     assert lines
     for line in lines:
         prog, *argv = shlex.split(line)
         assert prog == "adasamp"
-        build_parser().parse_args(argv)
+        args = parse_args(argv)
+        if args.command in ("train", "compare"):
+            experiment_config(args)
 
 
 def test_readme_config_example_sets_its_flags(tmp_path):
@@ -508,7 +511,7 @@ def test_verify_sampler_passes(capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["--sizes"], "--sizes"),
+    (["--sizes", "0"], "--sizes"),
     (["--sizes", "1"], "--sizes"),
     (["--sizes", "4", "1"], "--sizes"),
     (["--draws", "0"], "--draws"),
@@ -618,3 +621,105 @@ def test_missing_required_flag_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["synth-data"])  # --out is required
     assert exc.value.code == 2
+
+
+def test_bare_list_flags_are_argparse_errors(capsys):
+    for argv in (["verify-sampler", "--sizes"], ["compare", *SMALL, "--alphas"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {argv[-1]}: expected at least one argument" in captured.err
+
+
+def test_no_experiment_flag_has_a_default_in_the_parser():
+    # the namespace holds only what was given; ExperimentConfig declares the defaults
+    for command in ("train", "compare", "probe-stability"):
+        args = parse_args([command])
+        assert set(vars(args)) <= {"command", "func", "subparser", "alphas"}, command
+        assert experiment_config(args) == ExperimentConfig()
+
+
+def _rejected_before_reading(monkeypatch, capsys, argv, tmp_path):
+    """main(argv + --out) exits 2 before any data is read or anything written;
+    returns its stderr."""
+    def no_data(*args, **kwargs):
+        raise AssertionError("data read before the flags were checked")
+
+    monkeypatch.setattr(harness, "load_csv", no_data)
+    monkeypatch.setattr(harness, "synth_arrays", no_data)
+    out = tmp_path / "D"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    return captured.err
+
+
+_TASK_VALUES = {"n": "5", "dim": "3", "classes": "3", "imbalance": "0.5", "noise": "0.1",
+                "separation": "2"}
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("key", sorted(_TASK_VALUES))
+def test_csv_runs_reject_the_synthetic_task_flags(monkeypatch, capsys, tmp_path, key, form):
+    task = ["--csv", "d.csv", "--test-n", "30", "--iters", "20", "--trials", "1"]
+    if form == "flag":
+        argv = ["train", *task, f"--{key}", _TASK_VALUES[key]]
+    else:
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"csv = d.csv\n{key} = {_TASK_VALUES[key]}\n")
+        argv = ["train", "--config", str(cfgfile)]
+    err = _rejected_before_reading(monkeypatch, capsys, argv, tmp_path)
+    assert err == f"error: --csv does not read --{key}\n"
+
+
+def test_unread_flags_are_named_in_a_fixed_order(monkeypatch, capsys, tmp_path):
+    argv = ["compare", "--noise", "0.1", "--kappa", "1", "--csv", "d.csv", "--n", "5",
+            "--schedule", "constant", "--alpha", "1", "--alphas", "2"]
+    err = _rejected_before_reading(monkeypatch, capsys, argv, tmp_path)
+    assert err == ("error: --csv does not read --n, --noise; "
+                   "--schedule constant does not read --kappa; --alphas does not read --alpha\n")
+
+
+@pytest.mark.parametrize("schedule", ["constant", "strongly_convex"])
+def test_kappa_is_rejected_where_the_schedule_does_not_take_it(monkeypatch, capsys, tmp_path,
+                                                                schedule):
+    argv = ["train", *SMALL, "--schedule", schedule, "--kappa", "7"]
+    err = _rejected_before_reading(monkeypatch, capsys, argv, tmp_path)
+    assert err == f"error: --schedule {schedule} does not read --kappa\n"
+
+
+@pytest.mark.parametrize("form", ["flags", "config", "mixed"])
+def test_compare_rejects_alpha_beside_alphas(monkeypatch, capsys, tmp_path, form):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text({"flags": "", "config": "alpha = 1\nalphas = 2 3\n",
+                        "mixed": "alphas = 2 3\n"}[form])
+    flags = {"flags": ["--alpha", "1", "--alphas", "2", "3"], "config": [],
+             "mixed": ["--alpha", "1"]}[form]
+    argv = ["compare", *SMALL, "--config", str(cfgfile), *flags]
+    err = _rejected_before_reading(monkeypatch, capsys, argv, tmp_path)
+    assert err == "error: --alphas does not read --alpha\n"
+
+
+def test_an_empty_alphas_config_key_is_rejected(monkeypatch, capsys, tmp_path):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("alphas =\n")
+    err = _rejected_before_reading(monkeypatch, capsys,
+                                   ["compare", *SMALL, "--config", str(cfgfile)], tmp_path)
+    assert err == "error: config key 'alphas': expected at least one value\n"
+
+
+def test_eta_is_read_under_the_strongly_convex_schedule(tmp_path):
+    # the report's convex and initial-risk coefficients take eta under every schedule
+    def stability_convex(*eta):
+        out = tmp_path / "-".join(eta or ("default",))
+        argv = ["train", "--schedule", "strongly_convex", *(["--eta", *eta] if eta else []),
+                "--n", "60", "--test-n", "30", "--iters", "20", "--batch", "4", "--trials", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        return report["trials"][0]["bounds"]["stability_convex"]
+
+    assert stability_convex("99") == pytest.approx(99 / 0.05 * stability_convex(), rel=1e-12)

@@ -25,8 +25,9 @@ from adasamp import (
     train_many,
     zeros_hypothesis,
 )
-from adasamp.data import synth_data
+from adasamp.data import save_csv, synth_data
 from adasamp.harness import (
+    SYNTHETIC_TASK,
     ExperimentConfig,
     MetricsRecord,
     _data_seed,
@@ -39,6 +40,7 @@ from adasamp.harness import (
     risk_at,
     run_comparison,
     run_experiment,
+    unread_fields,
 )
 from adasamp.model import (
     PROB_FLOOR,
@@ -72,6 +74,29 @@ def test_config_validation():
     # unknown utility passes through the flag map and fails at sampler build
     with pytest.raises(ValueError):
         ExperimentConfig(utility="hinge").sampler_config()
+
+
+@pytest.mark.parametrize("schedule", ["constant", "inverse_decay", "strongly_convex"])
+def test_kappa_is_unread_exactly_where_it_does_not_move_the_schedule(schedule):
+    consts = regularity_constants(build_datasets(_small_cfg())[0], 0.01, 5.0)
+    cfg = ExperimentConfig(schedule=schedule)
+    moved = cfg.step_schedule(consts) != dataclasses.replace(cfg, kappa=0.5).step_schedule(consts)
+    unread = unread_fields(cfg, {"schedule": schedule, "eta": 0.1, "kappa": 0.5})
+    assert unread == ({} if moved else {"schedule": ["kappa"]})
+
+
+def test_a_csv_run_reads_no_synthetic_task_field(tmp_path):
+    path = tmp_path / "d.csv"
+    save_csv(synth_data(50, 3, 2, 0.6, 0.1, seed=1), path)
+    cfg = _small_cfg(csv=str(path), test_n=10)
+    other = dict(n=7, dim=5, classes=4, imbalance=0.2, noise=0.3, separation=9.0)
+    assert set(other) == set(SYNTHETIC_TASK)
+    for got, want in zip(build_datasets(dataclasses.replace(cfg, **other)), build_datasets(cfg)):
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert unread_fields(cfg, {"csv": cfg.csv, "seed": 1, "test_n": 10, **other}) == {
+        "csv": ["n", "dim", "classes", "imbalance", "noise", "separation"]}
+    assert unread_fields(cfg, {"alpha": 1.0}, alphas=[1.0]) == {"alphas": ["alpha"]}
 
 
 def test_build_datasets_sizes():
@@ -190,7 +215,7 @@ def test_report_bounds_are_self_consistent():
 
 
 def test_zero_amplitude_run_reports_zero_kl():
-    res = run_experiment(_small_cfg(), alpha=0.0)
+    res = run_experiment(_small_cfg(alpha=0.0))
     for records, row in zip(res.metrics, res.report["trials"]):
         assert row["kl_stat"] == 0.0
         assert all(rec.kl_stat == 0.0 for rec in records)
@@ -236,7 +261,7 @@ def test_arms_trained_together_write_the_bytes_of_arms_trained_alone(tmp_path):
     run_comparison(cfg, alphas=[1.0, 2.5])
     for name, alpha in (("uniform", 0.0), ("alpha_1", 1.0), ("alpha_2.5", 2.5)):
         together, alone = tmp_path / "cmp" / name, tmp_path / "alone" / name
-        run_experiment(dataclasses.replace(cfg, out=str(alone)), alpha=alpha)
+        run_experiment(dataclasses.replace(cfg, out=str(alone), alpha=alpha))
         for k in range(cfg.trials):
             for ext in ("jsonl", "csv"):
                 f = f"trial_{k}.metrics.{ext}"
