@@ -182,6 +182,13 @@ class TrainTrace:
         return self.recorded("log_ratio_sum")
 
 
+def kl_from_utility_sum(trace: TrainTrace) -> float:
+    """Per-path KL statistic amplitude/(1-decay) * utility_sum (see TrainTrace),
+    the kl_stat of every metrics tick. Looser than the advantage statistic, but
+    kept by every run, recorded or not, and batch-friendly."""
+    return trace.amplitude / (1.0 - trace.decay) * trace.utility_sum
+
+
 def _shared_settings(cfg: SamplerConfig) -> tuple:
     return (cfg.decay, cfg.utility, cfg.batch_size, cfg.iterations,
             cfg.track_full_conditional_kl)
@@ -306,10 +313,9 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
             raise DivergenceError(t)
         if tick:
             for r, trace in enumerate(traces):
-                kl_stat = amp_list[r] / (1.0 - dec) * trace.utility_sum
                 # Q_t: the tree is first written below, after the tick
                 cond = conditional_kl(tree, r) if track_kl else None
-                trace.metrics.append(metric_fn(r, t, H[r], kl_stat, cond))
+                trace.metrics.append(metric_fn(r, t, H[r], kl_from_utility_sum(trace), cond))
         if t < T:  # the utility sum covers iterations 1..T-1
             for trace, s in zip(traces, batch_utils):
                 trace.utility_sum += s

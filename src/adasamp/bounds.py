@@ -7,7 +7,7 @@ distribution Q over the n training examples, given a divergence of Q from the
 uniform prior and stability coefficients (beta for resampling one data point,
 gamma for perturbing one index of the draw sequence); each raises ValueError
 naming its formula when its value is not finite. kl_from_utility_advantage and
-kl_from_utility_sum scale a training trace's running sums into upper
+kl_from_utility_sum (adaptive's) scale a training trace's running sums into upper
 statistics for KL(Q || uniform), and enumerate_posterior_divergence computes
 the exact KL and both statistics on instances small enough to enumerate every
 sample path.
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .adaptive import SamplerConfig, TrainTrace, utility
+from .adaptive import SamplerConfig, TrainTrace, kl_from_utility_sum, utility  # noqa: F401
 from .model import Dataset, objective_grad
 from .optim import StepSchedule, UpdateRuleState, apply_update
 
@@ -242,14 +242,6 @@ def kl_from_utility_advantage(trace: TrainTrace) -> float:
     if trace.batch_size != 1:
         raise ValueError("utility-advantage statistic requires batch_size = 1")
     return trace.amplitude * total
-
-
-def kl_from_utility_sum(trace: TrainTrace) -> float:
-    """Per-path KL statistic amplitude/(1-decay) * the trace's utility_sum, the
-    utilities over iterations 1..T-1 (each unique updated index contributes
-    once per iteration). Looser than the advantage statistic, but kept by
-    every run, recorded or not, and batch-friendly."""
-    return trace.amplitude / (1.0 - trace.decay) * trace.utility_sum
 
 
 # ---- exact enumeration oracle ----

@@ -39,6 +39,7 @@ from .adaptive import DivergenceError
 from .data import save_csv, synth_data
 from .harness import (
     SYNTHETIC_TASK,
+    UTILITY_FLAGS,
     ExperimentConfig,
     dumps_json,
     probe_stability,
@@ -46,6 +47,7 @@ from .harness import (
     run_experiment,
     unread_fields,
 )
+from .optim import RULE_KINDS, SCHEDULE_KINDS
 from .weight_tree import WeightTree
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
@@ -138,9 +140,9 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                    help="reweighting amplitude (0 = uniform sampling)")
     p.add_argument("--lambda", type=finite_float, dest="decay",
                    help="multiplicative weight decay in (0, 1)")
-    p.add_argument("--utility", choices=["01", "l1"])
-    p.add_argument("--rule", choices=["sgd", "adagrad"])
-    p.add_argument("--schedule", choices=["constant", "inverse_decay", "strongly_convex"])
+    p.add_argument("--utility", choices=list(UTILITY_FLAGS))
+    p.add_argument("--rule", choices=RULE_KINDS)
+    p.add_argument("--schedule", choices=SCHEDULE_KINDS)
     p.add_argument("--batch", type=int)
     p.add_argument("--domain-radius", type=finite_float, dest="domain_radius")
     p.add_argument("--eta", type=finite_float)
@@ -164,8 +166,9 @@ def experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The ExperimentConfig of the given flags and config keys; the rest take
     its defaults. A given one that the run would not read is rejected."""
     given = _given(args, _FIELDS)
-    cfg = ExperimentConfig(**given)
-    unread = unread_fields(cfg, given, getattr(args, "alphas", None))
+    alphas = getattr(args, "alphas", None)  # these replace alpha: 0 is unread and fits any --lambda
+    cfg = ExperimentConfig(**{**given, "alpha": 0.0} if alphas else given)
+    unread = unread_fields(cfg, given, alphas)
     if unread:
         actions = {a.dest: a for a in args.subparser._actions}
 

@@ -1,12 +1,14 @@
 """Experiment harness: configs, metrics files, trials, and stability probes.
 
-run_experiment trains `trials` independent runs of one sampler configuration on
-a shared dataset and keeps each trial's metrics records and a final JSON report
-that echoes the config, the regularity constants, one summary per trial read
-from its last record, and evaluated stability/generalization bounds with that
-record's utility-sum KL statistic substituted for KL(Q || P). run_comparison
-does the same for a uniform arm and one arm per amplitude on one dataset. Every
-arm and trial is trained in one lockstep `train_many` call. A metrics tick
+run_experiment trains `trials` independent runs of one ExperimentConfig, which
+checks every value, sampler values included, when built, before any data is
+read. It keeps each trial's metrics records and a final JSON report that
+echoes the config fields the run read, the regularity constants, one summary
+per trial read from its last record, and evaluated stability/generalization
+bounds with that record's utility-sum KL statistic substituted for KL(Q || P).
+run_comparison does the same for a uniform arm and one arm per amplitude, each
+the config with its own alpha and out, on one dataset. Every arm and trial is
+trained in one lockstep `train_many` call. A metrics tick
 scores each dataset once (one X @ h.T gives its risk and its accuracy), and a
 non-finite risk is a divergence. Every output file (metrics JSONL with a CSV
 mirror, reports) is rendered to text before any directory is created, so a run
@@ -47,7 +49,7 @@ from .model import (
     softmax,
     zeros_hypothesis,
 )
-from .optim import SCHEDULE_KINDS, StepSchedule, UpdateRuleState, step_size
+from .optim import RULE_KINDS, SCHEDULE_KINDS, StepSchedule, UpdateRuleState, step_size
 
 UTILITY_FLAGS = {"01": "zero_one", "l1": "l1"}
 SYNTHETIC_TASK = ("n", "dim", "classes", "imbalance", "noise", "separation")  # unread with a csv
@@ -58,7 +60,8 @@ PROBE_EVAL_N = 200  # fresh points the stability probes take their loss differen
 class ExperimentConfig:
     """Flat experiment configuration and the one place each experiment
     default is declared; field names match the CLI flags (``lambda`` is
-    spelled ``decay``, ``M`` is ``loss_bound``)."""
+    spelled ``decay``, ``M`` is ``loss_bound``). Building one, or replacing a
+    field of one, checks the schedule, rule and sampler values."""
 
     # data source: a CSV path, or the synthetic task below
     csv: str | None = None
@@ -106,10 +109,13 @@ class ExperimentConfig:
             raise ValueError("out must name a directory, not the empty string")
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.rule not in RULE_KINDS:
+            raise ValueError(f"unknown update rule {self.rule!r}")
+        self.sampler_config()  # raises on a sampler value SamplerConfig rejects
 
-    def sampler_config(self, alpha: float | None = None) -> SamplerConfig:
+    def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(
-            amplitude=self.alpha if alpha is None else alpha,
+            amplitude=self.alpha,
             decay=self.decay,
             utility=self.utility,
             batch_size=self.batch,
@@ -266,35 +272,37 @@ def _trial_streams(master_seed: int, trials: int):
 # ---- experiment driver ----
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Train `cfg.trials` runs of one sampler setting and assemble metrics plus
+    """Train `cfg.trials` runs of one config and assemble metrics plus
     the final bound report. With cfg.out set, renders trial_<k>.metrics.jsonl /
     .csv and report.json, then writes them there."""
-    result = _run_arms(cfg, [(None, cfg.out)])[0]
+    result = _run_arms([cfg])[0]
     if cfg.out is not None:
         _write_files(_render_arm(cfg.out, result))
     return result
 
 
-def _run_arms(cfg: ExperimentConfig, arms) -> list:
-    """One ExperimentResult per (alpha, out dir) arm: build the datasets once,
-    train every arm's `cfg.trials` trials in one `train_many` call, arm after
-    arm in run order, and build every arm's report, which echoes its out dir.
-    Writes nothing.
+def _run_arms(arms) -> list:
+    """One ExperimentResult per arm, an ExperimentConfig that may differ from
+    the first only in alpha and out: build the first arm's datasets once,
+    train every arm's `trials` trials in one `train_many` call, arm after arm
+    in run order, and build every arm's report from its own config. Writes
+    nothing.
 
     Trial k of every arm starts from the same h0 and sampling seed, and every
     result is bitwise that of training the arms and trials one at a time.
     """
+    cfg = arms[0]
     train_ds, test_ds = build_datasets(cfg)
     consts = regularity_constants(train_ds, cfg.mu, cfg.loss_bound, cfg.domain_radius)
     radius = cfg.domain_radius
     if radius is None and cfg.mu > 0:
         radius = default_domain_radius(train_ds, cfg.mu)
     sched = cfg.step_schedule(consts)
-    samplers = [cfg.sampler_config(alpha) for alpha, _ in arms]
 
     shape = (train_ds.num_classes, train_ds.feature_dim)
     cfgs, h0s, rngs = [], [], []
-    for sampler in samplers:
+    for arm in arms:
+        sampler = arm.sampler_config()
         for init_rng, sample_rng in _trial_streams(cfg.seed, cfg.trials):
             cfgs.append(sampler)
             h0s.append(0.01 * init_rng.standard_normal(shape))
@@ -307,26 +315,18 @@ def _run_arms(cfg: ExperimentConfig, arms) -> list:
             raise DivergenceError(t)  # scores of rows the run never drew overflowed
         return MetricsRecord(t, train_risk, test_risk, train_acc, test_acc, kl_stat, cond_kl)
 
-    rule = _make_rule(cfg, (len(cfgs), *shape))  # AdaGrad: one accumulator per run
+    rule = (UpdateRuleState.adagrad((len(cfgs), *shape)) if cfg.rule == "adagrad"
+            else UpdateRuleState.sgd())  # AdaGrad: one accumulator per run
     runs = train_many(train_ds, cfgs, sched, rule, cfg.mu, cfg.loss_bound, h0s, rngs,
                       domain_radius=radius, metric_every=cfg.cadence, metric_fn=metric_fn,
                       record=False)
 
     results = []
-    for a, (sampler, (_, out)) in enumerate(zip(samplers, arms)):
+    for a, arm in enumerate(arms):
         metrics = [trace.metrics for _, trace in runs[a * cfg.trials:(a + 1) * cfg.trials]]
-        report = build_report(dataclasses.replace(cfg, out=out), sampler, consts,
-                              train_ds, test_ds, metrics)
+        report = build_report(arm, consts, train_ds, test_ds, metrics)
         results.append(ExperimentResult(metrics, report))
     return results
-
-
-def _make_rule(cfg: ExperimentConfig, shape) -> UpdateRuleState:
-    if cfg.rule == "sgd":
-        return UpdateRuleState.sgd()
-    if cfg.rule == "adagrad":
-        return UpdateRuleState.adagrad(shape)
-    raise ValueError(f"unknown update rule {cfg.rule!r}")
 
 
 def iterations_to_target(records, target: float) -> int | None:
@@ -354,11 +354,12 @@ SCHEDULE_NOTE = (
 )
 
 
-def build_report(cfg: ExperimentConfig, sampler: SamplerConfig, consts: RegularityConstants,
+def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
                  train_ds: Dataset, test_ds: Dataset, metrics) -> dict:
-    """The final JSON report: config echo, constants, one row per trial read
-    from its last metrics record (the t = T tick) with bound evaluations (its
-    KL statistic plugged in), and cross-trial aggregates of those rows."""
+    """The final JSON report: the echo of every config field the run read
+    (each field `unread_fields` does not name), constants, one row per trial
+    read from its last metrics record (the t = T tick) with bound evaluations
+    (its KL statistic plugged in), and cross-trial aggregates of those rows."""
     n, T = train_ds.n, cfg.iters
     h0_risk = mean_bounded_loss(zeros_hypothesis(train_ds.num_classes, train_ds.feature_dim),
                                 test_ds, consts.loss_bound)
@@ -383,8 +384,10 @@ def build_report(cfg: ExperimentConfig, sampler: SamplerConfig, consts: Regulari
         vals = [row[key] for row in trial_rows]
         agg[f"median_{key}"] = float(np.median(vals))
         agg[f"mean_{key}"] = float(np.mean(vals))
+    echo = dataclasses.asdict(cfg)
+    unread = {name for names in unread_fields(cfg, echo).values() for name in names}
     return {
-        "config": _config_echo(cfg, sampler),
+        "config": {k: v for k, v in echo.items() if k not in unread},
         "constants": {
             "lipschitz": consts.lipschitz,
             "smoothness": consts.smoothness,
@@ -424,12 +427,6 @@ def _trial_bounds(cfg: ExperimentConfig, consts: RegularityConstants, n: int, T:
     return out
 
 
-def _config_echo(cfg: ExperimentConfig, sampler: SamplerConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo["alpha"] = sampler.amplitude
-    return echo
-
-
 # ---- arm comparison (uniform vs adaptive) ----
 
 def run_comparison(cfg: ExperimentConfig, alphas=None) -> dict:
@@ -452,8 +449,9 @@ def run_comparison(cfg: ExperimentConfig, alphas=None) -> dict:
         if name in arms:
             raise ValueError(f"alphas {arms[name]!r} and {a!r} both name the arm {name!r}")
         arms[name] = a
-    results = _run_arms(cfg, [(alpha, None if base_out is None else os.path.join(base_out, name))
-                              for name, alpha in arms.items()])
+    results = _run_arms([dataclasses.replace(cfg, alpha=alpha, out=None if base_out is None
+                                             else os.path.join(base_out, name))
+                         for name, alpha in arms.items()])
     arm_results = dict(zip(arms, results))
 
     targets = [1.2 * risk_at(records, cfg.iters // 2) if cfg.target is None else cfg.target
@@ -544,8 +542,6 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int = 50,
         raise ValueError("perturbations must be >= 1")
     if probe_seeds < 1:
         raise ValueError("probe_seeds must be >= 1")
-    if cfg.iters < 1:
-        raise ValueError("iters must be >= 1")
     if cfg.n < 2:
         raise ValueError("n must be >= 2")
     n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu

@@ -19,6 +19,7 @@ from adasamp import bounds, cli
 from adasamp.cli import experiment_config, load_config_file, main, parse_args
 from adasamp.data import load_csv
 from adasamp.harness import ExperimentConfig, dumps_json
+from adasamp.optim import RULE_KINDS, SCHEDULE_KINDS
 
 SMALL = ["--n", "60", "--test-n", "40", "--dim", "4", "--iters", "40",
          "--trials", "2", "--cadence", "10", "--batch", "4"]
@@ -546,7 +547,7 @@ def test_probe_stability_rejects_zero_probe_seeds(capsys):
 
 
 @pytest.mark.parametrize("n,iters,message", [
-    ("80", "0", "iters must be >= 1"),
+    ("80", "0", "iterations must be >= 1"),
     ("1", "60", "n must be >= 2"),
 ])
 def test_probe_stability_rejects_empty_runs_and_datasets(capsys, n, iters, message):
@@ -641,6 +642,45 @@ def test_no_experiment_flag_has_a_default_in_the_parser():
         assert experiment_config(args) == ExperimentConfig()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--alpha", "-1"], "amplitude must be finite and nonnegative"),
+    (["train", "--lambda", "1.5"], "decay must lie in (0, 1)"),
+    (["train", "--batch", "0"], "batch_size must be >= 1"),
+    (["train", "--iters", "0"], "iterations must be >= 1"),
+    (["train", "--alpha", "400", "--lambda", "0.5"],
+     "amplitude/(1-decay) = 800 exceeds 700; weights would overflow"),
+    (["compare", "--alphas", "1", "-1"], "amplitude must be finite and nonnegative"),
+])
+def test_a_sampler_value_is_rejected_before_any_data_is_built(monkeypatch, capsys, tmp_path,
+                                                               argv, message):
+    def no_data(cfg):
+        raise AssertionError("datasets built before the sampler values were checked")
+
+    monkeypatch.setattr(harness, "build_datasets", no_data)
+    out = tmp_path / "D"
+    assert main([*argv, "--trials", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_compare_alphas_are_checked_against_lambda_in_place_of_alpha(tmp_path, capsys):
+    # the default alpha 2 would overflow at lambda 0.998, but --alphas replace it
+    out = tmp_path / "cmp"
+    assert main(["compare", *SMALL, "--lambda", "0.998", "--alphas", "1", "--out", str(out)]) == 0
+    for name, alpha in (("uniform", 0), ("alpha_1", 1)):
+        assert json.loads((out / name / "report.json").read_text())["config"]["alpha"] == alpha
+
+
+def test_the_choice_flags_are_the_package_kinds_in_order():
+    actions = {a.dest: a for a in parse_args(["train"]).subparser._actions}
+    assert actions["utility"].choices == list(harness.UTILITY_FLAGS) == ["01", "l1"]
+    assert actions["rule"].choices is RULE_KINDS == ("sgd", "adagrad")
+    assert actions["schedule"].choices is SCHEDULE_KINDS == (
+        "constant", "inverse_decay", "strongly_convex")
+
+
 def _rejected_before_reading(monkeypatch, capsys, argv, tmp_path):
     """main(argv + --out) exits 2 before any data is read or anything written;
     returns its stderr."""
@@ -699,6 +739,13 @@ def test_compare_rejects_alpha_beside_alphas(monkeypatch, capsys, tmp_path, form
     flags = {"flags": ["--alpha", "1", "--alphas", "2", "3"], "config": [],
              "mixed": ["--alpha", "1"]}[form]
     argv = ["compare", *SMALL, "--config", str(cfgfile), *flags]
+    err = _rejected_before_reading(monkeypatch, capsys, argv, tmp_path)
+    assert err == "error: --alphas does not read --alpha\n"
+
+
+def test_an_alpha_beside_alphas_is_rejected_as_unread_whatever_its_value(monkeypatch, capsys,
+                                                                          tmp_path):
+    argv = ["compare", *SMALL, "--alpha", "-1", "--alphas", "1"]
     err = _rejected_before_reading(monkeypatch, capsys, argv, tmp_path)
     assert err == "error: --alphas does not read --alpha\n"
 

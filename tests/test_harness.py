@@ -4,6 +4,7 @@ self-consistency, and the stability probe."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,9 +72,55 @@ def test_config_validation():
         ExperimentConfig(cadence=0)
     with pytest.raises(ValueError):
         ExperimentConfig(delta=1.5)
-    # unknown utility passes through the flag map and fails at sampler build
+    # an unknown utility passes through the flag map and fails the sampler check
     with pytest.raises(ValueError):
         ExperimentConfig(utility="hinge").sampler_config()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(rule="bogus"), "unknown update rule 'bogus'"),
+    (dict(utility="hinge"), "unknown utility kind 'hinge'"),
+    (dict(alpha=-1.0), "amplitude must be finite and nonnegative"),
+])
+def test_a_config_the_sampler_rejects_fails_at_construction(overrides, message):
+    # the CLI's exit 2 for each sampler value is checked in test_cli
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**overrides)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(ExperimentConfig(), **overrides)  # an arm is checked as it is built
+
+
+def _echo(**overrides):
+    return run_experiment(_small_cfg(**overrides)).report["config"]
+
+
+def test_a_synthetic_run_echoes_every_config_field():
+    assert list(_echo()) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_a_csv_run_echoes_no_synthetic_task_field(tmp_path):
+    path = tmp_path / "d.csv"
+    save_csv(synth_data(50, 3, 2, 0.6, 0.1, seed=1), path)
+    echo = _echo(csv=str(path), test_n=10)
+    assert [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in echo] == list(
+        SYNTHETIC_TASK)
+    assert echo["csv"] == str(path) and echo["test_n"] == 10 and echo["seed"] == 7
+
+
+@pytest.mark.parametrize("schedule", ["constant", "strongly_convex"])
+def test_a_schedule_without_kappa_echoes_eta_but_not_kappa(schedule):
+    echo = _echo(schedule=schedule, mu=0.1)
+    assert "kappa" not in echo
+    assert echo["eta"] == 0.05 and echo["schedule"] == schedule
+
+
+def test_each_compare_arm_echoes_its_own_alpha_and_out(tmp_path):
+    base = tmp_path / "cmp"
+    results = run_comparison(_small_cfg(out=str(base)), alphas=[1.5])["results"]
+    for name, alpha in (("uniform", 0.0), ("alpha_1.5", 1.5)):
+        echo = results[name].report["config"]
+        assert echo["alpha"] == alpha and echo["out"] == str(base / name)
+        assert json.loads((base / name / "report.json").read_text())["config"] == echo
 
 
 @pytest.mark.parametrize("schedule", ["constant", "inverse_decay", "strongly_convex"])
@@ -448,7 +495,7 @@ def test_probe_stability_rejects_empty_counts(kwargs, message):
 
 
 @pytest.mark.parametrize("overrides,message", [
-    (dict(iters=0), "iters must be >= 1"),
+    pytest.param(dict(iters=0), "iterations must be >= 1", id="iters0"),
     (dict(n=1), "n must be >= 2"),
 ])
 def test_probe_stability_rejects_empty_runs_and_datasets(overrides, message):
