@@ -10,10 +10,19 @@ boundary, so flipping makes those labels contradict the features and no linear
 hypothesis fits them; with moderate separation the smallest margins are mostly
 cluster-tail points already on the wrong side, and flipping largely agrees
 with what a linear hypothesis would predict anyway.
+
+Memory: the generator holds one (n, dim) feature array, drawn and then
+permuted in place, so a caller that splits it gets views of that one array.
+Label noise adds the (classes, n) distances and a few (n,) arrays; at dim 8
+and 2 classes the traced peak stays under 1.7 times the features' bytes.
+Loading a CSV holds the parsed rows as Python floats only `_CSV_ROWS` at a
+time, so its peak, when the row blocks are joined, stays under three times
+the features' bytes.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 
@@ -22,6 +31,7 @@ import numpy as np
 from .model import Dataset, _squared_distances
 
 _D2_ROWS = 1 << 13  # rows per block of class distances, bounding their temporaries
+_CSV_ROWS = 1 << 10  # parsed rows held as Python floats before they become an array
 # Well above any standard normal draw: numpy draws the tail as
 # 3.65 - ln(v) / 3.65 with v >= 2**-53, under 14. So along every coordinate a
 # feature lies within separation + _NOISE_REACH of every class mean.
@@ -75,7 +85,17 @@ def synth_data(n: int, dim: int, classes: int, imbalance: float, noise: float,
 def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
                  seed: int, separation: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
     """`synth_data`'s features and labels as plain arrays, so a caller that
-    splits them builds only the split datasets."""
+    splits them builds only the split datasets.
+
+    What is held, and when: the drawn (n, dim) features X and (n,) labels y
+    throughout. The permutation swaps X's rows and y's entries in place,
+    with no index array and no second X. Label noise then adds the whole
+    (classes, n) squared-distance matrix, which the flipped rows' new labels
+    are read from, and (n,) temporaries for the own-class index, the
+    own-class distance and the margin, each freed before the k smallest
+    margins are picked. The result is bitwise the first-written generator's:
+    X[perm] and y[perm] for perm = rng.permutation(n).
+    """
     if n < classes:
         raise ValueError("n must be >= classes")
     if classes < 2:
@@ -93,8 +113,12 @@ def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
     X = rng.standard_normal((n, dim))
     for c, hi in enumerate(np.cumsum(counts).tolist()):  # y is sorted by class here
         X[hi - counts[c] : hi] += means[c]
-    perm = rng.permutation(n)
-    X, y = np.take(X, perm, axis=0), y[perm]
+    # rng.permutation(n) is rng.shuffle(np.arange(n)). Shuffling X's rows, as
+    # one void item each, with a copy of rng, and y with rng itself, makes the
+    # same swaps: X and y end as X[perm] and y[perm], rng as permutation leaves it
+    twin = copy.deepcopy(rng)
+    twin.shuffle(X.view(np.dtype((np.void, X.itemsize * dim)))[:, 0])
+    rng.shuffle(y)
 
     flips = int(round(n * noise))
     if flips:
@@ -103,11 +127,16 @@ def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
         if not dim * (separation + _NOISE_REACH) * (separation + _NOISE_REACH) < _FLOAT_MAX / 2:
             raise ValueError(f"--separation {separation:.6g} is too large for label noise: "
                              "squared distances to the class means overflow")
-        rows = np.arange(n)
         d2 = _squared_distances(X, means, _D2_ROWS)  # (classes, n)
-        own = d2[y, rows]
-        d2[y, rows] = np.inf  # leaves the squared distances to the other classes
-        margin = d2.min(axis=0) - own  # a min is exact: the nearest other class's distance
+        flat = d2.reshape(-1)  # a view: d2 is contiguous
+        own_at = y * n  # each row's own-class entry in flat
+        own_at += np.arange(n)
+        own = flat[own_at]
+        flat[own_at] = np.inf  # leaves the squared distances to the other classes
+        del own_at
+        margin = d2.min(axis=0)  # a min is exact: the nearest other class's distance
+        margin -= own
+        del own
         hard = _smallest_k(margin, flips)
         y[hard] = d2[:, hard].argmin(axis=0)
     return X, y
@@ -148,7 +177,8 @@ def load_csv(path) -> Dataset:
         if not header or header[0].strip() != "label" or len(header) < 2:
             raise ValueError("header must be label,f1,...,fd")
         dim = len(header) - 1
-        labels, rows = [], []
+        labels, rows = [], []  # the parsed rows not yet moved into a block
+        y_blocks, X_blocks = [], []
         for r, row in enumerate(reader, start=1):
             if len(row) != dim + 1:
                 raise ValueError(f"row {r}: expected {dim + 1} columns, got {len(row)}")
@@ -164,12 +194,19 @@ def load_csv(path) -> Dataset:
                 raise ValueError(f"row {r}: features must be finite")
             labels.append(int(raw))
             rows.append(feats)
-    if not rows:
+            if len(rows) == _CSV_ROWS:
+                y_blocks.append(np.array(labels, dtype=np.int64))
+                X_blocks.append(np.array(rows))
+                labels, rows = [], []
+    if rows:
+        y_blocks.append(np.array(labels, dtype=np.int64))
+        X_blocks.append(np.array(rows))
+    if not X_blocks:
         raise ValueError("no data rows")
-    y = np.array(labels, dtype=np.int64)
+    y = np.concatenate(y_blocks)
     present = np.unique(y)  # not bincount: it would allocate max label + 1 counts
     gaps = np.flatnonzero(present != np.arange(present.size))
     if gaps.size:
         raise ValueError(f"no row has label {gaps[0]}: every class from 0 to the "
                          "largest label needs a row")
-    return Dataset.from_arrays(np.array(rows), y)
+    return Dataset.from_arrays(np.concatenate(X_blocks), y)

@@ -61,7 +61,8 @@ class ExperimentConfig:
     """Flat experiment configuration and the one place each experiment
     default is declared; field names match the CLI flags (``lambda`` is
     spelled ``decay``, ``M`` is ``loss_bound``). Building one, or replacing a
-    field of one, checks the schedule, rule and sampler values."""
+    field of one, rejects a non-finite float and checks the schedule, rule and
+    sampler values."""
 
     # data source: a CSV path, or the synthetic task below
     csv: str | None = None
@@ -97,6 +98,11 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type in ("float", "float | None") and value is not None \
+                    and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {float(value)!r}")
         if self.utility in UTILITY_FLAGS:
             self.utility = UTILITY_FLAGS[self.utility]
         if self.trials < 1:

@@ -18,6 +18,7 @@ import numpy as np
 # Probabilities are clamped here before logs so the surrogate stays finite.
 PROB_FLOOR = 1e-12
 _RADIUS_ROWS = 1 << 13  # rows per block of the feature radius, bounding its temporaries
+_SCORE_ROWS = 1 << 13  # rows per block of a metrics tick's losses and hits
 
 
 class Example(NamedTuple):
@@ -246,10 +247,23 @@ def _bounded_losses(scores: np.ndarray, labels: np.ndarray, M: float) -> np.ndar
 
 
 def _risk_and_accuracy(h: np.ndarray, ds: Dataset, M: float) -> tuple[float, float]:
-    """(mean_bounded_loss, accuracy) of h on ds from one scoring X @ h.T."""
+    """(mean_bounded_loss, accuracy) of h on ds from one scoring X @ h.T.
+
+    Besides the (n, C) scores it holds one (n,) float array of bounded losses
+    and one (n,) bool array of hits, filled `_SCORE_ROWS` rows at a time, so
+    the per-row temporaries stay block-sized. Each value is a function of its
+    own row alone, and each mean is taken once over the full array, so the
+    result is bitwise that of scoring every row at once.
+    """
     scores = ds.features @ h.T
-    return (float(_bounded_losses(scores, ds.labels, M).mean()),
-            float((scores.argmax(axis=-1) == ds.labels).mean()))
+    losses = np.empty(ds.n)
+    hits = np.empty(ds.n, dtype=bool)
+    for lo in range(0, ds.n, _SCORE_ROWS):
+        rows = slice(lo, lo + _SCORE_ROWS)
+        block, labels = scores[rows], ds.labels[rows]
+        losses[rows] = _bounded_losses(block, labels, M)
+        np.equal(block.argmax(axis=-1), labels, out=hits[rows])
+    return float(losses.mean()), float(hits.mean())
 
 
 def mean_bounded_loss(h: np.ndarray, ds: Dataset, M: float) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -31,6 +32,10 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("eta", "kappa", "mu", "smoothness"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {float(value)!r}")
         if self.kind in ("constant", "inverse_decay"):
             if self.eta <= 0:
                 raise ValueError("eta must be positive")

@@ -1,5 +1,7 @@
 """Synthetic cluster tasks and CSV round trips."""
 
+import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import adasamp.data as data
 import adasamp.model as model
 from adasamp import Dataset, load_csv, save_csv, synth_data
-from adasamp.data import _smallest_k
+from adasamp.data import _smallest_k, synth_arrays
 from oracles import naive_feature_radius, naive_synth_data
 
 
@@ -225,6 +227,70 @@ def test_separation_whose_squared_distances_overflow_is_rejected_under_label_noi
     with pytest.raises(ValueError, match="separation must be positive"):
         synth_data(60, 4, 2, 0.0, 0.1, seed=0, separation=float("nan"))
     synth_data(60, 4, 2, 0.0, 0.1, seed=0, separation=1e150)  # far but finite
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,dim", [(1, 3), (2, 1), (9, 2), (1000, 1), (1000, 8), (4097, 5)])
+def test_shuffling_a_row_view_and_the_labels_makes_the_swaps_of_permutation(n, dim):
+    # synth_arrays permutes in place on this: one generator shuffles the rows
+    # as void items, a copy of it shuffles the labels
+    rng = np.random.default_rng(n * dim)
+    X = rng.standard_normal((n, dim))
+    y = rng.integers(0, 2**40, size=n)
+    reference, twin = copy.deepcopy(rng), copy.deepcopy(rng)
+    perm = reference.permutation(n)
+    rows, labels = X.copy(), y.copy()
+    twin.shuffle(rows.view(np.dtype((np.void, rows.itemsize * dim)))[:, 0])
+    rng.shuffle(labels)
+    assert rows.tobytes() == X[perm].tobytes()
+    assert labels.tobytes() == y[perm].tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert twin.bit_generator.state == reference.bit_generator.state
+
+
+def test_synth_arrays_holds_less_than_twice_the_features():
+    # the permutation is made in place: no second feature array, no index array
+    (X, y), peak = _traced_peak(synth_arrays, 200_000, 8, 2, 0.7, 0.05, 3)
+    assert X.shape == (200_000, 8) and X.flags.c_contiguous
+    assert peak < 2 * X.nbytes, peak / X.nbytes
+
+
+def test_load_csv_holds_less_than_three_times_the_features(tmp_path, monkeypatch):
+    # the radius block is cut to the share of the rows it takes in a large file
+    monkeypatch.setattr(model, "_RADIUS_ROWS", 256)
+    rng = np.random.default_rng(35)
+    n = 20_000
+    path = tmp_path / "big.csv"
+    save_csv(Dataset.from_arrays(rng.standard_normal((n, 8)), np.arange(n) % 3, 3), path)
+    load_csv(path)  # imports and caches made on first use are not the file's
+    ds, peak = _traced_peak(load_csv, path)
+    assert ds.n == n and ds.num_classes == 3
+    assert peak < 3 * ds.features.nbytes, peak / ds.features.nbytes
+
+
+def test_load_csv_reads_across_row_blocks_bitwise(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_CSV_ROWS", 7)
+    path = tmp_path / "d.csv"
+    for n in (2, 6, 7, 8, 14, 50):
+        ds = synth_data(n, 3, 2, 0.6, 0.0, seed=n)
+        save_csv(ds, path)
+        back = load_csv(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+    path.write_text("label,f1\n" + "".join(f"{r % 2},{r}\n" for r in range(1, 30)) + "1,nan\n")
+    with pytest.raises(ValueError, match="^row 30: features must be finite"):
+        load_csv(path)
+    path.write_text("label,f1\n" + "".join(f"{r % 2},{r}\n" for r in range(1, 15)) + "2,x\n")
+    with pytest.raises(ValueError, match="^row 15: non-numeric value"):
+        load_csv(path)
 
 
 def test_smallest_picks_the_stable_sort_prefix_under_ties():

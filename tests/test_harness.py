@@ -90,6 +90,28 @@ def test_a_config_the_sampler_rejects_fails_at_construction(overrides, message):
         dataclasses.replace(ExperimentConfig(), **overrides)  # an arm is checked as it is built
 
 
+FLOAT_FIELDS = ["imbalance", "noise", "separation", "mu", "loss_bound", "domain_radius", "alpha",
+                "decay", "eta", "kappa", "delta", "target"]
+
+
+def test_the_float_fields_are_the_configs_float_fields():
+    # any other spelling of a float annotation would escape the finiteness check
+    assert FLOAT_FIELDS == [f.name for f in dataclasses.fields(ExperimentConfig)
+                            if "float" in f.type]
+    assert {f.type for f in dataclasses.fields(ExperimentConfig)
+            if f.name in FLOAT_FIELDS} == {"float", "float | None"}
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_a_non_finite_float_field_is_rejected_at_construction(name):
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        message = f"^{name} must be finite, got {float(bad)!r}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{name: bad})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(_small_cfg(), **{name: bad})
+
+
 def _echo(**overrides):
     return run_experiment(_small_cfg(**overrides)).report["config"]
 
@@ -165,6 +187,14 @@ def test_synthetic_build_is_the_split_of_one_synth_data_call_bitwise(overrides):
         assert got.labels.tobytes() == want.labels.tobytes()
         assert got.feature_radius == want.feature_radius
         assert got.num_classes == want.num_classes
+
+
+def test_both_synthetic_splits_are_views_of_one_drawn_array():
+    # a copy of either split would add a second feature array at n = 10**6
+    train_ds, test_ds = build_datasets(_small_cfg(noise=0.1))
+    for a, b in ((train_ds.features, test_ds.features), (train_ds.labels, test_ds.labels)):
+        assert a.base is not None and a.base is b.base
+        assert a.base.size == a.size + b.size
 
 
 def test_format_float_round_trips():

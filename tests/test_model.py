@@ -1,12 +1,14 @@
 """Softmax model: predictions, losses, gradients, regularity constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adasamp.model as model
 from adasamp import (
     Dataset,
     Example,
@@ -363,7 +365,9 @@ def test_softmax_equals_the_first_written_formula_bitwise(C):
 
 
 @pytest.mark.parametrize("C", [2, 3, 5])
-def test_one_scoring_gives_the_risk_and_accuracy_of_the_first_written_formulas(C):
+def test_one_scoring_gives_the_risk_and_accuracy_of_the_first_written_formulas(C, monkeypatch):
+    # small row blocks, so several blocks and a ragged last one are hit
+    monkeypatch.setattr(model, "_SCORE_ROWS", 37)
     rng = np.random.default_rng(C)
     ds = _random_dataset(rng, n=400, d=4, classes=C)
     floored = clamped = 0
@@ -379,6 +383,42 @@ def test_one_scoring_gives_the_risk_and_accuracy_of_the_first_written_formulas(C
             assert mean_bounded_loss(h, ds, M) == want[0]
             assert all(type(v) is float for v in _risk_and_accuracy(h, ds, M))
     assert floored and clamped  # the large h saturates both the floor and the clamp
+
+
+@pytest.mark.parametrize("n", [1, 36, 37, 38, 111, 400])
+def test_blocked_risk_and_accuracy_keep_ties_and_infinite_scores_bitwise(n, monkeypatch):
+    monkeypatch.setattr(model, "_SCORE_ROWS", 37)
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 4))
+    X[:, 0] = np.abs(X[:, 0]) + 0.5  # so a -inf weight on it scores -inf
+    ds = Dataset.from_arrays(X, rng.integers(0, 3, size=n), 3)
+    tied = np.repeat(rng.standard_normal((1, 4)), 3, axis=0)  # every row a three-way tie
+    for h in (tied, 1e3 * tied, np.vstack([tied[:2], [-np.inf, 0.0, 0.0, 0.0]]),
+              np.array([[-np.inf, 1.0, 0.0, 0.0], [0.0] * 4, [2.0, -1.0, 0.5, 0.0]]),
+              300.0 * rng.standard_normal((3, 4))):
+        scores = X @ h.T
+        assert not np.isnan(scores).any()
+        for M in (0.5, 100.0):
+            got = _risk_and_accuracy(h, ds, M)
+            want = (naive_mean_bounded_loss(h, ds, M), naive_accuracy(h, ds))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (h, M)
+
+
+def test_a_metrics_tick_adds_less_than_four_floats_a_row():
+    # the (n, 2) scores, plus one float and one bool a row, in 200000 rows
+    rng = np.random.default_rng(12)
+    n = 200_000
+    ds = Dataset.from_arrays(rng.standard_normal((n, 8)), rng.integers(0, 2, size=n), 2)
+    h = rng.standard_normal((2, 8))
+    want = _risk_and_accuracy(h, ds, 5.0)
+    tracemalloc.start()
+    try:
+        got = _risk_and_accuracy(h, ds, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 4 * n * 8, peak / (n * 8)
 
 
 def test_dataset_validation_and_split():

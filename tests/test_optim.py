@@ -1,5 +1,7 @@
 """Step schedules and the SGD / AdaGrad update rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ def test_schedule_validation():
         StepSchedule.strongly_convex(0.0, 1.0)
     with pytest.raises(ValueError):
         StepSchedule(kind="nope", eta=0.1)
+
+
+@pytest.mark.parametrize("make,args,name", [
+    (StepSchedule.constant, (math.nan,), "eta"),
+    (StepSchedule.inverse_decay, (math.inf, 0.1), "eta"),
+    (StepSchedule.inverse_decay, (0.1, math.nan), "kappa"),
+    (StepSchedule.inverse_decay, (0.1, math.inf), "kappa"),
+    (StepSchedule.strongly_convex, (math.nan, 1.0), "mu"),
+    (StepSchedule.strongly_convex, (1.0, math.inf), "smoothness"),
+    (StepSchedule.strongly_convex, (1.0, -math.inf), "smoothness"),
+])
+def test_schedule_rejects_a_non_finite_value(make, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        make(*args)
 
 
 def test_sgd_single_step():
