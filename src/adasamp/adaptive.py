@@ -29,6 +29,8 @@ UTILITY_KINDS = ("zero_one", "l1")
 
 # exp overflow guard: ln w <= amplitude/(1-decay) must stay well inside float range.
 MAX_LOG_WEIGHT = 700.0
+# uniforms that the amplitude-0 runs of one train_many call draw per block, together
+_FLAT_BLOCK_UNIFORMS = 1 << 16
 
 
 class DivergenceError(ArithmeticError):
@@ -43,7 +45,8 @@ class DivergenceError(ArithmeticError):
 class SamplerConfig:
     """Sampler hyperparameters: reweighting amplitude >= 0, multiplicative decay
     in (0, 1), utility kind, batch size, iteration count, and whether to compute
-    the full O(n) conditional KL to uniform at each metric tick."""
+    the full O(n) conditional KL to uniform at each metric tick. An amplitude
+    of -0.0 is stored as 0.0."""
 
     amplitude: float
     decay: float
@@ -53,6 +56,8 @@ class SamplerConfig:
     track_full_conditional_kl: bool = False
 
     def __post_init__(self):
+        if self.amplitude == 0:  # -0.0 too: it would print as -0
+            object.__setattr__(self, "amplitude", 0.0)
         if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
             raise ValueError("amplitude must be finite and nonnegative")
         if not 0 < self.decay < 1:
@@ -202,17 +207,32 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     `h0s` and `rngs`; returns [(h_T, trace)] in run order.
 
     Every iteration steps all runs with a fixed number of numpy calls: one
-    `WeightTree.descend_many` call draws every run's batch, one stacked
-    gradient and `apply_update` step moves every hypothesis, one `utilities`
-    call scores every draw at its run's new hypothesis, and one tree write
-    reweights each run's unique drawn indices. The runs share the data, the
-    schedule, mu, M, the radius and the update rule, and their configs may
-    differ only in the amplitude. An AdaGrad `rule` holds one accumulator per
-    run, shape (R, num_classes, feature_dim), stepped in place. Each run has
-    its own h0 and rng, which only its draws read: exactly depth uniforms per
-    draw, draws in order. Every number run r produces is bitwise that of
-    `train` on run r alone, down to the per-value `math.exp` weights, the
-    in-order accumulator total and each running sum of its trace.
+    `WeightTree.descend_many` call draws the batches of the runs that are not
+    flat (below), one stacked gradient and `apply_update` step moves every
+    hypothesis, one `utilities` call scores every draw at its run's new
+    hypothesis, and one tree write reweights the unique drawn indices of each
+    run that is not flat. The runs share the data, the schedule, mu, M, the
+    radius and the update rule, and their configs may differ only in the
+    amplitude. An AdaGrad `rule` holds one accumulator per run, shape
+    (R, num_classes, feature_dim), stepped in place. Each run has its own h0
+    and rng, which only its draws read: exactly depth uniforms per draw, draws
+    in order. Every number run r produces is bitwise that of `train` on run r
+    alone, down to the per-value `math.exp` weights, the in-order accumulator
+    total and each running sum of its trace.
+
+    The leading runs of amplitude 0 (the flat runs; `compare` puts its uniform
+    arm first) keep every weight at exp(0) = 1, so they have no row in the
+    reweighted tree and are never written: all flat runs draw from one
+    all-ones tree, whose labels are bitwise those of any all-ones row. A run of
+    amplitude 0 after a run of amplitude > 0 keeps its row, which is written
+    with weights exp(0) = 1. Each flat run draws a block of iterations at a
+    time, filling a (B, batch, depth) block of uniforms with one `rng.random`
+    call, the same stream as B per-iteration calls, and one `descend_many`
+    call walks every flat run's block. B is set by a fixed budget of
+    `_FLAT_BLOCK_UNIFORMS` uniforms over all flat runs, and the last block
+    covers only the iterations that remain, so a completed flat run's rng
+    ends where per-iteration draws would leave it.
+
     If metric_every > 0, metric_fn(r, t, h, kl_stat, cond_kl) is called for
     run r at t = 1, every metric_every-th iteration, and t = T (see `train`);
     a tracked conditional KL is computed at these ticks alone, and cond_kl is
@@ -223,7 +243,8 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     Raises DivergenceError(t) at the first iteration t after whose step any
     run's hypothesis, or the sum of its utilities, is non-finite: the earliest
     iteration at which R separate `train` calls would raise. Every run has
-    then been stepped through t, and metric_fn has seen no iteration from t on.
+    then been stepped through t, metric_fn has seen no iteration from t on,
+    and a flat run's rng may sit up to one block past iteration t.
     numpy's overflow and invalid-value warnings are off inside the call.
     """
     if mu < 0:
@@ -246,32 +267,60 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     X, Y = ds.features, ds.labels
     amp_list = [c.amplitude for c in cfgs]
     amps, dec = np.array(amp_list), cfg.decay
-    tree = WeightTree(np.ones((R, n)))
-    uniforms = np.empty((R, b, tree.depth))  # refilled by each run's rng every iteration
+    # the leading runs of amplitude 0 are the flat runs
+    flat = next((r for r, a in enumerate(amp_list) if a != 0), R)
+    track_kl = cfg.track_full_conditional_kl
+    # the reweighted tree: one row for each of the W runs after the flat ones
+    W = R - flat
+    tree = WeightTree(np.ones((W, n))) if W else None
+    if flat:
+        ones = WeightTree(np.ones(n))  # every flat run's weights, never written
+        flat_roots = ones.totals.tolist() * flat
+        flat_kl = conditional_kl(ones) if track_kl else None
+        block_len = min(T, max(1, _FLAT_BLOCK_UNIFORMS // (flat * b * max(ones.depth, 1))))
+        block = np.empty((flat, block_len, b, ones.depth))  # refilled block after block
+        next_block = 1  # the first iteration that the flat runs' draws do not cover
+    depth = (tree if W else ones).depth
+    if W:
+        uniforms = np.empty((W, b, depth))  # refilled by each run's rng every iteration
+        tree_rngs, tree_amps = rngs[flat:], amps[flat:]
+        tree_rows = np.arange(W) if W > 1 else None
     acc = np.zeros((R, n))
     acc_flat = acc.reshape(-1)
     # run r's examples start at offsets[r] in the flat accumulators
-    run_ids = np.arange(R) if R > 1 else None
-    offsets = run_ids[:, None] * n if R > 1 else None
+    offsets = np.arange(R)[:, None] * n if R > 1 else None
     acc_totals = [0.0] * R
     traces = [TrainTrace(b, a, dec) for a in amp_list]
     if record:
         for trace in traces:
             trace.indices, trace.log_ratio_sum, trace.advantage_sum = [], 0.0, 0.0
-    track_kl = cfg.track_full_conditional_kl
     log_n = math.log(n)
 
     for t in range(1, T + 1):
         tick = metric_every and metric_fn is not None and (
             t == 1 or t % metric_every == 0 or t == T)
         # draws, and everything read from the pre-update tree state Q_t
-        for rng, row in zip(rngs, uniforms):
-            rng.random(out=row)
-        idx = tree.descend_many(uniforms)
+        if W:
+            for rng, row in zip(tree_rngs, uniforms):
+                rng.random(out=row)
+            idx = tree.descend_many(uniforms)
+        if flat:
+            if t == next_block:
+                B = min(block_len, T + 1 - t)
+                for rng, slab in zip(rngs, block):
+                    rng.random(out=slab[:B])
+                draws = block[:, :B].reshape(flat * B * b, depth)  # explicit: depth may be 0
+                flat_idx = ones.descend_many(draws).reshape(flat, B, b)
+                block_start, next_block = t, t + B
+            idx = (np.concatenate((flat_idx[:, t - block_start], idx)) if W
+                   else flat_idx[:, t - block_start])
         drawn = idx + offsets if R > 1 else idx  # run 0's offset is 0
         if record:
             acc_idx = acc_flat[drawn]
-            shift = np.fromiter(map(math.log, tree.totals.tolist()), float, R) - log_n
+            roots = tree.totals.tolist() if W else []
+            if flat:
+                roots = flat_roots + roots
+            shift = np.fromiter(map(math.log, roots), float, R) - log_n
             # each row sum is bitwise the 1-d sum of that run's batch
             log_ratios = (amps[:, None] * acc_idx - shift[:, None]).sum(axis=1).tolist()
             means = np.array(acc_totals) / n
@@ -289,12 +338,15 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
         # every draw's utility at h_t in one stacked call, then one reweighting
         # per unique drawn index: uniq holds each run's unique indices in
         # first-appearance order, run after run, `at` the same entries of the
-        # flat accumulators, and run r's entries end at ends[r]
+        # flat accumulators, and run r's entries end at ends[r]; entry_amps
+        # and owner cover the entries of the reweighted runs alone
         U = utilities(cfg.utility, H, Xb, Yb)
         u, uniq, at = U.reshape(-1), idx.reshape(-1), drawn.reshape(-1)
         if b == 1:  # a speed path only: the general branch gives the same bits, slower
-            ends, entry_amps, owner = range(1, R + 1), amps, run_ids
+            ends = range(1, R + 1)
             batch_utils = u.tolist()
+            if W:
+                entry_amps, owner = tree_amps, tree_rows
         else:
             order = at.argsort(kind="stable")
             ranked = at[order]
@@ -307,14 +359,16 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
             counts_of = keep.reshape(R, b).sum(axis=1)
             ends = list(itertools.accumulate(counts_of.tolist()))
             batch_utils = [float(u[s:e].sum()) for s, e in zip([0, *ends], ends)]
-            entry_amps = np.repeat(amps, counts_of)
-            owner = np.repeat(run_ids, counts_of) if R > 1 else None
+            if W:
+                entry_amps = np.repeat(tree_amps, counts_of[flat:])
+                owner = np.repeat(tree_rows, counts_of[flat:]) if W > 1 else None
         if not (np.isfinite(H).all() and all(map(math.isfinite, batch_utils))):
             raise DivergenceError(t)
         if tick:
             for r, trace in enumerate(traces):
                 # Q_t: the tree is first written below, after the tick
-                cond = conditional_kl(tree, r) if track_kl else None
+                cond = (None if not track_kl else flat_kl if r < flat
+                        else conditional_kl(tree, r - flat))
                 trace.metrics.append(metric_fn(r, t, H[r], kl_from_utility_sum(trace), cond))
         if t < T:  # the utility sum covers iterations 1..T-1
             for trace, s in zip(traces, batch_utils):
@@ -322,14 +376,17 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
         old = acc_flat[at]
         new = dec * old + u
         acc_flat[at] = new
-        # valid by construction: distinct drawn indices, weights exp(amplitude * A) >= 1
-        tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
-                                      len(at)), owner)
         if record:
             deltas = (new - old).tolist()
             for r, (start, end) in enumerate(zip([0, *ends], ends)):
                 for d in deltas[start:end]:  # in order, as in a run of its own
                     acc_totals[r] += d
+        if W:
+            if flat:  # the flat runs' entries come first, and are never written
+                uniq, new = uniq[ends[flat - 1]:], new[ends[flat - 1]:]
+            # valid by construction: distinct drawn indices, weights exp(amplitude * A) >= 1
+            tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
+                                          len(uniq)), owner)
 
     for r, trace in enumerate(traces):
         trace.final_acc = acc[r]
@@ -348,16 +405,20 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     unique drawn index evaluate the utility at the new hypothesis and
     reweight it once. One `WeightTree.descend_many` call draws the batch and
     one unchecked `WeightTree._write` call reweights it, in first-appearance
-    order, bitwise as writes of one row each would. `rng` is consumed only by
-    the draws: exactly depth uniforms per draw, draws in order. The trace is
-    recorded (see `TrainTrace`). If metric_every > 0, metric_fn(t, h,
-    kl_stat, cond_kl) is called at t = 1, every metric_every-th iteration,
-    and t = T, where kl_stat is amplitude/(1-decay) times the utility sum
-    through iteration t-1.
+    order, bitwise as writes of one row each would. At amplitude 0 nothing is
+    reweighted, and one `rng.random` call and one `descend_many` call draw a
+    block of iterations' batches at once (see `train_many`). `rng` is
+    consumed only by the draws: exactly depth uniforms per draw, draws in
+    order, so after the last iteration it sits exactly T * batch_size * depth
+    uniforms in. The trace is recorded (see `TrainTrace`). If metric_every >
+    0, metric_fn(t, h, kl_stat, cond_kl) is called at t = 1, every
+    metric_every-th iteration, and t = T, where kl_stat is amplitude/(1-decay)
+    times the utility sum through iteration t-1.
 
-    Raises DivergenceError if a step leaves h, or the utilities at h, non-finite.
-    Returns (h_T, trace). The caller owns `rule` (its AdaGrad accumulator, of
-    h0's shape, is mutated) and `h0` is never modified.
+    Raises DivergenceError if a step leaves h, or the utilities at h,
+    non-finite; at amplitude 0, `rng` may then sit up to one block past the
+    diverging iteration. Returns (h_T, trace). The caller owns `rule` (its
+    AdaGrad accumulator, of h0's shape, is mutated) and `h0` is never modified.
     """
     if rule.kind == "adagrad":
         rule = UpdateRuleState("adagrad", rule.accumulator[None])  # a view: steps in place

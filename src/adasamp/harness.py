@@ -391,6 +391,7 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
         agg[f"median_{key}"] = float(np.median(vals))
         agg[f"mean_{key}"] = float(np.mean(vals))
     echo = dataclasses.asdict(cfg)
+    echo["alpha"] = cfg.sampler_config().amplitude  # as trained: -0.0 is 0.0
     unread = {name for names in unread_fields(cfg, echo).values() for name in names}
     return {
         "config": {k: v for k, v in echo.items() if k not in unread},
@@ -451,6 +452,7 @@ def run_comparison(cfg: ExperimentConfig, alphas=None) -> dict:
     base_out = cfg.out
     arms = {"uniform": 0.0}
     for a in alphas:
+        a = 0.0 if a == 0 else a  # -0.0 would name the arm alpha_-0
         name = f"alpha_{a:g}"
         if name in arms:
             raise ValueError(f"alphas {arms[name]!r} and {a!r} both name the arm {name!r}")

@@ -30,6 +30,7 @@ from adasamp import (
     synth_data,
     zeros_hypothesis,
 )
+import adasamp.adaptive as adaptive
 import adasamp.weight_tree as weight_tree
 from adasamp.model import batch_objective_grads
 from adasamp.optim import ADAGRAD_EPS
@@ -126,6 +127,11 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(amplitude=400.0, decay=0.5)
     SamplerConfig(amplitude=300.0, decay=0.5)  # 600 <= 700 is fine
+
+
+def test_a_negative_zero_amplitude_is_stored_as_zero():
+    cfg = SamplerConfig(amplitude=-0.0, decay=0.5)
+    assert cfg.amplitude == 0.0 and math.copysign(1.0, cfg.amplitude) == 1.0
 
 
 def test_conditional_kl_examples():
@@ -381,17 +387,28 @@ def _assert_same_run(got, expect):
     (40, 3, 16, 20, "l1", "adagrad", 1.2, True),
     (300, 2, 100, 12, "l1", "sgd", 1.5, False),  # desk-shaped: unequal unique counts
     (9, 2, 3, 40, "zero_one", "sgd", 0.8, False),
+    (1, 2, 3, 10, "l1", "sgd", None, True),  # depth 0: every draw is index 0
 ])
 def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classes, batch, T,
                                                           kind, rule, radius, track):
     # a relabel every few leaf writes: each run must relabel after the same
     # update_many call as alone, though the runs write different numbers of leaves
     monkeypatch.setattr(weight_tree, "REBUILD_EVERY", 7)
-    ds = synth_data(n, 4, classes, 0.6, 0.1, seed=n)
-    amps = [0.0, 1.3, 2.0, 0.0, 0.7]
+    ds = (synth_data(n, 4, classes, 0.6, 0.1, seed=n) if n >= classes
+          else Dataset.from_arrays(np.linspace(-1.0, 1.0, 4)[None], np.array([1]), classes))
+    depth = math.ceil(math.log2(n))
+    rng = np.random.default_rng(n + batch)
+    # the leading amplitude-0 runs draw in blocks; a later one keeps its tree row
+    for amps, flat in (([0.0, 1.3, 2.0, 0.0, 0.7], 1), ([0.0, 0.0, 1.3, 2.0, 0.7], 2),
+                       ([0.0, 0.0, 0.0], 3)):
+        # blocks of 7 iterations: T crosses block boundaries and ends inside a block
+        monkeypatch.setattr(adaptive, "_FLAT_BLOCK_UNIFORMS", 7 * flat * batch * max(depth, 1))
+        _check_lockstep(ds, amps, classes, batch, T, kind, rule, radius, track, rng)
+
+
+def _check_lockstep(ds, amps, classes, batch, T, kind, rule, radius, track, rng):
     cfgs = [SamplerConfig(amplitude=a, decay=0.4, utility=kind, batch_size=batch, iterations=T,
                           track_full_conditional_kl=track) for a in amps]
-    rng = np.random.default_rng(n + batch)
     h0s = [0.5 * rng.standard_normal((classes, 4)) for _ in amps]
     seeds = [int(s) for s in rng.integers(0, 2**32, size=len(amps))]
     sched = StepSchedule.inverse_decay(0.6, 0.01)
@@ -434,6 +451,54 @@ def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classe
         assert _bitwise_equal(h, h_ref) and _bitwise_equal(trace.final_acc, ref.final_acc)
         assert _bitwise_equal(trace.utility_sum, ref.utility_sum)
         assert trace.indices is trace.log_ratio_sum is trace.advantage_sum is None
+
+
+@pytest.mark.parametrize("budget", [None, 50])
+def test_a_completed_flat_run_leaves_its_rng_t_b_depth_uniforms_in(monkeypatch, budget):
+    # a budget of 50 uniforms makes blocks of 4 iterations: 17 ends inside a block
+    if budget is not None:
+        monkeypatch.setattr(adaptive, "_FLAT_BLOCK_UNIFORMS", budget)
+    ds = _random_dataset(5, n=11)  # depth 4
+    cfg = SamplerConfig(amplitude=0.0, decay=0.5, batch_size=3, iterations=17)
+    rng = np.random.default_rng(8)
+    train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(), 0.0, 5.0,
+          zeros_hypothesis(2, 3), rng)
+    ref = np.random.default_rng(8)
+    ref.random(17 * 3 * 4)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_flat_runs_are_never_written(monkeypatch):
+    writes = []
+    real_write = WeightTree._write
+
+    def recording_write(tree, idx, w, runs):
+        writes.append((tree, idx.copy(), w.copy(), None if runs is None else runs.copy()))
+        real_write(tree, idx, w, runs)
+
+    monkeypatch.setattr(WeightTree, "_write", recording_write)
+    ds = _random_dataset(6, n=20)
+    T, batch = 9, 5
+    amps = [0.0, 0.0, 1.0, 2.0]
+    cfgs = [SamplerConfig(amplitude=a, decay=0.5, batch_size=batch, iterations=T) for a in amps]
+    runs = train_many(ds, cfgs, StepSchedule.constant(0.1), UpdateRuleState.sgd(), 0.0, 5.0,
+                      [zeros_hypothesis(2, 3)] * 4, [np.random.default_rng(s) for s in range(4)])
+    assert len(writes) == T
+    assert len({id(tree) for tree, *_ in writes}) == 1 and writes[0][0].runs == 2
+    for t, (_, idx, w, rows) in enumerate(writes):
+        # runs 2 and 3, after the flat runs, are rows 0 and 1 of the written tree
+        expect_idx, expect_rows = [], []
+        for row, r in enumerate((2, 3)):
+            drawn = runs[r][1].indices[t]
+            _, first = np.unique(drawn, return_index=True)
+            expect_idx += drawn[np.sort(first)].tolist()
+            expect_rows += [row] * len(first)
+        assert idx.tolist() == expect_idx and rows.tolist() == expect_rows
+        assert (w >= 1.0).all()
+    writes.clear()
+    train_many(ds, cfgs[:2], StepSchedule.constant(0.1), UpdateRuleState.sgd(), 0.0, 5.0,
+               [zeros_hypothesis(2, 3)] * 2, [np.random.default_rng(s) for s in range(2)])
+    assert writes == []
 
 
 @pytest.mark.parametrize("scales", [(1.0, 1e150, 1e250), (1e250, 1e150, 1.0),

@@ -673,6 +673,25 @@ def test_compare_alphas_are_checked_against_lambda_in_place_of_alpha(tmp_path, c
         assert json.loads((out / name / "report.json").read_text())["config"]["alpha"] == alpha
 
 
+def test_a_negative_zero_amplitude_is_written_as_zero(tmp_path, capsys):
+    out = tmp_path / "train"
+    assert main(["train", *SMALL, "--alpha", "-0", "--out", str(out)]) == 0
+    for k in range(2):
+        rows = (out / f"trial_{k}.metrics.jsonl").read_text().splitlines()
+        assert rows and all('"kl_stat": 0,' in row for row in rows)
+        csv = (out / f"trial_{k}.metrics.csv").read_text()
+        assert "-0" not in csv.replace("e-0", "")
+    assert '"alpha": 0,' in (out / "report.json").read_text()
+
+
+def test_a_negative_zero_alpha_names_the_arm_alpha_0(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", *SMALL, "--alphas", "-0", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["alpha_0", "comparison.json", "uniform"]
+    assert '"alpha_0": {"alpha": 0,' in (out / "comparison.json").read_text()
+    assert '"alpha": 0,' in (out / "alpha_0" / "report.json").read_text()
+
+
 def test_the_choice_flags_are_the_package_kinds_in_order():
     actions = {a.dest: a for a in parse_args(["train"]).subparser._actions}
     assert actions["utility"].choices == list(harness.UTILITY_FLAGS) == ["01", "l1"]

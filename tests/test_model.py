@@ -334,6 +334,23 @@ def test_stacked_projection_equals_per_run_projection_bitwise():
     assert project(H, None) is H
 
 
+def test_projection_scales_a_run_outside_the_ball_beside_a_nan_run():
+    # a NaN norm is not outside the ball, so only run 1 is scaled
+    rng = np.random.default_rng(6)
+    H = rng.standard_normal((3, 2, 4))
+    H[0, 1, 2] = np.nan
+    H[1] *= 10.0
+    H[2] *= 0.01
+    radius = 2.0
+    out = project(H, radius)
+    norm = np.sqrt((H[1] * H[1]).reshape(-1).sum())
+    assert norm > radius
+    assert out[1].tobytes() == (H[1] * (radius / norm)).tobytes()
+    assert out[1].tobytes() == project(H[1], radius).tobytes()
+    for r in (0, 2):
+        assert out[r].tobytes() == (H[r] * 1.0).tobytes()
+
+
 def test_accuracy_and_mean_loss():
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
     ds = Dataset.from_arrays(X, np.array([0, 1]), 2)
