@@ -6,25 +6,21 @@ from .adaptive import (
     SamplerConfig,
     TrainTrace,
     conditional_kl,
-    posterior_objective,
+    kl_from_utility_sum,
     train,
     train_many,
     utilities,
     utility,
-    weight_update,
 )
 from .bounds import (
     BoundReport,
     EnumeratedDivergence,
-    chisq_divergence,
     enumerate_posterior_divergence,
     gen_bound_chisq,
     gen_bound_derandomized,
     gen_bound_kl,
     gen_bound_sgd_strongly_convex,
-    kl_divergence,
     kl_from_utility_advantage,
-    kl_from_utility_sum,
     sgd_stability_convex,
     sgd_stability_initial_risk,
     sgd_stability_nonconvex,
@@ -36,9 +32,7 @@ from .model import (
     Example,
     RegularityConstants,
     default_domain_radius,
-    mean_bounded_loss,
     objective_grad,
-    objective_value,
     predict_proba,
     project,
     regularity_constants,
@@ -63,7 +57,6 @@ __all__ = [
     "UpdateRuleState",
     "WeightTree",
     "apply_update",
-    "chisq_divergence",
     "conditional_kl",
     "default_domain_radius",
     "enumerate_posterior_divergence",
@@ -71,14 +64,10 @@ __all__ = [
     "gen_bound_derandomized",
     "gen_bound_kl",
     "gen_bound_sgd_strongly_convex",
-    "kl_divergence",
     "kl_from_utility_advantage",
     "kl_from_utility_sum",
     "load_csv",
-    "mean_bounded_loss",
     "objective_grad",
-    "objective_value",
-    "posterior_objective",
     "predict_proba",
     "project",
     "regularity_constants",
@@ -94,6 +83,5 @@ __all__ = [
     "train_many",
     "utilities",
     "utility",
-    "weight_update",
     "zeros_hypothesis",
 ]

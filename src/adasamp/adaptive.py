@@ -103,13 +103,6 @@ def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndar
     return np.minimum(np.maximum(1.0 - py, 0.0), 1.0)
 
 
-def weight_update(w: float, u: float, amplitude: float, decay: float) -> float:
-    """The multiplicative reweighting w^decay * exp(amplitude * u)."""
-    if w <= 0:
-        raise ValueError("weight must be positive")
-    return w**decay * math.exp(amplitude * u)
-
-
 def conditional_kl(tree: WeightTree, run: int = 0) -> float:
     """KL(Q || uniform) of one run's current sampling distribution, i.e.
     sum_i Q(i) * ln(n * Q(i)) over the live leaves (zero-weight leaves drop out).
@@ -119,33 +112,6 @@ def conditional_kl(tree: WeightTree, run: int = 0) -> float:
     if not q.min() > 0:
         q = q[q > 0]
     return float((q * np.log(tree.n * q)).sum())
-
-
-def posterior_objective(q_next, utils, q_ref, amplitude: float, decay: float) -> float:
-    """Expected utility minus KL penalty that the multiplicative update maximizes:
-
-        sum_i q_next(i) * U_i  -  (1/amplitude) * KL(q_next || ref)
-
-    where ref is q_ref^decay renormalized. The maximizer over the simplex is
-    q*(i) proportional to q_ref(i)^decay * exp(amplitude * U_i), i.e. one
-    `weight_update` sweep followed by normalization.
-    """
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
-    q = np.asarray(q_next, dtype=np.float64)
-    u = np.asarray(utils, dtype=np.float64)
-    ref = np.asarray(q_ref, dtype=np.float64)
-    if q.shape != u.shape or q.shape != ref.shape:
-        raise ValueError("q_next, utils, q_ref must share a shape")
-    if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("q_next must be a distribution")
-    if np.any(ref <= 0):
-        raise ValueError("q_ref must be strictly positive")
-    ref_pow = ref**decay
-    ref_pow /= ref_pow.sum()
-    pos = q > 0
-    kl = float((q[pos] * np.log(q[pos] / ref_pow[pos])).sum())
-    return float((q * u).sum()) - kl / amplitude
 
 
 @dataclasses.dataclass
@@ -189,8 +155,13 @@ class TrainTrace:
 
 def kl_from_utility_sum(trace: TrainTrace) -> float:
     """Per-path KL statistic amplitude/(1-decay) * utility_sum (see TrainTrace),
-    the kl_stat of every metrics tick. Looser than the advantage statistic, but
-    kept by every run, recorded or not, and batch-friendly."""
+    the kl_stat of every metrics tick, kept by every run, recorded or not.
+
+    At batch 1 its expectation over sample paths bounds KL(Q || uniform) from
+    above, more loosely than the advantage statistic. At batch > 1 it is not an
+    upper statistic: its expectation can fall below the KL, because it counts
+    each unique drawn index once per iteration, while the sequence KL counts
+    every draw."""
     return trace.amplitude / (1.0 - trace.decay) * trace.utility_sum
 
 

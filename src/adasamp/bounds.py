@@ -1,4 +1,4 @@
-"""Stability coefficients, divergences, and generalization-bound evaluators.
+"""Stability coefficients, generalization-bound evaluators, and KL statistics.
 
 The sgd_stability_* functions evaluate closed-form uniform-stability
 coefficients of SGD under the stated regularity regime; the gen_bound_*
@@ -6,11 +6,12 @@ functions evaluate high-probability generalization bounds for a sampling
 distribution Q over the n training examples, given a divergence of Q from the
 uniform prior and stability coefficients (beta for resampling one data point,
 gamma for perturbing one index of the draw sequence); each raises ValueError
-naming its formula when its value is not finite. kl_from_utility_advantage and
-kl_from_utility_sum (adaptive's) scale a training trace's running sums into upper
-statistics for KL(Q || uniform), and enumerate_posterior_divergence computes
-the exact KL and both statistics on instances small enough to enumerate every
-sample path.
+naming its formula when its value is not finite. kl_from_utility_advantage
+scales a recorded batch-1 trace's advantage sum into an upper statistic for
+KL(Q || uniform); adaptive's kl_from_utility_sum, the metrics ticks' statistic,
+is one only at batch 1 (see its docstring). enumerate_posterior_divergence
+computes the exact KL and both statistics on instances small enough to
+enumerate every sample path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .adaptive import SamplerConfig, TrainTrace, kl_from_utility_sum, utility  # noqa: F401
+from .adaptive import SamplerConfig, TrainTrace, utility
 from .model import Dataset, objective_grad
 from .optim import StepSchedule, UpdateRuleState, apply_update
 
@@ -77,36 +78,6 @@ def sgd_stability_strongly_convex(L: float, mu: float, n: int, T: int) -> tuple[
     _check_counts(T=T, n=n)
     name = "stability_strongly_convex coefficient"
     return _finite(name, 2.0 * L * L / (mu * n)), _finite(name, 2.0 * L * L / (mu * T))
-
-
-# ---- divergences ----
-
-def _check_distribution_pair(q, p):
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if q.shape != p.shape or q.ndim != 1:
-        raise ValueError("q and p must be 1-d with the same length")
-    if np.any(q < 0) or np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(q.sum() - 1.0) > 1e-9 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("q and p must each sum to 1 within 1e-9")
-    if np.any((q > 0) & (p == 0)):
-        raise ValueError("q is not absolutely continuous w.r.t. p")
-    return q, p
-
-
-def kl_divergence(q, p) -> float:
-    """KL(q || p) = sum_{q_i > 0} q_i ln(q_i / p_i)."""
-    q, p = _check_distribution_pair(q, p)
-    pos = q > 0
-    return float((q[pos] * np.log(q[pos] / p[pos])).sum())
-
-
-def chisq_divergence(q, p) -> float:
-    """chi^2(q || p) = sum_{p_i > 0} q_i^2 / p_i - 1."""
-    q, p = _check_distribution_pair(q, p)
-    pos = p > 0
-    return float((q[pos] * q[pos] / p[pos]).sum() - 1.0)
 
 
 # ---- generalization bounds ----

@@ -69,7 +69,7 @@ def _class_counts(n: int, classes: int, imbalance: float) -> np.ndarray:
 
 
 def synth_data(n: int, dim: int, classes: int, imbalance: float, noise: float,
-               seed: int, separation: float = 4.0) -> Dataset:
+               seed: int, separation: float) -> Dataset:
     """Imbalanced noisy Gaussian-cluster task with exactly round(n*noise) flips.
 
     imbalance in [0, 1) interpolates class proportions from uniform to all mass
@@ -83,7 +83,7 @@ def synth_data(n: int, dim: int, classes: int, imbalance: float, noise: float,
 
 
 def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
-                 seed: int, separation: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
+                 seed: int, separation: float) -> tuple[np.ndarray, np.ndarray]:
     """`synth_data`'s features and labels as plain arrays, so a caller that
     splits them builds only the split datasets.
 
@@ -167,7 +167,9 @@ def load_csv(path) -> Dataset:
     """Read a `label,f1,...,fd` file; rejects ragged or malformed rows, labels
     that are not integers in [0, 2**53) and non-finite features with the
     offending data-row number (counted from 1, just below the header), and
-    labels that skip a class (each class sizes the model) naming the first."""
+    labels that skip a class (each class sizes the model) naming the first.
+    A blank line is skipped, but it keeps its number, so every later row is
+    still named by its own line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -180,6 +182,8 @@ def load_csv(path) -> Dataset:
         labels, rows = [], []  # the parsed rows not yet moved into a block
         y_blocks, X_blocks = [], []
         for r, row in enumerate(reader, start=1):
+            if not row:  # a blank line, which enumerate has still counted
+                continue
             if len(row) != dim + 1:
                 raise ValueError(f"row {r}: expected {dim + 1} columns, got {len(row)}")
             try:

@@ -6,6 +6,8 @@ read. It keeps each trial's metrics records and a final JSON report that
 echoes the config fields the run read, the regularity constants, one summary
 per trial read from its last record, and evaluated stability/generalization
 bounds with that record's utility-sum KL statistic substituted for KL(Q || P).
+That statistic's expectation bounds the KL from above at batch 1 only; at
+batch > 1 it can fall below it (see `adaptive.kl_from_utility_sum`).
 run_comparison does the same for a uniform arm and one arm per amplitude, each
 the config with its own alpha and out, on one dataset. Every arm and trial is
 trained in one lockstep `train_many` call. A metrics tick
@@ -43,7 +45,6 @@ from .model import (
     _bounded_losses,
     _risk_and_accuracy,
     default_domain_radius,
-    mean_bounded_loss,
     project,
     regularity_constants,
     softmax,
@@ -167,9 +168,11 @@ def unread_fields(cfg: ExperimentConfig, given, alphas=None) -> dict:
 @dataclasses.dataclass(frozen=True)
 class MetricsRecord:
     """One metrics row: risks are M-clamped means, kl_stat is the running
-    utility-sum KL statistic through the previous iteration, conditional_kl is
-    the tracked KL(Q_t || uniform) (None when tracking is off). A dataset's
-    risk and accuracy come from one scoring of it at the tick's hypothesis."""
+    utility-sum KL statistic through the previous iteration (an upper
+    statistic for KL(Q || P) at batch 1 only; see
+    `adaptive.kl_from_utility_sum`), conditional_kl is the tracked
+    KL(Q_t || uniform) (None when tracking is off). A dataset's risk and
+    accuracy come from one scoring of it at the tick's hypothesis."""
 
     iteration: int
     empirical_risk: float
@@ -367,8 +370,8 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
     read from its last metrics record (the t = T tick) with bound evaluations
     (its KL statistic plugged in), and cross-trial aggregates of those rows."""
     n, T = train_ds.n, cfg.iters
-    h0_risk = mean_bounded_loss(zeros_hypothesis(train_ds.num_classes, train_ds.feature_dim),
-                                test_ds, consts.loss_bound)
+    h0 = zeros_hypothesis(train_ds.num_classes, train_ds.feature_dim)
+    h0_risk = _risk_and_accuracy(h0, test_ds, consts.loss_bound)[0]
     trial_rows = []
     for trial, records in enumerate(metrics):
         final = records[-1]

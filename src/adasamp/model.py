@@ -201,13 +201,6 @@ def predict_proba(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return softmax(h @ x)
 
 
-def objective_value(h: np.ndarray, z: Example, mu: float) -> float:
-    """F(h, z) = CE(h, z) + (mu/2) * ||h||^2, what SGD descends: CE = -ln p_y
-    with p_y clamped below at PROB_FLOOR, and not clamped at M."""
-    ce = float(-np.log(max(predict_proba(h, z.features)[z.label], PROB_FLOOR)))
-    return ce + 0.5 * mu * float((h * h).sum())
-
-
 def objective_grad(h: np.ndarray, z: Example, mu: float) -> np.ndarray:
     """Gradient of F at h for one example: (softmax - onehot) outer x + mu * h."""
     p = predict_proba(h, z.features)
@@ -247,7 +240,8 @@ def _bounded_losses(scores: np.ndarray, labels: np.ndarray, M: float) -> np.ndar
 
 
 def _risk_and_accuracy(h: np.ndarray, ds: Dataset, M: float) -> tuple[float, float]:
-    """(mean_bounded_loss, accuracy) of h on ds from one scoring X @ h.T.
+    """(empirical risk, accuracy) of h on ds from one scoring X @ h.T, the
+    risk being the mean of min(CE, M).
 
     Besides the (n, C) scores it holds one (n,) float array of bounded losses
     and one (n,) bool array of hits, filled `_SCORE_ROWS` rows at a time, so
@@ -264,11 +258,6 @@ def _risk_and_accuracy(h: np.ndarray, ds: Dataset, M: float) -> tuple[float, flo
         losses[rows] = _bounded_losses(block, labels, M)
         np.equal(block.argmax(axis=-1), labels, out=hits[rows])
     return float(losses.mean()), float(hits.mean())
-
-
-def mean_bounded_loss(h: np.ndarray, ds: Dataset, M: float) -> float:
-    """Average of min(CE, M) over a dataset (the empirical risk estimate)."""
-    return float(_bounded_losses(ds.features @ h.T, ds.labels, M).mean())
 
 
 def default_domain_radius(ds: Dataset, mu: float) -> float:

@@ -31,16 +31,18 @@ class WeightTree:
     Each operation has one batched path, a few numpy calls per tree level, and
     every element of it is computed as in a tree of that run alone:
     `descend_many` walks rows of uniforms level by level (row r is draw r),
-    `sample_many` feeds it fresh rows, and `update_many` writes distinct leaves,
+    `sample_many` feeds it fresh rows, and `_write` writes distinct leaves,
     adds every delta to its ancestors with one `np.add.at` in row order, and
-    clamps the touched labels at 0 once per batch. An array with a leading run
-    axis carries all R runs; on a one-run tree that axis may be left out. The
+    clamps the touched labels at 0 once per batch. `descend_many` takes every
+    run: an array with a leading run axis carries all R runs, and on a
+    one-run tree that axis may be left out. `_write` takes each leaf's run.
+    `probs`, `sample_many` and `update_many` serve a one-run tree alone. The
     one-run forks (`runs is None`) are speed paths only: the run-offset path
     gives the same labels, but tiny calls pay for its extra arrays.
 
     Incremental updates accumulate float drift in the internal labels, bounded in
     practice far below 1e-9 of the root; `rebuild` recomputes the labels bottom-up
-    and runs automatically for each run after the `update_many` call that brings
+    and runs automatically for each run after the `_write` call that brings
     that run's leaf writes since its last relabel to `REBUILD_EVERY` or more.
     Until then, drift next to zero weights can leave a zero subtree with a tiny
     positive label, which a draw can then reach.
@@ -79,6 +81,10 @@ class WeightTree:
         """Every run's labels, one row per run, or the flat array itself for one run."""
         return self._nodes.reshape(self.runs, self._stride) if self.runs > 1 else self._nodes
 
+    def _check_one_run(self, method: str) -> None:
+        if self.runs != 1:
+            raise ValueError(f"{method} takes a one-run tree, not one of {self.runs} runs")
+
     def _check_runs(self, a: np.ndarray, ndim: int) -> None:
         """Reject `a` unless it is `ndim`-d with a leading axis of all R runs,
         an axis that a one-run tree lets a caller leave out."""
@@ -93,22 +99,18 @@ class WeightTree:
         return self._nodes[:: self._stride]
 
     def probs(self, indices) -> np.ndarray:
-        """Current sampling probabilities, weight / root, of an integer array of
-        indices: (k,) on a one-run tree, or (R, k) with row r for run r."""
+        """Current sampling probabilities, weight / root, of a 1-d integer array
+        of indices into a one-run tree."""
+        self._check_one_run("probs")
         idx = np.asarray(indices, dtype=np.int64)
-        self._check_runs(idx, 2)
+        if idx.ndim != 1:
+            raise ValueError("indices must be a 1-d array")
         if idx.size and idx.view(np.uint64).max() >= self.n:  # negatives wrap to huge
             raise IndexError(f"index out of range for n={self.n}")
-        if self.runs == 1:  # one run needs no row offsets
-            roots, leaves = self._nodes[0], idx + (self.capacity - 1)
-            positive = roots > 0
-        else:
-            base = np.arange(0, self.runs * self._stride, self._stride)[:, None]
-            roots, leaves = self._nodes[base], idx + (base + (self.capacity - 1))
-            positive = roots.min() > 0
-        if not positive:
+        root = self._nodes[0]
+        if not root > 0:
             raise ValueError("total weight is zero")
-        return self._nodes[leaves] / roots
+        return self._nodes[idx + (self.capacity - 1)] / root
 
     def distribution(self, run: int = 0) -> np.ndarray:
         """All n sampling probabilities of one run, normalized to sum to 1 (O(n) diagnostic)."""
@@ -158,16 +160,10 @@ class WeightTree:
 
     # ---- writing ----
 
-    def update_many(self, indices, weights, runs=None) -> None:
-        """Set leaf indices[r] of run runs[r] (default run 0) to weights[r], for
-        (run, index) pairs that are distinct.
-
-        Each delta goes to its depth ancestors through one `np.add.at` over the
-        row-major (k, depth) ancestor matrix, so every label receives its deltas
-        in row order, and a touched label that ends below 0 is set to 0. Labels
-        of different runs are disjoint, so each run's labels end as after a call
-        with that run's rows alone.
-        """
+    def update_many(self, indices, weights) -> None:
+        """Set leaf indices[k] of a one-run tree to weights[k], for distinct
+        indices, through `_write`, after checking every argument."""
+        self._check_one_run("update_many")
         idx = np.asarray(indices, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
         if idx.ndim != 1 or w.shape != idx.shape:
@@ -177,26 +173,29 @@ class WeightTree:
             return
         if idx.view(np.uint64).max() >= self.n:  # negatives wrap to huge
             raise IndexError(f"index out of range for n={self.n}")
-        if runs is not None:
-            runs = np.asarray(runs, dtype=np.int64)
-            if runs.shape != idx.shape:
-                raise ValueError("runs must give one run per index")
-            if runs.view(np.uint64).max() >= self.runs:
-                raise IndexError(f"run out of range for {self.runs} runs")
         lo = w.min()
         if not (lo >= 0 and w.max() < math.inf):
             raise ValueError("weight must be finite and nonnegative")
         _reject_below_min_weight(w, lo)
         if k > 1:
-            ordered = np.sort(idx if runs is None else idx + runs * self.n)
+            ordered = np.sort(idx)
             if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("indices must be distinct")
-        self._write(idx, w, runs)
+        self._write(idx, w, None)
 
     def _write(self, idx: np.ndarray, w: np.ndarray, runs) -> None:
-        """`update_many` for arguments it would accept, already as arrays: a
-        nonempty int64 idx, float64 w and int64 runs (or None). Callers that
-        build valid writes themselves, as the trainer does, skip the checks."""
+        """Set leaf idx[k] of run runs[k] (run 0 when runs is None) to w[k], for
+        distinct (run, index) pairs, unchecked: a nonempty int64 idx, float64
+        weights that `update_many` would accept, and int64 runs in range (or
+        None). Callers that build valid writes themselves, as the trainer
+        does, skip the checks.
+
+        Each delta goes to its depth ancestors through one `np.add.at` over the
+        row-major (k, depth) ancestor matrix, so every label receives its deltas
+        in row order, and a touched label that ends below 0 is set to 0. Labels
+        of different runs are disjoint, so each run's labels end as after a call
+        with that run's rows alone.
+        """
         k = idx.size
         leaves = idx + (self.capacity - 1)
         if runs is not None:

@@ -1,9 +1,13 @@
-"""Independent test oracles shared by several test modules."""
+"""Independent test oracles shared by several test modules: scalar and
+first-written forms of what the package computes batched, or does not need
+at all, for the tests to check the package against."""
+
+import math
 
 import numpy as np
 
 from adasamp.data import _class_counts, _class_means
-from adasamp.model import PROB_FLOOR, Dataset, objective_grad
+from adasamp.model import PROB_FLOOR, Dataset, Example, objective_grad, predict_proba
 from adasamp.optim import UpdateRuleState, apply_update
 
 
@@ -36,7 +40,7 @@ def naive_run_indexed(ds, indices, sched, mu, h0, radius):
     return h
 
 
-def naive_synth_data(n, dim, classes, imbalance, noise, seed, separation=4.0):
+def naive_synth_data(n, dim, classes, imbalance, noise, seed, separation):
     """The synthetic task as first written: means gathered per row, every
     squared distance in one (n, classes, dim) temporary, a copy for the
     other-class distances, and a full stable sort to pick the flipped labels.
@@ -87,3 +91,72 @@ def naive_mean_bounded_loss(h, ds, M):
 def naive_accuracy(h, ds):
     scores = ds.features @ h.T
     return float((scores.argmax(axis=1) == ds.labels).mean())
+
+
+def objective_value(h: np.ndarray, z: Example, mu: float) -> float:
+    """F(h, z) = CE(h, z) + (mu/2) * ||h||^2, what SGD descends: CE = -ln p_y
+    with p_y clamped below at PROB_FLOOR, and not clamped at M."""
+    ce = float(-np.log(max(predict_proba(h, z.features)[z.label], PROB_FLOOR)))
+    return ce + 0.5 * mu * float((h * h).sum())
+
+
+def weight_update(w: float, u: float, amplitude: float, decay: float) -> float:
+    """The multiplicative reweighting w^decay * exp(amplitude * u)."""
+    if w <= 0:
+        raise ValueError("weight must be positive")
+    return w**decay * math.exp(amplitude * u)
+
+
+def posterior_objective(q_next, utils, q_ref, amplitude: float, decay: float) -> float:
+    """Expected utility minus KL penalty that the multiplicative update maximizes:
+
+        sum_i q_next(i) * U_i  -  (1/amplitude) * KL(q_next || ref)
+
+    where ref is q_ref^decay renormalized. The maximizer over the simplex is
+    q*(i) proportional to q_ref(i)^decay * exp(amplitude * U_i), i.e. one
+    `weight_update` sweep followed by normalization.
+    """
+    if amplitude <= 0:
+        raise ValueError("amplitude must be positive")
+    q = np.asarray(q_next, dtype=np.float64)
+    u = np.asarray(utils, dtype=np.float64)
+    ref = np.asarray(q_ref, dtype=np.float64)
+    if q.shape != u.shape or q.shape != ref.shape:
+        raise ValueError("q_next, utils, q_ref must share a shape")
+    if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
+        raise ValueError("q_next must be a distribution")
+    if np.any(ref <= 0):
+        raise ValueError("q_ref must be strictly positive")
+    ref_pow = ref**decay
+    ref_pow /= ref_pow.sum()
+    pos = q > 0
+    kl = float((q[pos] * np.log(q[pos] / ref_pow[pos])).sum())
+    return float((q * u).sum()) - kl / amplitude
+
+
+def _check_distribution_pair(q, p):
+    q = np.asarray(q, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    if q.shape != p.shape or q.ndim != 1:
+        raise ValueError("q and p must be 1-d with the same length")
+    if np.any(q < 0) or np.any(p < 0):
+        raise ValueError("probabilities must be nonnegative")
+    if abs(q.sum() - 1.0) > 1e-9 or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("q and p must each sum to 1 within 1e-9")
+    if np.any((q > 0) & (p == 0)):
+        raise ValueError("q is not absolutely continuous w.r.t. p")
+    return q, p
+
+
+def kl_divergence(q, p) -> float:
+    """KL(q || p) = sum_{q_i > 0} q_i ln(q_i / p_i)."""
+    q, p = _check_distribution_pair(q, p)
+    pos = q > 0
+    return float((q[pos] * np.log(q[pos] / p[pos])).sum())
+
+
+def chisq_divergence(q, p) -> float:
+    """chi^2(q || p) = sum_{p_i > 0} q_i^2 / p_i - 1."""
+    q, p = _check_distribution_pair(q, p)
+    pos = p > 0
+    return float((q[pos] * q[pos] / p[pos]).sum() - 1.0)

@@ -30,8 +30,6 @@ from adasamp import (
     kl_from_utility_advantage,
     kl_from_utility_sum,
     objective_grad,
-    objective_value,
-    posterior_objective,
     sgd_stability_convex,
     sgd_stability_nonconvex,
     sgd_stability_strongly_convex,
@@ -40,7 +38,7 @@ from adasamp import (
     zeros_hypothesis,
 )
 from adasamp.harness import ExperimentConfig, probe_stability, run_comparison
-from oracles import naive_descend
+from oracles import naive_descend, objective_value, posterior_objective
 
 
 def _verdict(ok: bool, label: str) -> None:

@@ -19,14 +19,12 @@ from adasamp import (
     WeightTree,
     conditional_kl,
     objective_grad,
-    posterior_objective,
     project,
     step_size,
     train,
     train_many,
     utilities,
     utility,
-    weight_update,
     synth_data,
     zeros_hypothesis,
 )
@@ -34,7 +32,7 @@ import adasamp.adaptive as adaptive
 import adasamp.weight_tree as weight_tree
 from adasamp.model import batch_objective_grads
 from adasamp.optim import ADAGRAD_EPS
-from oracles import naive_descend, naive_softmax
+from oracles import naive_descend, naive_softmax, posterior_objective, weight_update
 
 
 def _random_dataset(seed, n=10, d=3, classes=2):
@@ -341,7 +339,7 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
     (9, 4, 50, 0.8, "zero_one", "adagrad"),
 ])
 def test_batched_trainer_replays_the_scalar_loop_bitwise(n, batch, T, amp, kind, rule):
-    ds = synth_data(n, 8, 2, 0.7, 0.05, seed=n)
+    ds = synth_data(n, 8, 2, 0.7, 0.05, seed=n, separation=4.0)
     cfg = SamplerConfig(amplitude=amp, decay=0.5, utility=kind, batch_size=batch, iterations=T)
     sched = StepSchedule.inverse_decay(0.5, 0.01)
     rules = [UpdateRuleState.sgd() if rule == "sgd" else UpdateRuleState.adagrad((2, 8))
@@ -394,7 +392,7 @@ def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classe
     # a relabel every few leaf writes: each run must relabel after the same
     # update_many call as alone, though the runs write different numbers of leaves
     monkeypatch.setattr(weight_tree, "REBUILD_EVERY", 7)
-    ds = (synth_data(n, 4, classes, 0.6, 0.1, seed=n) if n >= classes
+    ds = (synth_data(n, 4, classes, 0.6, 0.1, seed=n, separation=4.0) if n >= classes
           else Dataset.from_arrays(np.linspace(-1.0, 1.0, 4)[None], np.array([1]), classes))
     depth = math.ceil(math.log2(n))
     rng = np.random.default_rng(n + batch)

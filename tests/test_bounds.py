@@ -16,13 +16,11 @@ from adasamp import (
     SamplerConfig,
     StepSchedule,
     UpdateRuleState,
-    chisq_divergence,
     enumerate_posterior_divergence,
     gen_bound_chisq,
     gen_bound_derandomized,
     gen_bound_kl,
     gen_bound_sgd_strongly_convex,
-    kl_divergence,
     kl_from_utility_advantage,
     kl_from_utility_sum,
     sgd_stability_convex,
@@ -34,6 +32,7 @@ from adasamp import (
     zeros_hypothesis,
 )
 from adasamp.adaptive import TrainTrace
+from oracles import chisq_divergence, kl_divergence
 
 
 # ---- stability coefficients ----
@@ -323,7 +322,7 @@ def test_advantage_statistic_requires_single_draws():
                      0.0, 5.0, zeros_hypothesis(2, 1), np.random.default_rng(4))
     with pytest.raises(ValueError):
         kl_from_utility_advantage(trace)
-    assert kl_from_utility_sum(trace) > 0.0  # the batch form still applies
+    assert kl_from_utility_sum(trace) > 0.0  # defined at any batch, but see the next test
 
 
 def _train_unrecorded(T):
@@ -350,6 +349,24 @@ def test_utility_sum_statistic_of_an_unrecorded_trace_is_its_last_kl_stat(T):
     trace = _train_unrecorded(T)
     assert kl_from_utility_sum(trace).hex() == trace.metrics[-1].hex()
     assert kl_from_utility_sum(trace) == 0.5 / 0.5 * (T - 1)  # utility 1 throughout
+
+
+def test_utility_sum_statistic_falls_below_the_kl_at_batch_above_one():
+    # It counts each unique drawn index once per iteration, and the sequence
+    # KL counts every draw. The zero_one utility at a step of 1e-12 keeps the
+    # utilities fixed; the mean log-ratio sum estimates the KL without bias.
+    X = np.random.default_rng(1).standard_normal((3, 3))
+    ds = Dataset.from_arrays(X, np.array([0, 1, 1]), 2)
+    cfg = SamplerConfig(amplitude=5.0, decay=0.2, utility="zero_one", batch_size=6,
+                        iterations=6)
+    runs = 20000
+    out = train_many(ds, [cfg] * runs, StepSchedule.constant(1e-12), UpdateRuleState.sgd(),
+                     0.0, 5.0, [zeros_hypothesis(2, 3)] * runs,
+                     [np.random.default_rng(seed) for seed in range(runs)])
+    kl = np.array([trace.total_log_ratio() for _, trace in out])
+    stat = np.array([kl_from_utility_sum(trace) for _, trace in out])
+    se = math.sqrt((kl.var(ddof=1) + stat.var(ddof=1)) / runs)
+    assert kl.mean() - stat.mean() > 5.0 * se, (kl.mean(), stat.mean(), se)
 
 
 # ---- exact enumeration ----

@@ -15,32 +15,33 @@ from oracles import naive_feature_radius, naive_synth_data
 
 
 def test_same_seed_is_bit_identical():
-    a = synth_data(300, 4, 2, 0.6, 0.05, seed=9)
-    b = synth_data(300, 4, 2, 0.6, 0.05, seed=9)
+    a = synth_data(300, 4, 2, 0.6, 0.05, seed=9, separation=4.0)
+    b = synth_data(300, 4, 2, 0.6, 0.05, seed=9, separation=4.0)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
-    c = synth_data(300, 4, 2, 0.6, 0.05, seed=10)
+    c = synth_data(300, 4, 2, 0.6, 0.05, seed=10, separation=4.0)
     assert not np.array_equal(a.features, c.features)
 
 
 def test_noise_flips_exactly_round_n_noise_labels():
-    clean = synth_data(1000, 3, 2, 0.5, 0.0, seed=1)
-    noisy = synth_data(1000, 3, 2, 0.5, 0.1, seed=1)
+    clean = synth_data(1000, 3, 2, 0.5, 0.0, seed=1, separation=4.0)
+    noisy = synth_data(1000, 3, 2, 0.5, 0.1, seed=1, separation=4.0)
     assert np.array_equal(clean.features, noisy.features)
     assert int((clean.labels != noisy.labels).sum()) == 100
-    assert int((clean.labels != synth_data(1000, 3, 2, 0.5, 0.033, seed=1).labels).sum()) == 33
+    light = synth_data(1000, 3, 2, 0.5, 0.033, seed=1, separation=4.0)
+    assert int((clean.labels != light.labels).sum()) == 33
 
 
 def test_imbalance_controls_class_counts():
     # class 0 share = 1/C + imbalance * (1 - 1/C) = 0.8
-    ds = synth_data(10, 2, 2, 0.6, 0.0, seed=2)
+    ds = synth_data(10, 2, 2, 0.6, 0.0, seed=2, separation=4.0)
     assert list(np.bincount(ds.labels)) == [8, 2]
-    balanced = synth_data(10, 2, 2, 0.0, 0.0, seed=2)
+    balanced = synth_data(10, 2, 2, 0.0, 0.0, seed=2, separation=4.0)
     assert list(np.bincount(balanced.labels)) == [5, 5]
 
 
 def test_every_class_stays_populated():
-    ds = synth_data(7, 5, 3, 0.9, 0.0, seed=3)
+    ds = synth_data(7, 5, 3, 0.9, 0.0, seed=3, separation=4.0)
     assert np.bincount(ds.labels, minlength=3).min() >= 1
 
 
@@ -58,29 +59,33 @@ def test_flipped_points_resist_the_separator():
 
 def test_multiclass_means_need_enough_dims():
     with pytest.raises(ValueError):
-        synth_data(30, 2, 3, 0.5, 0.0, seed=5)
-    ds = synth_data(30, 4, 3, 0.5, 0.0, seed=5)
+        synth_data(30, 2, 3, 0.5, 0.0, seed=5, separation=4.0)
+    ds = synth_data(30, 4, 3, 0.5, 0.0, seed=5, separation=4.0)
     assert ds.num_classes == 3
     assert set(map(int, np.unique(ds.labels))) == {0, 1, 2}
 
 
 def test_synth_argument_validation():
     with pytest.raises(ValueError):
-        synth_data(100, 2, 2, 1.0, 0.0, seed=0)
+        synth_data(100, 2, 2, 1.0, 0.0, seed=0, separation=4.0)
     with pytest.raises(ValueError):
-        synth_data(100, 2, 2, 0.5, -0.1, seed=0)
+        synth_data(100, 2, 2, 0.5, -0.1, seed=0, separation=4.0)
     with pytest.raises(ValueError):
-        synth_data(100, 2, 1, 0.5, 0.0, seed=0)
+        synth_data(100, 2, 1, 0.5, 0.0, seed=0, separation=4.0)
     with pytest.raises(ValueError):
-        synth_data(1, 2, 2, 0.5, 0.0, seed=0)
+        synth_data(1, 2, 2, 0.5, 0.0, seed=0, separation=4.0)
     with pytest.raises(ValueError):
-        synth_data(100, 0, 2, 0.5, 0.0, seed=0)
+        synth_data(100, 0, 2, 0.5, 0.0, seed=0, separation=4.0)
     with pytest.raises(ValueError):
         synth_data(100, 2, 2, 0.5, 0.0, seed=0, separation=0.0)
+    # the one default separation is ExperimentConfig's
+    for synth in (synth_data, synth_arrays):
+        with pytest.raises(TypeError, match="separation"):
+            synth(100, 2, 2, 0.5, 0.0, seed=0)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    ds = synth_data(50, 3, 2, 0.6, 0.1, seed=6)
+    ds = synth_data(50, 3, 2, 0.6, 0.1, seed=6, separation=4.0)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     back = load_csv(path)
@@ -146,6 +151,31 @@ def test_load_csv_rejects_labels_that_skip_a_class(tmp_path):
     assert load_csv(path).num_classes == 3
 
 
+def test_load_csv_skips_blank_lines_and_keeps_counting_them(tmp_path):
+    ds = synth_data(30, 3, 2, 0.6, 0.1, seed=8, separation=4.0)
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    lines = path.read_text().splitlines(keepends=True)
+    for text in ("".join(lines) + "\n",  # a trailing blank line
+                 "".join(lines[:11]) + "\n" + "".join(lines[11:]),  # one after data row 10
+                 "".join(lines[:1]) + "\n\n" + "".join(lines[1:]) + "\n\n"):
+        path.write_text(text)
+        back = load_csv(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert back.num_classes == ds.num_classes
+    # a row after a blank line is named by its own line below the header
+    path.write_text("label,f1,f2\n0,1.0,2.0\n\n1,3.0\n")
+    with pytest.raises(ValueError, match="^row 3: expected 3 columns, got 2$"):
+        load_csv(path)
+    path.write_text("label,f1,f2\n0,1.0,2.0\n,,\n1,3.0,4.0\n")  # only commas is not blank
+    with pytest.raises(ValueError, match="^row 2: non-numeric value$"):
+        load_csv(path)
+    path.write_text("label,f1,f2\n\n\n")
+    with pytest.raises(ValueError, match="^no data rows$"):
+        load_csv(path)
+
+
 def test_load_csv_header_and_emptiness_errors(tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("")
@@ -160,7 +190,7 @@ def test_load_csv_header_and_emptiness_errors(tmp_path):
 
 
 def test_dataset_radius_from_synth_matches_rows():
-    ds = synth_data(40, 3, 2, 0.5, 0.0, seed=7)
+    ds = synth_data(40, 3, 2, 0.5, 0.0, seed=7, separation=4.0)
     assert ds.feature_radius == np.linalg.norm(ds.features, axis=1).max()
     assert isinstance(ds, Dataset)
 
@@ -195,7 +225,8 @@ def test_synth_data_replays_the_first_written_generator_across_blocks_and_dims(m
         assert got.labels.tobytes() == want.labels.tobytes(), args
     for classes in range(2, 10):
         args = (int(rng.integers(classes, 120)), 9, classes, 0.3, 0.4, int(rng.integers(2**32)))
-        assert synth_data(*args).labels.tobytes() == naive_synth_data(*args).labels.tobytes()
+        assert (synth_data(*args, separation=4.0).labels.tobytes()
+                == naive_synth_data(*args, separation=4.0).labels.tobytes())
 
 
 def test_feature_radius_is_the_first_written_formula_bitwise(monkeypatch):
@@ -258,7 +289,7 @@ def test_shuffling_a_row_view_and_the_labels_makes_the_swaps_of_permutation(n, d
 
 def test_synth_arrays_holds_less_than_twice_the_features():
     # the permutation is made in place: no second feature array, no index array
-    (X, y), peak = _traced_peak(synth_arrays, 200_000, 8, 2, 0.7, 0.05, 3)
+    (X, y), peak = _traced_peak(synth_arrays, 200_000, 8, 2, 0.7, 0.05, 3, 4.0)
     assert X.shape == (200_000, 8) and X.flags.c_contiguous
     assert peak < 2 * X.nbytes, peak / X.nbytes
 
@@ -280,7 +311,7 @@ def test_load_csv_reads_across_row_blocks_bitwise(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_CSV_ROWS", 7)
     path = tmp_path / "d.csv"
     for n in (2, 6, 7, 8, 14, 50):
-        ds = synth_data(n, 3, 2, 0.6, 0.0, seed=n)
+        ds = synth_data(n, 3, 2, 0.6, 0.0, seed=n, separation=4.0)
         save_csv(ds, path)
         back = load_csv(path)
         assert back.features.tobytes() == ds.features.tobytes()

@@ -122,7 +122,7 @@ def test_a_synthetic_run_echoes_every_config_field():
 
 def test_a_csv_run_echoes_no_synthetic_task_field(tmp_path):
     path = tmp_path / "d.csv"
-    save_csv(synth_data(50, 3, 2, 0.6, 0.1, seed=1), path)
+    save_csv(synth_data(50, 3, 2, 0.6, 0.1, seed=1, separation=4.0), path)
     echo = _echo(csv=str(path), test_n=10)
     assert [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in echo] == list(
         SYNTHETIC_TASK)
@@ -156,7 +156,7 @@ def test_kappa_is_unread_exactly_where_it_does_not_move_the_schedule(schedule):
 
 def test_a_csv_run_reads_no_synthetic_task_field(tmp_path):
     path = tmp_path / "d.csv"
-    save_csv(synth_data(50, 3, 2, 0.6, 0.1, seed=1), path)
+    save_csv(synth_data(50, 3, 2, 0.6, 0.1, seed=1, separation=4.0), path)
     cfg = _small_cfg(csv=str(path), test_n=10)
     other = dict(n=7, dim=5, classes=4, imbalance=0.2, noise=0.3, separation=9.0)
     assert set(other) == set(SYNTHETIC_TASK)
@@ -329,8 +329,9 @@ def test_each_metrics_tick_scores_each_dataset_once(monkeypatch):
     results = out["results"].values()
     ticks = sum(len(records) for result in results for records in result.metrics)
     assert ticks == 3 * 2 * 5  # arms x trials x (iters / cadence + 1)
-    # one scoring each of train and test per tick; the report's h0 risk once per arm
-    assert calls == {"tick": 2 * ticks, "losses": 2 * ticks + 3}
+    # one scoring each of train and test per tick, and the report's h0 risk
+    # once per arm, each one `_bounded_losses` block here
+    assert calls == {"tick": 2 * ticks + 3, "losses": 2 * ticks + 3}
 
 
 def test_arms_trained_together_write_the_bytes_of_arms_trained_alone(tmp_path):
@@ -549,7 +550,7 @@ def test_probe_stability_rejects_the_fields_it_would_ignore(monkeypatch, field, 
 def test_final_tick_kl_stat_is_the_trace_utility_sum_bitwise(n, batch):
     # the report and the metrics files read the t = T tick's statistic, which
     # is kl_from_utility_sum of the run's unrecorded trace
-    ds = synth_data(n, 3, 2, 0.6, 0.1, seed=n)
+    ds = synth_data(n, 3, 2, 0.6, 0.1, seed=n, separation=4.0)
     T, amps = 23, [0.7, 1.3, 2.0]
     cfgs = [SamplerConfig(amplitude=a, decay=0.4, batch_size=batch, iterations=T) for a in amps]
 

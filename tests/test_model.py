@@ -13,9 +13,7 @@ from adasamp import (
     Dataset,
     Example,
     default_domain_radius,
-    mean_bounded_loss,
     objective_grad,
-    objective_value,
     predict_proba,
     project,
     regularity_constants,
@@ -31,7 +29,7 @@ from adasamp.model import (
     _risk_and_accuracy,
     batch_objective_grads,
 )
-from oracles import naive_accuracy, naive_mean_bounded_loss, naive_softmax
+from oracles import naive_accuracy, naive_mean_bounded_loss, naive_softmax, objective_value
 
 
 def _bounded_loss(h, z, M):
@@ -356,7 +354,7 @@ def test_accuracy_and_mean_loss():
     ds = Dataset.from_arrays(X, np.array([0, 1]), 2)
     h = np.array([[1.0, 0.0], [-1.0, 0.0]])
     assert _risk_and_accuracy(h, ds, 1.0)[1] == 1.0
-    assert 0.0 <= mean_bounded_loss(h, ds, 1.0) <= 1.0
+    assert 0.0 <= _risk_and_accuracy(h, ds, 1.0)[0] <= 1.0
 
 
 def test_column_max_equals_numpy_bitwise():
@@ -397,7 +395,6 @@ def test_one_scoring_gives_the_risk_and_accuracy_of_the_first_written_formulas(C
             clamped += int((-np.log(np.maximum(py, PROB_FLOOR)) > M).sum())
             want = (naive_mean_bounded_loss(h, ds, M), naive_accuracy(h, ds))
             assert _risk_and_accuracy(h, ds, M) == want
-            assert mean_bounded_loss(h, ds, M) == want[0]
             assert all(type(v) is float for v in _risk_and_accuracy(h, ds, M))
     assert floored and clamped  # the large h saturates both the floor and the clamp
 

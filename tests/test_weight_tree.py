@@ -404,8 +404,8 @@ def test_automatic_rebuild_runs_at_the_end_of_a_batch(monkeypatch):
 
 
 def test_run_axis_matches_separate_trees(monkeypatch):
-    # each run of a stacked tree draws, reads and writes bitwise as a tree of
-    # its own, relabelling after the same write
+    # each run of a stacked tree draws and is written bitwise as a tree of its
+    # own, relabelling after the same write
     monkeypatch.setattr(weight_tree, "REBUILD_EVERY", 5)
     rng = np.random.default_rng(41)
     W = rng.uniform(0.5, 2.0, size=(3, 11))
@@ -414,15 +414,13 @@ def test_run_axis_matches_separate_trees(monkeypatch):
     for _ in range(12):
         u = rng.random((3, 4, stacked.depth))
         drawn = stacked.descend_many(u)
-        probs = stacked.probs(drawn)
         idx, vals, runs = [], [], []
         for r in range(3):
             assert np.array_equal(drawn[r], alone[r].descend_many(u[r]))
-            assert probs[r].tobytes() == alone[r].probs(drawn[r]).tobytes()
             leaves, new = rng.permutation(11)[: r + 1], rng.uniform(0.5, 2.0, size=r + 1)
             alone[r].update_many(leaves, new)
             idx.append(leaves), vals.append(new), runs.append(np.full(r + 1, r))
-        stacked.update_many(np.concatenate(idx), np.concatenate(vals), np.concatenate(runs))
+        stacked._write(np.concatenate(idx), np.concatenate(vals), np.concatenate(runs))
         rows = stacked._nodes.reshape(3, -1)
         for r in range(3):
             assert rows[r].tobytes() == alone[r]._nodes.tobytes()
@@ -434,16 +432,25 @@ def test_run_axis_matches_separate_trees(monkeypatch):
     with pytest.raises(ValueError):
         stacked.descend_many(rng.random((2, 2, stacked.depth)))  # fewer slabs than runs
     with pytest.raises(ValueError):
-        stacked.probs(np.zeros((2, 2), dtype=np.int64))  # fewer rows than runs
-    with pytest.raises(ValueError):
         stacked.descend_many(rng.random((2, stacked.depth)))  # the run axis is required
-    with pytest.raises(IndexError):
-        stacked.update_many([0], [1.0], [3])
-    with pytest.raises(ValueError):
-        stacked.update_many([4, 4], [1.0, 2.0], [1, 1])
-    stacked.update_many([4, 4], [1.0, 2.0], [0, 1])  # one leaf in each of two runs
     with pytest.raises(ValueError):
         WeightTree([[1.0, 0.0], [0.0, 0.0]])  # every run needs a positive weight
+
+
+def test_checked_methods_reject_a_stacked_tree():
+    stacked = WeightTree(np.ones((3, 5)))
+    labels = stacked._nodes.copy()
+    with pytest.raises(ValueError, match="^probs takes a one-run tree, not one of 3 runs$"):
+        stacked.probs([0, 1])
+    with pytest.raises(ValueError, match="^update_many takes a one-run tree, not one of 3 runs$"):
+        stacked.update_many([0, 1], [2.0, 3.0])
+    with pytest.raises(ValueError):
+        stacked.sample_many(2, np.random.default_rng(0))
+    assert stacked._nodes.tobytes() == labels.tobytes()
+    assert stacked.update_writes == 0
+    # a one-run tree's probs take a 1-d array of indices
+    with pytest.raises(ValueError, match="indices must be a 1-d array"):
+        WeightTree(np.ones(5)).probs([[0, 1]])
 
 
 def test_tracer_reads_these_names_and_counters():
