@@ -29,8 +29,8 @@ UTILITY_KINDS = ("zero_one", "l1")
 
 # exp overflow guard: ln w <= amplitude/(1-decay) must stay well inside float range.
 MAX_LOG_WEIGHT = 700.0
-# uniforms that the amplitude-0 runs of one train_many call draw per block, together
-_FLAT_BLOCK_UNIFORMS = 1 << 16
+# uniforms that the runs of one train_many call draw per block, together
+_BLOCK_UNIFORMS = 1 << 16
 
 
 class DivergenceError(ArithmeticError):
@@ -105,13 +105,14 @@ def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndar
 
 def conditional_kl(tree: WeightTree, run: int = 0) -> float:
     """KL(Q || uniform) of one run's current sampling distribution, i.e.
-    sum_i Q(i) * ln(n * Q(i)) over the live leaves (zero-weight leaves drop out).
-    The trainer's weights are at least 1, so the filtering copy is made only
-    when some leaf is not positive; the sum runs over the same leaves either way."""
+    sum_i Q(i) * ln(n * Q(i)) over the live leaves (zero-weight leaves drop out),
+    or +0.0 where that rounds to 0 or below (n * (1/n) can round below 1). The
+    trainer's weights are at least 1, so the filtering copy is made only when
+    some leaf is not positive; the sum runs over the same leaves either way."""
     q = tree.distribution(run)
     if not q.min() > 0:
         q = q[q > 0]
-    return float((q * np.log(tree.n * q)).sum())
+    return max(0.0, float((q * np.log(tree.n * q)).sum()))  # 0.0 first: max keeps it over -0.0
 
 
 @dataclasses.dataclass
@@ -191,18 +192,19 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     alone, down to the per-value `math.exp` weights, the in-order accumulator
     total and each running sum of its trace.
 
-    The leading runs of amplitude 0 (the flat runs; `compare` puts its uniform
-    arm first) keep every weight at exp(0) = 1, so they have no row in the
-    reweighted tree and are never written: all flat runs draw from one
-    all-ones tree, whose labels are bitwise those of any all-ones row. A run of
-    amplitude 0 after a run of amplitude > 0 keeps its row, which is written
-    with weights exp(0) = 1. Each flat run draws a block of iterations at a
-    time, filling a (B, batch, depth) block of uniforms with one `rng.random`
-    call, the same stream as B per-iteration calls, and one `descend_many`
-    call walks every flat run's block. B is set by a fixed budget of
-    `_FLAT_BLOCK_UNIFORMS` uniforms over all flat runs, and the last block
-    covers only the iterations that remain, so a completed flat run's rng
-    ends where per-iteration draws would leave it.
+    Every run draws a block of B iterations at a time: one `rng.random` call
+    fills its (B, batch, depth) slab of one (R, B, batch, depth) block of
+    uniforms, the same stream as B per-iteration calls. B is set by a budget
+    of `_BLOCK_UNIFORMS` uniforms over all R runs (at least one iteration),
+    and the last block covers only the iterations that remain, so a completed
+    run's rng sits T * batch_size * depth uniforms in. The leading runs of
+    amplitude 0 (the flat runs; `compare` puts its uniform arm first) keep
+    every weight at exp(0) = 1, so they have no row in the reweighted tree
+    and are never written: one `descend_many` call walks every flat run's
+    slab on one all-ones tree, whose labels are bitwise those of any all-ones
+    row. The other runs walk the reweighted tree an iteration at a time. A
+    run of amplitude 0 after a run of amplitude > 0 keeps its row, which is
+    written with weights exp(0) = 1.
 
     If metric_every > 0, metric_fn(r, t, h, kl_stat, cond_kl) is called for
     run r at t = 1, every metric_every-th iteration, and t = T (see `train`);
@@ -215,7 +217,7 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     run's hypothesis, or the sum of its utilities, is non-finite: the earliest
     iteration at which R separate `train` calls would raise. Every run has
     then been stepped through t, metric_fn has seen no iteration from t on,
-    and a flat run's rng may sit up to one block past iteration t.
+    and any run's rng may sit up to one block past iteration t.
     numpy's overflow and invalid-value warnings are off inside the call.
     """
     if mu < 0:
@@ -248,13 +250,11 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
         ones = WeightTree(np.ones(n))  # every flat run's weights, never written
         flat_roots = ones.totals.tolist() * flat
         flat_kl = conditional_kl(ones) if track_kl else None
-        block_len = min(T, max(1, _FLAT_BLOCK_UNIFORMS // (flat * b * max(ones.depth, 1))))
-        block = np.empty((flat, block_len, b, ones.depth))  # refilled block after block
-        next_block = 1  # the first iteration that the flat runs' draws do not cover
     depth = (tree if W else ones).depth
+    block_len = min(T, max(1, _BLOCK_UNIFORMS // (R * b * max(depth, 1))))
+    block = np.empty((R, block_len, b, depth))  # every run's uniforms, refilled block after block
     if W:
-        uniforms = np.empty((W, b, depth))  # refilled by each run's rng every iteration
-        tree_rngs, tree_amps = rngs[flat:], amps[flat:]
+        tree_amps = amps[flat:]
         tree_rows = np.arange(W) if W > 1 else None
     acc = np.zeros((R, n))
     acc_flat = acc.reshape(-1)
@@ -271,20 +271,18 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
         tick = metric_every and metric_fn is not None and (
             t == 1 or t % metric_every == 0 or t == T)
         # draws, and everything read from the pre-update tree state Q_t
-        if W:
-            for rng, row in zip(tree_rngs, uniforms):
-                rng.random(out=row)
-            idx = tree.descend_many(uniforms)
-        if flat:
-            if t == next_block:
-                B = min(block_len, T + 1 - t)
-                for rng, slab in zip(rngs, block):
-                    rng.random(out=slab[:B])
-                draws = block[:, :B].reshape(flat * B * b, depth)  # explicit: depth may be 0
+        step = (t - 1) % block_len  # the iteration's place in its block
+        if not step:
+            B = min(block_len, T + 1 - t)
+            for rng, slab in zip(rngs, block):
+                rng.random(out=slab[:B])
+            if flat:
+                draws = block[:flat, :B].reshape(flat * B * b, depth)  # explicit: depth may be 0
                 flat_idx = ones.descend_many(draws).reshape(flat, B, b)
-                block_start, next_block = t, t + B
-            idx = (np.concatenate((flat_idx[:, t - block_start], idx)) if W
-                   else flat_idx[:, t - block_start])
+        if W:
+            idx = tree.descend_many(block[flat:, step])
+        if flat:
+            idx = np.concatenate((flat_idx[:, step], idx)) if W else flat_idx[:, step]
         drawn = idx + offsets if R > 1 else idx  # run 0's offset is 0
         if record:
             acc_idx = acc_flat[drawn]
@@ -377,18 +375,18 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     reweight it once. One `WeightTree.descend_many` call draws the batch and
     one unchecked `WeightTree._write` call reweights it, in first-appearance
     order, bitwise as writes of one row each would. At amplitude 0 nothing is
-    reweighted, and one `rng.random` call and one `descend_many` call draw a
-    block of iterations' batches at once (see `train_many`). `rng` is
-    consumed only by the draws: exactly depth uniforms per draw, draws in
-    order, so after the last iteration it sits exactly T * batch_size * depth
-    uniforms in. The trace is recorded (see `TrainTrace`). If metric_every >
-    0, metric_fn(t, h, kl_stat, cond_kl) is called at t = 1, every
+    reweighted, and one `descend_many` call walks a block of iterations'
+    draws at once (see `train_many`). `rng` is consumed only by the draws, a
+    block at a time: exactly depth uniforms per draw, draws in order, so
+    after the last iteration it sits exactly T * batch_size * depth uniforms
+    in. The trace is recorded (see `TrainTrace`). If metric_every > 0,
+    metric_fn(t, h, kl_stat, cond_kl) is called at t = 1, every
     metric_every-th iteration, and t = T, where kl_stat is amplitude/(1-decay)
     times the utility sum through iteration t-1.
 
     Raises DivergenceError if a step leaves h, or the utilities at h,
-    non-finite; at amplitude 0, `rng` may then sit up to one block past the
-    diverging iteration. Returns (h_T, trace). The caller owns `rule` (its
+    non-finite; `rng` may then sit up to one block past the diverging
+    iteration. Returns (h_T, trace). The caller owns `rule` (its
     AdaGrad accumulator, of h0's shape, is mutated) and `h0` is never modified.
     """
     if rule.kind == "adagrad":

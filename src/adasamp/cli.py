@@ -67,17 +67,20 @@ def finite_float(text: str) -> float:
 
 
 def load_config_file(path) -> dict:
-    """Flat `key = value` lines; blank lines and #-comments are ignored."""
-    values = {}
-    with open(path) as fh:
+    """Flat `key = value` lines, each key once; blank lines, #-comments and a
+    leading UTF-8 byte-order mark are ignored."""
+    values, lines = {}, {}
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+            key, _, raw = (part.strip() for part in line.partition("="))
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
+            values[key], lines[key] = raw, lineno
     return values
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .model import Dataset, _squared_distances
 
-_D2_ROWS = 1 << 13  # rows per block of class distances, bounding their temporaries
 _CSV_ROWS = 1 << 10  # parsed rows held as Python floats before they become an array
 # Well above any standard normal draw: numpy draws the tail as
 # 3.65 - ln(v) / 3.65 with v >= 2**-53, under 14. So along every coordinate a
@@ -127,7 +126,7 @@ def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
         if not dim * (separation + _NOISE_REACH) * (separation + _NOISE_REACH) < _FLOAT_MAX / 2:
             raise ValueError(f"--separation {separation:.6g} is too large for label noise: "
                              "squared distances to the class means overflow")
-        d2 = _squared_distances(X, means, _D2_ROWS)  # (classes, n)
+        d2 = _squared_distances(X, means)  # (classes, n)
         flat = d2.reshape(-1)  # a view: d2 is contiguous
         own_at = y * n  # each row's own-class entry in flat
         own_at += np.arange(n)
@@ -169,8 +168,8 @@ def load_csv(path) -> Dataset:
     offending data-row number (counted from 1, just below the header), and
     labels that skip a class (each class sizes the model) naming the first.
     A blank line is skipped, but it keeps its number, so every later row is
-    still named by its own line."""
-    with open(path, newline="") as fh:
+    still named by its own line. A leading UTF-8 byte-order mark is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

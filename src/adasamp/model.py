@@ -17,8 +17,7 @@ import numpy as np
 
 # Probabilities are clamped here before logs so the surrogate stays finite.
 PROB_FLOOR = 1e-12
-_RADIUS_ROWS = 1 << 13  # rows per block of the feature radius, bounding its temporaries
-_SCORE_ROWS = 1 << 13  # rows per block of a metrics tick's losses and hits
+_BLOCK_ROWS = 1 << 13  # rows per block of every row-blocked O(n) pass, bounding its temporaries
 
 
 class Example(NamedTuple):
@@ -89,24 +88,24 @@ def _feature_radius(X: np.ndarray) -> float:
     if not X.size:
         return 0.0
     origin = np.zeros((1, X.shape[1]))
-    return float(np.sqrt(_squared_distances(X, origin, _RADIUS_ROWS).max()))
+    return float(np.sqrt(_squared_distances(X, origin).max()))
 
 
-def _squared_distances(X: np.ndarray, centers: np.ndarray, rows: int) -> np.ndarray:
+def _squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(k, n) array whose [c, i] is bitwise ((X[i] - centers[c]) ** 2).sum(),
-    from blocks of `rows` rows.
+    from blocks of `_BLOCK_ROWS` rows.
 
     numpy reduces each row in an inner loop of its own, about 25 ns a row.
     Each block is instead transposed once and summed by feature columns
     through `_last_axis_sum`, one contiguous loop per feature.
     """
     out = np.empty((len(centers), X.shape[0]))
-    for lo in range(0, X.shape[0], rows):
-        xt = X[lo : lo + rows].T.copy()  # (d, rows), contiguous
+    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+        xt = X[lo : lo + _BLOCK_ROWS].T.copy()  # (d, rows), contiguous
         for c, center in enumerate(centers):
             diff = xt - center[:, None]
             diff *= diff
-            out[c, lo : lo + rows] = _last_axis_sum(diff.T)
+            out[c, lo : lo + _BLOCK_ROWS] = _last_axis_sum(diff.T)
     return out
 
 
@@ -244,7 +243,7 @@ def _risk_and_accuracy(h: np.ndarray, ds: Dataset, M: float) -> tuple[float, flo
     risk being the mean of min(CE, M).
 
     Besides the (n, C) scores it holds one (n,) float array of bounded losses
-    and one (n,) bool array of hits, filled `_SCORE_ROWS` rows at a time, so
+    and one (n,) bool array of hits, filled `_BLOCK_ROWS` rows at a time, so
     the per-row temporaries stay block-sized. Each value is a function of its
     own row alone, and each mean is taken once over the full array, so the
     result is bitwise that of scoring every row at once.
@@ -252,8 +251,8 @@ def _risk_and_accuracy(h: np.ndarray, ds: Dataset, M: float) -> tuple[float, flo
     scores = ds.features @ h.T
     losses = np.empty(ds.n)
     hits = np.empty(ds.n, dtype=bool)
-    for lo in range(0, ds.n, _SCORE_ROWS):
-        rows = slice(lo, lo + _SCORE_ROWS)
+    for lo in range(0, ds.n, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
         block, labels = scores[rows], ds.labels[rows]
         losses[rows] = _bounded_losses(block, labels, M)
         np.equal(block.argmax(axis=-1), labels, out=hits[rows])

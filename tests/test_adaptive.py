@@ -138,6 +138,13 @@ def test_conditional_kl_examples():
     assert conditional_kl(WeightTree([1, 3])) == pytest.approx(0.13081203594113696, abs=1e-12)
 
 
+def test_conditional_kl_of_a_flat_tree_is_never_negative():
+    # n * (1/n) rounds below 1 for some n (49 is the first): the sum can round below 0
+    for n in range(1, 4097):
+        kl = conditional_kl(WeightTree(np.ones(n)))
+        assert kl >= 0 and math.copysign(1.0, kl) == 1.0, n
+
+
 def test_conditional_kl_is_the_masked_sum_bitwise():
     # the scan filters zero leaves only when there are some; the sum is the same
     rng = np.random.default_rng(21)
@@ -396,11 +403,10 @@ def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classe
           else Dataset.from_arrays(np.linspace(-1.0, 1.0, 4)[None], np.array([1]), classes))
     depth = math.ceil(math.log2(n))
     rng = np.random.default_rng(n + batch)
-    # the leading amplitude-0 runs draw in blocks; a later one keeps its tree row
-    for amps, flat in (([0.0, 1.3, 2.0, 0.0, 0.7], 1), ([0.0, 0.0, 1.3, 2.0, 0.7], 2),
-                       ([0.0, 0.0, 0.0], 3)):
+    # the leading amplitude-0 runs walk whole blocks; a later one keeps its tree row
+    for amps in ([0.0, 1.3, 2.0, 0.0, 0.7], [0.0, 0.0, 1.3, 2.0, 0.7], [0.0, 0.0, 0.0]):
         # blocks of 7 iterations: T crosses block boundaries and ends inside a block
-        monkeypatch.setattr(adaptive, "_FLAT_BLOCK_UNIFORMS", 7 * flat * batch * max(depth, 1))
+        monkeypatch.setattr(adaptive, "_BLOCK_UNIFORMS", 7 * len(amps) * batch * max(depth, 1))
         _check_lockstep(ds, amps, classes, batch, T, kind, rule, radius, track, rng)
 
 
@@ -451,19 +457,35 @@ def _check_lockstep(ds, amps, classes, batch, T, kind, rule, radius, track, rng)
         assert trace.indices is trace.log_ratio_sum is trace.advantage_sum is None
 
 
+class _BlockRecordingRng:
+    """A generator that records how many iterations each `random` call fills."""
+
+    def __init__(self, seed):
+        self.rng, self.blocks = np.random.default_rng(seed), []
+
+    def random(self, out):
+        self.blocks.append(len(out))
+        return self.rng.random(out=out)
+
+
 @pytest.mark.parametrize("budget", [None, 50])
-def test_a_completed_flat_run_leaves_its_rng_t_b_depth_uniforms_in(monkeypatch, budget):
-    # a budget of 50 uniforms makes blocks of 4 iterations: 17 ends inside a block
+@pytest.mark.parametrize("amps", [[0.0], [1.5], [0.0, 1.5]])
+def test_a_completed_run_leaves_its_rng_t_b_depth_uniforms_in(monkeypatch, budget, amps):
+    # a budget of 50 uniforms makes blocks of 4 iterations for one run and of 2
+    # for two (the budget covers every run): 17 ends inside a block either way
     if budget is not None:
-        monkeypatch.setattr(adaptive, "_FLAT_BLOCK_UNIFORMS", budget)
+        monkeypatch.setattr(adaptive, "_BLOCK_UNIFORMS", budget)
     ds = _random_dataset(5, n=11)  # depth 4
-    cfg = SamplerConfig(amplitude=0.0, decay=0.5, batch_size=3, iterations=17)
-    rng = np.random.default_rng(8)
-    train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(), 0.0, 5.0,
-          zeros_hypothesis(2, 3), rng)
-    ref = np.random.default_rng(8)
-    ref.random(17 * 3 * 4)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    cfgs = [SamplerConfig(amplitude=a, decay=0.5, batch_size=3, iterations=17) for a in amps]
+    rngs = [_BlockRecordingRng(8 + r) for r in range(len(amps))]
+    train_many(ds, cfgs, StepSchedule.constant(0.1), UpdateRuleState.sgd(), 0.0, 5.0,
+               [zeros_hypothesis(2, 3)] * len(amps), rngs)
+    B = 17 if budget is None else 4 // len(amps)
+    for r, rng in enumerate(rngs):
+        assert rng.blocks == [B] * (17 // B) + [17 % B] * (17 % B > 0)
+        ref = np.random.default_rng(8 + r)
+        ref.random(17 * 3 * 4)
+        assert rng.rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_flat_runs_are_never_written(monkeypatch):

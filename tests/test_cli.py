@@ -287,6 +287,21 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_a_repeated_config_key_is_exit_2_naming_both_lines(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("alpha = 1\n# a comment\nalpha = 3\n")
+    assert main(["train", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfgfile}:3: config key 'alpha' repeats line 1\n"
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_bytes(b"\xef\xbb\xbfalpha = 1.5\n")
+    assert parse_args(["train", "--config", str(cfgfile)]).alpha == 1.5
+
+
 def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -690,6 +705,16 @@ def test_a_negative_zero_alpha_names_the_arm_alpha_0(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["alpha_0", "comparison.json", "uniform"]
     assert '"alpha_0": {"alpha": 0,' in (out / "comparison.json").read_text()
     assert '"alpha": 0,' in (out / "alpha_0" / "report.json").read_text()
+
+
+def test_a_flat_tracked_conditional_kl_is_written_as_zero(tmp_path, capsys):
+    # at n = 49, n * (1/n) rounds below 1: the unclamped sum was -1.1e-16
+    out = tmp_path / "train"
+    assert main(["train", "--n", "49", "--test-n", "10", "--alpha", "0", "--track-kl",
+                 "--iters", "3", "--batch", "2", "--trials", "1", "--cadence", "1",
+                 "--out", str(out)]) == 0
+    rows = (out / "trial_0.metrics.jsonl").read_text().splitlines()
+    assert len(rows) == 3 and all(row.endswith('"conditional_kl": 0}') for row in rows)
 
 
 def test_the_choice_flags_are_the_package_kinds_in_order():

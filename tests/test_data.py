@@ -197,7 +197,7 @@ def test_dataset_radius_from_synth_matches_rows():
 
 def test_synth_data_replays_the_first_written_generator_bitwise(monkeypatch):
     # small distance blocks, so several blocks and a ragged last one are hit
-    monkeypatch.setattr(data, "_D2_ROWS", 37)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", 37)
     rng = np.random.default_rng(31)
     for _ in range(120):
         classes = int(rng.integers(2, 5))
@@ -213,7 +213,7 @@ def test_synth_data_replays_the_first_written_generator_bitwise(monkeypatch):
 
 def test_synth_data_replays_the_first_written_generator_across_blocks_and_dims(monkeypatch):
     # the dims reach every pairwise branch of the column sum
-    monkeypatch.setattr(data, "_D2_ROWS", 23)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", 23)
     rng = np.random.default_rng(33)
     for dim in [1, 2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 136, 140]:
         classes = int(rng.integers(2, min(dim, 9) + 1)) if dim > 2 else 2
@@ -231,7 +231,7 @@ def test_synth_data_replays_the_first_written_generator_across_blocks_and_dims(m
 
 def test_feature_radius_is_the_first_written_formula_bitwise(monkeypatch):
     # several blocks and a ragged last one, at dims across the column sum's branches
-    monkeypatch.setattr(model, "_RADIUS_ROWS", 29)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", 29)
     rng = np.random.default_rng(34)
     for dim in [1, 2, 3, 7, 8, 9, 15, 16, 17, 40, 129, 140]:
         for n in [1, 28, 29, 30, 100, 203]:
@@ -296,7 +296,7 @@ def test_synth_arrays_holds_less_than_twice_the_features():
 
 def test_load_csv_holds_less_than_three_times_the_features(tmp_path, monkeypatch):
     # the radius block is cut to the share of the rows it takes in a large file
-    monkeypatch.setattr(model, "_RADIUS_ROWS", 256)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", 256)
     rng = np.random.default_rng(35)
     n = 20_000
     path = tmp_path / "big.csv"
@@ -305,6 +305,16 @@ def test_load_csv_holds_less_than_three_times_the_features(tmp_path, monkeypatch
     ds, peak = _traced_peak(load_csv, path)
     assert ds.n == n and ds.num_classes == 3
     assert peak < 3 * ds.features.nbytes, peak / ds.features.nbytes
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    ds = synth_data(40, 3, 2, 0.6, 0.1, seed=9, separation=4.0)
+    path = tmp_path / "bom.csv"
+    save_csv(ds, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = load_csv(path)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
 
 
 def test_load_csv_reads_across_row_blocks_bitwise(tmp_path, monkeypatch):

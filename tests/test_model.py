@@ -382,7 +382,7 @@ def test_softmax_equals_the_first_written_formula_bitwise(C):
 @pytest.mark.parametrize("C", [2, 3, 5])
 def test_one_scoring_gives_the_risk_and_accuracy_of_the_first_written_formulas(C, monkeypatch):
     # small row blocks, so several blocks and a ragged last one are hit
-    monkeypatch.setattr(model, "_SCORE_ROWS", 37)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", 37)
     rng = np.random.default_rng(C)
     ds = _random_dataset(rng, n=400, d=4, classes=C)
     floored = clamped = 0
@@ -401,7 +401,7 @@ def test_one_scoring_gives_the_risk_and_accuracy_of_the_first_written_formulas(C
 
 @pytest.mark.parametrize("n", [1, 36, 37, 38, 111, 400])
 def test_blocked_risk_and_accuracy_keep_ties_and_infinite_scores_bitwise(n, monkeypatch):
-    monkeypatch.setattr(model, "_SCORE_ROWS", 37)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", 37)
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, 4))
     X[:, 0] = np.abs(X[:, 0]) + 0.5  # so a -inf weight on it scores -inf
