@@ -52,6 +52,8 @@ def sgd_stability_nonconvex(L: float, smoothness: float, eta: float, T: int, n: 
     if n < 2:
         raise ValueError("n must be >= 2")
     be = smoothness * eta
+    if be == 0:  # the product underflowed, so 1/(smoothness*eta) is inf
+        return _finite("stability_nonconvex coefficient", math.inf)
     lead = (M + 1.0 / be) / (n - 1)
     return _finite("stability_nonconvex coefficient",
                    lead * (2.0 * L * L * eta) ** (1.0 / (be + 1.0)) * T ** (be / (be + 1.0)))

@@ -21,7 +21,8 @@ schedule whose StepSchedule constructor does not take it (`error: --schedule
 constant does not read --kappa`), and --alpha beside compare's --alphas.
 
 Exit codes: 0 on success, 1 when a verification finds a violation, 2 on a
-rejected input, 3 when training diverges (`error: diverged at iteration t`).
+rejected input or a failed allocation (`error: out of memory` when numpy
+gives no message), 3 when training diverges (`error: diverged at iteration t`).
 """
 
 from __future__ import annotations
@@ -56,14 +57,15 @@ _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def finite_float(text: str) -> float:
-    """argparse type for every float flag: non-numbers, nan and +-inf are rejected."""
+    """argparse type for every float flag: non-numbers, nan and +-inf are
+    rejected, and -0 is read as 0."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan  # rejected below with the same message
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def load_config_file(path) -> dict:
@@ -372,6 +374,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

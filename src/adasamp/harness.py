@@ -21,9 +21,9 @@ runs stack in a fixed order, and floats are written at 17 significant digits.
 probe_stability estimates the replace-one-example stability beta and the
 perturb-one-index stability gamma of the uniform-sampling strongly convex
 regime empirically, for comparison against the closed-form coefficients. Its
-coupled SGD runs are stepped together, as one stacked array, by one kernel
-call; a replaced example is an index redirected to a row past S in one
-feature/label table, so no dataset is copied per perturbation.
+coupled SGD runs are stepped together by the trainer's `batch_objective_grads`
+and `apply_update`; a replaced example is an index redirected to a row past
+S in one feature/label table, so no dataset is copied per perturbation.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import os
 
 import numpy as np
 
-from . import bounds
+from . import bounds, model
 from .adaptive import DivergenceError, SamplerConfig, train_many
 from .data import load_csv, synth_arrays, synth_data
 from .model import (
@@ -44,13 +44,12 @@ from .model import (
     RegularityConstants,
     _bounded_losses,
     _risk_and_accuracy,
+    batch_objective_grads,
     default_domain_radius,
-    project,
     regularity_constants,
-    softmax,
     zeros_hypothesis,
 )
-from .optim import RULE_KINDS, SCHEDULE_KINDS, StepSchedule, UpdateRuleState, step_size
+from .optim import RULE_KINDS, SCHEDULE_KINDS, StepSchedule, UpdateRuleState, apply_update
 
 UTILITY_FLAGS = {"01": "zero_one", "l1": "l1"}
 SYNTHETIC_TASK = ("n", "dim", "classes", "imbalance", "noise", "separation")  # unread with a csv
@@ -62,8 +61,9 @@ class ExperimentConfig:
     """Flat experiment configuration and the one place each experiment
     default is declared; field names match the CLI flags (``lambda`` is
     spelled ``decay``, ``M`` is ``loss_bound``). Building one, or replacing a
-    field of one, rejects a non-finite float and checks the schedule, rule and
-    sampler values."""
+    field of one, rejects a non-finite float, stores a float -0 as 0, and
+    checks the schedule, rule, sampler, mu, M, domain_radius and eta values
+    before any data is read."""
 
     # data source: a CSV path, or the synthetic task below
     csv: str | None = None
@@ -101,9 +101,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if field.type in ("float", "float | None") and value is not None \
-                    and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {float(value)!r}")
+            if field.type in ("float", "float | None") and value is not None:
+                if not math.isfinite(value):
+                    raise ValueError(f"{field.name} must be finite, got {float(value)!r}")
+                if value == 0:
+                    setattr(self, field.name, 0.0)  # -0.0 would be echoed as -0
         if self.utility in UTILITY_FLAGS:
             self.utility = UTILITY_FLAGS[self.utility]
         if self.trials < 1:
@@ -119,6 +121,15 @@ class ExperimentConfig:
         if self.rule not in RULE_KINDS:
             raise ValueError(f"unknown update rule {self.rule!r}")
         self.sampler_config()  # raises on a sampler value SamplerConfig rejects
+        if self.mu < 0:
+            raise ValueError("mu must be nonnegative")
+        if self.loss_bound <= 0:
+            raise ValueError("M must be positive")
+        if self.domain_radius is not None and self.domain_radius < 0:
+            raise ValueError("domain_radius must be nonnegative")
+        self.step_schedule(1.0)  # 1.0 stands in for the data's smoothness
+        if self.eta < 0:  # read by the report's coefficients under every schedule
+            raise ValueError("eta must be nonnegative")
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(
@@ -130,12 +141,12 @@ class ExperimentConfig:
             track_full_conditional_kl=self.track_kl,
         )
 
-    def step_schedule(self, consts: RegularityConstants) -> StepSchedule:
+    def step_schedule(self, smoothness: float) -> StepSchedule:
         """The schedule's `StepSchedule` constructor, given the values its
-        parameters name."""
+        parameters name; `smoothness` is the data's."""
         make = getattr(StepSchedule, self.schedule)
         values = {"eta": self.eta, "kappa": self.kappa, "mu": self.mu,
-                  "smoothness": consts.smoothness}
+                  "smoothness": smoothness}
         return make(**{name: values[name] for name in inspect.signature(make).parameters})
 
 
@@ -306,7 +317,7 @@ def _run_arms(arms) -> list:
     radius = cfg.domain_radius
     if radius is None and cfg.mu > 0:
         radius = default_domain_radius(train_ds, cfg.mu)
-    sched = cfg.step_schedule(consts)
+    sched = cfg.step_schedule(consts.smoothness)
 
     shape = (train_ds.num_classes, train_ds.feature_dim)
     cfgs, h0s, rngs = [], [], []
@@ -394,7 +405,6 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
         agg[f"median_{key}"] = float(np.median(vals))
         agg[f"mean_{key}"] = float(np.mean(vals))
     echo = dataclasses.asdict(cfg)
-    echo["alpha"] = cfg.sampler_config().amplitude  # as trained: -0.0 is 0.0
     unread = {name for names in unread_fields(cfg, echo).values() for name in names}
     return {
         "config": {k: v for k, v in echo.items() if k not in unread},
@@ -508,20 +518,18 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
     over the table (X, y), all R runs stepped together as one (R, C, d) array
     (the coupled runs of the stability definitions). Returns H[R, C, d].
 
-    Each run's iterates are bitwise those of a per-run loop of objective_grad
-    and apply_update with projection onto the radius ball: the stacked matmul
-    makes the same per-run gemv call as h @ x, softmax reduces each run's own
-    row, and `project` scales each run by its own norm. The radius must be
-    positive.
+    Stepped by the trainer's `batch_objective_grads` and `apply_update`, each
+    run is bitwise a per-run loop of objective_grad and apply_update with
+    projection onto the radius ball. Rows are gathered `_BLOCK_ROWS` at a time.
     """
-    R = indices.shape[0]
-    rows = np.arange(R)
+    R, T = indices.shape
     H = np.broadcast_to(h0, (R,) + h0.shape).copy()
-    for t, idx in enumerate(np.ascontiguousarray(indices.T), start=1):
-        x = X[idx]
-        P = softmax((H @ x[:, :, None])[:, :, 0])
-        P[rows, y[idx]] -= 1.0
-        H = project(H - step_size(sched, t) * (P[:, :, None] * x[:, None, :] + mu * H), radius)
+    rule = UpdateRuleState.sgd()
+    steps = max(1, model._BLOCK_ROWS // R)
+    for lo in range(0, T, steps):
+        block = indices[:, lo:lo + steps].T[:, :, None]  # (steps, R, 1)
+        for t, x, label in zip(range(lo + 1, T + 1), X[block], y[block]):
+            H = apply_update(H, batch_objective_grads(H, x, label, mu), t, sched, rule, radius)
     return H
 
 
@@ -540,7 +548,7 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int = 50,
     Returns max (and per-probe) loss differences over PROBE_EVAL_N fresh points.
 
     Every sequence, site and position is drawn first; then all coupled runs
-    are stepped together by one kernel call over one table holding S followed
+    are stepped together by `_run_coupled` over one table holding S followed
     by the replacement examples, so a replaced example is an index redirected
     from its site in S to its row in that table.
     """
@@ -583,8 +591,9 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int = 50,
 
     indices = np.concatenate([base, swapped.reshape(-1, T), pairs.reshape(-1, T)])
     H = _run_coupled(pool.features[:table], pool.labels[:table], indices, sched, mu, h0, radius)
+    scores = (eval_X @ H.transpose(0, 2, 1)).reshape(-1, pool.num_classes)  # a BLAS call a run
     base_losses, swapped_losses, pair_losses = np.split(
-        np.array([_bounded_losses(eval_X @ h.T, eval_y, M) for h in H]),
+        _bounded_losses(scores, np.tile(eval_y, len(H)), M).reshape(len(H), -1),
         [probe_seeds, probe_seeds * (1 + perturbations)])
 
     # |E_r[L(A(S,r),z) - L(A(S',r),z)]|, max over z

@@ -214,12 +214,14 @@ def batch_objective_grads(H, X, y, mu) -> np.ndarray:
 
     Run r's gradient is bitwise that of the one-run stack H[r:r+1]: numpy's
     stacked matmul makes the same BLAS call for each run, and every reduction
-    runs along the contiguous last axis of one run's own rows.
+    runs along the contiguous last axis of one run's own rows. At b = 1 the
+    back-product is `np.outer`'s elementwise one, bitwise `objective_grad`'s:
+    a k = 1 matmul would add it to +0.0, turning a -0 into +0.
     """
     P = softmax(X @ H.transpose(0, 2, 1))
     P.reshape(-1, P.shape[-1])[np.arange(y.size), y.reshape(-1)] -= 1.0
-    G = P.transpose(0, 2, 1) @ X
-    G /= y.shape[1]
+    Pt, b = P.transpose(0, 2, 1), y.shape[1]
+    G = Pt * X if b == 1 else Pt @ X / b
     G += mu * H
     return G
 

@@ -249,6 +249,9 @@ def test_derandomized_vs_kl_bound_at_zero_gamma():
     (lambda: gen_bound_sgd_strongly_convex(0.0, 1.0, 1.0, 1e-300, 100, 1, 0.05),
      "sgd_strongly_convex bound"),
     (lambda: gen_bound_derandomized(0.0, 1.0, 100, 1, 1e200, 0.0, 0.05), "derandomized bound"),
+    # both inputs are positive, but smoothness * eta underflows to 0.0
+    pytest.param(lambda: sgd_stability_nonconvex(1.0, 1e-300, 1e-300, 10, 10, 1.0),
+                 "stability_nonconvex coefficient", id="nonconvex-underflow"),
 ])
 def test_an_evaluator_whose_value_is_not_finite_raises_naming_its_formula(evaluate, name):
     # an overflowing square is inf, not OverflowError, and is rejected as such

@@ -4,6 +4,7 @@ printed bound values match the underlying functions."""
 import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -237,6 +238,9 @@ _TINY_TRAIN = ["train", "--n", "60", "--test-n", "40", "--iters", "3", "--batch"
      "the stability_nonconvex coefficient is nan"),
     ([*_TINY_TRAIN, "--mu", "1e-300"], "the kl bound is inf"),
     ([*_TINY_TRAIN, "--mu", "1e-306"], "the kl bound is inf"),
+    (["bounds", "--formula", "stab-nonconvex", "--eta", "1e-300", "--smoothness", "1e-300",
+      "--n", "10", "--T", "10", "--M", "1", "--L", "1"],
+     "the stability_nonconvex coefficient is inf"),
 ])
 def test_a_bound_that_is_not_finite_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "D"
@@ -665,11 +669,21 @@ def test_no_experiment_flag_has_a_default_in_the_parser():
     (["train", "--alpha", "400", "--lambda", "0.5"],
      "amplitude/(1-decay) = 800 exceeds 700; weights would overflow"),
     (["compare", "--alphas", "1", "-1"], "amplitude must be finite and nonnegative"),
+    (["train", "--M", "0"], "M must be positive"),
+    (["train", "--mu", "-1"], "mu must be nonnegative"),
+    (["train", "--domain-radius", "-1"], "domain_radius must be nonnegative"),
+    (["train", "--eta", "0"], "eta must be positive"),
+    (["train", "--kappa", "-1"], "kappa must be nonnegative"),
+    (["train", "--schedule", "strongly_convex", "--mu", "0"],
+     "strongly_convex schedule needs mu > 0 and smoothness > 0"),
+    (["train", "--schedule", "strongly_convex", "--mu", "0.1", "--eta", "-1"],
+     "eta must be nonnegative"),
+    (["compare", "--M", "0", "--alphas", "1"], "M must be positive"),
 ])
 def test_a_sampler_value_is_rejected_before_any_data_is_built(monkeypatch, capsys, tmp_path,
                                                                argv, message):
     def no_data(cfg):
-        raise AssertionError("datasets built before the sampler values were checked")
+        raise AssertionError("datasets built before the config values were checked")
 
     monkeypatch.setattr(harness, "build_datasets", no_data)
     out = tmp_path / "D"
@@ -699,6 +713,21 @@ def test_a_negative_zero_amplitude_is_written_as_zero(tmp_path, capsys):
     assert '"alpha": 0,' in (out / "report.json").read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    [*_TINY_TRAIN, "--mu", "-0", "--domain-radius", "-0", "--imbalance", "-0", "--noise", "-0"],
+    [*_TINY_TRAIN, "--schedule", "strongly_convex", "--mu", "0.1", "--eta", "-0"],
+    ["compare", *SMALL, "--target", "-0"],
+    ["bounds", "--formula", "kl", "--kl", "-0", "--beta", "-0", "--gamma", "-0"],
+], ids=["train-zeros", "train-eta", "compare-target", "bounds-kl"])
+def test_a_negative_zero_is_written_as_zero(tmp_path, capsys, argv):
+    out = tmp_path / "D"
+    assert main([*argv, *(["--out", str(out)] if argv[0] != "bounds" else [])]) == 0
+    assert out.exists() != (argv[0] == "bounds")
+    texts = [capsys.readouterr().out] + [p.read_text() for p in sorted(out.rglob("*.*"))]
+    for text in texts:
+        assert re.search(r"-0(?![.\d])", text) is None
+
+
 def test_a_negative_zero_alpha_names_the_arm_alpha_0(tmp_path, capsys):
     out = tmp_path / "cmp"
     assert main(["compare", *SMALL, "--alphas", "-0", "--out", str(out)]) == 0
@@ -715,6 +744,22 @@ def test_a_flat_tracked_conditional_kl_is_written_as_zero(tmp_path, capsys):
                  "--out", str(out)]) == 0
     rows = (out / "trial_0.metrics.jsonl").read_text().splitlines()
     assert len(rows) == 3 and all(row.endswith('"conditional_kl": 0}') for row in rows)
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array"),
+     "Unable to allocate 7.28 TiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_a_failed_allocation_exits_2_with_one_error_line(monkeypatch, capsys, exc, message):
+    def no_memory(cfg):
+        raise exc
+
+    monkeypatch.setattr(harness, "build_datasets", no_memory)
+    assert main(["train", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_the_choice_flags_are_the_package_kinds_in_order():

@@ -149,7 +149,8 @@ def test_each_compare_arm_echoes_its_own_alpha_and_out(tmp_path):
 def test_kappa_is_unread_exactly_where_it_does_not_move_the_schedule(schedule):
     consts = regularity_constants(build_datasets(_small_cfg())[0], 0.01, 5.0)
     cfg = ExperimentConfig(schedule=schedule)
-    moved = cfg.step_schedule(consts) != dataclasses.replace(cfg, kappa=0.5).step_schedule(consts)
+    smooth = consts.smoothness
+    moved = cfg.step_schedule(smooth) != dataclasses.replace(cfg, kappa=0.5).step_schedule(smooth)
     unread = unread_fields(cfg, {"schedule": schedule, "eta": 0.1, "kappa": 0.5})
     assert unread == ({} if moved else {"schedule": ["kappa"]})
 
@@ -411,11 +412,35 @@ def test_indexed_replay_is_deterministic_and_identity_stable():
     assert not h0.any()
 
 
-@pytest.mark.parametrize("classes,dim,R,T", [
-    (2, 4, 12, 25), (3, 5, 12, 25), (2, 3, 1, 40), (3, 3, 9, 1), (2, 8, 1, 1),
-])
-def test_coupled_kernel_replays_the_per_run_loop_bitwise(classes, dim, R, T):
+class _GatherLog(np.ndarray):
+    """A table view that logs the shape of every index it is gathered by."""
+
+    def __getitem__(self, key):
+        self.shapes.append(np.shape(key))
+        return np.asarray(self)[key]
+
+
+_COUPLED_CASES = [  # classes, dim, R, T, exact-zero features, model._BLOCK_ROWS
+    (2, 4, 12, 25, False, None), (3, 5, 12, 25, False, None), (2, 3, 1, 40, False, None),
+    (3, 3, 9, 1, False, None), (2, 8, 1, 1, False, None), (10, 64, 7, 20, False, None),
+    (3, 5, 9, 25, True, None),
+    (2, 4, 5, 23, True, 35),  # 7 steps a gather: T spans 4 gathers and ends inside one
+]
+
+
+@pytest.mark.parametrize("classes,dim,R,T,zeros,block_rows", _COUPLED_CASES, ids=[
+    "-".join(map(str, case[:4])) + ("-zeros" if case[4] else "")
+    + (f"-block{case[5]}" if case[5] else "") for case in _COUPLED_CASES])
+def test_coupled_kernel_replays_the_per_run_loop_bitwise(monkeypatch, classes, dim, R, T,
+                                                         zeros, block_rows):
     ds = synth_data(30, dim, classes, 0.7, 0.05, seed=3, separation=3.4)
+    if zeros:  # a zero column, and scattered zero entries
+        X = ds.features.copy()
+        X[:, 0] = 0.0
+        X[::4, dim - 1] = 0.0
+        ds = Dataset.from_arrays(X, ds.labels, classes)
+    if block_rows is not None:
+        monkeypatch.setattr(model, "_BLOCK_ROWS", block_rows)
     mu = 0.1
     sched = StepSchedule.strongly_convex(mu, 0.5 * ds.feature_radius ** 2 + mu)
     rng = np.random.default_rng(R * T)
@@ -425,11 +450,17 @@ def test_coupled_kernel_replays_the_per_run_loop_bitwise(classes, dim, R, T):
     # a radius at the median unprojected final norm: the projection fires on
     # some runs and never on others
     radius = float(np.median([np.sqrt((h * h).sum()) for h in free]))
-    H = _run_coupled(ds.features, ds.labels, indices, sched, mu, h0, radius)
+    labels = ds.labels.view(_GatherLog)
+    labels.shapes = []
+    H = _run_coupled(ds.features, labels, indices, sched, mu, h0, radius)
     expect = [naive_run_indexed(ds, row, sched, mu, h0, radius) for row in indices]
     assert H.shape == (R, classes, dim)
     for r in range(R):
-        assert np.array_equal(H[r], expect[r])
+        assert H[r].tobytes() == expect[r].tobytes()
+    steps = [shape[0] for shape in labels.shapes]  # one gather per block of steps
+    assert sum(steps) == T and labels.shapes == [(k, R, 1) for k in steps]
+    if block_rows is not None:  # at least 3 gathers, the last one partial
+        assert len(steps) >= 3 and steps[-1] < steps[0]
     if R > 1:
         projected = [not np.array_equal(a, b) for a, b in zip(expect, free)]
         assert any(projected) and not all(projected)

@@ -307,6 +307,26 @@ def test_stacked_products_and_gradients_equal_per_run_calls_bitwise(batch, class
         assert G[r].tobytes() == one[0].tobytes()
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+@pytest.mark.parametrize("classes,dim", [(2, 3), (3, 5), (10, 64)])
+def test_one_draw_gradients_are_objective_grads_bitwise_signed_zeros_included(classes, dim, mu):
+    # a zero feature makes each entry of its column a signed zero: the label's
+    # row is -0 where h is negative at mu 0, which a k = 1 matmul turns into +0
+    rng = np.random.default_rng(classes * dim)
+    R = 40
+    H = rng.standard_normal((R, classes, dim))
+    X = rng.standard_normal((R, 1, dim))
+    X[:, :, 0] = 0.0
+    X[::3, :, dim // 2] = 0.0
+    y = rng.integers(0, classes, size=(R, 1))
+    G = batch_objective_grads(H, X, y, mu)
+    expect = [objective_grad(H[r], Example(X[r, 0], int(y[r, 0])), mu) for r in range(R)]
+    for r in range(R):
+        assert G[r].tobytes() == expect[r].tobytes()
+    if mu == 0:
+        assert any(np.signbit(g[:, 0]).any() for g in expect)
+
+
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 127, 128, 129, 300, 1000])
 def test_last_axis_sums_equal_per_row_sums_bitwise(k):
     # every reduction the stacked paths make runs along the contiguous last axis
