@@ -108,11 +108,17 @@ def conditional_kl(tree: WeightTree, run: int = 0) -> float:
     sum_i Q(i) * ln(n * Q(i)) over the live leaves (zero-weight leaves drop out),
     or +0.0 where that rounds to 0 or below (n * (1/n) can round below 1). The
     trainer's weights are at least 1, so the filtering copy is made only when
-    some leaf is not positive; the sum runs over the same leaves either way."""
+    some leaf is not positive; the sum runs over the same leaves either way.
+
+    It holds two (n,) arrays, Q and the terms: ln(n * Q) is taken and
+    multiplied by Q in place, each value bitwise that of the written formula."""
     q = tree.distribution(run)
     if not q.min() > 0:
         q = q[q > 0]
-    return max(0.0, float((q * np.log(tree.n * q)).sum()))  # 0.0 first: max keeps it over -0.0
+    terms = tree.n * q
+    np.log(terms, out=terms)
+    terms *= q
+    return max(0.0, float(terms.sum()))  # 0.0 first: max keeps it over -0.0
 
 
 @dataclasses.dataclass

@@ -199,6 +199,23 @@ def gen_bound_derandomized(kl: float, M: float, n: int, T: int, beta: float, gam
                         "delta": delta})
 
 
+def heldout_risk_bound(heldout_risk: float, M: float, test_n: int, delta: float) -> BoundReport:
+    """Hoeffding bound on the risk of one fixed hypothesis from its mean loss
+    over test_n examples it never trained on, each loss in [0, M]
+    (Langford, 2005), with probability at least 1 - delta; it needs no KL:
+
+        heldout_risk + M sqrt( ln(1/delta) / (2 test_n) )
+    """
+    if not 0 <= heldout_risk <= M:
+        raise ValueError("heldout_risk must lie in [0, M]")
+    _check_positive(M=M)
+    _check_counts(test_n=test_n)
+    _check_delta(delta)
+    value = heldout_risk + M * math.sqrt(math.log(1.0 / delta) / (2.0 * test_n))
+    return BoundReport("test_set_hoeffding", value,
+                       {"heldout_risk": heldout_risk, "M": M, "test_n": test_n, "delta": delta})
+
+
 # ---- KL statistics of recorded traces ----
 
 def kl_from_utility_advantage(trace: TrainTrace) -> float:

@@ -379,7 +379,9 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
     """The final JSON report: the echo of every config field the run read
     (each field `unread_fields` does not name), constants, one row per trial
     read from its last metrics record (the t = T tick) with bound evaluations
-    (its KL statistic plugged in), and cross-trial aggregates of those rows."""
+    (its KL statistic plugged in, each KL bound marked vacuous when its value
+    is at least M, and the KL-free test-set bound on its held-out risk), and
+    cross-trial aggregates of those rows."""
     n, T = train_ds.n, cfg.iters
     h0 = zeros_hypothesis(train_ds.num_classes, train_ds.feature_dim)
     h0_risk = _risk_and_accuracy(h0, test_ds, consts.loss_bound)[0]
@@ -397,6 +399,8 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
             row["iterations_to_target"] = iterations_to_target(records, cfg.target)
         row["trial"] = trial
         row["bounds"] = _trial_bounds(cfg, consts, n, T, final.kl_stat, h0_risk)
+        row["bounds"]["test_set_hoeffding"] = bounds.heldout_risk_bound(
+            final.heldout_risk, consts.loss_bound, test_ds.n, cfg.delta).to_json()
         trial_rows.append(row)
     agg = {}
     for key in ("final_empirical_risk", "final_heldout_risk", "final_train_accuracy",
@@ -437,11 +441,16 @@ def _trial_bounds(cfg: ExperimentConfig, consts: RegularityConstants, n: int, T:
         beta, gamma = bounds.sgd_stability_strongly_convex(L, mu, n, T)
         out["stability_strongly_convex_beta"] = beta
         out["stability_strongly_convex_gamma"] = gamma
-        out["gen_kl"] = bounds.gen_bound_kl(kl_stat, M, n, T, beta, gamma, delta).to_json()
-        out["gen_sgd_strongly_convex"] = bounds.gen_bound_sgd_strongly_convex(
-            kl_stat, M, L, mu, n, T, delta).to_json()
-        out["gen_derandomized"] = bounds.gen_bound_derandomized(
-            kl_stat, M, n, T, beta, gamma, delta).to_json()
+        kl_bounds = {
+            "gen_kl": bounds.gen_bound_kl(kl_stat, M, n, T, beta, gamma, delta),
+            "gen_sgd_strongly_convex": bounds.gen_bound_sgd_strongly_convex(
+                kl_stat, M, L, mu, n, T, delta),
+            "gen_derandomized": bounds.gen_bound_derandomized(
+                kl_stat, M, n, T, beta, gamma, delta),
+        }
+        for key, bound in kl_bounds.items():
+            # a gap bound of M or more says nothing about a loss in [0, M]
+            out[key] = {**bound.to_json(), "vacuous": bound.value >= M}
     else:
         out["note"] = "mu = 0: no strongly-convex (beta, gamma) pair; KL bounds omitted"
     return out

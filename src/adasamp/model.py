@@ -142,6 +142,30 @@ def _class_max(scores: np.ndarray) -> np.ndarray:
     return best
 
 
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum splits a run of n > 128 entries: at half of
+    it, rounded down to a multiple of its eight accumulators."""
+    return n // 2 - n // 2 % 8
+
+
+def _pairwise_sum(leaf, lo: int, hi: int) -> float:
+    """Bitwise np.add.reduce(a[lo:hi]) of a float64 array a that is never
+    built whole: leaf(i, j) returns a[i:j], computed on demand.
+
+    numpy sums a contiguous array pairwise, splitting every run longer than
+    128 entries at `_pairwise_half`. This splits runs longer than
+    max(_BLOCK_ROWS, 128) at the same points and leaves the rest to numpy, so
+    each leaf holds at most that many entries and every addition is numpy's.
+    A leaf's sum starts from +0.0, which can only turn a partial -0.0 into
+    +0.0, and numpy's total starts from +0.0 too, so the total is the same.
+    A whole-array sum may be taken by blocks only through here.
+    """
+    if hi - lo <= max(_BLOCK_ROWS, 128):
+        return float(np.add.reduce(leaf(lo, hi)))
+    mid = lo + _pairwise_half(hi - lo)
+    return _pairwise_sum(leaf, lo, mid) + _pairwise_sum(leaf, mid, hi)
+
+
 def _last_axis_sum(a: np.ndarray) -> np.ndarray:
     """Bitwise np.ascontiguousarray(a).sum(axis=-1), one last-axis column at
     a time: a short last axis then costs a few long loops instead of a tiny
@@ -158,7 +182,7 @@ def _last_axis_sum(a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[-1]
     if n > 128:
-        half = n // 2 - n // 2 % 8
+        half = _pairwise_half(n)
         return _last_axis_sum(a[..., :half]) + _last_axis_sum(a[..., half:])
     if n < 8:
         res = a[..., 0] + 0.0
@@ -244,21 +268,23 @@ def _risk_and_accuracy(h: np.ndarray, ds: Dataset, M: float) -> tuple[float, flo
     """(empirical risk, accuracy) of h on ds from one scoring X @ h.T, the
     risk being the mean of min(CE, M).
 
-    Besides the (n, C) scores it holds one (n,) float array of bounded losses
-    and one (n,) bool array of hits, filled `_BLOCK_ROWS` rows at a time, so
-    the per-row temporaries stay block-sized. Each value is a function of its
-    own row alone, and each mean is taken once over the full array, so the
-    result is bitwise that of scoring every row at once.
+    Besides the (n, C) scores it holds only block-sized temporaries: the
+    bounded losses are computed and summed a leaf of at most
+    max(`_BLOCK_ROWS`, 128) rows at a time through `_pairwise_sum`, in numpy's
+    order, and each leaf's hits are counted as an exact integer. Each value is a function of its own
+    row alone, so the result is bitwise the means of the full arrays of
+    losses and hits from scoring every row at once.
     """
     scores = ds.features @ h.T
-    losses = np.empty(ds.n)
-    hits = np.empty(ds.n, dtype=bool)
-    for lo in range(0, ds.n, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        block, labels = scores[rows], ds.labels[rows]
-        losses[rows] = _bounded_losses(block, labels, M)
-        np.equal(block.argmax(axis=-1), labels, out=hits[rows])
-    return float(losses.mean()), float(hits.mean())
+    hits = 0
+
+    def losses(lo: int, hi: int) -> np.ndarray:
+        nonlocal hits
+        block, labels = scores[lo:hi], ds.labels[lo:hi]
+        hits += int(np.count_nonzero(block.argmax(axis=-1) == labels))
+        return _bounded_losses(block, labels, M)
+
+    return _pairwise_sum(losses, 0, ds.n) / ds.n, hits / ds.n
 
 
 def default_domain_radius(ds: Dataset, mu: float) -> float:

@@ -5,6 +5,7 @@ runs against separate calls."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ def test_conditional_kl_is_the_masked_sum_bitwise():
             pos = q > 0
             want = float((q[pos] * np.log(n * q[pos])).sum())
             assert conditional_kl(tree, run) == want
+
+
+def test_conditional_kl_adds_less_than_two_and_a_half_floats_a_leaf():
+    # Q and the terms, in 200000 leaves: ln(n * Q) and its product with Q are taken in place
+    n = 200_000
+    tree = WeightTree(np.exp(np.random.default_rng(22).random(n)))
+    want = conditional_kl(tree)
+    tracemalloc.start()
+    try:
+        got = conditional_kl(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q = tree.distribution()
+    assert got == want == float((q * np.log(n * q)).sum())
+    assert peak < 2.5 * n * 8, peak / (n * 8)
 
 
 # ---- training loop ----

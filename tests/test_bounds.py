@@ -32,6 +32,7 @@ from adasamp import (
     zeros_hypothesis,
 )
 from adasamp.adaptive import TrainTrace
+from adasamp.bounds import heldout_risk_bound
 from oracles import chisq_divergence, kl_divergence
 
 
@@ -234,6 +235,23 @@ def test_derandomized_vs_kl_bound_at_zero_gamma():
     b = gen_bound_kl(kl, M, n, T, beta, 0.0, 0.1).value
     assert a > b
     assert gen_bound_derandomized(kl, M, n, T, beta, 0.0, 0.2).value == b
+
+
+def test_heldout_risk_bound_width_at_the_defaults():
+    # M 5, delta 0.05, test_n 500: 5 sqrt(ln(20) / 1000)
+    width = 0.27366641525559868
+    for risk in (0.0, 0.0584, 5.0):
+        r = heldout_risk_bound(risk, 5.0, 500, 0.05)
+        assert r.formula == "test_set_hoeffding"
+        assert r.value - risk == pytest.approx(width, rel=1e-12)
+    assert round(width, 4) == 0.2737
+    # a fifth of M and four times test_n: a tenth of the width
+    tenth = heldout_risk_bound(0.1, 1.0, 4 * 500, 0.05).value - 0.1
+    assert tenth == pytest.approx(width / 10, rel=1e-12)
+    for bad in [(-0.1, 5.0, 500, 0.05), (5.1, 5.0, 500, 0.05), (0.0, 5.0, 0, 0.05),
+                (0.0, 5.0, 500, 1.0), (0.0, 0.0, 500, 0.05)]:
+        with pytest.raises(ValueError):
+            heldout_risk_bound(*bad)
 
 
 @pytest.mark.parametrize("evaluate,name", [

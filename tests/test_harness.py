@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from adasamp import (
     train_many,
     zeros_hypothesis,
 )
+from adasamp.bounds import heldout_risk_bound
 from adasamp.data import save_csv, synth_data
 from adasamp.harness import (
     SYNTHETIC_TASK,
@@ -290,6 +292,30 @@ def test_report_bounds_are_self_consistent():
         d = b["gen_sgd_strongly_convex"]
         assert gen_bound_sgd_strongly_convex(
             d["kl"], d["M"], d["L"], d["mu"], d["n"], d["T"], d["delta"]).value == d["value"]
+        for key in ("gen_kl", "gen_sgd_strongly_convex", "gen_derandomized"):
+            assert b[key]["vacuous"] is (b[key]["value"] >= consts["loss_bound"])
+        d = b["test_set_hoeffding"]
+        assert d == heldout_risk_bound(row["final_heldout_risk"], consts["loss_bound"],
+                                   consts["test_n"], echo["delta"]).to_json()
+
+
+def test_every_kl_bound_is_vacuous_at_the_defaults():
+    # a final record at the defaults' size; kl 0 gives each KL bound its least value
+    cfg = ExperimentConfig()
+    train_ds, test_ds = build_datasets(cfg)
+    consts = regularity_constants(train_ds, cfg.mu, cfg.loss_bound)
+    final = MetricsRecord(cfg.iters, 0.05, 0.06, 0.99, 0.99, 0.0, None)
+    report = harness.build_report(cfg, consts, train_ds, test_ds, [[final]])
+    b = report["trials"][0]["bounds"]
+    for key in ("gen_kl", "gen_sgd_strongly_convex", "gen_derandomized"):
+        assert b[key]["vacuous"] is True and b[key]["value"] >= cfg.loss_bound, key
+    assert b["test_set_hoeffding"]["value"] == pytest.approx(0.06 + 0.2737, abs=1e-4)
+    # a unit-norm regime with mu 1, where the uniform arm's KL bound says something
+    unit = dataclasses.replace(consts, lipschitz=2 * math.sqrt(2.0), smoothness=1.5,
+                               strong_convexity=1.0)
+    tight = harness._trial_bounds(dataclasses.replace(cfg, mu=1.0), unit, cfg.n, cfg.iters,
+                                  0.0, 0.5)
+    assert tight["gen_kl"]["vacuous"] is False and tight["gen_kl"]["value"] < cfg.loss_bound
 
 
 def test_zero_amplitude_run_reports_zero_kl():
@@ -333,6 +359,23 @@ def test_each_metrics_tick_scores_each_dataset_once(monkeypatch):
     # one scoring each of train and test per tick, and the report's h0 risk
     # once per arm, each one `_bounded_losses` block here
     assert calls == {"tick": 2 * ticks + 3, "losses": 2 * ticks + 3}
+
+
+def test_a_wide_run_peaks_less_than_one_float_a_row_above_its_floor():
+    # the floor is what a tracked-KL tick must hold: features, labels, the
+    # weight tree, the accumulators and one dataset's (n, C) scores
+    cfg = ExperimentConfig(n=200_000, batch=1000, iters=20, alpha=2.0, track_kl=True, trials=1)
+    run_experiment(dataclasses.replace(cfg, n=50, iters=2))  # lazy imports land outside the trace
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, n = cfg.n + cfg.test_n, cfg.n
+    tree = 2 * (1 << math.ceil(math.log2(n)))  # floats: leaves padded to a power of two, and labels
+    floor = 8 * (rows * cfg.dim + rows + tree + n + n * cfg.classes)
+    assert peak - floor < 8 * n, (peak - floor) / (8 * n)
 
 
 def test_arms_trained_together_write_the_bytes_of_arms_trained_alone(tmp_path):

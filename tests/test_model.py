@@ -26,6 +26,7 @@ from adasamp.model import (
     _bounded_losses,
     _class_max,
     _last_axis_sum,
+    _pairwise_sum,
     _risk_and_accuracy,
     batch_objective_grads,
 )
@@ -241,6 +242,43 @@ def test_last_axis_sum_follows_numpys_summation_order():
     assert _last_axis_sum(np.array([[-0.0, -0.0]])).tobytes() == np.zeros(1).tobytes()
 
 
+# lengths on each side of every recursion boundary of numpy's pairwise sum
+# (8 accumulators, runs of 128) and of the default 8192-entry leaves
+_PAIRWISE_LENGTHS = [1, 7, 8, 127, 128, 129, 255, 8191, 8192, 8193, 3 * 8192 + 5, 2**17 + 3]
+
+
+@pytest.mark.parametrize("block_rows", [None, 37, 129])
+def test_pairwise_sum_is_numpys_sum_of_the_whole_array_bitwise(block_rows, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(model, "_BLOCK_ROWS", block_rows)
+    limit = max(model._BLOCK_ROWS, 128)
+    rng = np.random.default_rng(43)
+    left_to_right_differs = False
+    for n in _PAIRWISE_LENGTHS:
+        # 1e300, 1 and 1e-300 scales, and -0.0, so the order of the additions shows
+        a = rng.standard_normal(n) * 10.0 ** rng.choice([-300, 0, 300], size=n)
+        a[rng.random(n) < 0.1] = -0.0
+        for values in (a, np.full(n, -0.0)):
+            leaves = []
+
+            def leaf(lo, hi):
+                leaves.append((lo, hi))
+                return values[lo:hi].copy()
+
+            got = _pairwise_sum(leaf, 0, n)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.add.reduce(values).tobytes(), n
+            # the leaves tile the array in order, none longer than the limit
+            assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]]
+            assert leaves[-1][1] == n and max(hi - lo for lo, hi in leaves) <= limit
+        blocks = 0.0
+        for lo in range(0, n, model._BLOCK_ROWS):
+            blocks += np.add.reduce(a[lo:lo + model._BLOCK_ROWS])
+        left_to_right_differs |= blocks != np.add.reduce(a)
+    # a left-to-right sum of block sums is not numpy's order
+    assert left_to_right_differs
+
+
 def test_gradient_norm_never_exceeds_lipschitz():
     rng = np.random.default_rng(7)
     mu = 0.1
@@ -438,8 +476,8 @@ def test_blocked_risk_and_accuracy_keep_ties_and_infinite_scores_bitwise(n, monk
             assert np.array(got).tobytes() == np.array(want).tobytes(), (h, M)
 
 
-def test_a_metrics_tick_adds_less_than_four_floats_a_row():
-    # the (n, 2) scores, plus one float and one bool a row, in 200000 rows
+def test_a_metrics_tick_adds_less_than_two_and_a_half_floats_a_row():
+    # the (n, 2) scores and block-sized temporaries, in 200000 rows
     rng = np.random.default_rng(12)
     n = 200_000
     ds = Dataset.from_arrays(rng.standard_normal((n, 8)), rng.integers(0, 2, size=n), 2)
@@ -452,7 +490,7 @@ def test_a_metrics_tick_adds_less_than_four_floats_a_row():
     finally:
         tracemalloc.stop()
     assert got == want
-    assert peak < 4 * n * 8, peak / (n * 8)
+    assert peak < 2.5 * n * 8, peak / (n * 8)
 
 
 def test_dataset_validation_and_split():
