@@ -29,6 +29,10 @@ UTILITY_KINDS = ("zero_one", "l1")
 
 # exp overflow guard: ln w <= amplitude/(1-decay) must stay well inside float range.
 MAX_LOG_WEIGHT = 700.0
+# sum overflow guard: a run's n weights sum to at most n * exp(amplitude/(1-decay)),
+# which must stay below half the largest float, a margin far wider than the
+# rounding of the log weights, of the label sums and of their drift
+_MAX_LOG_TOTAL = math.log(np.finfo(np.float64).max / 2)
 # uniforms that the runs of one train_many call draw per block, together
 _BLOCK_UNIFORMS = 1 << 16
 
@@ -225,6 +229,8 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     then been stepped through t, metric_fn has seen no iteration from t on,
     and any run's rng may sit up to one block past iteration t.
     numpy's overflow and invalid-value warnings are off inside the call.
+    Raises ValueError, before any draw, if amplitude/(1-decay) + ln n exceeds
+    ln(float max / 2), where a run's weights could sum past the float range.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -246,6 +252,10 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     X, Y = ds.features, ds.labels
     amp_list = [c.amplitude for c in cfgs]
     amps, dec = np.array(amp_list), cfg.decay
+    log_total = max(amp_list) / (1.0 - dec) + math.log(n)
+    if log_total > _MAX_LOG_TOTAL:
+        raise ValueError(f"amplitude/(1-decay) + ln n = {log_total:g} exceeds "
+                         f"{_MAX_LOG_TOTAL:g}; the summed weights could overflow")
     # the leading runs of amplitude 0 are the flat runs
     flat = next((r for r, a in enumerate(amp_list) if a != 0), R)
     track_kl = cfg.track_full_conditional_kl

@@ -16,17 +16,17 @@ class WeightTree:
     """Full binary trees over n weights, each 0 or >= 2**-1021, one per run.
 
     A tree built from an (R, n) weight array holds R independent runs; a 1-d
-    array of n weights builds one run. All labels live in one flat array of R
-    rows of 2*capacity - 1, run r's row starting at r * (2*capacity - 1). Leaves
-    are padded out to the next power of two (padding leaves hold 0 and are never
-    written again), every internal node holds the sum of its two children, and
-    indexing within a row is implicit: node j has children 2j+1 and 2j+2, leaf i
-    lives at capacity-1+i. A draw walks root to leaf flipping one biased coin
-    per level, so it costs exactly `depth` uniforms; rewriting a leaf adds its
-    delta along its root-to-leaf path. Positive weights below 2**-1021 (twice
-    the smallest normal float) are rejected: beside a zero sibling, a coin
-    weighted by a smaller one can round back to the side whose weight is 0
-    (`(1 - 2**-53) * w` rounds to `w` for w = np.finfo(float).tiny).
+    array of n weights builds one run. Run r's labels are row r of one
+    (R, 2*capacity) array, a 1-based heap: the root is at 1, node j has
+    children 2j and 2j+1 and parent j >> 1, leaf i is at capacity+i, and slot
+    0 holds 0. Leaves are padded out to the next power of two (padding leaves
+    hold 0 and are never written again), every internal node holds the sum of
+    its two children, and every root must be finite. A draw walks root to leaf
+    flipping one biased coin per level, so it costs exactly `depth` uniforms;
+    rewriting a leaf adds its delta along its root-to-leaf path. Positive
+    weights below 2**-1021 (twice the smallest normal float) are rejected: by
+    a zero sibling, a coin weighted by a smaller one can round back to the
+    zero side (`(1 - 2**-53) * w` rounds to `w` for w = np.finfo(float).tiny).
 
     Each operation has one batched path, a few numpy calls per tree level, and
     every element of it is computed as in a tree of that run alone:
@@ -66,20 +66,21 @@ class WeightTree:
         self.runs, self.n = w.shape
         self.depth = max(0, math.ceil(math.log2(self.n)))
         self.capacity = 1 << self.depth
-        self._stride = 2 * self.capacity - 1
-        self._levels_up = np.arange(1, self.depth + 1)  # node j's s-th ancestor: ((j+1) >> s) - 1
-        # three leading zeros let a draw read a node's children as
-        # _padded[2x] and _padded[2x + 1] for x = node + 2 (see descend_many)
-        self._padded = np.zeros(3 + self.runs * self._stride)
-        self._nodes = self._padded[3:]
-        self._labels()[..., self.capacity - 1 : self.capacity - 1 + self.n] = w
-        self.rebuild()
+        self._stride = 2 * self.capacity
+        self._levels_up = np.arange(1, self.depth + 1)  # heap slot j's s-th ancestor: j >> s
+        self._rows = np.zeros((self.runs, self._stride))
+        self._nodes = self._rows.reshape(-1)  # the same labels, run after run
+        self._leaves()[:] = w
+        with np.errstate(over="ignore"):  # an overflowing total is rejected below
+            self.rebuild()
+        if not max(self.totals.tolist()) < math.inf:
+            raise ValueError("total weight must be finite")
         self.sample_visits = 0
         self.update_writes = 0
 
-    def _labels(self) -> np.ndarray:
-        """Every run's labels, one row per run, or the flat array itself for one run."""
-        return self._nodes.reshape(self.runs, self._stride) if self.runs > 1 else self._nodes
+    def _leaves(self, run=slice(None)) -> np.ndarray:
+        """Run `run`'s n leaf labels, or every run's as rows, as a view."""
+        return self._rows[run, self.capacity : self.capacity + self.n]
 
     def _check_one_run(self, method: str) -> None:
         if self.runs != 1:
@@ -96,7 +97,7 @@ class WeightTree:
     @property
     def totals(self) -> np.ndarray:
         """Every run's root label, as a view of length R."""
-        return self._nodes[:: self._stride]
+        return self._rows[:, 1]
 
     def probs(self, indices) -> np.ndarray:
         """Current sampling probabilities, weight / root, of a 1-d integer array
@@ -107,15 +108,14 @@ class WeightTree:
             raise ValueError("indices must be a 1-d array")
         if idx.size and idx.view(np.uint64).max() >= self.n:  # negatives wrap to huge
             raise IndexError(f"index out of range for n={self.n}")
-        root = self._nodes[0]
+        root = self._nodes[1]
         if not root > 0:
             raise ValueError("total weight is zero")
-        return self._nodes[idx + (self.capacity - 1)] / root
+        return self._nodes[idx + self.capacity] / root
 
     def distribution(self, run: int = 0) -> np.ndarray:
         """All n sampling probabilities of one run, normalized to sum to 1 (O(n) diagnostic)."""
-        lo = run * self._stride + self.capacity - 1
-        leaves = self._nodes[lo : lo + self.n]
+        leaves = self._leaves(run)
         s = leaves.sum()
         if s <= 0:
             raise ValueError("total weight is zero")
@@ -127,9 +127,9 @@ class WeightTree:
         """Walk root to leaf for every row of a (k, depth) array of uniforms, or
         of an (R, k, depth) array whose slab r draws from run r.
 
-        At each internal node, go left iff u * (left + right) < left, i.e. with
-        probability left / (left + right). A subtree labelled 0 can never win the
-        comparison, so zero-weight leaves are never returned while their
+        At each internal node, go left unless u * (left + right) >= left, i.e.
+        with probability left / (left + right). A subtree labelled 0 can never
+        win the comparison, so zero-weight leaves are never returned while their
         ancestors' labels are exact. Row r's leaf index depends on row r alone.
         """
         u = np.asarray(uniforms, dtype=np.float64)
@@ -137,21 +137,20 @@ class WeightTree:
         if u.shape[-1] != self.depth:
             raise ValueError(f"expected rows of {self.depth} uniforms")
         m, k = self.runs, u.shape[-2]
-        if not (self._nodes[0] if m == 1 else self.totals.min()) > 0:
+        if not (self._nodes[1] if m == 1 else self.totals.min()) > 0:
             raise ValueError("total weight is zero")
-        # x = node + 2, so node j's children 2j+1 and 2j+2 are _padded[2x] and
-        # _padded[2x + 1], and the child taken is 2x, or 2x - 1 for the left one
-        lefts, rights = self._padded, self._padded[1:]
+        # node x's children 2x and 2x + 1 are lefts[2x] and rights[2x]
+        lefts, rights = self._nodes, self._nodes[1:]
         base = np.repeat(np.arange(0, m * self._stride, self._stride), k) if m > 1 else None
         x = np.empty(m * k, dtype=np.int64)
-        x.fill(2)  # the root
+        x.fill(1)  # the root
         for col in u.reshape(m * k, self.depth).T:
             twice = x + x
             at = twice if base is None else twice + base
             lv = lefts[at]
-            x = twice - (col * (lv + rights[at]) < lv)
+            x = twice + (col * (lv + rights[at]) >= lv)
         self.sample_visits += u.size
-        return (x - (self.capacity + 1)).reshape(u.shape[:-1])
+        return (x - self.capacity).reshape(u.shape[:-1])
 
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """Draw k indices i.i.d. from a one-run tree with probability proportional
@@ -162,7 +161,7 @@ class WeightTree:
 
     def update_many(self, indices, weights) -> None:
         """Set leaf indices[k] of a one-run tree to weights[k], for distinct
-        indices, through `_write`, after checking every argument."""
+        indices, through `_write`, after checking every argument and the root."""
         self._check_one_run("update_many")
         idx = np.asarray(indices, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
@@ -181,6 +180,11 @@ class WeightTree:
             ordered = np.sort(idx)
             if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("indices must be distinct")
+        total = float(self._nodes[1])  # the root after `_write`, in its order of additions
+        for delta in (w - self._nodes[idx + self.capacity]).tolist():
+            total += delta
+        if total == math.inf:
+            raise ValueError("total weight must be finite")
         self._write(idx, w, None)
 
     def _write(self, idx: np.ndarray, w: np.ndarray, runs) -> None:
@@ -196,18 +200,16 @@ class WeightTree:
         of different runs are disjoint, so each run's labels end as after a call
         with that run's rows alone.
         """
-        k = idx.size
-        leaves = idx + (self.capacity - 1)
+        leaves = idx + self.capacity
+        anc = leaves[:, None] >> self._levels_up  # in the leaf's own row: shift, then offset
         if runs is not None:
             offsets = runs * self._stride
             leaves += offsets
+            anc += offsets[:, None]
         nodes = self._nodes
         deltas = w - nodes[leaves]
         nodes[leaves] = w
         if self.depth:
-            anc = ((idx + self.capacity)[:, None] >> self._levels_up) - 1
-            if runs is not None:
-                anc += offsets[:, None]
             anc = anc.ravel()
             # materialized, not broadcast: numpy 2.4's np.add.at writes garbage
             # into element 0 for a 2-d index with broadcast values
@@ -215,10 +217,10 @@ class WeightTree:
             labels = nodes[anc]
             if not labels.min() > 0:
                 nodes[anc] = np.where(labels > 0, labels, 0.0)
-        self.update_writes += k * (self.depth + 1)
+        self.update_writes += idx.size * (self.depth + 1)
         since = self._updates_since_rebuild
         if runs is None:
-            since[0] += k
+            since[0] += idx.size
             if since[0] >= REBUILD_EVERY:
                 self.rebuild([0])
         else:
@@ -229,21 +231,18 @@ class WeightTree:
     def rebuild(self, runs=None) -> None:
         """Recompute every internal label bottom-up, clearing accumulated drift,
         in every run or in the given runs."""
-        if runs is None:
-            nodes = self._labels()
-        else:
+        if runs is not None:
             runs = np.asarray(runs, dtype=np.int64)
-            nodes = self._nodes.reshape(self.runs, self._stride)[runs]  # a copy
-        lo, width = self.capacity - 1, self.capacity
+        rows = self._rows if runs is None else self._rows[runs]  # a copy of the given runs
+        width = self.capacity
         while width > 1:
-            level = nodes[..., lo : lo + width]
+            level = rows[:, width : 2 * width]
             width //= 2
-            lo -= width
-            nodes[..., lo : lo + width] = level[..., 0::2] + level[..., 1::2]
+            rows[:, width : 2 * width] = level[:, 0::2] + level[:, 1::2]
         if runs is None:
             self._updates_since_rebuild = np.zeros(self.runs, dtype=np.int64)
         else:
-            self._nodes.reshape(self.runs, self._stride)[runs] = nodes
+            self._rows[runs] = rows
             self._updates_since_rebuild[runs] = 0
 
 

@@ -161,6 +161,8 @@ def test_conditional_kl_is_the_masked_sum_bitwise():
             pos = q > 0
             want = float((q[pos] * np.log(n * q[pos])).sum())
             assert conditional_kl(tree, run) == want
+        with pytest.raises(IndexError):
+            conditional_kl(tree, 2)  # a run the tree does not hold
 
 
 def test_conditional_kl_adds_less_than_two_and_a_half_floats_a_leaf():
@@ -180,6 +182,26 @@ def test_conditional_kl_adds_less_than_two_and_a_half_floats_a_leaf():
 
 
 # ---- training loop ----
+
+def test_train_rejects_weights_that_could_sum_past_the_float_range():
+    # amplitude/(1-decay) = 700 passes SamplerConfig's cap, but 9000 weights of
+    # exp(700) sum past half the largest float; 8000 of them do not
+    cfg = SamplerConfig(amplitude=350.0, decay=0.5, iterations=1)
+    assert 700 + math.log(8000) < math.log(np.finfo(np.float64).max / 2) < 700 + math.log(9000)
+    for n, ok in ((8000, True), (9000, False)):
+        ds = _random_dataset(5, n=n)
+        args = (ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(), 0.0, 5.0,
+                zeros_hypothesis(2, 3), np.random.default_rng(0))
+        if ok:
+            train(*args)
+        else:
+            with pytest.raises(ValueError, match="summed weights could overflow"):
+                train(*args)
+    with pytest.raises(ValueError, match="summed weights could overflow"):
+        train_many(ds, [SamplerConfig(amplitude=0.0, decay=0.5), cfg], StepSchedule.constant(0.1),
+                   UpdateRuleState.sgd(), 0.0, 5.0, [zeros_hypothesis(2, 3)] * 2,
+                   [np.random.default_rng(r) for r in range(2)])
+
 
 def test_single_iteration_is_one_sgd_step():
     ds = _random_dataset(1)

@@ -1,6 +1,8 @@
 """Weight tree: proportional sampling, O(log n) touch counts, update locality."""
 
 import copy
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from oracles import naive_descend
 
 
 def _leaves(tree):
-    return tree._nodes[tree.capacity - 1:tree.capacity - 1 + tree.n]
+    return tree._leaves(0)
 
 
 def _delta_walk(tree, indices, weights, clamp=False):
@@ -23,11 +25,11 @@ def _delta_walk(tree, indices, weights, clamp=False):
     optionally clamping each label at 0 after its addition."""
     nodes = tree._nodes.tolist()
     for i, w in zip(indices, weights):
-        j = tree.capacity - 1 + int(i)
+        j = tree.capacity + int(i)
         delta = float(w) - nodes[j]
         nodes[j] = float(w)
-        while j > 0:
-            j = (j - 1) // 2
+        while j > 1:
+            j >>= 1
             v = nodes[j] + delta
             nodes[j] = v if v > 0 or not clamp else 0.0
     return np.array(nodes)
@@ -78,7 +80,7 @@ def test_padding_leaves_never_drawn():
     draws = tree.sample_many(5000, rng)
     assert draws.min() >= 0 and draws.max() <= 4
     tree.update_many([2], [7.5])
-    assert np.all(tree._nodes[tree.capacity - 1 + 5:] == 0.0)
+    assert np.all(tree._nodes[tree.capacity + 5:] == 0.0)
 
 
 def test_chi_square_goodness_of_fit():
@@ -214,6 +216,27 @@ def test_invalid_updates():
         tree.probs([-1])
 
 
+def test_a_total_past_the_float_range_is_rejected():
+    # each weight is finite, but their sum is not: such a root would make every
+    # probability 0 and send draws to the rightmost subtrees
+    big = math.exp(700.0)
+    for w in (np.full(40000, big), np.stack([np.ones(40000), np.full(40000, big)])):
+        with pytest.raises(ValueError, match="^total weight must be finite$"):
+            WeightTree(w)
+    quarter = np.finfo(np.float64).max / 4
+    tree = WeightTree(np.full(4, quarter))  # the root is the largest float
+    labels = tree._nodes.copy()
+    # the root takes the deltas in row order: +quarter overflows before -quarter
+    with pytest.raises(ValueError, match="^total weight must be finite$"):
+        tree.update_many([0, 1], [2 * quarter, 0.0])
+    with pytest.raises(ValueError, match="^total weight must be finite$"):
+        tree.update_many([3], [np.finfo(np.float64).max])
+    assert tree._nodes.tobytes() == labels.tobytes() and tree.update_writes == 0
+    tree.update_many([1, 0], [0.0, 2 * quarter])
+    assert tree.totals[0] == 4 * quarter
+    assert tree.probs([0, 1, 2, 3]).tolist() == [0.5, 0.0, 0.25, 0.25]
+
+
 def test_subnormal_weights_are_rejected():
     # 0.7 * 5e-324 rounds back to 5e-324, so a draw would walk to the zero leaf
     with pytest.raises(ValueError):
@@ -283,14 +306,14 @@ def _weight_lists(element, max_size):
 def _drift(tree, rng):
     # nudge some internal labels by an ulp, as incremental updates do; the
     # clamp keeps labels nonnegative, so a zero only goes up
-    for j in rng.integers(0, tree.capacity - 1, size=min(3, tree.capacity - 1)):
+    for j in rng.integers(1, tree.capacity, size=min(3, tree.capacity - 1)):
         down = rng.random() < 0.5 and tree._nodes[j] > 0
         tree._nodes[j] = np.nextafter(tree._nodes[j], -np.inf if down else np.inf)
 
 
 def _ancestors(tree, indices):
     return np.array(sorted({(tree.capacity + int(i)) >> s for i in indices
-                            for s in range(1, tree.depth + 1)}), dtype=np.int64) - 1
+                            for s in range(1, tree.depth + 1)}), dtype=np.int64)
 
 
 @given(weights=_weight_lists(_weight(), 70), k=st.integers(0, 20), seed=st.integers(0, 2**31))
@@ -321,7 +344,7 @@ def test_update_many_matches_sequential_updates(weights, data):
         assert batched._nodes.tobytes() == rowwise._nodes.tobytes() == walked.tobytes()
         assert (batched.update_writes, batched._updates_since_rebuild) == (
             rowwise.update_writes, rowwise._updates_since_rebuild)
-        assert np.all(batched._nodes[batched.capacity - 1 + n:] == 0.0)  # padding untouched
+        assert np.all(batched._nodes[batched.capacity + n:] == 0.0)  # padding untouched
 
 
 @given(weights=_weight_lists(_weight(), 40), data=st.data())
@@ -433,6 +456,9 @@ def test_run_axis_matches_separate_trees(monkeypatch):
         stacked.descend_many(rng.random((2, 2, stacked.depth)))  # fewer slabs than runs
     with pytest.raises(ValueError):
         stacked.descend_many(rng.random((2, stacked.depth)))  # the run axis is required
+    for tree, run in ((stacked, 3), (alone[0], 1)):
+        with pytest.raises(IndexError):
+            tree.distribution(run)  # a run the tree does not hold
     with pytest.raises(ValueError):
         WeightTree([[1.0, 0.0], [0.0, 0.0]])  # every run needs a positive weight
 
@@ -481,3 +507,42 @@ def test_tracer_reads_these_names_and_counters():
         assert tree.update_writes == writes * (tree.depth + 1)
         assert draws == (2 if name.startswith(("descend", "sample")) else 0)
         assert writes == (2 if name.startswith("update") else 0)
+
+
+def _stream_script_digest():
+    """sha256 of a fixed script of draws and writes: the drawn indices, totals,
+    probs and distributions, none of which depend on how the labels are laid
+    out. Weights are not dyadic, so the labels drift between relabels."""
+    h = hashlib.sha256()
+    for n in (1, 2, 5, 64, 65, 1000):
+        for R in (1, 3):
+            rng = np.random.default_rng([n, R])
+            w = rng.uniform(0.5, 2.0, size=(R, n))
+            tree = WeightTree(w if R > 1 else w[0])
+            for step in range(20):
+                u = rng.random((R, 7, tree.depth))
+                h.update(tree.descend_many(u if R > 1 else u[0]).tobytes())
+                idx, vals, runs = [], [], []
+                for r in range(R):
+                    k = min(n, 5 if R == 1 else 2 + 2 * r)
+                    new = rng.uniform(0.1, 3.0, size=k)
+                    if n > 1 and step % 2:
+                        new[0] = 0.0  # at most one zero a run a write: every run keeps weight
+                    idx.append(rng.permutation(n)[:k]), vals.append(new)
+                    runs.append(np.full(k, r))
+                if R == 1:
+                    tree.update_many(idx[0], vals[0])
+                    h.update(tree.probs(np.arange(n)).tobytes())
+                else:
+                    tree._write(np.concatenate(idx), np.concatenate(vals), np.concatenate(runs))
+                h.update(np.array(tree.totals).tobytes())
+                for r in range(R):
+                    h.update(tree.distribution(r).tobytes())
+    return h.hexdigest()
+
+
+def test_draw_and_write_stream_is_pinned(monkeypatch):
+    # relabels land mid-script, at different steps in different runs
+    monkeypatch.setattr(weight_tree, "REBUILD_EVERY", 37)
+    assert _stream_script_digest() == (
+        "38d7a28ebc724894f6d511c4d607736844e660c65e1fe2e329555b52b633e496")
