@@ -10,7 +10,6 @@ from .adaptive import (
     train,
     train_many,
     utilities,
-    utility,
 )
 from .bounds import (
     BoundReport,
@@ -29,11 +28,8 @@ from .bounds import (
 from .data import load_csv, save_csv, synth_data
 from .model import (
     Dataset,
-    Example,
     RegularityConstants,
     default_domain_radius,
-    objective_grad,
-    predict_proba,
     project,
     regularity_constants,
     softmax,
@@ -49,7 +45,6 @@ __all__ = [
     "Dataset",
     "DivergenceError",
     "EnumeratedDivergence",
-    "Example",
     "RegularityConstants",
     "SamplerConfig",
     "StepSchedule",
@@ -67,8 +62,6 @@ __all__ = [
     "kl_from_utility_advantage",
     "kl_from_utility_sum",
     "load_csv",
-    "objective_grad",
-    "predict_proba",
     "project",
     "regularity_constants",
     "save_csv",
@@ -82,6 +75,5 @@ __all__ = [
     "train",
     "train_many",
     "utilities",
-    "utility",
     "zeros_hypothesis",
 ]

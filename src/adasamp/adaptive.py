@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, Example, batch_objective_grads, predict_proba, softmax
+from .model import Dataset, _check_radius, batch_objective_grads, softmax
 from .optim import StepSchedule, UpdateRuleState, apply_update
 from .weight_tree import WeightTree
 
@@ -79,24 +79,15 @@ class SamplerConfig:
             )
 
 
-def utility(kind: str, z: Example, h: np.ndarray) -> float:
-    """Per-example utility in [0, 1].
+def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-example utility in [0, 1] of each row of X (labels y) at h.
 
     zero_one: 1 if the predicted class differs from the label, else 0.
-    l1:       1 - p_label(h, x).
-    """
-    if kind == "zero_one":
-        scores = h @ z.features
-        return float(scores.argmax() != z.label)
-    if kind == "l1":
-        p = predict_proba(h, z.features)
-        return float(min(max(1.0 - p[z.label], 0.0), 1.0))
-    raise ValueError(f"unknown utility kind {kind!r}")
+    l1:       1 - p_label(h, x), with p = softmax(h x).
 
-
-def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized `utility` over rows of X. With a leading run axis, run r's
-    rows X[r] (labels y[r]) are scored at its own hypothesis h[r]."""
+    With a leading run axis, run r's rows X[r] (labels y[r]) are scored at its
+    own hypothesis h[r]. A one-row batch is scored by a 1-row product, which
+    can differ from a row of a many-row product by ulps."""
     if kind not in UTILITY_KINDS:
         raise ValueError(f"unknown utility kind {kind!r}")
     scores = X @ h.swapaxes(-1, -2)
@@ -229,19 +220,26 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     then been stepped through t, metric_fn has seen no iteration from t on,
     and any run's rng may sit up to one block past iteration t.
     numpy's overflow and invalid-value warnings are off inside the call.
-    Raises ValueError, before any draw, if amplitude/(1-decay) + ln n exceeds
+    Raises ValueError, before any draw, on a rejected input: among them a mu
+    that is negative or NaN, a negative metric_every, a radius outside
+    [0, inf), an h0 that is not finite, and an amplitude/(1-decay) + ln n above
     ln(float max / 2), where a run's weights could sum past the float range.
     """
-    if mu < 0:
+    if not mu >= 0:  # NaN too
         raise ValueError("mu must be nonnegative")
-    if M <= 0:
+    if not M > 0:
         raise ValueError("M must be positive")
+    if metric_every < 0:
+        raise ValueError("metric_every must be nonnegative")
+    _check_radius(domain_radius)
     R = len(cfgs)
     if R == 0 or len(rngs) != R:
         raise ValueError("need one sampler config and rng per run, and at least one run")
     H = np.array(h0s, dtype=np.float64)
     if H.shape != (R, ds.num_classes, ds.feature_dim):
         raise ValueError("h0 shape must be (num_classes, feature_dim)")
+    if not np.isfinite(H).all():
+        raise ValueError("h0 must be finite")
     cfg, shared = cfgs[0], _shared_settings(cfgs[0])
     if any(_shared_settings(c) != shared for c in cfgs[1:]):
         raise ValueError("runs may differ only in the sampler amplitude")

@@ -11,7 +11,10 @@ scales a recorded batch-1 trace's advantage sum into an upper statistic for
 KL(Q || uniform); adaptive's kl_from_utility_sum, the metrics ticks' statistic,
 is one only at batch 1 (see its docstring). enumerate_posterior_divergence
 computes the exact KL and both statistics on instances small enough to
-enumerate every sample path.
+enumerate every sample path. It steps each node's branches through the
+trainer's stacked gradient, update and utility kernels, which the tests' scalar
+oracles pin bitwise, and shares no code with the trainer's draws, weights or
+statistics.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import math
 
 import numpy as np
 
-from .adaptive import SamplerConfig, TrainTrace, utility
-from .model import Dataset, objective_grad
+from .adaptive import SamplerConfig, TrainTrace, utilities
+from .model import Dataset, _check_radius, batch_objective_grads
 from .optim import StepSchedule, UpdateRuleState, apply_update
 
 
@@ -253,14 +256,27 @@ def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepS
                                    domain_radius: float | None = None) -> EnumeratedDivergence:
     """Replay every sample path of the adaptive trainer and accumulate exact
     path-weighted totals. Probabilities are recomputed by naive normalization of
-    exp(amplitude * A), independently of the weight tree. Only instances with
-    n <= 4, T <= 5, batch_size = 1 are accepted (at most 1024 paths)."""
+    exp(amplitude * A), independently of the weight tree. Each node of the walk
+    steps its n branches together, one per example: one stacked
+    `batch_objective_grads` and `apply_update` step of n copies of its
+    hypothesis (and of an AdaGrad accumulator of h0's shape, which is not
+    mutated), then one `utilities` call on n one-row batches. Every branch is
+    bitwise that branch stepped alone. Only instances with n <= 4, T <= 5,
+    batch_size = 1 are accepted (at most 1024 paths)."""
     n, T = ds.n, cfg.iterations
     if n > 4 or T > 5 or cfg.batch_size != 1:
         raise ValueError("enumeration needs n <= 4, T <= 5, batch_size = 1")
-    if M <= 0:
+    if not mu >= 0:  # NaN too
+        raise ValueError("mu must be nonnegative")
+    if not M > 0:
         raise ValueError("M must be positive")
+    _check_radius(domain_radius)
+    if h0.shape != (ds.num_classes, ds.feature_dim) or not np.isfinite(h0).all():
+        raise ValueError("h0 must be a finite (num_classes, feature_dim) array")
+    if rule.kind == "adagrad" and rule.accumulator.shape != h0.shape:
+        raise ValueError("adagrad accumulator shape must be h0's")
     amp, dec = cfg.amplitude, cfg.decay
+    X, Y = ds.features[:, None, :], ds.labels[:, None]  # branch i draws example i
     totals = {"kl": 0.0, "adv": 0.0, "sum": 0.0}
 
     def walk(t, h, acc, state, path_prob, kl_acc, adv_acc, util_acc):
@@ -272,20 +288,22 @@ def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepS
         w = np.exp(amp * acc)
         q = w / w.sum()
         mean_acc = acc.mean()
-        for i in range(n):
-            z = ds.example(i)
-            g = objective_grad(h, z, mu)
-            branch_state = state.copy()
-            h2 = apply_update(h, g, t, sched, branch_state, domain_radius)
-            u = utility(cfg.utility, z, h2)
+        H = np.repeat(h[None], n, axis=0)
+        if state.kind == "adagrad":
+            state = UpdateRuleState("adagrad", np.repeat(state.accumulator[None], n, axis=0))
+        H = apply_update(H, batch_objective_grads(H, X, Y, mu), t, sched, state, domain_radius)
+        us = utilities(cfg.utility, H, X, Y)[:, 0].tolist()
+        for i, u in enumerate(us):
+            branch_state = state if state.kind == "sgd" else UpdateRuleState(
+                "adagrad", state.accumulator[i])
             acc2 = acc.copy()
             acc2[i] = dec * acc[i] + u
-            walk(t + 1, h2, acc2, branch_state,
+            walk(t + 1, H[i], acc2, branch_state,
                  path_prob * q[i],
                  kl_acc + math.log(n * q[i]),
                  adv_acc + (amp * (acc[i] - mean_acc) if t >= 2 else 0.0),
                  util_acc + (u if t < T else 0.0))
 
-    walk(1, h0.copy(), np.zeros(n), rule, 1.0, 0.0, 0.0, 0.0)
+    walk(1, h0, np.zeros(n), rule, 1.0, 0.0, 0.0, 0.0)
     return EnumeratedDivergence(float(totals["kl"]), float(totals["adv"]),
                                 float(totals["sum"]), n**T)

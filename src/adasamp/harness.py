@@ -12,11 +12,13 @@ run_comparison does the same for a uniform arm and one arm per amplitude, each
 the config with its own alpha and out, on one dataset. Every arm and trial is
 trained in one lockstep `train_many` call. A metrics tick
 scores each dataset once (one X @ h.T gives its risk and its accuracy), and a
-non-finite risk is a divergence. Every output file (metrics JSONL with a CSV
-mirror, reports) is rendered to text before any directory is created, so a run
-that fails writes nothing. Output is deterministic for a fixed config and
-master seed, and byte-identical to training the arms and trials one at a time:
-runs stack in a fixed order, and floats are written at 17 significant digits.
+non-finite risk is a divergence. A CSV's rows and the synthetic draws are
+split into train and test datasets alike, by two slices of one pair of arrays.
+Every output file (metrics JSONL with a CSV mirror, reports) is rendered to
+text before any directory is created, so a run that fails writes nothing.
+Output is deterministic for a fixed config and master seed, and byte-identical
+to training the arms and trials one at a time: runs stack in a fixed order,
+and floats are written at 17 significant digits.
 
 probe_stability estimates the replace-one-example stability beta and the
 perturb-one-index stability gamma of the uniform-sampling strongly convex
@@ -259,22 +261,25 @@ def _write_files(files: dict) -> None:
 # ---- dataset assembly ----
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """(train, test) from the configured source; the synthetic path draws
-    n + test_n examples in one call so both splits share the task, and
-    builds the two split datasets straight from the drawn arrays."""
+    """(train, test) from the configured source, built straight from slices of
+    one pair of arrays: a CSV's rows, the last test_n of them held out, or
+    n + test_n synthetic examples drawn in one call, so both splits share the
+    task."""
     if cfg.csv is not None:
         full = load_csv(cfg.csv)
         if not 0 < cfg.test_n < full.n:
             raise ValueError("test_n must leave both splits nonempty")
-        return full.split(full.n - cfg.test_n)
-    if cfg.n < 1:
-        raise ValueError("n must be >= 1")
-    if cfg.test_n < 1:
-        raise ValueError("test_n must be >= 1")
-    X, y = synth_arrays(cfg.n + cfg.test_n, cfg.dim, cfg.classes, cfg.imbalance,
-                        cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
-    return (Dataset.from_arrays(X[:cfg.n], y[:cfg.n], cfg.classes),
-            Dataset.from_arrays(X[cfg.n:], y[cfg.n:], cfg.classes))
+        X, y, classes, n = full.features, full.labels, full.num_classes, full.n - cfg.test_n
+    else:
+        if cfg.n < 1:
+            raise ValueError("n must be >= 1")
+        if cfg.test_n < 1:
+            raise ValueError("test_n must be >= 1")
+        X, y = synth_arrays(cfg.n + cfg.test_n, cfg.dim, cfg.classes, cfg.imbalance,
+                            cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
+        classes, n = cfg.classes, cfg.n
+    return (Dataset.from_arrays(X[:n], y[:n], classes),
+            Dataset.from_arrays(X[n:], y[n:], classes))
 
 
 def _data_seed(master_seed: int) -> np.random.SeedSequence:
@@ -528,7 +533,7 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
     (the coupled runs of the stability definitions). Returns H[R, C, d].
 
     Stepped by the trainer's `batch_objective_grads` and `apply_update`, each
-    run is bitwise a per-run loop of objective_grad and apply_update with
+    run is bitwise that run stepped alone, one example at a time, with
     projection onto the radius ball. Rows are gathered `_BLOCK_ROWS` at a time.
     """
     R, T = indices.shape

@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 # Probabilities are clamped here before logs so the surrogate stays finite.
 PROB_FLOOR = 1e-12
 _BLOCK_ROWS = 1 << 13  # rows per block of every row-blocked O(n) pass, bounding its temporaries
-
-
-class Example(NamedTuple):
-    features: np.ndarray
-    label: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,17 +62,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def example(self, i: int) -> Example:
-        return Example(self.features[i], int(self.labels[i]))
-
-    def split(self, n_train: int) -> tuple["Dataset", "Dataset"]:
-        """First n_train rows and the rest, as two datasets sharing num_classes."""
-        if not 0 < n_train < self.n:
-            raise ValueError("n_train must leave both splits nonempty")
-        head = Dataset.from_arrays(self.features[:n_train], self.labels[:n_train], self.num_classes)
-        tail = Dataset.from_arrays(self.features[n_train:], self.labels[n_train:], self.num_classes)
-        return head, tail
 
 
 @np.errstate(over="ignore")  # an overflowing radius is inf, which the constants reject
@@ -217,30 +200,18 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def predict_proba(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities softmax(h @ x); entries in (0, 1], summing to 1."""
-    if h.ndim != 2 or x.ndim != 1 or h.shape[1] != x.shape[0]:
-        raise ValueError("hypothesis and features disagree on dimension")
-    return softmax(h @ x)
-
-
-def objective_grad(h: np.ndarray, z: Example, mu: float) -> np.ndarray:
-    """Gradient of F at h for one example: (softmax - onehot) outer x + mu * h."""
-    p = predict_proba(h, z.features)
-    p[z.label] -= 1.0
-    return np.outer(p, z.features) + mu * h
-
-
 def batch_objective_grads(H, X, y, mu) -> np.ndarray:
     """Mean objective gradient of every run over its own batch: run r's mean
-    of `objective_grad` at H[r] over rows X[r] (duplicates included) with
-    labels y[r], as an (R, C, d) array from H (R, C, d), X (R, b, d), y (R, b).
+    of (softmax(h x) - onehot(y)) outer x + mu * h at h = H[r] over rows X[r]
+    (duplicates included) with labels y[r], as an (R, C, d) array from
+    H (R, C, d), X (R, b, d), y (R, b).
 
     Run r's gradient is bitwise that of the one-run stack H[r:r+1]: numpy's
     stacked matmul makes the same BLAS call for each run, and every reduction
     runs along the contiguous last axis of one run's own rows. At b = 1 the
-    back-product is `np.outer`'s elementwise one, bitwise `objective_grad`'s:
-    a k = 1 matmul would add it to +0.0, turning a -0 into +0.
+    back-product is the elementwise outer product, bitwise the one-example
+    gradient `np.outer(p, x) + mu * h`: a k = 1 matmul would add it to +0.0,
+    turning a -0 into +0.
     """
     P = softmax(X @ H.transpose(0, 2, 1))
     P.reshape(-1, P.shape[-1])[np.arange(y.size), y.reshape(-1)] -= 1.0
@@ -295,8 +266,14 @@ def default_domain_radius(ds: Dataset, mu: float) -> float:
     return math.sqrt(2.0) * ds.feature_radius / mu
 
 
+def _check_radius(radius: float | None) -> None:
+    if radius is not None and not 0 <= radius < math.inf:
+        raise ValueError(f"domain_radius must lie in [0, inf), got {radius!r}")
+
+
 def project(h: np.ndarray, radius: float | None) -> np.ndarray:
-    """Euclidean projection onto the centered ball (no-op when radius is None).
+    """Euclidean projection onto the centered ball (no-op when radius is None);
+    ValueError unless 0 <= radius < inf.
 
     An (R, C, d) stack of hypotheses projects each one on its own. A
     hypothesis inside the ball is kept (scaled by exactly 1.0 when another one
@@ -306,6 +283,7 @@ def project(h: np.ndarray, radius: float | None) -> np.ndarray:
     """
     if radius is None:
         return h
+    _check_radius(radius)
     norm = np.sqrt((h * h).reshape(h.shape[:-2] + (-1,)).sum(axis=-1))
     if not (norm > radius).any():
         return h

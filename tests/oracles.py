@@ -1,14 +1,56 @@
 """Independent test oracles shared by several test modules: scalar and
 first-written forms of what the package computes batched, or does not need
-at all, for the tests to check the package against."""
+at all, for the tests to check the package against. The one-example
+gradient, utility and class probabilities pin the trainer's stacked kernels
+bitwise, and through them the enumeration oracle that steps with those
+kernels."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from adasamp.data import _class_counts, _class_means
-from adasamp.model import PROB_FLOOR, Dataset, Example, objective_grad, predict_proba
+from adasamp.model import PROB_FLOOR, Dataset, softmax
 from adasamp.optim import UpdateRuleState, apply_update
+
+
+class Example(NamedTuple):
+    features: np.ndarray
+    label: int
+
+
+def example(ds: Dataset, i: int) -> Example:
+    return Example(ds.features[i], int(ds.labels[i]))
+
+
+def predict_proba(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class probabilities softmax(h @ x); entries in (0, 1], summing to 1."""
+    if h.ndim != 2 or x.ndim != 1 or h.shape[1] != x.shape[0]:
+        raise ValueError("hypothesis and features disagree on dimension")
+    return softmax(h @ x)
+
+
+def objective_grad(h: np.ndarray, z: Example, mu: float) -> np.ndarray:
+    """Gradient of F at h for one example: (softmax - onehot) outer x + mu * h."""
+    p = predict_proba(h, z.features)
+    p[z.label] -= 1.0
+    return np.outer(p, z.features) + mu * h
+
+
+def utility(kind: str, z: Example, h: np.ndarray) -> float:
+    """Per-example utility in [0, 1].
+
+    zero_one: 1 if the predicted class differs from the label, else 0.
+    l1:       1 - p_label(h, x).
+    """
+    if kind == "zero_one":
+        scores = h @ z.features
+        return float(scores.argmax() != z.label)
+    if kind == "l1":
+        p = predict_proba(h, z.features)
+        return float(min(max(1.0 - p[z.label], 0.0), 1.0))
+    raise ValueError(f"unknown utility kind {kind!r}")
 
 
 def naive_descend(weights, uniforms):
@@ -35,7 +77,7 @@ def naive_run_indexed(ds, indices, sched, mu, h0, radius):
     h = h0.copy()
     state = UpdateRuleState.sgd()
     for t, i in enumerate(indices, start=1):
-        g = objective_grad(h, ds.example(int(i)), mu)
+        g = objective_grad(h, example(ds, int(i)), mu)
         h = apply_update(h, g, t, sched, state, radius)
     return h
 

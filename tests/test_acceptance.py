@@ -17,7 +17,6 @@ from scipy import stats
 
 from adasamp import (
     Dataset,
-    Example,
     SamplerConfig,
     StepSchedule,
     UpdateRuleState,
@@ -29,7 +28,6 @@ from adasamp import (
     gen_bound_sgd_strongly_convex,
     kl_from_utility_advantage,
     kl_from_utility_sum,
-    objective_grad,
     sgd_stability_convex,
     sgd_stability_nonconvex,
     sgd_stability_strongly_convex,
@@ -38,7 +36,7 @@ from adasamp import (
     zeros_hypothesis,
 )
 from adasamp.harness import ExperimentConfig, probe_stability, run_comparison
-from oracles import naive_descend, objective_value, posterior_objective
+from oracles import Example, naive_descend, objective_grad, objective_value, posterior_objective
 
 
 def _verdict(ok: bool, label: str) -> None:

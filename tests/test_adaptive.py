@@ -13,19 +13,16 @@ import pytest
 from adasamp import (
     Dataset,
     DivergenceError,
-    Example,
     SamplerConfig,
     StepSchedule,
     UpdateRuleState,
     WeightTree,
     conditional_kl,
-    objective_grad,
     project,
     step_size,
     train,
     train_many,
     utilities,
-    utility,
     synth_data,
     zeros_hypothesis,
 )
@@ -33,7 +30,16 @@ import adasamp.adaptive as adaptive
 import adasamp.weight_tree as weight_tree
 from adasamp.model import batch_objective_grads
 from adasamp.optim import ADAGRAD_EPS
-from oracles import naive_descend, naive_softmax, posterior_objective, weight_update
+from oracles import (
+    Example,
+    example,
+    naive_descend,
+    naive_softmax,
+    objective_grad,
+    posterior_objective,
+    utility,
+    weight_update,
+)
 
 
 def _random_dataset(seed, n=10, d=3, classes=2):
@@ -78,6 +84,23 @@ def test_vectorized_utilities_match_scalar():
         # matmul and per-row dot differ in summation order; allow a few ulps
         assert vecl1[r] == pytest.approx(utility("l1", Example(X[r], int(y[r])), h),
                                          abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["l1", "zero_one"])
+@pytest.mark.parametrize("classes", [2, 3, 11])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
+def test_one_row_utilities_are_the_scalar_oracle_bitwise(kind, classes, dim):
+    # a stack of one-row batches scores each row by a 1-row product, as the
+    # scalar form's matrix-vector product does: the enumeration oracle relies on it
+    rng = np.random.default_rng(classes * 100 + dim)
+    R = 50
+    H = rng.standard_normal((R, classes, dim)) * rng.uniform(0.1, 5.0, size=(R, 1, 1))
+    X = rng.standard_normal((R, 1, dim))
+    y = rng.integers(0, classes, size=(R, 1))
+    got = utilities(kind, H, X, y)
+    assert got.shape == (R, 1)
+    for r in range(R):
+        assert got[r, 0] == utility(kind, Example(X[r, 0], int(y[r, 0])), H[r])
 
 
 def test_unknown_utility_kind_rejected():
@@ -211,7 +234,7 @@ def test_single_iteration_is_one_sgd_step():
     h, trace = train(ds, cfg, sched, UpdateRuleState.sgd(), 0.0, 5.0, h0,
                      np.random.default_rng(0))
     i = int(trace.indices[0][0])
-    expected = -0.1 * objective_grad(h0, ds.example(i), 0.0)
+    expected = -0.1 * objective_grad(h0, example(ds, i), 0.0)
     assert np.allclose(h, expected, atol=1e-15)
     assert np.array_equal(h0, zeros_hypothesis(2, 3))  # caller's h0 untouched
 
@@ -229,6 +252,30 @@ def test_train_rejects_bad_inputs():
     with pytest.raises(ValueError):
         train(ds, cfg, sched, UpdateRuleState.sgd(), 0.0, 5.0,
               zeros_hypothesis(3, 3), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(domain_radius=-1.0), dict(domain_radius=math.nan), dict(domain_radius=math.inf),
+    dict(h0=np.full((2, 3), math.inf)), dict(h0=np.full((2, 3), math.nan)),
+    dict(metric_every=-1), dict(mu=math.nan), dict(M=math.nan),
+])
+def test_train_rejects_an_input_before_any_draw(bad):
+    # a negative radius would flip h's sign, a NaN one skip the projection,
+    # a non-finite h0 or mu read as a divergence at iteration 1, and a
+    # negative metric_every tick at every iteration (t % -1 == 0)
+    ds = _random_dataset(2)
+    cfg = SamplerConfig(amplitude=1.0, decay=0.5, iterations=3)
+    sched, rule = StepSchedule.constant(0.1), UpdateRuleState.sgd()
+    args = dict(mu=0.0, M=5.0, h0=zeros_hypothesis(2, 3), domain_radius=None, metric_every=0)
+    args.update(bad)
+    mu, M, h0, radius, every = args.values()
+    rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        train(ds, cfg, sched, rule, mu, M, h0, rng, radius, every, lambda *a: None)
+    with pytest.raises(ValueError):
+        train_many(ds, [cfg], sched, rule, mu, M, [h0], [rng], radius, every, lambda *a: None)
+    assert rng.bit_generator.state == start
 
 
 @pytest.mark.parametrize("kind", ["l1", "zero_one"])
@@ -281,7 +328,7 @@ def _naive_train(ds, cfg, sched, mu, h0, seed):
             if i in seen:
                 continue
             seen.append(i)
-            u = utility(cfg.utility, ds.example(int(i)), h)
+            u = utility(cfg.utility, example(ds, int(i)), h)
             w[i] = weight_update(w[i], u, cfg.amplitude, cfg.decay)
         all_h.append(h.copy())
     return all_idx, all_probs, all_h

@@ -5,6 +5,8 @@ Expected decimals were frozen from independent high-precision evaluation of
 the closed forms (mpmath, 30 digits), not from the implementation under test.
 """
 
+import hashlib
+import itertools
 import math
 
 import mpmath
@@ -23,6 +25,7 @@ from adasamp import (
     gen_bound_sgd_strongly_convex,
     kl_from_utility_advantage,
     kl_from_utility_sum,
+    project,
     sgd_stability_convex,
     sgd_stability_initial_risk,
     sgd_stability_nonconvex,
@@ -31,6 +34,7 @@ from adasamp import (
     train_many,
     zeros_hypothesis,
 )
+import adasamp.optim as optim
 from adasamp.adaptive import TrainTrace
 from adasamp.bounds import heldout_risk_bound
 from oracles import chisq_divergence, kl_divergence
@@ -476,6 +480,24 @@ def test_enumeration_rejects_large_instances():
                                        zeros_hypothesis(2, 1))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(mu=-3.0), dict(mu=math.nan), dict(radius=-1.0), dict(radius=math.nan),
+    dict(radius=math.inf),
+    dict(h0=np.full((2, 1), math.inf)), dict(h0=np.full((2, 1), math.nan)),
+])
+def test_enumeration_rejects_what_train_rejects(bad):
+    # else the walk would step through a sign-flipping or skipped projection,
+    # reach kl = nan, or use a negative ridge that train_many rejects
+    ds = Dataset.from_arrays(np.array([[1.0], [-0.5]]), np.array([0, 1]), 2)
+    cfg = SamplerConfig(amplitude=1.0, decay=0.5, utility="l1", iterations=2)
+    args = dict(mu=0.1, h0=zeros_hypothesis(2, 1), radius=None)
+    args.update(bad)
+    mu, h0, radius = args.values()
+    with pytest.raises(ValueError):
+        enumerate_posterior_divergence(ds, cfg, StepSchedule.constant(0.1),
+                                       UpdateRuleState.sgd(), mu, 5.0, h0, radius)
+
+
 def test_monte_carlo_agrees_with_enumeration():
     ds, cfg, sched, _, mu = _random_tiny_instance(3)
     h0 = zeros_hypothesis(2, ds.feature_dim)
@@ -493,3 +515,42 @@ def test_monte_carlo_agrees_with_enumeration():
         xs = np.asarray(draws[key])
         se = xs.std(ddof=1) / math.sqrt(len(xs))
         assert abs(xs.mean() - exact) <= 4.0 * se + 1e-9
+
+
+def _pinned_enumeration_grid():
+    """One seeded instance per (n, T, rule, utility, radius): n 2-4, T 2-5,
+    SGD and AdaGrad, both utilities, no radius and a radius of 0.05, which
+    projects."""
+    rng = np.random.default_rng(25)
+    for n, T, adagrad, kind, radius in itertools.product(
+            (2, 3, 4), (2, 3, 4, 5), (False, True), ("l1", "zero_one"), (None, 0.05)):
+        d, C = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        ds = Dataset.from_arrays(rng.standard_normal((n, d)), rng.integers(0, C, size=n), C)
+        cfg = SamplerConfig(amplitude=float(rng.uniform(0.2, 2.5)),
+                            decay=float(rng.uniform(0.1, 0.9)), utility=kind, iterations=T)
+        rule = UpdateRuleState.adagrad((C, d)) if adagrad else UpdateRuleState.sgd()
+        sched = StepSchedule.inverse_decay(float(rng.uniform(0.05, 0.3)), 0.01)
+        mu = float(rng.uniform(0.0, 0.5))
+        yield ds, cfg, sched, rule, mu, 0.5 * rng.standard_normal((C, d)), radius
+
+
+def test_enumeration_values_are_pinned(monkeypatch):
+    # recorded when each branch stepped through scalar forms of the gradient
+    # and the utility: the trainer's stacked kernels must give the same bits
+    projected = []
+
+    def counting_project(h, radius):
+        norm = np.sqrt((h * h).reshape(h.shape[:-2] + (-1,)).sum(axis=-1))
+        projected.append(int(np.count_nonzero(norm > radius)))
+        return project(h, radius)
+
+    monkeypatch.setattr(optim, "project", counting_project)
+    digest = hashlib.sha256()
+    for ds, cfg, sched, rule, mu, h0, radius in _pinned_enumeration_grid():
+        res = enumerate_posterior_divergence(ds, cfg, sched, rule, mu, 5.0, h0, radius)
+        assert res.paths == ds.n ** cfg.iterations
+        for value in (res.kl, res.advantage_bound, res.sum_bound):
+            digest.update(float.hex(value).encode() + b"\n")
+    assert sum(projected) > 0  # some branch really is projected
+    assert digest.hexdigest() == (
+        "1984c380ad6a3039be90b7a9841cfd29a49cf20d1d3264d8bf172e1a598b51cb")

@@ -14,6 +14,7 @@ import adasamp.bounds as bounds
 import adasamp.harness as harness
 import adasamp.model as model
 from adasamp import (
+    Dataset,
     SamplerConfig,
     StepSchedule,
     UpdateRuleState,
@@ -185,7 +186,9 @@ def test_synthetic_build_is_the_split_of_one_synth_data_call_bitwise(overrides):
     cfg = _small_cfg(**overrides)
     full = synth_data(cfg.n + cfg.test_n, cfg.dim, cfg.classes, cfg.imbalance, cfg.noise,
                       seed=_data_seed(cfg.seed), separation=cfg.separation)
-    for got, want in zip(build_datasets(cfg), full.split(cfg.n)):
+    split = [Dataset.from_arrays(full.features[:cfg.n], full.labels[:cfg.n], full.num_classes),
+             Dataset.from_arrays(full.features[cfg.n:], full.labels[cfg.n:], full.num_classes)]
+    for got, want in zip(build_datasets(cfg), split):
         assert got.features.tobytes() == want.features.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
         assert got.feature_radius == want.feature_radius

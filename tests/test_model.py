@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 import adasamp.model as model
 from adasamp import (
     Dataset,
-    Example,
     default_domain_radius,
-    objective_grad,
-    predict_proba,
     project,
     regularity_constants,
     softmax,
     zeros_hypothesis,
 )
+from adasamp.data import save_csv
+from adasamp.harness import ExperimentConfig, build_datasets
 from adasamp.model import (
     PROB_FLOOR,
     RegularityConstants,
@@ -30,7 +29,16 @@ from adasamp.model import (
     _risk_and_accuracy,
     batch_objective_grads,
 )
-from oracles import naive_accuracy, naive_mean_bounded_loss, naive_softmax, objective_value
+from oracles import (
+    Example,
+    example,
+    naive_accuracy,
+    naive_mean_bounded_loss,
+    naive_softmax,
+    objective_grad,
+    objective_value,
+    predict_proba,
+)
 
 
 def _bounded_loss(h, z, M):
@@ -165,7 +173,7 @@ def test_smoothness_inequality():
     ds = _random_dataset(rng, n=30, d=3)
     consts = regularity_constants(ds, mu, 5.0)
     for _ in range(100):
-        z = ds.example(int(rng.integers(0, ds.n)))
+        z = example(ds, int(rng.integers(0, ds.n)))
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((2, 3))
         gap = np.linalg.norm(objective_grad(a, z, mu) - objective_grad(b, z, mu))
@@ -289,7 +297,7 @@ def test_gradient_norm_never_exceeds_lipschitz():
     for _ in range(10000):
         h = rng.standard_normal((2, 4))
         h *= rng.uniform(0.0, radius) / np.linalg.norm(h)
-        z = ds.example(int(rng.integers(0, ds.n)))
+        z = example(ds, int(rng.integers(0, ds.n)))
         worst = max(worst, float(np.linalg.norm(objective_grad(h, z, mu))))
     assert worst <= consts.lipschitz
 
@@ -302,7 +310,7 @@ def test_hessian_norm_bound_is_tight_at_zero():
     X = np.array([[R, 0.0]])
     ds = Dataset.from_arrays(X, np.array([0]), 2)
     consts = regularity_constants(ds, 0.0, 5.0)
-    z = ds.example(0)
+    z = example(ds, 0)
     eps = 1e-5
 
     def curvature(h, v):
@@ -323,6 +331,16 @@ def test_project_examples():
     assert np.allclose(project(h, 2.5), [[1.5, 2.0]], atol=1e-12)
     assert np.array_equal(project(h, 10.0), h)
     assert project(h, None) is h
+
+
+@pytest.mark.parametrize("radius", [-1.0, -0.5, math.nan, math.inf, -math.inf])
+def test_project_rejects_a_radius_outside_zero_to_infinity(radius):
+    # scaling by radius / norm would flip h's sign at a negative radius, and a
+    # NaN or infinite radius would leave h unprojected
+    for h in (np.array([[3.0, 4.0]]), np.ones((2, 2, 3))):
+        with pytest.raises(ValueError, match="domain_radius must lie in"):
+            project(h, radius)
+    assert np.array_equal(project(np.array([[3.0, 4.0]]), 0.0), [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("batch", [1, 2, 5, 16, 100])
@@ -493,7 +511,7 @@ def test_a_metrics_tick_adds_less_than_two_and_a_half_floats_a_row():
     assert peak < 2.5 * n * 8, peak / (n * 8)
 
 
-def test_dataset_validation_and_split():
+def test_dataset_validation_and_split(tmp_path):
     X = np.ones((4, 2))
     with pytest.raises(ValueError):
         Dataset.from_arrays(X, np.array([0, 1, 2, 0]), 2)  # label out of range
@@ -507,7 +525,8 @@ def test_dataset_validation_and_split():
         with pytest.raises(ValueError, match="features must be finite"):
             Dataset.from_arrays(X_bad, np.zeros(4, dtype=int), 2)
     ds = Dataset.from_arrays(np.arange(8.0).reshape(4, 2), np.array([0, 1, 1, 0]), 2)
-    left, right = ds.split(3)
+    save_csv(ds, tmp_path / "d.csv")
+    left, right = build_datasets(ExperimentConfig(csv=str(tmp_path / "d.csv"), test_n=1))
     assert left.n == 3 and right.n == 1
     assert np.array_equal(right.features, ds.features[3:])
     # each split recomputes its radius from its own rows

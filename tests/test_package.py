@@ -10,7 +10,8 @@ import re
 import adasamp
 
 MOVED_OR_DELETED = ("weight_update", "posterior_objective", "objective_value",
-                    "kl_divergence", "chisq_divergence", "mean_bounded_loss")
+                    "kl_divergence", "chisq_divergence", "mean_bounded_loss",
+                    "utility", "predict_proba", "objective_grad", "Example")
 
 
 def test_all_names_resolve_once():
@@ -20,7 +21,7 @@ def test_all_names_resolve_once():
     namespace = {}
     exec("from adasamp import *", namespace)  # a stale name would raise AttributeError
     assert set(adasamp.__all__) <= set(namespace)
-    assert len(adasamp.__all__) == 39
+    assert len(adasamp.__all__) == 35
 
 
 def test_no_module_holds_the_test_oracles():
@@ -29,6 +30,7 @@ def test_no_module_holds_the_test_oracles():
     assert len(modules) == 9
     for mod in modules:
         assert [name for name in MOVED_OR_DELETED if hasattr(mod, name)] == [], mod.__name__
+    assert not hasattr(adasamp.Dataset, "example") and not hasattr(adasamp.Dataset, "split")
     importing = re.compile(r"^\s*(from|import)\s+(\S*\.)?oracles\b", re.MULTILINE)
     for path in pathlib.Path(adasamp.__file__).parent.glob("*.py"):
         assert not importing.search(path.read_text()), path.name
