@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, _check_radius, batch_objective_grads, softmax
+from .model import Dataset, _check_counts, _check_objective, batch_objective_grads, softmax
 from .optim import StepSchedule, UpdateRuleState, apply_update
 from .weight_tree import WeightTree
 
@@ -68,10 +68,7 @@ class SamplerConfig:
             raise ValueError("decay must lie in (0, 1)")
         if self.utility not in UTILITY_KINDS:
             raise ValueError(f"unknown utility kind {self.utility!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _check_counts(batch_size=self.batch_size, iterations=self.iterations)
         if self.amplitude / (1.0 - self.decay) > MAX_LOG_WEIGHT:
             raise ValueError(
                 f"amplitude/(1-decay) = {self.amplitude / (1.0 - self.decay):g} "
@@ -167,9 +164,15 @@ def kl_from_utility_sum(trace: TrainTrace) -> float:
     return trace.amplitude / (1.0 - trace.decay) * trace.utility_sum
 
 
-def _shared_settings(cfg: SamplerConfig) -> tuple:
-    return (cfg.decay, cfg.utility, cfg.batch_size, cfg.iterations,
-            cfg.track_full_conditional_kl)
+def _check_start(ds: Dataset, runs: int, H: np.ndarray, rule: UpdateRuleState) -> None:
+    """The start state of `runs` runs: H holds one finite (num_classes,
+    feature_dim) hypothesis per run, and an AdaGrad accumulator has H's shape."""
+    if H.shape != (runs, ds.num_classes, ds.feature_dim):
+        raise ValueError("h0 shape must be (num_classes, feature_dim), one h0 per run")
+    if not np.isfinite(H).all():
+        raise ValueError("h0 must be finite")
+    if rule.kind == "adagrad" and rule.accumulator.shape != H.shape:
+        raise ValueError("adagrad accumulator shape must be (runs, num_classes, feature_dim)")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises DivergenceError
@@ -220,31 +223,25 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     then been stepped through t, metric_fn has seen no iteration from t on,
     and any run's rng may sit up to one block past iteration t.
     numpy's overflow and invalid-value warnings are off inside the call.
-    Raises ValueError, before any draw, on a rejected input: among them a mu
-    that is negative or NaN, a negative metric_every, a radius outside
-    [0, inf), an h0 that is not finite, and an amplitude/(1-decay) + ln n above
-    ln(float max / 2), where a run's weights could sum past the float range.
+    Raises ValueError, before any draw, on a rejected input: a mu or radius
+    outside [0, inf), NaN and inf included; an M outside (0, inf); a negative
+    metric_every; configs, rngs and h0s not one per run, or configs differing
+    in more than the amplitude; an h0 that is not a finite (num_classes,
+    feature_dim) array; an AdaGrad accumulator not of shape (R, num_classes,
+    feature_dim); and an amplitude/(1-decay) + ln n above ln(float max / 2),
+    where a run's weights could sum past the float range.
     """
-    if not mu >= 0:  # NaN too
-        raise ValueError("mu must be nonnegative")
-    if not M > 0:
-        raise ValueError("M must be positive")
+    _check_objective(mu, M, domain_radius)
     if metric_every < 0:
         raise ValueError("metric_every must be nonnegative")
-    _check_radius(domain_radius)
     R = len(cfgs)
     if R == 0 or len(rngs) != R:
         raise ValueError("need one sampler config and rng per run, and at least one run")
     H = np.array(h0s, dtype=np.float64)
-    if H.shape != (R, ds.num_classes, ds.feature_dim):
-        raise ValueError("h0 shape must be (num_classes, feature_dim)")
-    if not np.isfinite(H).all():
-        raise ValueError("h0 must be finite")
-    cfg, shared = cfgs[0], _shared_settings(cfgs[0])
-    if any(_shared_settings(c) != shared for c in cfgs[1:]):
+    _check_start(ds, R, H, rule)
+    cfg = cfgs[0]
+    if any(vars(c) | {"amplitude": cfg.amplitude} != vars(cfg) for c in cfgs[1:] if c is not cfg):
         raise ValueError("runs may differ only in the sampler amplitude")
-    if rule.kind == "adagrad" and rule.accumulator.shape != H.shape:
-        raise ValueError("adagrad accumulator shape must be (runs, num_classes, feature_dim)")
 
     n, b, T = ds.n, cfg.batch_size, cfg.iterations
     X, Y = ds.features, ds.labels
@@ -398,10 +395,13 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     metric_every-th iteration, and t = T, where kl_stat is amplitude/(1-decay)
     times the utility sum through iteration t-1.
 
-    Raises DivergenceError if a step leaves h, or the utilities at h,
-    non-finite; `rng` may then sit up to one block past the diverging
-    iteration. Returns (h_T, trace). The caller owns `rule` (its
-    AdaGrad accumulator, of h0's shape, is mutated) and `h0` is never modified.
+    Raises ValueError, before any draw, on a mu or radius outside [0, inf),
+    an M outside (0, inf), a negative metric_every, a non-finite or misshapen
+    h0 or a misshapen AdaGrad accumulator (see `train_many`), and
+    DivergenceError if a step leaves h, or the utilities at h, non-finite;
+    `rng` may then sit up to one block past the diverging iteration. Returns
+    (h_T, trace). The caller owns `rule` (its AdaGrad accumulator, of h0's
+    shape, is mutated) and `h0` is never modified.
     """
     if rule.kind == "adagrad":
         rule = UpdateRuleState("adagrad", rule.accumulator[None])  # a view: steps in place

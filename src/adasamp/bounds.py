@@ -24,8 +24,15 @@ import math
 
 import numpy as np
 
-from .adaptive import SamplerConfig, TrainTrace, utilities
-from .model import Dataset, _check_radius, batch_objective_grads
+from .adaptive import DivergenceError, SamplerConfig, TrainTrace, _check_start, utilities
+from .model import (
+    Dataset,
+    _check_counts,
+    _check_delta,
+    _check_objective,
+    _check_positive,
+    batch_objective_grads,
+)
 from .optim import StepSchedule, UpdateRuleState, apply_update
 
 
@@ -110,23 +117,6 @@ def _finite(what: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"the {what} is {value!r} at these inputs, not a finite number")
     return value
-
-
-def _check_positive(**named):
-    for name, v in named.items():
-        if not (v > 0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite")
-
-
-def _check_counts(**named):
-    for name, v in named.items():
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1")
-
-
-def _check_delta(delta):
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
 
 
 def gen_bound_chisq(chisq: float, M: float, n: int, beta: float, delta: float) -> BoundReport:
@@ -250,6 +240,7 @@ class EnumeratedDivergence:
     paths: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises DivergenceError
 def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule,
                                    rule: UpdateRuleState, mu: float, M: float,
                                    h0: np.ndarray,
@@ -262,19 +253,18 @@ def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepS
     hypothesis (and of an AdaGrad accumulator of h0's shape, which is not
     mutated), then one `utilities` call on n one-row batches. Every branch is
     bitwise that branch stepped alone. Only instances with n <= 4, T <= 5,
-    batch_size = 1 are accepted (at most 1024 paths)."""
+    batch_size = 1 are accepted (at most 1024 paths). Like `train`, it raises
+    ValueError before any step on a mu or radius outside [0, inf), an M
+    outside (0, inf), a non-finite or misshapen h0 or a misshapen AdaGrad
+    accumulator, and DivergenceError(t) at the first node, in walk order,
+    whose stepped hypotheses or utilities are not finite, t being its
+    iteration; numpy's overflow and invalid-value warnings are off inside."""
     n, T = ds.n, cfg.iterations
     if n > 4 or T > 5 or cfg.batch_size != 1:
         raise ValueError("enumeration needs n <= 4, T <= 5, batch_size = 1")
-    if not mu >= 0:  # NaN too
-        raise ValueError("mu must be nonnegative")
-    if not M > 0:
-        raise ValueError("M must be positive")
-    _check_radius(domain_radius)
-    if h0.shape != (ds.num_classes, ds.feature_dim) or not np.isfinite(h0).all():
-        raise ValueError("h0 must be a finite (num_classes, feature_dim) array")
-    if rule.kind == "adagrad" and rule.accumulator.shape != h0.shape:
-        raise ValueError("adagrad accumulator shape must be h0's")
+    _check_objective(mu, M, domain_radius)
+    _check_start(ds, 1, h0[None], rule if rule.kind == "sgd"
+                 else UpdateRuleState("adagrad", rule.accumulator[None]))
     amp, dec = cfg.amplitude, cfg.decay
     X, Y = ds.features[:, None, :], ds.labels[:, None]  # branch i draws example i
     totals = {"kl": 0.0, "adv": 0.0, "sum": 0.0}
@@ -293,6 +283,8 @@ def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepS
             state = UpdateRuleState("adagrad", np.repeat(state.accumulator[None], n, axis=0))
         H = apply_update(H, batch_objective_grads(H, X, Y, mu), t, sched, state, domain_radius)
         us = utilities(cfg.utility, H, X, Y)[:, 0].tolist()
+        if not (np.isfinite(H).all() and all(map(math.isfinite, us))):
+            raise DivergenceError(t)
         for i, u in enumerate(us):
             branch_state = state if state.kind == "sgd" else UpdateRuleState(
                 "adagrad", state.accumulator[i])

@@ -48,6 +48,7 @@ from .harness import (
     run_experiment,
     unread_fields,
 )
+from .model import _check_counts
 from .optim import RULE_KINDS, SCHEDULE_KINDS
 from .weight_tree import WeightTree
 
@@ -275,8 +276,7 @@ def cmd_verify_sampler(args) -> int:
     """Distribution, goodness-of-fit, and touched-node checks on random trees."""
     if min(args.sizes) < 2:
         raise ValueError("--sizes needs every size >= 2")
-    if args.draws < 1:
-        raise ValueError("--draws must be >= 1")
+    _check_counts(**{"--draws": args.draws})
     from scipy import stats  # only this subcommand needs it, and it is slow to import
 
     rng = np.random.default_rng(args.seed)

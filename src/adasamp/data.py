@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, _squared_distances
+from .model import Dataset, _check_counts, _squared_distances
 
 _CSV_ROWS = 1 << 10  # parsed rows held as Python floats before they become an array
 # Well above any standard normal draw: numpy draws the tail as
@@ -99,8 +99,7 @@ def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
         raise ValueError("n must be >= classes")
     if classes < 2:
         raise ValueError("need at least two classes")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_counts(dim=dim)
     if not 0 <= imbalance < 1 or not 0 <= noise < 1:
         raise ValueError("imbalance and noise must lie in [0, 1)")
     if not separation > 0:

@@ -45,6 +45,9 @@ from .model import (
     Dataset,
     RegularityConstants,
     _bounded_losses,
+    _check_counts,
+    _check_delta,
+    _check_objective,
     _risk_and_accuracy,
     batch_objective_grads,
     default_domain_radius,
@@ -110,12 +113,8 @@ class ExperimentConfig:
                     setattr(self, field.name, 0.0)  # -0.0 would be echoed as -0
         if self.utility in UTILITY_FLAGS:
             self.utility = UTILITY_FLAGS[self.utility]
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
+        _check_counts(trials=self.trials, cadence=self.cadence)
+        _check_delta(self.delta)
         if self.out == "":
             raise ValueError("out must name a directory, not the empty string")
         if self.schedule not in SCHEDULE_KINDS:
@@ -123,12 +122,7 @@ class ExperimentConfig:
         if self.rule not in RULE_KINDS:
             raise ValueError(f"unknown update rule {self.rule!r}")
         self.sampler_config()  # raises on a sampler value SamplerConfig rejects
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if self.loss_bound <= 0:
-            raise ValueError("M must be positive")
-        if self.domain_radius is not None and self.domain_radius < 0:
-            raise ValueError("domain_radius must be nonnegative")
+        _check_objective(self.mu, self.loss_bound, self.domain_radius)
         self.step_schedule(1.0)  # 1.0 stands in for the data's smoothness
         if self.eta < 0:  # read by the report's coefficients under every schedule
             raise ValueError("eta must be nonnegative")
@@ -271,10 +265,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             raise ValueError("test_n must leave both splits nonempty")
         X, y, classes, n = full.features, full.labels, full.num_classes, full.n - cfg.test_n
     else:
-        if cfg.n < 1:
-            raise ValueError("n must be >= 1")
-        if cfg.test_n < 1:
-            raise ValueError("test_n must be >= 1")
+        _check_counts(n=cfg.n, test_n=cfg.test_n)
         X, y = synth_arrays(cfg.n + cfg.test_n, cfg.dim, cfg.classes, cfg.imbalance,
                             cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
         classes, n = cfg.classes, cfg.n
@@ -571,10 +562,7 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int = 50,
             raise ValueError(f"stability probes do not read {name}; it must be None")
     if cfg.mu <= 0:
         raise ValueError("stability probes need mu > 0")
-    if perturbations < 1:
-        raise ValueError("perturbations must be >= 1")
-    if probe_seeds < 1:
-        raise ValueError("probe_seeds must be >= 1")
+    _check_counts(perturbations=perturbations, probe_seeds=probe_seeds)
     if cfg.n < 2:
         raise ValueError("n must be >= 2")
     n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu

@@ -103,10 +103,8 @@ class RegularityConstants:
     loss_bound: float
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.lipschitz, self.smoothness, self.loss_bound)):
-            raise ValueError("lipschitz, smoothness, and loss_bound must be positive and finite")
-        if self.strong_convexity < 0:
-            raise ValueError("strong_convexity must be nonnegative")
+        _check_objective(self.strong_convexity, self.loss_bound, None)
+        _check_positive(lipschitz=self.lipschitz, smoothness=self.smoothness)
         if self.strong_convexity > 0 and self.smoothness < self.strong_convexity:
             raise ValueError("smoothness must dominate strong_convexity")
 
@@ -228,8 +226,7 @@ def _bounded_losses(scores: np.ndarray, labels: np.ndarray, M: float) -> np.ndar
     is bitwise the picked entry of the divided softmax, with one division per
     row instead of C. The row sums are taken by class columns.
     """
-    if M <= 0:
-        raise ValueError("M must be positive")
+    _check_positive(M=M)
     e = _shifted_exp(scores)
     py = e[np.arange(labels.size), labels] / _last_axis_sum(e)
     return np.minimum(-np.log(np.maximum(py, PROB_FLOOR)), M)
@@ -266,9 +263,34 @@ def default_domain_radius(ds: Dataset, mu: float) -> float:
     return math.sqrt(2.0) * ds.feature_radius / mu
 
 
+def _check_positive(**named) -> None:
+    for name, v in named.items():
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite")
+
+
+def _check_counts(**named) -> None:
+    for name, v in named.items():
+        if v < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
+def _check_delta(delta) -> None:
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+
+
 def _check_radius(radius: float | None) -> None:
     if radius is not None and not 0 <= radius < math.inf:
-        raise ValueError(f"domain_radius must lie in [0, inf), got {radius!r}")
+        raise ValueError(f"domain_radius must be nonnegative and finite, got {radius!r}")
+
+
+def _check_objective(mu: float, M: float, radius: float | None) -> None:
+    """The objective's inputs: mu and the radius (unless None) in [0, inf), M in (0, inf)."""
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be nonnegative and finite, got {mu!r}")
+    _check_positive(M=M)
+    _check_radius(radius)
 
 
 def project(h: np.ndarray, radius: float | None) -> np.ndarray:
@@ -301,14 +323,9 @@ def regularity_constants(ds: Dataset, mu: float, M: float,
     smoothness bound R^2/2 + mu. The loss min(CE, M) shares the same Lipschitz
     bound, so one L serves both roles.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if M <= 0:
-        raise ValueError("M must be positive")
+    _check_objective(mu, M, domain_radius)
     if domain_radius is None:
         domain_radius = default_domain_radius(ds, mu)
-    if domain_radius < 0:
-        raise ValueError("domain_radius must be nonnegative")
     R = ds.feature_radius
     lipschitz = math.sqrt(2.0) * R + mu * domain_radius
     smoothness = 0.5 * R * R + mu

@@ -194,6 +194,11 @@ def test_enumerated_divergence_bounds_and_monte_carlo():
     t0 = time.perf_counter()
     ok = True
     max_z = 0.0
+    # the 10^4 seeds' generators are built once; restoring their saved
+    # states before each instance gives it the streams of fresh ones
+    seeds = range(10_000)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    states = [rng.bit_generator.state for rng in rngs]
     for inst_seed in range(50):
         ds, cfg, sched, rule, mu = _tiny_instance(inst_seed)
         h0 = zeros_hypothesis(2, ds.feature_dim)
@@ -201,11 +206,12 @@ def test_enumerated_divergence_bounds_and_monte_carlo():
                                              5.0, h0)
         ok = ok and res.kl <= res.advantage_bound + 1e-9
         ok = ok and res.kl <= res.sum_bound + 1e-9
-        seeds = range(10_000)
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
         stacked = UpdateRuleState(rule.kind, None if rule.accumulator is None
                                   else np.repeat(rule.accumulator[None], len(seeds), axis=0))
         runs = train_many(ds, [cfg] * len(seeds), sched, stacked, mu,
-                          5.0, [h0] * len(seeds), [np.random.default_rng(s) for s in seeds])
+                          5.0, [h0] * len(seeds), rngs)
         traces = [trace for _, trace in runs]
         draws = {"kl": [trace.total_log_ratio() for trace in traces],
                  "adv": [kl_from_utility_advantage(trace) for trace in traces],
@@ -221,6 +227,10 @@ def test_enumerated_divergence_bounds_and_monte_carlo():
     _verdict(ok, "on 50 tiny instances, exact enumerated KL <= both trace "
                  "statistics' expectations (1e-9 slack) and 1e4-seed Monte Carlo "
                  f"agrees within 3 SE (max |z| {max_z:.2f}) [{dt:.0f}s < 120s]")
+    # the used generators, restored, draw what fresh ones draw
+    for s in range(0, len(seeds), 25):
+        rngs[s].bit_generator.state = states[s]
+        assert np.array_equal(rngs[s].random(8), np.random.default_rng(s).random(8)), s
 
 
 # 6. zero-amplitude reduction to uniform sampling

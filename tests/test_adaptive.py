@@ -258,11 +258,13 @@ def test_train_rejects_bad_inputs():
     dict(domain_radius=-1.0), dict(domain_radius=math.nan), dict(domain_radius=math.inf),
     dict(h0=np.full((2, 3), math.inf)), dict(h0=np.full((2, 3), math.nan)),
     dict(metric_every=-1), dict(mu=math.nan), dict(M=math.nan),
+    dict(mu=math.inf), dict(M=math.inf),
 ])
 def test_train_rejects_an_input_before_any_draw(bad):
     # a negative radius would flip h's sign, a NaN one skip the projection,
-    # a non-finite h0 or mu read as a divergence at iteration 1, and a
-    # negative metric_every tick at every iteration (t % -1 == 0)
+    # a non-finite h0 or mu would read as a divergence at iteration 1, an
+    # infinite M would clamp no loss, and a negative metric_every would tick
+    # at every iteration (t % -1 == 0)
     ds = _random_dataset(2)
     cfg = SamplerConfig(amplitude=1.0, decay=0.5, iterations=3)
     sched, rule = StepSchedule.constant(0.1), UpdateRuleState.sgd()
@@ -736,6 +738,26 @@ def test_accumulator_replay_is_bitwise():
                      metric_every=1, metric_fn=lambda t, h, kl, cond: h.copy())
     _, acc = _replay(ds, cfg, trace)
     assert np.array_equal(acc, trace.final_acc)
+
+
+def test_numpy_exp_of_a_value_depends_on_neither_its_position_nor_the_length():
+    # the premise of computing the trainer's weights in one np.exp call in
+    # place of per-value math.exp: each value's exp is the same whether it
+    # falls in a SIMD body or tail, at any offset, or in an unaligned copy
+    rng = np.random.default_rng(31)
+    a = rng.uniform(0.0, 700.0, 1040)
+    whole = np.exp(a)
+    for length in range(1, 1001):
+        got = np.concatenate([np.exp(a[offset:offset + length]) for offset in range(40)])
+        want = np.concatenate([whole[offset:offset + length] for offset in range(40)])
+        assert np.array_equal(got, want), length
+    buf = np.zeros(8 * (a.size + 1), dtype=np.uint8)
+    for shift in range(1, 8):
+        unaligned = buf[shift:shift + 8 * a.size].view(np.float64)
+        unaligned[...] = a
+        assert not unaligned.flags.aligned
+        for length in range(1, 1001):
+            assert np.array_equal(np.exp(unaligned[:length]), whole[:length]), (shift, length)
 
 
 def test_log_weights_stay_in_band():

@@ -35,7 +35,7 @@ from adasamp import (
     zeros_hypothesis,
 )
 import adasamp.optim as optim
-from adasamp.adaptive import TrainTrace
+from adasamp.adaptive import DivergenceError, TrainTrace
 from adasamp.bounds import heldout_risk_bound
 from oracles import chisq_divergence, kl_divergence
 
@@ -484,18 +484,38 @@ def test_enumeration_rejects_large_instances():
     dict(mu=-3.0), dict(mu=math.nan), dict(radius=-1.0), dict(radius=math.nan),
     dict(radius=math.inf),
     dict(h0=np.full((2, 1), math.inf)), dict(h0=np.full((2, 1), math.nan)),
+    dict(mu=math.inf), dict(M=math.inf),
 ])
 def test_enumeration_rejects_what_train_rejects(bad):
     # else the walk would step through a sign-flipping or skipped projection,
-    # reach kl = nan, or use a negative ridge that train_many rejects
+    # reach kl = nan, or use a negative ridge or an unclamped loss that
+    # train_many rejects
     ds = Dataset.from_arrays(np.array([[1.0], [-0.5]]), np.array([0, 1]), 2)
     cfg = SamplerConfig(amplitude=1.0, decay=0.5, utility="l1", iterations=2)
-    args = dict(mu=0.1, h0=zeros_hypothesis(2, 1), radius=None)
+    args = dict(mu=0.1, M=5.0, h0=zeros_hypothesis(2, 1), radius=None)
     args.update(bad)
-    mu, h0, radius = args.values()
+    mu, M, h0, radius = args.values()
     with pytest.raises(ValueError):
         enumerate_posterior_divergence(ds, cfg, StepSchedule.constant(0.1),
-                                       UpdateRuleState.sgd(), mu, 5.0, h0, radius)
+                                       UpdateRuleState.sgd(), mu, M, h0, radius)
+
+
+def test_enumeration_reports_a_divergence_as_train_does():
+    # mu * h overflows at the third step on every path: train raises
+    # DivergenceError(3), and so does the enumeration, with no numpy warning
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ds = Dataset.from_arrays(X, np.array([0, 1, 0]), 2)
+    cfg = SamplerConfig(amplitude=1.0, decay=0.5, iterations=3)
+    sched, mu = StepSchedule.constant(0.1), 1e308
+    for seed in (0, 1):
+        with pytest.raises(DivergenceError, match="^diverged at iteration 3$"):
+            train(ds, cfg, sched, UpdateRuleState.sgd(), mu, 5.0, zeros_hypothesis(2, 2),
+                  np.random.default_rng(seed))
+    with pytest.raises(DivergenceError) as exc:
+        enumerate_posterior_divergence(ds, cfg, sched, UpdateRuleState.sgd(), mu, 5.0,
+                                       zeros_hypothesis(2, 2))
+    assert not isinstance(exc.value, ValueError)  # not a rejected input
+    assert exc.value.iteration == 3 and str(exc.value) == "diverged at iteration 3"
 
 
 def test_monte_carlo_agrees_with_enumeration():

@@ -669,16 +669,16 @@ def test_no_experiment_flag_has_a_default_in_the_parser():
     (["train", "--alpha", "400", "--lambda", "0.5"],
      "amplitude/(1-decay) = 800 exceeds 700; weights would overflow"),
     (["compare", "--alphas", "1", "-1"], "amplitude must be finite and nonnegative"),
-    (["train", "--M", "0"], "M must be positive"),
-    (["train", "--mu", "-1"], "mu must be nonnegative"),
-    (["train", "--domain-radius", "-1"], "domain_radius must be nonnegative"),
+    (["train", "--M", "0"], "M must be positive and finite"),
+    (["train", "--mu", "-1"], "mu must be nonnegative and finite, got -1.0"),
+    (["train", "--domain-radius", "-1"], "domain_radius must be nonnegative and finite, got -1.0"),
     (["train", "--eta", "0"], "eta must be positive"),
     (["train", "--kappa", "-1"], "kappa must be nonnegative"),
     (["train", "--schedule", "strongly_convex", "--mu", "0"],
      "strongly_convex schedule needs mu > 0 and smoothness > 0"),
     (["train", "--schedule", "strongly_convex", "--mu", "0.1", "--eta", "-1"],
      "eta must be nonnegative"),
-    (["compare", "--M", "0", "--alphas", "1"], "M must be positive"),
+    (["compare", "--M", "0", "--alphas", "1"], "M must be positive and finite"),
 ])
 def test_a_sampler_value_is_rejected_before_any_data_is_built(monkeypatch, capsys, tmp_path,
                                                                argv, message):

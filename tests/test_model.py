@@ -211,6 +211,20 @@ def test_overflowing_constants_are_rejected_naming_the_cause():
             RegularityConstants(1.0, bad, 0.0, 5.0)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((math.nan, 5.0, None), "^mu must be nonnegative and finite, got nan$"),
+    ((math.inf, 5.0, None), "^mu must be nonnegative and finite, got inf$"),
+    ((0.1, math.nan, None), "^M must be positive and finite$"),
+    ((0.0, 5.0, math.inf), "^domain_radius must be nonnegative and finite, got inf$"),
+    ((0.1, 5.0, math.nan), "^domain_radius must be nonnegative and finite, got nan$"),
+])
+def test_constants_name_the_input_they_reject(args, message):
+    # each message names the input at fault, not a constant computed from it
+    ds = Dataset.from_arrays([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    with pytest.raises(ValueError, match=message):
+        regularity_constants(ds, *args)
+
+
 def _nan_blind_bytes(x):
     """Bytes of x with every NaN made np.nan: numpy's own add gives a NaN
     either sign, depending on where the element falls in the array."""
@@ -338,7 +352,7 @@ def test_project_rejects_a_radius_outside_zero_to_infinity(radius):
     # scaling by radius / norm would flip h's sign at a negative radius, and a
     # NaN or infinite radius would leave h unprojected
     for h in (np.array([[3.0, 4.0]]), np.ones((2, 2, 3))):
-        with pytest.raises(ValueError, match="domain_radius must lie in"):
+        with pytest.raises(ValueError, match="domain_radius must be nonnegative and finite"):
             project(h, radius)
     assert np.array_equal(project(np.array([[3.0, 4.0]]), 0.0), [[0.0, 0.0]])
 
