@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .model import Dataset, _check_counts, _check_objective, batch_objective_grads, softmax
+from .model import (Dataset, _check_counts, _check_nonnegative, _check_objective,
+                    _check_open_unit, batch_objective_grads, softmax)
 from .optim import StepSchedule, UpdateRuleState, apply_update
 from .weight_tree import WeightTree
 
@@ -47,10 +48,11 @@ class DivergenceError(ArithmeticError):
 
 @dataclasses.dataclass(frozen=True)
 class SamplerConfig:
-    """Sampler hyperparameters: reweighting amplitude >= 0, multiplicative decay
-    in (0, 1), utility kind, batch size, iteration count, and whether to compute
-    the full O(n) conditional KL to uniform at each metric tick. An amplitude
-    of -0.0 is stored as 0.0."""
+    """Sampler hyperparameters: reweighting amplitude in [0, inf), multiplicative
+    decay in (0, 1), utility kind, batch size and iteration count (integers
+    >= 1), and whether to compute the full O(n) conditional KL to uniform at
+    each metric tick. Any other value, or an amplitude/(1-decay) above
+    MAX_LOG_WEIGHT, is rejected by name. An amplitude of -0.0 is stored as 0.0."""
 
     amplitude: float
     decay: float
@@ -62,10 +64,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.amplitude == 0:  # -0.0 too: it would print as -0
             object.__setattr__(self, "amplitude", 0.0)
-        if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
-            raise ValueError("amplitude must be finite and nonnegative")
-        if not 0 < self.decay < 1:
-            raise ValueError("decay must lie in (0, 1)")
+        _check_nonnegative(amplitude=self.amplitude)
+        _check_open_unit(decay=self.decay)
         if self.utility not in UTILITY_KINDS:
             raise ValueError(f"unknown utility kind {self.utility!r}")
         _check_counts(batch_size=self.batch_size, iterations=self.iterations)
@@ -224,16 +224,16 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     and any run's rng may sit up to one block past iteration t.
     numpy's overflow and invalid-value warnings are off inside the call.
     Raises ValueError, before any draw, on a rejected input: a mu or radius
-    outside [0, inf), NaN and inf included; an M outside (0, inf); a negative
-    metric_every; configs, rngs and h0s not one per run, or configs differing
-    in more than the amplitude; an h0 that is not a finite (num_classes,
-    feature_dim) array; an AdaGrad accumulator not of shape (R, num_classes,
-    feature_dim); and an amplitude/(1-decay) + ln n above ln(float max / 2),
-    where a run's weights could sum past the float range.
+    outside [0, inf), NaN and inf included; an M outside (0, inf); a
+    metric_every that is not an integer >= 0; configs, rngs and h0s not one
+    per run, or configs differing in more than the amplitude; an h0 that is
+    not a finite (num_classes, feature_dim) array; an AdaGrad accumulator not
+    of shape (R, num_classes, feature_dim); and an amplitude/(1-decay) + ln n
+    above ln(float max / 2), where a run's weights could sum past the float
+    range.
     """
     _check_objective(mu, M, domain_radius)
-    if metric_every < 0:
-        raise ValueError("metric_every must be nonnegative")
+    _check_counts(at_least=0, metric_every=metric_every)
     R = len(cfgs)
     if R == 0 or len(rngs) != R:
         raise ValueError("need one sampler config and rng per run, and at least one run")
@@ -395,9 +395,7 @@ def train(ds: Dataset, cfg: SamplerConfig, sched: StepSchedule, rule: UpdateRule
     metric_every-th iteration, and t = T, where kl_stat is amplitude/(1-decay)
     times the utility sum through iteration t-1.
 
-    Raises ValueError, before any draw, on a mu or radius outside [0, inf),
-    an M outside (0, inf), a negative metric_every, a non-finite or misshapen
-    h0 or a misshapen AdaGrad accumulator (see `train_many`), and
+    Raises ValueError, before any draw, on an input `train_many` rejects, and
     DivergenceError if a step leaves h, or the utilities at h, non-finite;
     `rng` may then sit up to one block past the diverging iteration. Returns
     (h_T, trace). The caller owns `rule` (its AdaGrad accumulator, of h0's

@@ -5,8 +5,13 @@ coefficients of SGD under the stated regularity regime; the gen_bound_*
 functions evaluate high-probability generalization bounds for a sampling
 distribution Q over the n training examples, given a divergence of Q from the
 uniform prior and stability coefficients (beta for resampling one data point,
-gamma for perturbing one index of the draw sequence); each raises ValueError
-naming its formula when its value is not finite. kl_from_utility_advantage
+gamma for perturbing one index of the draw sequence). Each raises ValueError
+naming its formula when its value is not finite, and before that naming the
+first input it rejects: a kl, chisq, beta, gamma, risk_h0 or eta outside
+[0, inf); an L, M, mu or smoothness outside (0, inf) (the nonconvex
+coefficient's eta too); an n, T or test_n that is not an integer >= 1 (the
+nonconvex coefficient's n: >= 2); a delta outside (0, 1); and a
+heldout_risk outside [0, M], checked after M. kl_from_utility_advantage
 scales a recorded batch-1 trace's advantage sum into an upper statistic for
 KL(Q || uniform); adaptive's kl_from_utility_sum, the metrics ticks' statistic,
 is one only at batch 1 (see its docstring). enumerate_posterior_divergence
@@ -28,8 +33,9 @@ from .adaptive import DivergenceError, SamplerConfig, TrainTrace, _check_start, 
 from .model import (
     Dataset,
     _check_counts,
-    _check_delta,
+    _check_nonnegative,
     _check_objective,
+    _check_open_unit,
     _check_positive,
     batch_objective_grads,
 )
@@ -43,8 +49,7 @@ def sgd_stability_convex(L: float, eta: float, T: int, n: int) -> float:
     step sizes eta_t <= eta/t: 2 L^2 eta (ln T + 1) / n. eta = 0 is allowed
     (no movement, no instability)."""
     _check_positive(L=L)
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    _check_nonnegative(eta=eta)
     _check_counts(T=T, n=n)
     return _finite("stability_convex coefficient", 2.0 * L * L * eta * (math.log(T) + 1.0) / n)
 
@@ -59,8 +64,7 @@ def sgd_stability_nonconvex(L: float, smoothness: float, eta: float, T: int, n: 
     """
     _check_positive(L=L, smoothness=smoothness, eta=eta, M=M)
     _check_counts(T=T)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_counts(at_least=2, n=n)
     be = smoothness * eta
     if be == 0:  # the product underflowed, so 1/(smoothness*eta) is inf
         return _finite("stability_nonconvex coefficient", math.inf)
@@ -74,11 +78,8 @@ def sgd_stability_initial_risk(L: float, eta: float, T: int, n: int,
     """Data-dependent pointwise stability for smooth convex objectives, scaling
     with the initial risk: 2 L eta (ln T + 1) sqrt(2 * smoothness * risk_h0) / n."""
     _check_positive(L=L, smoothness=smoothness)
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    _check_nonnegative(eta=eta, risk_h0=risk_h0)
     _check_counts(T=T, n=n)
-    if risk_h0 < 0:
-        raise ValueError("risk_h0 must be nonnegative")
     return _finite("stability_initial_risk coefficient",
                    2.0 * L * eta * (math.log(T) + 1.0) * math.sqrt(2.0 * smoothness * risk_h0) / n)
 
@@ -125,11 +126,10 @@ def gen_bound_chisq(chisq: float, M: float, n: int, beta: float, delta: float) -
 
         sqrt( ((chisq + 1)/delta) * (2 M^2 / n + 12 M beta) )
     """
-    if chisq < 0 or beta < 0:
-        raise ValueError("chisq and beta must be nonnegative")
+    _check_nonnegative(chisq=chisq, beta=beta)
     _check_positive(M=M)
     _check_counts(n=n)
-    _check_delta(delta)
+    _check_open_unit(delta=delta)
     value = math.sqrt((chisq + 1.0) / delta * (2.0 * M * M / n + 12.0 * M * beta))
     return BoundReport("chisq", value,
                        {"chisq": chisq, "M": M, "n": n, "beta": beta, "delta": delta})
@@ -140,11 +140,10 @@ def _kl_width(kl: float, M: float, n: int, T: int, beta: float, gamma: float,
     """(M + 2 n beta)^2 / n + 4 T gamma^2, once the KL bounds' inputs are
     checked. Squared by multiplication, which overflows to inf, where ** would
     raise OverflowError."""
-    if kl < 0 or beta < 0 or gamma < 0:
-        raise ValueError("kl, beta, gamma must be nonnegative")
+    _check_nonnegative(kl=kl, beta=beta, gamma=gamma)
     _check_positive(M=M)
     _check_counts(n=n, T=T)
-    _check_delta(delta)
+    _check_open_unit(delta=delta)
     lead = M + 2.0 * n * beta
     return lead * lead / n + 4.0 * T * gamma * gamma
 
@@ -199,11 +198,11 @@ def heldout_risk_bound(heldout_risk: float, M: float, test_n: int, delta: float)
 
         heldout_risk + M sqrt( ln(1/delta) / (2 test_n) )
     """
+    _check_positive(M=M)
     if not 0 <= heldout_risk <= M:
         raise ValueError("heldout_risk must lie in [0, M]")
-    _check_positive(M=M)
     _check_counts(test_n=test_n)
-    _check_delta(delta)
+    _check_open_unit(delta=delta)
     value = heldout_risk + M * math.sqrt(math.log(1.0 / delta) / (2.0 * test_n))
     return BoundReport("test_set_hoeffding", value,
                        {"heldout_risk": heldout_risk, "M": M, "test_n": test_n, "delta": delta})
@@ -254,9 +253,8 @@ def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepS
     mutated), then one `utilities` call on n one-row batches. Every branch is
     bitwise that branch stepped alone. Only instances with n <= 4, T <= 5,
     batch_size = 1 are accepted (at most 1024 paths). Like `train`, it raises
-    ValueError before any step on a mu or radius outside [0, inf), an M
-    outside (0, inf), a non-finite or misshapen h0 or a misshapen AdaGrad
-    accumulator, and DivergenceError(t) at the first node, in walk order,
+    ValueError before any step on an objective or start state `train`
+    rejects, and DivergenceError(t) at the first node, in walk order,
     whose stepped hypotheses or utilities are not finite, t being its
     iteration; numpy's overflow and invalid-value warnings are off inside."""
     n, T = ds.n, cfg.iterations

@@ -274,8 +274,8 @@ def cmd_probe_stability(args) -> int:
 
 def cmd_verify_sampler(args) -> int:
     """Distribution, goodness-of-fit, and touched-node checks on random trees."""
-    if min(args.sizes) < 2:
-        raise ValueError("--sizes needs every size >= 2")
+    for size in args.sizes:
+        _check_counts(at_least=2, **{"--sizes": size})
     _check_counts(**{"--draws": args.draws})
     from scipy import stats  # only this subcommand needs it, and it is slow to import
 

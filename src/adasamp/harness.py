@@ -46,8 +46,10 @@ from .model import (
     RegularityConstants,
     _bounded_losses,
     _check_counts,
-    _check_delta,
+    _check_nonnegative,
     _check_objective,
+    _check_open_unit,
+    _check_positive,
     _risk_and_accuracy,
     batch_objective_grads,
     default_domain_radius,
@@ -66,9 +68,11 @@ class ExperimentConfig:
     """Flat experiment configuration and the one place each experiment
     default is declared; field names match the CLI flags (``lambda`` is
     spelled ``decay``, ``M`` is ``loss_bound``). Building one, or replacing a
-    field of one, rejects a non-finite float, stores a float -0 as 0, and
-    checks the schedule, rule, sampler, mu, M, domain_radius and eta values
-    before any data is read."""
+    field of one, rejects, before any data is read, a non-finite float, a
+    trials or cadence that is not an integer >= 1, a delta outside (0, 1),
+    an eta, mu or domain_radius outside [0, inf), a loss_bound outside
+    (0, inf), and what the schedule, rule and sampler reject; a float -0 is
+    stored as 0. The task's sizes are checked where the data is built."""
 
     # data source: a CSV path, or the synthetic task below
     csv: str | None = None
@@ -114,7 +118,7 @@ class ExperimentConfig:
         if self.utility in UTILITY_FLAGS:
             self.utility = UTILITY_FLAGS[self.utility]
         _check_counts(trials=self.trials, cadence=self.cadence)
-        _check_delta(self.delta)
+        _check_open_unit(delta=self.delta)
         if self.out == "":
             raise ValueError("out must name a directory, not the empty string")
         if self.schedule not in SCHEDULE_KINDS:
@@ -124,8 +128,7 @@ class ExperimentConfig:
         self.sampler_config()  # raises on a sampler value SamplerConfig rejects
         _check_objective(self.mu, self.loss_bound, self.domain_radius)
         self.step_schedule(1.0)  # 1.0 stands in for the data's smoothness
-        if self.eta < 0:  # read by the report's coefficients under every schedule
-            raise ValueError("eta must be nonnegative")
+        _check_nonnegative(eta=self.eta)  # read by the report's coefficients under every schedule
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(
@@ -259,13 +262,14 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     one pair of arrays: a CSV's rows, the last test_n of them held out, or
     n + test_n synthetic examples drawn in one call, so both splits share the
     task."""
+    _check_counts(test_n=cfg.test_n)
     if cfg.csv is not None:
         full = load_csv(cfg.csv)
-        if not 0 < cfg.test_n < full.n:
+        if cfg.test_n >= full.n:
             raise ValueError("test_n must leave both splits nonempty")
         X, y, classes, n = full.features, full.labels, full.num_classes, full.n - cfg.test_n
     else:
-        _check_counts(n=cfg.n, test_n=cfg.test_n)
+        _check_counts(n=cfg.n)
         X, y = synth_arrays(cfg.n + cfg.test_n, cfg.dim, cfg.classes, cfg.imbalance,
                             cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
         classes, n = cfg.classes, cfg.n
@@ -560,11 +564,9 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int = 50,
     for name in ("csv", "domain_radius"):
         if getattr(cfg, name) is not None:
             raise ValueError(f"stability probes do not read {name}; it must be None")
-    if cfg.mu <= 0:
-        raise ValueError("stability probes need mu > 0")
+    _check_positive(mu=cfg.mu)
     _check_counts(perturbations=perturbations, probe_seeds=probe_seeds)
-    if cfg.n < 2:
-        raise ValueError("n must be >= 2")
+    _check_counts(at_least=2, n=cfg.n)
     n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu
     pool = synth_data(n + perturbations + PROBE_EVAL_N, cfg.dim, cfg.classes, cfg.imbalance,
                       cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -42,8 +43,7 @@ class Dataset:
         if not math.isfinite(radius) and not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
         object.__setattr__(self, "feature_radius", radius)
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
+        _check_counts(at_least=2, num_classes=self.num_classes)
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError("labels out of range")
 
@@ -53,7 +53,7 @@ class Dataset:
         y = np.asarray(labels, dtype=np.int64)
         if num_classes is None:
             num_classes = int(y.max()) + 1 if y.size else 0
-        return cls(X, y, int(num_classes))
+        return cls(X, y, num_classes)
 
     @property
     def n(self) -> int:
@@ -265,32 +265,44 @@ def default_domain_radius(ds: Dataset, mu: float) -> float:
 
 def _check_positive(**named) -> None:
     for name, v in named.items():
-        if not (v > 0 and math.isfinite(v)):
+        if not 0 < v < math.inf:
             raise ValueError(f"{name} must be positive and finite")
 
 
-def _check_counts(**named) -> None:
+def _check_nonnegative(**named) -> None:
+    """Each value in [0, inf), else `<name> must be nonnegative and finite, got <v>`."""
     for name, v in named.items():
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1")
+        if not 0 <= v < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {v!r}")
 
 
-def _check_delta(delta) -> None:
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+def _check_counts(*, at_least: int = 1, **named) -> None:
+    """Each named value must be an integer, one `operator.index` takes, at or
+    above `at_least`. NaN, +-inf, fractional values and floats that hold an
+    integer (3.0) are rejected as `<name> must be an integer, got <v>`, and
+    smaller integers as `<name> must be >= <at_least>`."""
+    for name, v in named.items():
+        try:
+            count = operator.index(v)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {v!r}") from None
+        if count < at_least:
+            raise ValueError(f"{name} must be >= {at_least}")
 
 
-def _check_radius(radius: float | None) -> None:
-    if radius is not None and not 0 <= radius < math.inf:
-        raise ValueError(f"domain_radius must be nonnegative and finite, got {radius!r}")
+def _check_open_unit(**named) -> None:
+    """Each value in the open (0, 1), else `<name> must lie in (0, 1), got <v>`."""
+    for name, v in named.items():
+        if not 0 < v < 1:
+            raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
 
 
 def _check_objective(mu: float, M: float, radius: float | None) -> None:
     """The objective's inputs: mu and the radius (unless None) in [0, inf), M in (0, inf)."""
-    if not 0 <= mu < math.inf:
-        raise ValueError(f"mu must be nonnegative and finite, got {mu!r}")
+    _check_nonnegative(mu=mu)
     _check_positive(M=M)
-    _check_radius(radius)
+    if radius is not None:
+        _check_nonnegative(domain_radius=radius)
 
 
 def project(h: np.ndarray, radius: float | None) -> np.ndarray:
@@ -305,7 +317,7 @@ def project(h: np.ndarray, radius: float | None) -> np.ndarray:
     """
     if radius is None:
         return h
-    _check_radius(radius)
+    _check_nonnegative(domain_radius=radius)
     norm = np.sqrt((h * h).reshape(h.shape[:-2] + (-1,)).sum(axis=-1))
     if not (norm > radius).any():
         return h

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-from .model import project
+from .model import _check_counts, _check_nonnegative, _check_positive, project
 
 SCHEDULE_KINDS = ("constant", "inverse_decay", "strongly_convex")
 RULE_KINDS = ("sgd", "adagrad")
@@ -20,7 +19,8 @@ class StepSchedule:
 
     The strongly_convex kind starts at eta_1 <= 1/smoothness, which keeps every
     gradient step of a mu-strongly-convex, smoothness-smooth objective
-    (1 - eta_t * mu)-contractive.
+    (1 - eta_t * mu)-contractive. Every value must lie in [0, inf), and the
+    kind's rates, eta or else mu and smoothness, in (0, inf).
     """
 
     kind: str
@@ -32,18 +32,11 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        for name in ("eta", "kappa", "mu", "smoothness"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {float(value)!r}")
-        if self.kind in ("constant", "inverse_decay"):
-            if self.eta <= 0:
-                raise ValueError("eta must be positive")
-            if self.kind == "inverse_decay" and self.kappa < 0:
-                raise ValueError("kappa must be nonnegative")
+        _check_nonnegative(eta=self.eta, kappa=self.kappa, mu=self.mu, smoothness=self.smoothness)
+        if self.kind == "strongly_convex":
+            _check_positive(mu=self.mu, smoothness=self.smoothness)
         else:
-            if self.mu <= 0 or self.smoothness <= 0:
-                raise ValueError("strongly_convex schedule needs mu > 0 and smoothness > 0")
+            _check_positive(eta=self.eta)
 
     @classmethod
     def constant(cls, eta: float) -> "StepSchedule":
@@ -60,8 +53,7 @@ class StepSchedule:
 
 def step_size(sched: StepSchedule, t: int) -> float:
     """The step size at iteration t (1-based)."""
-    if t < 1:
-        raise ValueError("iterations are 1-based")
+    _check_counts(t=t)
     if sched.kind == "constant":
         return sched.eta
     if sched.kind == "inverse_decay":

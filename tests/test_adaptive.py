@@ -760,6 +760,29 @@ def test_numpy_exp_of_a_value_depends_on_neither_its_position_nor_the_length():
             assert np.array_equal(np.exp(unaligned[:length]), whole[:length]), (shift, length)
 
 
+def test_numpy_accumulate_of_zero_padded_deltas_is_the_in_order_sum():
+    # the premise of taking every run's accumulator total in one numpy call in
+    # place of the trainer's in-order `acc_totals[r] += d` loop: row r holds
+    # run r's starting total, then its deltas at first appearances and zeros
+    # at repeats, and its last running sum is bitwise the loop's total
+    rng = np.random.default_rng(37)
+    rows = 0
+    for R, b in [(1, 1), (1, 100), (2, 7), (3, 128), (30, 100), (30, 1), (7, 300)] * 41:
+        pad = np.zeros((R, b + 1))
+        pad[:, 0] = rng.choice([0.0, 1.0, 1e6], R) * rng.uniform(0.0, 1.0, R)
+        deltas = rng.uniform(-2.0, 1.0, (R, b)) * 10.0 ** rng.integers(-12, 3, (R, b))
+        first = rng.random((R, b)) < rng.uniform(0.05, 1.0, (R, 1))
+        pad[:, 1:][first] = deltas[first]
+        got = np.add.accumulate(pad, axis=1)[:, -1]
+        for r in range(R):
+            total = float(pad[r, 0])
+            for d in deltas[r][first[r]].tolist():
+                total += d
+            assert got[r].tobytes() == np.float64(total).tobytes(), (R, b, r)
+        rows += R
+    assert rows >= 3000
+
+
 def test_log_weights_stay_in_band():
     # ln w_i = amplitude * A_i must stay in [0, amplitude/(1-decay)]
     ds = _random_dataset(10, n=9)

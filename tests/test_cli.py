@@ -662,22 +662,22 @@ def test_no_experiment_flag_has_a_default_in_the_parser():
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["train", "--alpha", "-1"], "amplitude must be finite and nonnegative"),
-    (["train", "--lambda", "1.5"], "decay must lie in (0, 1)"),
+    (["train", "--alpha", "-1"], "amplitude must be nonnegative and finite, got -1.0"),
+    (["train", "--lambda", "1.5"], "decay must lie in (0, 1), got 1.5"),
     (["train", "--batch", "0"], "batch_size must be >= 1"),
     (["train", "--iters", "0"], "iterations must be >= 1"),
     (["train", "--alpha", "400", "--lambda", "0.5"],
      "amplitude/(1-decay) = 800 exceeds 700; weights would overflow"),
-    (["compare", "--alphas", "1", "-1"], "amplitude must be finite and nonnegative"),
+    (["compare", "--alphas", "1", "-1"], "amplitude must be nonnegative and finite, got -1.0"),
     (["train", "--M", "0"], "M must be positive and finite"),
     (["train", "--mu", "-1"], "mu must be nonnegative and finite, got -1.0"),
     (["train", "--domain-radius", "-1"], "domain_radius must be nonnegative and finite, got -1.0"),
-    (["train", "--eta", "0"], "eta must be positive"),
-    (["train", "--kappa", "-1"], "kappa must be nonnegative"),
+    (["train", "--eta", "0"], "eta must be positive and finite"),
+    (["train", "--kappa", "-1"], "kappa must be nonnegative and finite, got -1.0"),
     (["train", "--schedule", "strongly_convex", "--mu", "0"],
-     "strongly_convex schedule needs mu > 0 and smoothness > 0"),
+     "mu must be positive and finite"),
     (["train", "--schedule", "strongly_convex", "--mu", "0.1", "--eta", "-1"],
-     "eta must be nonnegative"),
+     "eta must be nonnegative and finite, got -1.0"),
     (["compare", "--M", "0", "--alphas", "1"], "M must be positive and finite"),
 ])
 def test_a_sampler_value_is_rejected_before_any_data_is_built(monkeypatch, capsys, tmp_path,

@@ -83,7 +83,7 @@ def test_config_validation():
 @pytest.mark.parametrize("overrides,message", [
     (dict(rule="bogus"), "unknown update rule 'bogus'"),
     (dict(utility="hinge"), "unknown utility kind 'hinge'"),
-    (dict(alpha=-1.0), "amplitude must be finite and nonnegative"),
+    (dict(alpha=-1.0), "amplitude must be nonnegative and finite, got -1.0"),
 ])
 def test_a_config_the_sampler_rejects_fails_at_construction(overrides, message):
     # the CLI's exit 2 for each sampler value is checked in test_cli

@@ -60,7 +60,7 @@ def test_schedule_validation():
     (StepSchedule.strongly_convex, (1.0, -math.inf), "smoothness"),
 ])
 def test_schedule_rejects_a_non_finite_value(make, args, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite, got "):
         make(*args)
 
 
