@@ -11,9 +11,12 @@ reported as `error: config key ...`) and become the subcommand's defaults, so
 an explicit flag wins in every spelling and the file wins over built-in
 defaults. Float flags reject nan and +-inf.
 
-Apart from verify-sampler's, no flag has a default here: the parsed namespace
-holds exactly the flags and config keys given, and what is not given takes
-the default of whatever reads it (ExperimentConfig for the experiment flags).
+The experiment flags of train, compare, probe-stability and synth-data are
+built from ExperimentConfig's fields, one flag per field with the field as its
+dest (`_config_parser`). Apart from verify-sampler's, no flag has a default
+here: the parsed namespace holds exactly the flags and config keys given, and
+what is not given takes the default of whatever reads it (ExperimentConfig for
+the experiment flags).
 `train` and `compare` also reject, before any data is read, a given flag or
 key that the run would not read (`harness.unread_fields`): the synthetic-task
 flags with --csv (`error: --csv does not read --n, --noise`), --kappa under a
@@ -39,6 +42,7 @@ from . import bounds
 from .adaptive import DivergenceError
 from .data import save_csv, synth_data
 from .harness import (
+    PROBE_FIELDS,
     SYNTHETIC_TASK,
     UTILITY_FLAGS,
     ExperimentConfig,
@@ -55,6 +59,7 @@ from .weight_tree import WeightTree
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
              "false": False, "0": False, "no": False, "off": False}
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_SYNTH_FIELDS = ("seed", *SYNTHETIC_TASK)  # what synth-data reads
 
 
 def finite_float(text: str) -> float:
@@ -118,49 +123,43 @@ def _config_defaults(sub: argparse.ArgumentParser, path) -> dict:
     return defaults
 
 
-def _add_task_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int, help="training examples")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--imbalance", type=finite_float)
-    p.add_argument("--noise", type=finite_float)
-    p.add_argument("--separation", type=finite_float)
+# how an ExperimentConfig field becomes its flag, where not by its name and annotation
+_SPELLINGS = {"decay": "--lambda", "loss_bound": "--M"}
+_CHOICES = {"utility": list(UTILITY_FLAGS), "rule": RULE_KINDS, "schedule": SCHEDULE_KINDS}
+_TYPES = {"int": int, "float": finite_float, "float | None": finite_float,
+          "str": None, "str | None": None}  # a string flag keeps its text
+_HELP = {
+    "n": "training examples",
+    "mu": "L2 regularization strength",
+    "loss_bound": "loss clamp",
+    "csv": "load the dataset from this CSV instead of synthesizing",
+    "alpha": "reweighting amplitude (0 = uniform sampling)",
+    "decay": "multiplicative weight decay in (0, 1)",
+    "target": "explicit loss target for iterations-to-target",
+    "track_kl": "report the full conditional KL to uniform at each metrics tick",
+    "out": "output directory for metrics and reports",
+}
 
 
-def _add_probe_flags(p: argparse.ArgumentParser) -> None:
-    """--config and every ExperimentConfig field that `probe_stability` reads."""
-    p.set_defaults(subparser=p)  # parse_args sets this parser's defaults from --config
-    p.add_argument("--config", help="flat key=value config file")
-    _add_task_flags(p)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--mu", type=finite_float, help="L2 regularization strength")
-    p.add_argument("--M", type=finite_float, dest="loss_bound", help="loss clamp")
-
-
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    _add_probe_flags(p)
-    p.add_argument("--csv", help="load the dataset from this CSV instead of synthesizing")
-    p.add_argument("--test-n", type=int, dest="test_n")
-    p.add_argument("--alpha", type=finite_float,
-                   help="reweighting amplitude (0 = uniform sampling)")
-    p.add_argument("--lambda", type=finite_float, dest="decay",
-                   help="multiplicative weight decay in (0, 1)")
-    p.add_argument("--utility", choices=list(UTILITY_FLAGS))
-    p.add_argument("--rule", choices=RULE_KINDS)
-    p.add_argument("--schedule", choices=SCHEDULE_KINDS)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--domain-radius", type=finite_float, dest="domain_radius")
-    p.add_argument("--eta", type=finite_float)
-    p.add_argument("--kappa", type=finite_float)
-    p.add_argument("--delta", type=finite_float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--cadence", type=int)
-    p.add_argument("--target", type=finite_float,
-                   help="explicit loss target for iterations-to-target")
-    p.add_argument("--track-kl", action="store_true", dest="track_kl",
-                   help="report the full conditional KL to uniform at each metrics tick")
-    p.add_argument("--out", help="output directory for metrics and reports")
+def _config_parser(sub, command: str, summary: str, fields, config_file: bool = True):
+    """The subcommand parser of `command`: --config (with `config_file`), then
+    one flag per ExperimentConfig field in `fields`, in field order, whose dest
+    is the field. A flag is spelled `--` plus the field name with `_` as `-`
+    (but see _SPELLINGS); a bool field is an on/off flag, a field in _CHOICES
+    takes one of its values, and any other takes its annotation's type. None
+    of the parser's flags has a default (argparse.SUPPRESS)."""
+    p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+    if config_file:
+        p.set_defaults(subparser=p)  # parse_args sets this parser's defaults from --config
+        p.add_argument("--config", help="flat key=value config file")
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name in fields:
+            kind = ({"action": "store_true"} if field.type == "bool" else
+                    {"choices": _CHOICES[field.name]} if field.name in _CHOICES else
+                    {"type": _TYPES[field.type]})
+            p.add_argument(_SPELLINGS.get(field.name, "--" + field.name.replace("_", "-")),
+                           dest=field.name, help=_HELP.get(field.name), **kind)
+    return p
 
 
 def _given(args: argparse.Namespace, names) -> dict:
@@ -203,7 +202,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    task = ExperimentConfig(**_given(args, ("seed", *SYNTHETIC_TASK)))
+    task = ExperimentConfig(**_given(args, _SYNTH_FIELDS))
     ds = synth_data(task.n, task.dim, task.classes, task.imbalance, task.noise,
                     seed=task.seed, separation=task.separation)
     # label noise can empty a class, and `load_csv` rejects such a file
@@ -273,7 +272,7 @@ def cmd_probe_stability(args) -> int:
 
 
 def cmd_verify_sampler(args) -> int:
-    """Distribution, goodness-of-fit, and touched-node checks on random trees."""
+    """Probability and goodness-of-fit checks on random trees."""
     for size in args.sizes:
         _check_counts(at_least=2, **{"--sizes": size})
     _check_counts(**{"--draws": args.draws})
@@ -288,19 +287,11 @@ def cmd_verify_sampler(args) -> int:
         max_err = float(np.abs(tree.probs(np.arange(n)) - exact).max())
         counts = np.bincount(tree.sample_many(args.draws, rng), minlength=n)
         pvalue = float(stats.chisquare(counts, exact * args.draws).pvalue)
-        v0 = tree.sample_visits
-        tree.sample_many(1, rng)
-        sample_touch = tree.sample_visits - v0
-        w0 = tree.update_writes
-        tree.update_many([n // 2], [2.0])
-        update_touch = tree.update_writes - w0
-        ok = (max_err < 1e-12 and pvalue > 1e-3
-              and sample_touch == tree.depth and update_touch == tree.depth + 1)
+        ok = max_err < 1e-12 and pvalue > 1e-3
         if not ok:
             failures.append(n)
         print(dumps_json({"n": n, "depth": tree.depth, "max_prob_error": max_err,
-                          "chisq_pvalue": pvalue, "sample_touches": sample_touch,
-                          "update_touches": update_touch, "ok": ok}))
+                          "chisq_pvalue": pvalue, "ok": ok}))
     if failures:
         print(f"sampler verification failed for n in {failures}", file=sys.stderr)
         return 1
@@ -312,40 +303,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adasamp",
                              description="adaptive-sampling SGD experiments and bound evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
-    # these subcommands' flags are absent unless given, and take their defaults
-    # where they are read: ExperimentConfig, probe_stability or _BOUND_DEFAULTS
-    unset = {"argument_default": argparse.SUPPRESS}
+    # but for verify-sampler's, flags are absent unless given, and take their
+    # defaults where they are read: ExperimentConfig, probe_stability or _BOUND_DEFAULTS
 
-    p = sub.add_parser("train", help="run one sampler configuration for several trials",
-                       **unset)
-    _add_experiment_flags(p)
+    p = _config_parser(sub, "train", "run one sampler configuration for several trials", _FIELDS)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("compare", help="uniform vs adaptive arms on shared seeds", **unset)
-    _add_experiment_flags(p)
+    p = _config_parser(sub, "compare", "uniform vs adaptive arms on shared seeds", _FIELDS)
     p.add_argument("--alphas", type=finite_float, nargs="+", default=None,
                    help="adaptive arm amplitudes, in place of --alpha")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("bounds", help="evaluate one closed-form coefficient or bound", **unset)
+    p = sub.add_parser("bounds", help="evaluate one closed-form coefficient or bound",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--formula", required=True, choices=list(_BOUND_FORMULAS))
     for name, default in _BOUND_DEFAULTS.items():
         p.add_argument("--" + name.replace("_", "-"), dest=name,
                        type=int if isinstance(default, int) else finite_float)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("probe-stability", help="empirical stability vs closed forms", **unset)
-    _add_probe_flags(p)
+    p = _config_parser(sub, "probe-stability", "empirical stability vs closed forms",
+                       PROBE_FIELDS)
     p.add_argument("--perturbations", type=int)
     p.add_argument("--probe-seeds", type=int, dest="probe_seeds")
     p.set_defaults(func=cmd_probe_stability)
 
-    p = sub.add_parser("synth-data", help="write a synthetic dataset CSV", **unset)
-    _add_task_flags(p)
+    p = _config_parser(sub, "synth-data", "write a synthetic dataset CSV", _SYNTH_FIELDS,
+                       config_file=False)
     p.add_argument("--out", required=True, help="CSV path to write")
     p.set_defaults(n=1000, func=cmd_synth_data)
 
-    p = sub.add_parser("verify-sampler", help="distribution and complexity checks")
+    p = sub.add_parser("verify-sampler", help="probability and goodness-of-fit checks")
     p.add_argument("--sizes", type=int, nargs="+", default=[2, 7, 64, 1000])
     p.add_argument("--draws", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, _check_counts, _check_positive, _squared_distances
+from .model import Dataset, _check_counts, _check_fraction, _check_positive, _squared_distances
 
 _CSV_ROWS = 1 << 10  # parsed rows held as Python floats before they become an array
 # Well above any standard normal draw: numpy draws the tail as
@@ -98,8 +98,7 @@ def synth_arrays(n: int, dim: int, classes: int, imbalance: float, noise: float,
     _check_counts(at_least=2, classes=classes)
     _check_counts(dim=dim)
     _check_counts(at_least=classes, n=n)
-    if not 0 <= imbalance < 1 or not 0 <= noise < 1:
-        raise ValueError("imbalance and noise must lie in [0, 1)")
+    _check_fraction(imbalance=imbalance, noise=noise)
     _check_positive(separation=separation)
     rng = np.random.default_rng(seed)
     means = _class_means(classes, dim, separation)

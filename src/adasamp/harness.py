@@ -60,6 +60,7 @@ from .optim import RULE_KINDS, SCHEDULE_KINDS, StepSchedule, UpdateRuleState, ap
 
 UTILITY_FLAGS = {"01": "zero_one", "l1": "l1"}
 SYNTHETIC_TASK = ("n", "dim", "classes", "imbalance", "noise", "separation")  # unread with a csv
+PROBE_FIELDS = ("seed", *SYNTHETIC_TASK, "iters", "mu", "loss_bound")  # what probe_stability reads
 PROBE_EVAL_N = 200  # fresh points the stability probes take their loss differences over
 
 

@@ -297,6 +297,13 @@ def _check_open_unit(**named) -> None:
             raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
 
 
+def _check_fraction(**named) -> None:
+    """Each value in the half-open [0, 1), else `<name> must lie in [0, 1), got <v>`."""
+    for name, v in named.items():
+        if not 0 <= v < 1:
+            raise ValueError(f"{name} must lie in [0, 1), got {v!r}")
+
+
 def _check_objective(mu: float, M: float, radius: float | None) -> None:
     """The objective's inputs: mu and the radius (unless None) in [0, inf), M in (0, inf)."""
     _check_nonnegative(mu=mu)

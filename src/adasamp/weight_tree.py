@@ -48,7 +48,9 @@ class WeightTree:
     positive label, which a draw can then reach.
 
     Counters `sample_visits` (depth per draw) and `update_writes` (depth+1 per
-    written index), summed over runs, back the touched-node complexity tests.
+    written index), summed over runs, are what perfbench's tracer derives its
+    draw and leaf-write counts from. They restate the walk's length rather
+    than measure it; the touched-node tests count the labels themselves.
     """
 
     def __init__(self, weights):

@@ -71,6 +71,52 @@ def naive_descend(weights, uniforms):
     return lo
 
 
+class CountingLabels(np.ndarray):
+    """A view of a weight tree's label array that records the position, in
+    the whole array, of every label read or written through an index: an
+    integer, an index array or `np.add.at`. A slice is a counting view that
+    adds to the same record; an index gives plain values."""
+
+    def __array_finalize__(self, base):
+        self.record = getattr(base, "record", [])
+        self.origin = getattr(base, "origin", 0)
+        if base is not None:  # a slice starts this many labels into its base
+            self.origin += (self.ctypes.data - base.ctypes.data) // self.itemsize
+
+    def _note(self, key):
+        if not isinstance(key, slice):
+            self.record.append(np.asarray(key).ravel() + self.origin)
+
+    def __getitem__(self, key):
+        self._note(key)
+        got = super().__getitem__(key)
+        if isinstance(got, CountingLabels) and not isinstance(key, slice):
+            return got.view(np.ndarray)
+        return got
+
+    def __setitem__(self, key, value):
+        self._note(key)
+        super().__setitem__(key, value)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "at":
+            inputs[0]._note(inputs[1])
+        plain = (x.view(np.ndarray) if isinstance(x, CountingLabels) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def touched_labels(tree, operation):
+    """operation(tree)'s result, and the positions of the labels it read or
+    wrote through an index, one entry per access, as counted by CountingLabels."""
+    plain = tree._nodes
+    tree._nodes = plain.view(CountingLabels)
+    try:
+        result = operation(tree)
+    finally:
+        record, tree._nodes = tree._nodes.record, plain
+    return result, np.concatenate(record) if record else np.empty(0, dtype=np.int64)
+
+
 def naive_run_indexed(ds, indices, sched, mu, h0, radius):
     """Plain SGD driven by a forced index sequence (the coupled runs of the
     stability definitions). Always batch 1, sgd rule, no reweighting."""

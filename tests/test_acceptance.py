@@ -36,7 +36,8 @@ from adasamp import (
     zeros_hypothesis,
 )
 from adasamp.harness import ExperimentConfig, probe_stability, run_comparison
-from oracles import Example, naive_descend, objective_grad, objective_value, posterior_objective
+from oracles import (Example, naive_descend, objective_grad, objective_value,
+                     posterior_objective, touched_labels)
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -79,18 +80,21 @@ def test_sampler_touch_counts_scale_with_depth():
         tree = WeightTree(rng.uniform(0.5, 1.5, size=n))
         depth = tree.depth
         ok = ok and depth == max(0, math.ceil(math.log2(n)))
-        v0 = tree.sample_visits
-        for _ in range(5):
-            tree.sample_many(1, rng)
-        ok = ok and tree.sample_visits - v0 == 5 * depth
-        w0 = tree.update_writes
-        for i in rng.integers(0, n, size=3):
-            tree.update_many([i], [float(rng.uniform(0.5, 2.0))])
-        ok = ok and tree.update_writes - w0 == 3 * (depth + 1)
+        for _ in range(5):  # the root, then both children of each node above the drawn leaf
+            drawn, labels = touched_labels(tree, lambda t: t.sample_many(1, rng))
+            above = (tree.capacity + int(drawn[0])) >> np.arange(1, depth + 1)
+            path = {1, *(2 * above).tolist(), *(2 * above + 1).tolist()}
+            ok = ok and labels.size == 2 * depth + 1 and set(labels.tolist()) == path
+        for i in rng.integers(0, n, size=3):  # the leaf and its depth ancestors
+            _, labels = touched_labels(tree, lambda t: t.update_many([i], [rng.uniform(0.5, 2.0)]))
+            path = set(((tree.capacity + int(i)) >> np.arange(depth + 1)).tolist())
+            touched, times = np.unique(labels, return_counts=True)
+            ok = ok and set(touched.tolist()) == path and times.max() <= 3
     dt = time.perf_counter() - t0
     ok = ok and dt < 60.0
-    _verdict(ok, "per-sample node touches equal depth and per-update touches "
-                 f"equal depth+1 for n up to 1e6 [{dt:.1f}s < 60s]")
+    _verdict(ok, "a draw reads 2*depth+1 labels, the root and both children of each node on "
+                 "its path, and a write touches its leaf and its depth ancestors alone, each "
+                 f"at most 3 times, for n up to 1e6 [{dt:.1f}s < 60s]")
 
 
 # 3. gradient and regularity

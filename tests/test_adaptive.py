@@ -145,10 +145,10 @@ def test_sampler_config_validation():
         SamplerConfig(amplitude=1.0, decay=0.5, iterations=0)
     with pytest.raises(ValueError):
         SamplerConfig(amplitude=1.0, decay=0.5, utility="hinge")
-    # ln-weight cap amplitude/(1-decay) guards exp overflow
-    with pytest.raises(ValueError):
-        SamplerConfig(amplitude=400.0, decay=0.5)
-    SamplerConfig(amplitude=300.0, decay=0.5)  # 600 <= 700 is fine
+    # ln-weight cap amplitude/(1-decay) guards the precision of the tree's sums
+    with pytest.raises(ValueError, match="lose precision"):
+        SamplerConfig(amplitude=13.0, decay=0.5)
+    SamplerConfig(amplitude=12.5, decay=0.5)  # 25 <= 25 is fine
 
 
 def test_a_negative_zero_amplitude_is_stored_as_zero():
@@ -206,24 +206,27 @@ def test_conditional_kl_adds_less_than_two_and_a_half_floats_a_leaf():
 
 # ---- training loop ----
 
-def test_train_rejects_weights_that_could_sum_past_the_float_range():
-    # amplitude/(1-decay) = 700 passes SamplerConfig's cap, but 9000 weights of
-    # exp(700) sum past half the largest float; 8000 of them do not
-    cfg = SamplerConfig(amplitude=350.0, decay=0.5, iterations=1)
-    assert 700 + math.log(8000) < math.log(np.finfo(np.float64).max / 2) < 700 + math.log(9000)
-    for n, ok in ((8000, True), (9000, False)):
-        ds = _random_dataset(5, n=n)
-        args = (ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(), 0.0, 5.0,
-                zeros_hypothesis(2, 3), np.random.default_rng(0))
-        if ok:
-            train(*args)
-        else:
-            with pytest.raises(ValueError, match="summed weights could overflow"):
-                train(*args)
-    with pytest.raises(ValueError, match="summed weights could overflow"):
-        train_many(ds, [SamplerConfig(amplitude=0.0, decay=0.5), cfg], StepSchedule.constant(0.1),
-                   UpdateRuleState.sgd(), 0.0, 5.0, [zeros_hypothesis(2, 3)] * 2,
-                   [np.random.default_rng(r) for r in range(2)])
+@pytest.mark.parametrize("decay", [0.1, 0.5])
+def test_tree_labels_stay_accurate_at_the_ln_weight_cap(monkeypatch, decay):
+    # a weight of e^L that drops leaves its ancestors' labels an error of about
+    # e^L * 2**-53; at L = 30 this instance's labels read 1e-2 off their sums
+    worst, peak = [0.0], [0.0]
+    write = WeightTree._write
+
+    def checked(tree, idx, w, runs):
+        write(tree, idx, w, runs)
+        exact = WeightTree(tree._leaves())._rows[:, 1:tree.capacity]  # relabelled bottom-up
+        worst[0] = max(worst[0], (np.abs(tree._rows[:, 1:tree.capacity] - exact) / exact).max())
+        peak[0] = max(peak[0], tree._leaves().max())
+
+    monkeypatch.setattr(WeightTree, "_write", checked)
+    cfg = SamplerConfig(amplitude=adaptive.MAX_LOG_WEIGHT * (1 - decay), decay=decay,
+                        utility="zero_one", batch_size=4, iterations=1000)
+    ds = synth_data(16, 2, 2, 0.0, 0.2, seed=0, separation=1.0)  # noisy: weights rise and drop
+    train(ds, cfg, StepSchedule.constant(0.5), UpdateRuleState.sgd(), 0.0, 5.0,
+          zeros_hypothesis(2, 2), np.random.default_rng(0))
+    assert math.log(peak[0]) > 24.9  # a weight came within 0.1 of the cap
+    assert worst[0] < 1e-3, worst[0]
 
 
 def test_single_iteration_is_one_sgd_step():

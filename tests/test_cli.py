@@ -1,6 +1,8 @@
 """CLI: subcommand behavior, config-file precedence, exit codes, and that
 printed bound values match the underlying functions."""
 
+import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import adasamp.harness as harness
 from adasamp import bounds, cli
-from adasamp.cli import experiment_config, load_config_file, main, parse_args
+from adasamp.cli import build_parser, experiment_config, load_config_file, main, parse_args
 from adasamp.data import load_csv
 from adasamp.harness import ExperimentConfig, dumps_json
 from adasamp.optim import RULE_KINDS, SCHEDULE_KINDS
@@ -526,8 +528,6 @@ def test_verify_sampler_passes(capsys):
         row = json.loads(line)
         assert row["ok"] is True
         assert row["max_prob_error"] < 1e-12
-        assert row["sample_touches"] == row["depth"]
-        assert row["update_touches"] == row["depth"] + 1
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -666,8 +666,8 @@ def test_no_experiment_flag_has_a_default_in_the_parser():
     (["train", "--lambda", "1.5"], "decay must lie in (0, 1), got 1.5"),
     (["train", "--batch", "0"], "batch_size must be >= 1"),
     (["train", "--iters", "0"], "iterations must be >= 1"),
-    (["train", "--alpha", "400", "--lambda", "0.5"],
-     "amplitude/(1-decay) = 800 exceeds 700; weights would overflow"),
+    (["train", "--alpha", "13", "--lambda", "0.5"],
+     "amplitude/(1-decay) = 26 exceeds 25; the weight tree's sums would lose precision"),
     (["compare", "--alphas", "1", "-1"], "amplitude must be nonnegative and finite, got -1.0"),
     (["train", "--M", "0"], "M must be positive and finite"),
     (["train", "--mu", "-1"], "mu must be nonnegative and finite, got -1.0"),
@@ -679,6 +679,12 @@ def test_no_experiment_flag_has_a_default_in_the_parser():
     (["train", "--schedule", "strongly_convex", "--mu", "0.1", "--eta", "-1"],
      "eta must be nonnegative and finite, got -1.0"),
     (["compare", "--M", "0", "--alphas", "1"], "M must be positive and finite"),
+    (["train", "--n", "200", "--alpha", "40", "--lambda", "0.5", "--utility", "01",
+      "--iters", "300", "--batch", "10"],
+     "amplitude/(1-decay) = 80 exceeds 25; the weight tree's sums would lose precision"),
+    (["train", "--n", "200", "--alpha", "20", "--lambda", "0.9", "--utility", "01",
+      "--iters", "300", "--batch", "10"],
+     "amplitude/(1-decay) = 200 exceeds 25; the weight tree's sums would lose precision"),
 ])
 def test_a_sampler_value_is_rejected_before_any_data_is_built(monkeypatch, capsys, tmp_path,
                                                                argv, message):
@@ -695,9 +701,10 @@ def test_a_sampler_value_is_rejected_before_any_data_is_built(monkeypatch, capsy
 
 
 def test_compare_alphas_are_checked_against_lambda_in_place_of_alpha(tmp_path, capsys):
-    # the default alpha 2 would overflow at lambda 0.998, but --alphas replace it
+    # the default alpha 2 would exceed the ln-weight cap at lambda 0.95 (40 > 25),
+    # but --alphas replace it
     out = tmp_path / "cmp"
-    assert main(["compare", *SMALL, "--lambda", "0.998", "--alphas", "1", "--out", str(out)]) == 0
+    assert main(["compare", *SMALL, "--lambda", "0.95", "--alphas", "1", "--out", str(out)]) == 0
     for name, alpha in (("uniform", 0), ("alpha_1", 1)):
         assert json.loads((out / name / "report.json").read_text())["config"]["alpha"] == alpha
 
@@ -769,6 +776,41 @@ def test_the_choice_flags_are_the_package_kinds_in_order():
     assert actions["rule"].choices is RULE_KINDS == ("sgd", "adagrad")
     assert actions["schedule"].choices is SCHEDULE_KINDS == (
         "constant", "inverse_decay", "strongly_convex")
+
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("command,fields,others", [
+    ("train", tuple(_FIELD_TYPES), {"config"}),
+    ("compare", tuple(_FIELD_TYPES), {"config", "alphas"}),
+    ("probe-stability", harness.PROBE_FIELDS, {"config", "perturbations", "probe_seeds"}),
+    ("synth-data", ("seed", *harness.SYNTHETIC_TASK), {"out"}),  # --out: the CSV to write
+])
+def test_each_config_field_a_subcommand_reads_is_one_flag(command, fields, others):
+    # spelled --<field with - for _> but --lambda and --M; an int, a finite float,
+    # a string, a choice or an on/off flag as its annotation and kind say
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    assert sorted(a.dest for a in actions) == sorted(["help", *fields, *others])
+    for action in actions:
+        if action.dest not in fields:
+            continue
+        name, kind = action.dest, _FIELD_TYPES[action.dest]
+        flag = {"decay": "--lambda", "loss_bound": "--M"}.get(name)
+        assert action.option_strings == [flag or "--" + name.replace("_", "-")]
+        if name in ("utility", "rule", "schedule"):
+            assert action.choices and action.type is None
+            continue
+        assert action.choices is None
+        if kind == "bool":
+            assert isinstance(action, argparse._StoreTrueAction)
+        else:
+            assert action.type is {"int": int, "float": cli.finite_float, "str": None,
+                                   "float | None": cli.finite_float, "str | None": None}[kind]
+    if command == "synth-data":
+        assert next(a for a in actions if a.dest == "out").required
 
 
 def _rejected_before_reading(monkeypatch, capsys, argv, tmp_path):

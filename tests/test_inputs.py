@@ -125,7 +125,8 @@ ENTRY_POINTS = {
     "StepSchedule.inverse_decay": (_schedule("inverse_decay"), ["eta", "kappa"], []),
     "StepSchedule.strongly_convex": (_schedule("strongly_convex"), ["mu", "smoothness"], []),
     "build_datasets": (_build_datasets, [], ["n", "test_n"]),
-    "synth_arrays": (_synth_arrays, ["separation"], ["n", "dim", "classes"]),
+    "synth_arrays": (_synth_arrays, ["imbalance", "noise", "separation"],
+                     ["n", "dim", "classes"]),
     "Dataset": (_dataset, [], ["num_classes"]),
     "probe_stability": (_probe_stability, [], ["n", "perturbations", "probe_seeds"]),
     "verify-sampler": (_verify_sampler, [], ["--sizes", "--draws"]),
@@ -160,6 +161,9 @@ def test_each_entry_point_rejects_a_bad_scalar_naming_it(monkeypatch, entry, nam
     (lambda: bounds.gen_bound_chisq(0.0, 1.0, 1, 0.0, 0.0), "delta must lie in (0, 1), got 0.0"),
     (lambda: bounds.sgd_stability_nonconvex(1.0, 1.0, 0.1, 10, 1, 1.0), "n must be >= 2"),
     (lambda: data.synth_arrays(2, 3, 3, 0.0, 0.0, 0, 1.0), "n must be >= 3"),
+    (lambda: data.synth_arrays(10, 3, 2, 1.0, 0.0, 0, 1.0),
+     "imbalance must lie in [0, 1), got 1.0"),
+    (lambda: data.synth_arrays(10, 3, 2, 0.0, 1.0, 0, 1.0), "noise must lie in [0, 1), got 1.0"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_a_rule_rejects_with_its_own_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -128,7 +128,7 @@ def test_single_leaf_tree():
     assert rng.random() == np.random.default_rng(3).random()
     assert tree.descend_many(np.empty((3, 0))).tolist() == [0, 0, 0]
     tree.update_many([0], [5.0])
-    assert tree.totals[0] == 5.0 and tree.update_writes == 1
+    assert tree.totals[0] == 5.0
 
 
 def test_update_to_zero_renormalizes():
@@ -148,17 +148,6 @@ def test_update_changes_prob():
     tree = WeightTree([1, 1])
     tree.update_many([1], [3.0])
     assert tree.probs([1])[0] == pytest.approx(0.75, abs=1e-15)
-
-
-def test_touch_counters_match_depth():
-    for n in (2, 7, 64, 1000):
-        tree = WeightTree(np.ones(n))
-        rng = np.random.default_rng(n)
-        v0, w0 = tree.sample_visits, tree.update_writes
-        tree.sample_many(1, rng)
-        assert tree.sample_visits - v0 == tree.depth
-        tree.update_many([n // 2], [2.0])
-        assert tree.update_writes - w0 == tree.depth + 1
 
 
 def test_sum_consistency_under_many_updates():
@@ -231,7 +220,7 @@ def test_a_total_past_the_float_range_is_rejected():
         tree.update_many([0, 1], [2 * quarter, 0.0])
     with pytest.raises(ValueError, match="^total weight must be finite$"):
         tree.update_many([3], [np.finfo(np.float64).max])
-    assert tree._nodes.tobytes() == labels.tobytes() and tree.update_writes == 0
+    assert tree._nodes.tobytes() == labels.tobytes()
     tree.update_many([1, 0], [0.0, 2 * quarter])
     assert tree.totals[0] == 4 * quarter
     assert tree.probs([0, 1, 2, 3]).tolist() == [0.5, 0.0, 0.25, 0.25]
@@ -321,9 +310,7 @@ def _ancestors(tree, indices):
 def test_descend_many_matches_rowwise_descend(weights, k, seed):
     tree = WeightTree(weights)
     u = np.random.default_rng(seed).random((k, tree.depth))
-    visits = tree.sample_visits
     got = tree.descend_many(u)
-    assert tree.sample_visits - visits == k * tree.depth
     expect = [naive_descend(weights, row) for row in u]
     assert got.dtype == np.int64 and got.tolist() == expect
     assert all(0 <= i < tree.n and weights[i] > 0 for i in expect)
@@ -342,8 +329,7 @@ def test_update_many_matches_sequential_updates(weights, data):
         for i, v in zip(idx, new):
             rowwise.update_many([i], [v])
         assert batched._nodes.tobytes() == rowwise._nodes.tobytes() == walked.tobytes()
-        assert (batched.update_writes, batched._updates_since_rebuild) == (
-            rowwise.update_writes, rowwise._updates_since_rebuild)
+        assert np.array_equal(batched._updates_since_rebuild, rowwise._updates_since_rebuild)
         assert np.all(batched._nodes[batched.capacity + n:] == 0.0)  # padding untouched
 
 
@@ -371,7 +357,7 @@ def test_update_many_under_drift_stays_near_its_rebuild(weights, data):
         assert np.array_equal(_leaves(tree), _leaves(exact))
 
 
-def test_update_many_shared_ancestors_and_counters():
+def test_update_many_shared_ancestors():
     rng = np.random.default_rng(4)
     w = rng.uniform(0.5, 2.0, size=13)
     batched, rowwise = WeightTree(w), WeightTree(w)
@@ -382,9 +368,8 @@ def test_update_many_shared_ancestors_and_counters():
     for i, v in zip(order, new):
         rowwise.update_many([i], [v])
     assert batched._nodes.tobytes() == rowwise._nodes.tobytes() == walked.tobytes()
-    assert batched.update_writes == 13 * (batched.depth + 1)
     batched.update_many([], [])
-    assert batched.update_writes == 13 * (batched.depth + 1)
+    assert batched._nodes.tobytes() == walked.tobytes()
 
 
 def test_batched_methods_reject_bad_input():
@@ -406,7 +391,6 @@ def test_batched_methods_reject_bad_input():
     with pytest.raises(ValueError):
         tree.update_many([0, 1], [2.0])
     assert np.array_equal(tree._nodes, WeightTree(np.ones(5))._nodes)  # nothing written
-    assert tree.update_writes == 0
 
 
 def test_automatic_rebuild_runs_at_the_end_of_a_batch(monkeypatch):
@@ -473,7 +457,6 @@ def test_checked_methods_reject_a_stacked_tree():
     with pytest.raises(ValueError):
         stacked.sample_many(2, np.random.default_rng(0))
     assert stacked._nodes.tobytes() == labels.tobytes()
-    assert stacked.update_writes == 0
     # a one-run tree's probs take a 1-d array of indices
     with pytest.raises(ValueError, match="indices must be a 1-d array"):
         WeightTree(np.ones(5)).probs([[0, 1]])
