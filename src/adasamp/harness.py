@@ -373,16 +373,25 @@ SCHEDULE_NOTE = (
     "eta/(1+kappa*t) satisfies it with eta' = eta/kappa only when kappa > 0. "
     "Values below echo the configured eta at face value."
 )
+KL_NOTE = (
+    "gen_kl, gen_sgd_strongly_convex and gen_derandomized take each trial's kl_stat, the "
+    "utility-sum statistic of that trial's one sample path. Its expectation over paths "
+    "bounds KL(Q||P) from above only at batch 1; at batch > 1 it can fall below the KL, "
+    "so these bounds are not certified there. A certified KL is to replace it (ROADMAP "
+    "item 3a)."
+)
 
 
 def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
                  train_ds: Dataset, test_ds: Dataset, metrics) -> dict:
     """The final JSON report: the echo of every config field the run read
-    (each field `unread_fields` does not name), constants, one row per trial
-    read from its last metrics record (the t = T tick) with bound evaluations
-    (its KL statistic plugged in, each KL bound marked vacuous when its value
-    is at least M, and the KL-free test-set bound on its held-out risk), and
-    cross-trial aggregates of those rows."""
+    (each field `unread_fields` does not name), constants, two constant
+    notes (what the stability coefficients assume of the schedule, and what
+    the KL bounds take as their KL), one row per trial read from its last
+    metrics record (the t = T tick) with bound evaluations (its KL statistic
+    plugged in, each KL bound marked vacuous when its value is at least M,
+    and the KL-free test-set bound on its held-out risk), and cross-trial
+    aggregates of those rows."""
     n, T = train_ds.n, cfg.iters
     h0 = zeros_hypothesis(train_ds.num_classes, train_ds.feature_dim)
     h0_risk = _risk_and_accuracy(h0, test_ds, consts.loss_bound)[0]
@@ -423,6 +432,7 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
             "test_n": test_ds.n,
         },
         "schedule_note": SCHEDULE_NOTE,
+        "kl_note": KL_NOTE,
         "trials": trial_rows,
         "aggregate": agg,
     }

@@ -35,10 +35,11 @@ class WeightTree:
     adds every delta to its ancestors with one `np.add.at` in row order, and
     clamps the touched labels at 0 once per batch. `descend_many` takes every
     run: an array with a leading run axis carries all R runs, and on a
-    one-run tree that axis may be left out. `_write` takes each leaf's run.
-    `probs`, `sample_many` and `update_many` serve a one-run tree alone. The
-    one-run forks (`runs is None`) are speed paths only: the run-offset path
-    gives the same labels, but tiny calls pay for its extra arrays.
+    one-run tree that axis may be left out. `_write` takes each leaf's run,
+    and is the one code that writes leaves. `probs` and `sample_many` serve a
+    one-run tree alone. The one-run forks (`runs is None`) are speed paths
+    only: the run-offset path gives the same labels, but tiny calls pay for
+    its extra arrays.
 
     Incremental updates accumulate float drift in the internal labels, bounded in
     practice far below 1e-9 of the root; `rebuild` recomputes the labels bottom-up
@@ -64,7 +65,8 @@ class WeightTree:
             raise ValueError("weights must be finite and nonnegative")
         if not (hi > 0 if len(w) == 1 else w.max(axis=1).min() > 0):
             raise ValueError("at least one weight must be positive")
-        _reject_below_min_weight(w, lo)
+        if lo < _MIN_WEIGHT and ((w > 0) & (w < _MIN_WEIGHT)).any():
+            raise ValueError("positive weights must be at least 2**-1021")
         self.runs, self.n = w.shape
         self.depth = max(0, math.ceil(math.log2(self.n)))
         self.capacity = 1 << self.depth
@@ -84,10 +86,6 @@ class WeightTree:
         """Run `run`'s n leaf labels, or every run's as rows, as a view."""
         return self._rows[run, self.capacity : self.capacity + self.n]
 
-    def _check_one_run(self, method: str) -> None:
-        if self.runs != 1:
-            raise ValueError(f"{method} takes a one-run tree, not one of {self.runs} runs")
-
     def _check_runs(self, a: np.ndarray, ndim: int) -> None:
         """Reject `a` unless it is `ndim`-d with a leading axis of all R runs,
         an axis that a one-run tree lets a caller leave out."""
@@ -104,7 +102,8 @@ class WeightTree:
     def probs(self, indices) -> np.ndarray:
         """Current sampling probabilities, weight / root, of a 1-d integer array
         of indices into a one-run tree."""
-        self._check_one_run("probs")
+        if self.runs != 1:
+            raise ValueError(f"probs takes a one-run tree, not one of {self.runs} runs")
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("indices must be a 1-d array")
@@ -161,40 +160,14 @@ class WeightTree:
 
     # ---- writing ----
 
-    def update_many(self, indices, weights) -> None:
-        """Set leaf indices[k] of a one-run tree to weights[k], for distinct
-        indices, through `_write`, after checking every argument and the root."""
-        self._check_one_run("update_many")
-        idx = np.asarray(indices, dtype=np.int64)
-        w = np.asarray(weights, dtype=np.float64)
-        if idx.ndim != 1 or w.shape != idx.shape:
-            raise ValueError("indices and weights must be 1-d arrays of one length")
-        k = idx.size
-        if k == 0:
-            return
-        if idx.view(np.uint64).max() >= self.n:  # negatives wrap to huge
-            raise IndexError(f"index out of range for n={self.n}")
-        lo = w.min()
-        if not (lo >= 0 and w.max() < math.inf):
-            raise ValueError("weight must be finite and nonnegative")
-        _reject_below_min_weight(w, lo)
-        if k > 1:
-            ordered = np.sort(idx)
-            if (ordered[1:] == ordered[:-1]).any():
-                raise ValueError("indices must be distinct")
-        total = float(self._nodes[1])  # the root after `_write`, in its order of additions
-        for delta in (w - self._nodes[idx + self.capacity]).tolist():
-            total += delta
-        if total == math.inf:
-            raise ValueError("total weight must be finite")
-        self._write(idx, w, None)
-
     def _write(self, idx: np.ndarray, w: np.ndarray, runs) -> None:
-        """Set leaf idx[k] of run runs[k] (run 0 when runs is None) to w[k], for
-        distinct (run, index) pairs, unchecked: a nonempty int64 idx, float64
-        weights that `update_many` would accept, and int64 runs in range (or
-        None). Callers that build valid writes themselves, as the trainer
-        does, skip the checks.
+        """Set leaf idx[k] of run runs[k] (run 0 when runs is None) to w[k].
+
+        Unchecked: the caller guarantees a nonempty int64 idx with entries in
+        [0, n), int64 runs in [0, R) (or None), distinct (run, index) pairs,
+        and float64 weights that are finite and 0 or at least 2**-1021, with
+        every root left finite. The trainer builds such writes: distinct
+        drawn indices, with weights exp(amplitude * A) >= 1.
 
         Each delta goes to its depth ancestors through one `np.add.at` over the
         row-major (k, depth) ancestor matrix, so every label receives its deltas
@@ -246,9 +219,3 @@ class WeightTree:
         else:
             self._rows[runs] = rows
             self._updates_since_rebuild[runs] = 0
-
-
-def _reject_below_min_weight(w: np.ndarray, lo: float) -> None:
-    """Raise if a positive weight is below _MIN_WEIGHT; `lo` is w.min()."""
-    if lo < _MIN_WEIGHT and ((w > 0) & (w < _MIN_WEIGHT)).any():
-        raise ValueError("positive weights must be at least 2**-1021")

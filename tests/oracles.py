@@ -5,6 +5,7 @@ gradient, utility and class probabilities pin the trainer's stacked kernels
 bitwise, and through them the enumeration oracle that steps with those
 kernels."""
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -115,6 +116,51 @@ def touched_labels(tree, operation):
     finally:
         record, tree._nodes = tree._nodes.record, plain
     return result, np.concatenate(record) if record else np.empty(0, dtype=np.int64)
+
+
+def fixed_utility_batch_kl(u, batch: int, T: int, amplitude: float, decay: float):
+    """Exact (KL(Q || P), E[utility-sum statistic]) of a T-iteration sampler
+    run at any batch size, when example i's utility is u[i] at every
+    iteration (a run whose steps never change a prediction). Q is the law of
+    the whole draw sequence and P that of uniform draws.
+
+    Iteration t draws `batch` indices i.i.d. from Q_t(i) = exp(amplitude *
+    A_i) / sum_j exp(amplitude * A_j), normalized naively, and then each
+    distinct drawn index takes A_i <- decay * A_i + u[i]. The KL is
+    sum_t batch * E[KL(Q_t || uniform)], by the chain rule over the i.i.d.
+    draws; the statistic is amplitude/(1-decay) times the sum of u over the
+    distinct drawn indices of iterations 1..T-1. Every history of drawn index
+    sets is walked: a set's probability is the multinomial mass of the count
+    vectors with exactly that support, and histories that reach the same
+    accumulators are merged. Shares no code with the trainer or the tree."""
+    n = len(u)
+    by_support = {}
+    for counts in itertools.product(range(batch + 1), repeat=n):
+        if sum(counts) == batch:
+            coef = math.factorial(batch) / math.prod(math.factorial(c) for c in counts)
+            support = tuple(i for i, c in enumerate(counts) if c)
+            by_support.setdefault(support, []).append((coef, counts))
+    scale = amplitude / (1.0 - decay)
+    kl = stat = 0.0
+    states = {(0.0,) * n: 1.0}  # accumulators -> probability of reaching them
+    for t in range(1, T + 1):
+        reached = {}
+        for acc, p in states.items():
+            e = [math.exp(amplitude * a) for a in acc]
+            q = [x / sum(e) for x in e]
+            kl += p * batch * sum(qi * math.log(n * qi) for qi in q)
+            if t == T:
+                continue
+            for support, terms in by_support.items():
+                p_set = p * sum(coef * math.prod(qi**c for qi, c in zip(q, counts))
+                                for coef, counts in terms)
+                stat += p_set * scale * sum(u[i] for i in support)
+                nxt = list(acc)
+                for i in support:
+                    nxt[i] = decay * acc[i] + u[i]
+                reached[tuple(nxt)] = reached.get(tuple(nxt), 0.0) + p_set
+        states = reached
+    return kl, stat
 
 
 def naive_run_indexed(ds, indices, sched, mu, h0, radius):

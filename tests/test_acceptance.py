@@ -86,7 +86,8 @@ def test_sampler_touch_counts_scale_with_depth():
             path = {1, *(2 * above).tolist(), *(2 * above + 1).tolist()}
             ok = ok and labels.size == 2 * depth + 1 and set(labels.tolist()) == path
         for i in rng.integers(0, n, size=3):  # the leaf and its depth ancestors
-            _, labels = touched_labels(tree, lambda t: t.update_many([i], [rng.uniform(0.5, 2.0)]))
+            _, labels = touched_labels(
+                tree, lambda t: t._write(np.array([i]), np.array([rng.uniform(0.5, 2.0)]), None))
             path = set(((tree.capacity + int(i)) >> np.arange(depth + 1)).tolist())
             touched, times = np.unique(labels, return_counts=True)
             ok = ok and set(touched.tolist()) == path and times.max() <= 3

@@ -28,6 +28,7 @@ from adasamp import (
 )
 import adasamp.adaptive as adaptive
 import adasamp.weight_tree as weight_tree
+from adasamp.harness import ExperimentConfig, run_comparison
 from adasamp.model import batch_objective_grads
 from adasamp.optim import ADAGRAD_EPS
 from oracles import (
@@ -380,7 +381,7 @@ def test_tree_trainer_matches_naive_reimplementation(seed, n, T, batch, kind):
 
 def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
     """The trainer as one draw and one reweighting per Python step: a one-row
-    `descend_many` per draw, a one-row `update_many` per unique index, and the
+    `descend_many` per draw, a one-row `_write` per unique index, and the
     per-iteration numpy calls the batched trainer replaced (np.unique, np.mean,
     np.clip, copies), keeping the trace's three running sums itself."""
     n = ds.n
@@ -424,7 +425,7 @@ def _scalar_train(ds, cfg, sched, rule, mu, h0, rng, domain_radius=None):
             old = acc[i]
             acc[i] = dec * old + u[j]
             acc_total += acc[i] - old
-            tree.update_many([i], [math.exp(amp * acc[i])])
+            tree._write(np.array([i]), np.array([math.exp(amp * acc[i])]), None)
         if t < cfg.iterations:
             out["utility_sum"] += float(u.sum())
     return h, out, acc
@@ -488,7 +489,7 @@ def _assert_same_run(got, expect):
 def test_lockstep_runs_equal_separate_train_calls_bitwise(monkeypatch, n, classes, batch, T,
                                                           kind, rule, radius, track):
     # a relabel every few leaf writes: each run must relabel after the same
-    # update_many call as alone, though the runs write different numbers of leaves
+    # `_write` call as alone, though the runs write different numbers of leaves
     monkeypatch.setattr(weight_tree, "REBUILD_EVERY", 7)
     ds = (synth_data(n, 4, classes, 0.6, 0.1, seed=n, separation=4.0) if n >= classes
           else Dataset.from_arrays(np.linspace(-1.0, 1.0, 4)[None], np.array([1]), classes))
@@ -610,6 +611,43 @@ def test_flat_runs_are_never_written(monkeypatch):
     train_many(ds, cfgs[:2], StepSchedule.constant(0.1), UpdateRuleState.sgd(), 0.0, 5.0,
                [zeros_hypothesis(2, 3)] * 2, [np.random.default_rng(s) for s in range(2)])
     assert writes == []
+
+
+def test_every_trainer_write_meets_the_write_precondition(monkeypatch):
+    # `_write` checks nothing: every write the trainer makes must name distinct
+    # (run, index) pairs in range, with finite weights exp(amplitude * A) >= 1
+    writes = []  # (leaves written per run, number of runs written) of each call
+    real_write = WeightTree._write
+
+    def checking_write(tree, idx, w, runs):
+        rows = np.zeros(len(idx), dtype=np.int64) if runs is None else runs
+        assert idx.dtype == rows.dtype == np.int64 and w.dtype == np.float64
+        assert idx.ndim == 1 and 0 < len(idx) and idx.shape == w.shape == rows.shape
+        assert idx.min() >= 0 and idx.max() < tree.n
+        assert rows.min() >= 0 and rows.max() < tree.runs
+        assert len(set(zip(rows.tolist(), idx.tolist()))) == len(idx)
+        assert np.isfinite(w).all() and w.min() >= 1.0
+        per_run = np.bincount(rows)
+        writes.append((per_run[per_run > 0].tolist(), int((per_run > 0).sum())))
+        real_write(tree, idx, w, runs)
+
+    monkeypatch.setattr(WeightTree, "_write", checking_write)
+    ds = _random_dataset(9, n=6)
+    batch = 10  # above n: every iteration's draws repeat
+    for amps in ([0.0, 0.0, 1.3, 2.0, 0.7], [0.0, 1.3, 0.0, 2.0], [1.5]):
+        cfgs = [SamplerConfig(amplitude=a, decay=0.5, batch_size=batch, iterations=15)
+                for a in amps]
+        h0s = [0.5 * np.random.default_rng(r).standard_normal((2, 3)) for r in range(len(amps))]
+        for rule in (UpdateRuleState.sgd(), UpdateRuleState.adagrad((len(amps), 2, 3))):
+            train_many(ds, cfgs, StepSchedule.constant(0.3), rule, 0.01, 5.0, h0s,
+                       [np.random.default_rng(s) for s in range(len(amps))])
+    assert all(max(per_run) <= ds.n < batch for per_run, _ in writes)
+    assert max(runs for _, runs in writes) == 3
+    writes.clear()
+    cfg = ExperimentConfig(n=24, test_n=10, batch=32, iters=12, trials=2, cadence=4)
+    run_comparison(cfg, alphas=[1.0, 2.0])  # 2 flat runs, then 4 reweighted ones
+    assert len(writes) == cfg.iters and all(runs == 4 for _, runs in writes)
+    assert any(min(per_run) < cfg.batch for per_run, _ in writes)
 
 
 @pytest.mark.parametrize("scales", [(1.0, 1e150, 1e250), (1e250, 1e150, 1.0),

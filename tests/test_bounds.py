@@ -37,7 +37,7 @@ from adasamp import (
 import adasamp.optim as optim
 from adasamp.adaptive import DivergenceError, TrainTrace
 from adasamp.bounds import heldout_risk_bound
-from oracles import chisq_divergence, kl_divergence
+from oracles import chisq_divergence, fixed_utility_batch_kl, kl_divergence
 
 
 # ---- stability coefficients ----
@@ -378,8 +378,10 @@ def test_utility_sum_statistic_of_an_unrecorded_trace_is_its_last_kl_stat(T):
 
 def test_utility_sum_statistic_falls_below_the_kl_at_batch_above_one():
     # It counts each unique drawn index once per iteration, and the sequence
-    # KL counts every draw. The zero_one utility at a step of 1e-12 keeps the
-    # utilities fixed; the mean log-ratio sum estimates the KL without bias.
+    # KL counts every draw; the mean log-ratio sum estimates the KL without
+    # bias. h0 = 0 ties every score, so the utilities are not fixed: the first
+    # 1e-12 steps decide the predictions, and the post-step utility vectors
+    # vary between runs. The next tests fix them with a large-margin h0.
     X = np.random.default_rng(1).standard_normal((3, 3))
     ds = Dataset.from_arrays(X, np.array([0, 1, 1]), 2)
     cfg = SamplerConfig(amplitude=5.0, decay=0.2, utility="zero_one", batch_size=6,
@@ -392,6 +394,44 @@ def test_utility_sum_statistic_falls_below_the_kl_at_batch_above_one():
     stat = np.array([kl_from_utility_sum(trace) for _, trace in out])
     se = math.sqrt((kl.var(ddof=1) + stat.var(ddof=1)) / runs)
     assert kl.mean() - stat.mean() > 5.0 * se, (kl.mean(), stat.mean(), se)
+
+
+def test_fixed_utility_batch_oracle_matches_frozen_values():
+    # u = (0, 0, 1), batch 6, T 4, amplitude 5, decay 0.2 (ROADMAP item 1)
+    kl, stat = fixed_utility_batch_kl([0.0, 0.0, 1.0], 6, 4, 5.0, 0.2)
+    assert kl == pytest.approx(18.2971600677633, rel=1e-12)
+    assert stat == pytest.approx(18.148903241760888, rel=1e-12)
+    # at batch 1 with constant utility 1 it is the hand-derived rigged instance
+    for alpha, lam in ((0.7, 0.4), (1.0, 0.5)):
+        kl, _, total = _closed_form_rigged(alpha, lam)
+        assert fixed_utility_batch_kl([1.0, 1.0], 1, 3, alpha, lam) == pytest.approx(
+            (kl, total), rel=1e-12)
+
+
+def test_utility_sum_statistic_falls_below_the_exact_kl_at_fixed_utilities():
+    # h0 separates the classes by a margin of 1 on every row (scores 0 and
+    # X v = (-1, 1, -1) against labels 0, 1, 1), so a 1e-12 step keeps the
+    # utilities at (0, 0, 1) and the fixed-utility oracle gives both
+    # expectations exactly
+    X = np.random.default_rng(1).standard_normal((3, 3))
+    y = np.array([0, 1, 1])
+    ds = Dataset.from_arrays(X, y, 2)
+    h0 = np.stack([np.zeros(3), np.linalg.solve(X, [-1.0, 1.0, -1.0])])
+    T, runs = 6, 20000
+    cfg = SamplerConfig(amplitude=5.0, decay=0.2, utility="zero_one", batch_size=6,
+                        iterations=T)
+    out = train_many(ds, [cfg] * runs, StepSchedule.constant(1e-12), UpdateRuleState.sgd(),
+                     0.0, 5.0, [h0] * runs, [np.random.default_rng(seed) for seed in range(runs)],
+                     metric_every=1,
+                     metric_fn=lambda r, t, h, kl_stat, cond: ((X @ h.T).argmax(axis=1) != y))
+    assert all(u.tolist() == [False, False, True] for _, trace in out for u in trace.metrics)
+    assert all(len(trace.metrics) == T for _, trace in out)
+    kl_exact, stat_exact = fixed_utility_batch_kl([0.0, 0.0, 1.0], 6, T, 5.0, 0.2)
+    assert stat_exact < kl_exact
+    for samples, exact in (([trace.total_log_ratio() for _, trace in out], kl_exact),
+                           ([kl_from_utility_sum(trace) for _, trace in out], stat_exact)):
+        mean, se = np.mean(samples), np.std(samples, ddof=1) / math.sqrt(runs)
+        assert abs(mean - exact) <= 3.0 * se, (mean, exact, se)
 
 
 # ---- exact enumeration ----

@@ -241,7 +241,9 @@ def test_metrics_files_bytes():
 def test_run_experiment_schema_and_ranges(tmp_path):
     cfg = _small_cfg(out=str(tmp_path / "run"))
     res = run_experiment(cfg)
-    assert set(res.report) == {"config", "constants", "schedule_note", "trials", "aggregate"}
+    assert set(res.report) == {"config", "constants", "schedule_note", "kl_note", "trials",
+                               "aggregate"}
+    assert "only at batch 1" in res.report["kl_note"]
     assert len(res.metrics) == 2
     for records, row in zip(res.metrics, res.report["trials"]):
         assert [r.iteration for r in records] == [1, 10, 20, 30, 40]

@@ -19,8 +19,13 @@ def _leaves(tree):
     return tree._leaves(0)
 
 
+def _set(tree, indices, weights):
+    """Set leaves of a one-run tree through `_write`, the tree's one write path."""
+    tree._write(np.asarray(indices, dtype=np.int64), np.asarray(weights, dtype=np.float64), None)
+
+
 def _delta_walk(tree, indices, weights, clamp=False):
-    """Pure-Python `update_many` reference on a copy of the tree's labels: set
+    """Pure-Python `_write` reference on a copy of the tree's labels: set
     each leaf and add its delta to its ancestors, one row after another,
     optionally clamping each label at 0 after its addition."""
     nodes = tree._nodes.tolist()
@@ -79,7 +84,7 @@ def test_padding_leaves_never_drawn():
     rng = np.random.default_rng(1)
     draws = tree.sample_many(5000, rng)
     assert draws.min() >= 0 and draws.max() <= 4
-    tree.update_many([2], [7.5])
+    _set(tree, [2], [7.5])
     assert np.all(tree._nodes[tree.capacity + 5:] == 0.0)
 
 
@@ -127,26 +132,26 @@ def test_single_leaf_tree():
     # depth 0: no uniforms consumed
     assert rng.random() == np.random.default_rng(3).random()
     assert tree.descend_many(np.empty((3, 0))).tolist() == [0, 0, 0]
-    tree.update_many([0], [5.0])
+    _set(tree, [0], [5.0])
     assert tree.totals[0] == 5.0
 
 
 def test_update_to_zero_renormalizes():
     tree = WeightTree([1, 1, 1, 1])
-    tree.update_many([2], [0.0])
+    _set(tree, [2], [0.0])
     assert np.allclose(tree.distribution(), [1 / 3, 1 / 3, 0, 1 / 3], atol=1e-15)
 
 
 def test_identity_update_is_exact_noop():
     tree = WeightTree([1.5, 2.5, 3.5])
     before = tree._nodes.copy()
-    tree.update_many([1], [2.5])
+    _set(tree, [1], [2.5])
     assert np.array_equal(tree._nodes, before)
 
 
 def test_update_changes_prob():
     tree = WeightTree([1, 1])
-    tree.update_many([1], [3.0])
+    _set(tree, [1], [3.0])
     assert tree.probs([1])[0] == pytest.approx(0.75, abs=1e-15)
 
 
@@ -157,7 +162,7 @@ def test_sum_consistency_under_many_updates():
     tree = WeightTree(w)
     for i, v in zip(rng.integers(0, 1000, size=100000),
                     rng.uniform(0.0, 2.0, size=100000)):
-        tree.update_many([i], [v])
+        _set(tree, [i], [v])
     assert abs(tree.totals[0] - _leaves(tree).sum()) <= 1e-9 * tree.totals[0]
 
 
@@ -166,9 +171,9 @@ def test_automatic_rebuild_resets_counter(monkeypatch):
     tree = WeightTree(np.ones(16))
     rng = np.random.default_rng(2)
     for k in range(9):
-        tree.update_many([k % 16], [float(rng.uniform(0.5, 2.0))])
+        _set(tree, [k % 16], [float(rng.uniform(0.5, 2.0))])
     assert tree._updates_since_rebuild == 9
-    tree.update_many([3], [1.2])
+    _set(tree, [3], [1.2])
     assert tree._updates_since_rebuild == 0
     assert abs(tree.totals[0] - _leaves(tree).sum()) == 0.0
 
@@ -193,18 +198,6 @@ def test_invalid_constructions():
         WeightTree([1.0, float("nan")])
 
 
-def test_invalid_updates():
-    tree = WeightTree([1, 1])
-    with pytest.raises(ValueError):
-        tree.update_many([0], [-1.0])
-    with pytest.raises(ValueError):
-        tree.update_many([0], [float("inf")])
-    with pytest.raises(IndexError):
-        tree.update_many([2], [1.0])
-    with pytest.raises(IndexError):
-        tree.probs([-1])
-
-
 def test_a_total_past_the_float_range_is_rejected():
     # each weight is finite, but their sum is not: such a root would make every
     # probability 0 and send draws to the rightmost subtrees
@@ -214,14 +207,8 @@ def test_a_total_past_the_float_range_is_rejected():
             WeightTree(w)
     quarter = np.finfo(np.float64).max / 4
     tree = WeightTree(np.full(4, quarter))  # the root is the largest float
-    labels = tree._nodes.copy()
-    # the root takes the deltas in row order: +quarter overflows before -quarter
-    with pytest.raises(ValueError, match="^total weight must be finite$"):
-        tree.update_many([0, 1], [2 * quarter, 0.0])
-    with pytest.raises(ValueError, match="^total weight must be finite$"):
-        tree.update_many([3], [np.finfo(np.float64).max])
-    assert tree._nodes.tobytes() == labels.tobytes()
-    tree.update_many([1, 0], [0.0, 2 * quarter])
+    # the root takes the deltas in row order: -quarter, then +quarter
+    _set(tree, [1, 0], [0.0, 2 * quarter])
     assert tree.totals[0] == 4 * quarter
     assert tree.probs([0, 1, 2, 3]).tolist() == [0.5, 0.0, 0.25, 0.25]
 
@@ -230,23 +217,15 @@ def test_subnormal_weights_are_rejected():
     # 0.7 * 5e-324 rounds back to 5e-324, so a draw would walk to the zero leaf
     with pytest.raises(ValueError):
         WeightTree([5e-324, 0.0])
-    tree = WeightTree([1.0, 0.0])
-    with pytest.raises(ValueError):
-        tree.update_many([0], [5e-324])
-    with pytest.raises(ValueError):
-        tree.update_many([0, 1], [2.0, 1e-310])
-    assert np.array_equal(tree._nodes, WeightTree([1.0, 0.0])._nodes)  # nothing written
     # (1 - 2**-53) * tiny ties to even back to tiny, so the smallest normal float
     # is rejected too; from 2**-1021 up the largest uniform stays on its side
     tiny = np.finfo(np.float64).tiny
     with pytest.raises(ValueError, match=r"2\*\*-1021"):
         WeightTree([tiny, 0.0])
-    with pytest.raises(ValueError, match=r"2\*\*-1021"):
-        tree.update_many([0], [tiny])
     floor = 2.0 ** -1021
     tree = WeightTree([floor, 0.0])
     assert tree.descend_many([[1 - 2**-53]]).tolist() == [0]
-    tree.update_many([1], [floor])
+    _set(tree, [1], [floor])
     assert tree.totals[0] == 2 * floor
 
 
@@ -275,7 +254,7 @@ def test_updates_keep_probs_in_sync_with_naive(n, seed):
     for _ in range(20):
         i = int(rng.integers(0, n))
         v = float(rng.uniform(0.0, 4.0))
-        tree.update_many([i], [v])
+        _set(tree, [i], [v])
         w[i] = v
         if w.sum() > 0:
             assert np.all(np.abs(tree.distribution() - w / w.sum()) <= 1e-12)
@@ -318,16 +297,16 @@ def test_descend_many_matches_rowwise_descend(weights, k, seed):
 
 @given(weights=_weight_lists(_dyadic_weight(), 40), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_update_many_matches_sequential_updates(weights, data):
+def test_write_matches_sequential_writes(weights, data):
     n = len(weights)
     batched, rowwise = WeightTree(weights), WeightTree(weights)
     for _ in range(data.draw(st.integers(1, 6))):
         idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         new = data.draw(st.lists(_dyadic_weight(), min_size=len(idx), max_size=len(idx)))
         walked = _delta_walk(batched, idx, new)
-        batched.update_many(np.array(idx), np.array(new))
+        _set(batched, np.array(idx), np.array(new))
         for i, v in zip(idx, new):
-            rowwise.update_many([i], [v])
+            _set(rowwise, [i], [v])
         assert batched._nodes.tobytes() == rowwise._nodes.tobytes() == walked.tobytes()
         assert np.array_equal(batched._updates_since_rebuild, rowwise._updates_since_rebuild)
         assert np.all(batched._nodes[batched.capacity + n:] == 0.0)  # padding untouched
@@ -335,7 +314,7 @@ def test_update_many_matches_sequential_updates(weights, data):
 
 @given(weights=_weight_lists(_weight(), 40), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_update_many_under_drift_stays_near_its_rebuild(weights, data):
+def test_write_under_drift_stays_near_its_rebuild(weights, data):
     n = len(weights)
     tree = WeightTree(weights)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
@@ -345,9 +324,9 @@ def test_update_many_under_drift_stays_near_its_rebuild(weights, data):
         new = data.draw(st.lists(_weight(), min_size=len(idx), max_size=len(idx)))
         _drift(tree, rng)
         one_row = copy.deepcopy(tree)
-        one_row.update_many(idx[:1], new[:1])  # one row: the clamp after each addition
+        _set(one_row, idx[:1], new[:1])  # one row: the clamp after each addition
         assert one_row._nodes.tobytes() == _delta_walk(tree, idx[:1], new[:1], True).tobytes()
-        tree.update_many(np.array(idx), np.array(new))
+        _set(tree, np.array(idx), np.array(new))
         exact = copy.deepcopy(tree)
         exact.rebuild()
         scale = max(scale, exact.totals[0])
@@ -357,19 +336,17 @@ def test_update_many_under_drift_stays_near_its_rebuild(weights, data):
         assert np.array_equal(_leaves(tree), _leaves(exact))
 
 
-def test_update_many_shared_ancestors():
+def test_write_shared_ancestors():
     rng = np.random.default_rng(4)
     w = rng.uniform(0.5, 2.0, size=13)
     batched, rowwise = WeightTree(w), WeightTree(w)
     order = rng.permutation(13)
     new = rng.uniform(0.0, 3.0, size=13)
     walked = _delta_walk(batched, order, new)
-    batched.update_many(order, new)  # every leaf: each label sees several deltas
+    _set(batched, order, new)  # every leaf: each label sees several deltas
     for i, v in zip(order, new):
-        rowwise.update_many([i], [v])
+        _set(rowwise, [i], [v])
     assert batched._nodes.tobytes() == rowwise._nodes.tobytes() == walked.tobytes()
-    batched.update_many([], [])
-    assert batched._nodes.tobytes() == walked.tobytes()
 
 
 def test_batched_methods_reject_bad_input():
@@ -380,16 +357,7 @@ def test_batched_methods_reject_bad_input():
         tree.descend_many(np.full(3, 0.5))  # one row must still be 2-d
     for bad in ([5], [-1], [0, 7]):
         with pytest.raises(IndexError):
-            tree.update_many(bad, np.ones(len(bad)))
-        with pytest.raises(IndexError):
             tree.probs(bad)
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            tree.update_many([0, 1], [1.0, bad])
-    with pytest.raises(ValueError):
-        tree.update_many([1, 1], [2.0, 3.0])  # indices must be distinct
-    with pytest.raises(ValueError):
-        tree.update_many([0, 1], [2.0])
     assert np.array_equal(tree._nodes, WeightTree(np.ones(5))._nodes)  # nothing written
 
 
@@ -401,11 +369,11 @@ def test_automatic_rebuild_runs_at_the_end_of_a_batch(monkeypatch):
     for batch in (rng.permutation(16)[:4], rng.permutation(16)[:4]):
         new = rng.uniform(0.5, 2.0, size=4)
         walked = _delta_walk(tree, batch, new)
-        tree.update_many(batch, new)
+        _set(tree, batch, new)
         assert tree._nodes.tobytes() == walked.tobytes()  # no relabel yet
     assert tree._updates_since_rebuild == 8
     batch, new = rng.permutation(16)[:4], rng.uniform(0.5, 2.0, size=4)
-    tree.update_many(batch, new)  # crosses 10 at its 2nd row; relabels after its 4th
+    _set(tree, batch, new)  # crosses 10 at its 2nd row; relabels after its 4th
     assert tree._updates_since_rebuild == 0
     assert tree._nodes.tobytes() == WeightTree(_leaves(tree))._nodes.tobytes()
 
@@ -425,7 +393,7 @@ def test_run_axis_matches_separate_trees(monkeypatch):
         for r in range(3):
             assert np.array_equal(drawn[r], alone[r].descend_many(u[r]))
             leaves, new = rng.permutation(11)[: r + 1], rng.uniform(0.5, 2.0, size=r + 1)
-            alone[r].update_many(leaves, new)
+            _set(alone[r], leaves, new)
             idx.append(leaves), vals.append(new), runs.append(np.full(r + 1, r))
         stacked._write(np.concatenate(idx), np.concatenate(vals), np.concatenate(runs))
         rows = stacked._nodes.reshape(3, -1)
@@ -452,8 +420,6 @@ def test_checked_methods_reject_a_stacked_tree():
     labels = stacked._nodes.copy()
     with pytest.raises(ValueError, match="^probs takes a one-run tree, not one of 3 runs$"):
         stacked.probs([0, 1])
-    with pytest.raises(ValueError, match="^update_many takes a one-run tree, not one of 3 runs$"):
-        stacked.update_many([0, 1], [2.0, 3.0])
     with pytest.raises(ValueError):
         stacked.sample_many(2, np.random.default_rng(0))
     assert stacked._nodes.tobytes() == labels.tobytes()
@@ -465,14 +431,14 @@ def test_checked_methods_reject_a_stacked_tree():
 def test_tracer_reads_these_names_and_counters():
     # perfbench/tracer.py keeps trees by the span weight_tree.WeightTree.__init__,
     # derives draws and leaf writes from the two counters, times draws by the
-    # methods named descend*/sample*, writes by update* and relabels by rebuild
+    # public methods named descend*/sample* and relabels by rebuild; the one
+    # write path, `_write`, is private, so its time counts for its caller
     assert (WeightTree.__module__, WeightTree.__qualname__) == ("adasamp.weight_tree",
                                                                 "WeightTree")
     rng = np.random.default_rng(0)
     calls = {
         "descend_many": lambda t: t.descend_many(np.full((2, t.depth), 0.5)),
         "sample_many": lambda t: t.sample_many(2, rng),
-        "update_many": lambda t: t.update_many([0, 1], [2.0, 3.0]),
         "probs": lambda t: t.probs([0, 1]),
         "distribution": lambda t: t.distribution(),
         "rebuild": lambda t: t.rebuild(),
@@ -480,6 +446,7 @@ def test_tracer_reads_these_names_and_counters():
     methods = {name for name, v in vars(WeightTree).items()
                if callable(v) and not name.startswith("_")}
     assert methods == set(calls)
+    calls["_write"] = lambda t: _set(t, [0, 1], [2.0, 3.0])
     for name, call in calls.items():
         tree = WeightTree(np.ones(5))
         assert (tree.depth, tree.sample_visits, tree.update_writes) == (3, 0, 0)
@@ -489,7 +456,7 @@ def test_tracer_reads_these_names_and_counters():
         assert tree.sample_visits == draws * tree.depth
         assert tree.update_writes == writes * (tree.depth + 1)
         assert draws == (2 if name.startswith(("descend", "sample")) else 0)
-        assert writes == (2 if name.startswith("update") else 0)
+        assert writes == (2 if name == "_write" else 0)
 
 
 def _stream_script_digest():
@@ -514,7 +481,7 @@ def _stream_script_digest():
                     idx.append(rng.permutation(n)[:k]), vals.append(new)
                     runs.append(np.full(k, r))
                 if R == 1:
-                    tree.update_many(idx[0], vals[0])
+                    tree._write(idx[0], vals[0], None)
                     h.update(tree.probs(np.arange(n)).tobytes())
                 else:
                     tree._write(np.concatenate(idx), np.concatenate(vals), np.concatenate(runs))
