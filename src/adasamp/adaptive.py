@@ -92,7 +92,9 @@ def utilities(kind: str, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndar
         return (scores.argmax(axis=-1) != y).astype(np.float64)
     P = softmax(scores).reshape(-1, scores.shape[-1])
     py = P[np.arange(len(P)), y.reshape(-1)].reshape(y.shape)
-    return np.minimum(np.maximum(1.0 - py, 0.0), 1.0)
+    # softmax divides each entry by a row sum of nonnegative terms that includes
+    # it, so py, and with it 1 - py, lies in [0, 1] with no clamp
+    return 1.0 - py
 
 
 def conditional_kl(tree: WeightTree, run: int = 0) -> float:

@@ -3,11 +3,13 @@
 run_experiment trains `trials` independent runs of one ExperimentConfig, which
 checks every value, sampler values included, when built, before any data is
 read. It keeps each trial's metrics records and a final JSON report that
-echoes the config fields the run read, the regularity constants, one summary
-per trial read from its last record, and evaluated stability/generalization
-bounds with that record's utility-sum KL statistic substituted for KL(Q || P).
-That statistic's expectation bounds the KL from above at batch 1 only; at
-batch > 1 it can fall below it (see `adaptive.kl_from_utility_sum`).
+states each value once, at the level where it varies: the config fields the
+run read, the regularity constants and the stability coefficients, each
+evaluated once for the arm, then one summary per trial read from its last
+record, with generalization bounds that take that record's utility-sum KL
+statistic for KL(Q || P) and the arm's coefficients. That statistic's
+expectation bounds the KL from above at batch 1 only; at batch > 1 it can fall
+below it (see `adaptive.kl_from_utility_sum`).
 run_comparison does the same for a uniform arm and one arm per amplitude, each
 the config with its own alpha and out, on one dataset. Every arm and trial is
 trained in one lockstep `train_many` call. A metrics tick
@@ -374,27 +376,49 @@ SCHEDULE_NOTE = (
     "Values below echo the configured eta at face value."
 )
 KL_NOTE = (
-    "gen_kl, gen_sgd_strongly_convex and gen_derandomized take each trial's kl_stat, the "
-    "utility-sum statistic of that trial's one sample path. Its expectation over paths "
-    "bounds KL(Q||P) from above only at batch 1; at batch > 1 it can fall below the KL, "
-    "so these bounds are not certified there. A certified KL is to replace it (ROADMAP "
-    "item 3a)."
+    "gen_kl and gen_derandomized take each trial's kl_stat, the utility-sum statistic "
+    "of that trial's one sample path. Its expectation over paths bounds KL(Q||P) from "
+    "above only at batch 1; at batch > 1 it can fall below the KL, so these bounds are "
+    "not certified there. A certified KL is to replace it (ROADMAP item 3a)."
 )
 
 
 def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
                  train_ds: Dataset, test_ds: Dataset, metrics) -> dict:
-    """The final JSON report: the echo of every config field the run read
-    (each field `unread_fields` does not name), constants, two constant
-    notes (what the stability coefficients assume of the schedule, and what
-    the KL bounds take as their KL), one row per trial read from its last
-    metrics record (the t = T tick) with bound evaluations (its KL statistic
-    plugged in, each KL bound marked vacuous when its value is at least M,
-    and the KL-free test-set bound on its held-out risk), and cross-trial
-    aggregates of those rows."""
-    n, T = train_ds.n, cfg.iters
+    """The final JSON report of one arm; each value is written once, at the
+    level where it varies:
+
+    - ``config``: the echo of every config field the run read (each field
+      `unread_fields` does not name);
+    - ``constants``: the data's regularity constants and the train size;
+    - ``stability``: the arm's stability coefficients, evaluated once. The
+      convex and initial-risk ones take cfg.eta at face value; ``h0_risk``,
+      which the initial-risk one takes, is the held-out risk of the zero
+      hypothesis, not of any trial's own h0. At mu > 0 it holds the
+      strongly convex (beta, gamma) pair, else a note;
+    - two constant notes: what the stability coefficients assume of the
+      schedule, and what the KL bounds take as their KL;
+    - ``trials``: one row per trial read from its last metrics record (the
+      t = T tick), with its ``bounds``: at mu > 0 the KL bounds at its KL
+      statistic and ``stability``'s (beta, gamma), each marked vacuous when
+      its value is at least M, and always the KL-free test-set bound on its
+      held-out risk;
+    - ``aggregate``: cross-trial aggregates of those rows."""
+    n, T, L, M, delta = train_ds.n, cfg.iters, consts.lipschitz, consts.loss_bound, cfg.delta
     h0 = zeros_hypothesis(train_ds.num_classes, train_ds.feature_dim)
-    h0_risk = _risk_and_accuracy(h0, test_ds, consts.loss_bound)[0]
+    h0_risk = _risk_and_accuracy(h0, test_ds, M)[0]
+    stability = {
+        "convex": bounds.sgd_stability_convex(L, cfg.eta, T, n),
+        "initial_risk": bounds.sgd_stability_initial_risk(
+            L, cfg.eta, T, n, consts.smoothness, h0_risk),
+        "h0_risk": h0_risk,
+    }
+    if cfg.mu > 0:
+        beta, gamma = bounds.sgd_stability_strongly_convex(L, cfg.mu, n, T)
+        stability["strongly_convex_beta"] = beta
+        stability["strongly_convex_gamma"] = gamma
+    else:
+        stability["note"] = "mu = 0: no strongly-convex (beta, gamma) pair; KL bounds omitted"
     trial_rows = []
     for trial, records in enumerate(metrics):
         final = records[-1]
@@ -408,9 +432,15 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
         if cfg.target is not None:
             row["iterations_to_target"] = iterations_to_target(records, cfg.target)
         row["trial"] = trial
-        row["bounds"] = _trial_bounds(cfg, consts, n, T, final.kl_stat, h0_risk)
+        row["bounds"] = {}
+        if cfg.mu > 0:
+            for key, evaluate in (("gen_kl", bounds.gen_bound_kl),
+                                  ("gen_derandomized", bounds.gen_bound_derandomized)):
+                bound = evaluate(final.kl_stat, M, n, T, beta, gamma, delta)
+                # a gap bound of M or more says nothing about a loss in [0, M]
+                row["bounds"][key] = {**bound.to_json(), "vacuous": bound.value >= M}
         row["bounds"]["test_set_hoeffding"] = bounds.heldout_risk_bound(
-            final.heldout_risk, consts.loss_bound, test_ds.n, cfg.delta).to_json()
+            final.heldout_risk, M, test_ds.n, delta).to_json()
         trial_rows.append(row)
     agg = {}
     for key in ("final_empirical_risk", "final_heldout_risk", "final_train_accuracy",
@@ -423,48 +453,17 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
     return {
         "config": {k: v for k, v in echo.items() if k not in unread},
         "constants": {
-            "lipschitz": consts.lipschitz,
+            "lipschitz": L,
             "smoothness": consts.smoothness,
-            "strong_convexity": consts.strong_convexity,
-            "loss_bound": consts.loss_bound,
             "feature_radius": train_ds.feature_radius,
-            "train_n": train_ds.n,
-            "test_n": test_ds.n,
+            "train_n": n,
         },
+        "stability": stability,
         "schedule_note": SCHEDULE_NOTE,
         "kl_note": KL_NOTE,
         "trials": trial_rows,
         "aggregate": agg,
     }
-
-
-def _trial_bounds(cfg: ExperimentConfig, consts: RegularityConstants, n: int, T: int,
-                  kl_stat: float, h0_risk: float) -> dict:
-    L, M, mu, delta = consts.lipschitz, consts.loss_bound, cfg.mu, cfg.delta
-    eta = cfg.eta
-    out = {
-        "stability_convex": bounds.sgd_stability_convex(L, eta, T, n),
-        "stability_initial_risk": bounds.sgd_stability_initial_risk(
-            L, eta, T, n, consts.smoothness, h0_risk),
-        "h0_risk": h0_risk,
-    }
-    if mu > 0:
-        beta, gamma = bounds.sgd_stability_strongly_convex(L, mu, n, T)
-        out["stability_strongly_convex_beta"] = beta
-        out["stability_strongly_convex_gamma"] = gamma
-        kl_bounds = {
-            "gen_kl": bounds.gen_bound_kl(kl_stat, M, n, T, beta, gamma, delta),
-            "gen_sgd_strongly_convex": bounds.gen_bound_sgd_strongly_convex(
-                kl_stat, M, L, mu, n, T, delta),
-            "gen_derandomized": bounds.gen_bound_derandomized(
-                kl_stat, M, n, T, beta, gamma, delta),
-        }
-        for key, bound in kl_bounds.items():
-            # a gap bound of M or more says nothing about a loss in [0, M]
-            out[key] = {**bound.to_json(), "vacuous": bound.value >= M}
-    else:
-        out["note"] = "mu = 0: no strongly-convex (beta, gamma) pair; KL bounds omitted"
-    return out
 
 
 # ---- arm comparison (uniform vs adaptive) ----

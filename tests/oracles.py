@@ -3,7 +3,8 @@ first-written forms of what the package computes batched, or does not need
 at all, for the tests to check the package against. The one-example
 gradient, utility and class probabilities pin the trainer's stacked kernels
 bitwise, and through them the enumeration oracle that steps with those
-kernels."""
+kernels. The test instances that several modules build alike live here too,
+so every module gets the same instance from the same seed."""
 
 import itertools
 import math
@@ -11,9 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from adasamp.adaptive import SamplerConfig
 from adasamp.data import _class_counts, _class_means
 from adasamp.model import PROB_FLOOR, Dataset, softmax
-from adasamp.optim import UpdateRuleState, apply_update
+from adasamp.optim import StepSchedule, UpdateRuleState, apply_update
 
 
 class Example(NamedTuple):
@@ -294,3 +296,35 @@ def chisq_divergence(q, p) -> float:
     q, p = _check_distribution_pair(q, p)
     pos = p > 0
     return float((q[pos] * q[pos] / p[pos]).sum() - 1.0)
+
+
+# ---- instances several test modules build alike ----
+
+def constant_utility_dataset(n=2):
+    # zero features freeze the hypothesis; label 1 loses every argmax tie,
+    # so the zero_one utility is exactly 1 forever
+    return Dataset.from_arrays(np.zeros((n, 1)), np.ones(n, dtype=int), 2)
+
+
+def random_tiny_instance(seed):
+    """A random instance small enough to enumerate every sample path (n <= 4,
+    T <= 5, dimension <= 3, two classes): (dataset, sampler config, schedule,
+    update rule, mu), all drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    T = int(rng.integers(2, 6))
+    d = int(rng.integers(1, 4))
+    X = rng.standard_normal((n, d))
+    y = rng.integers(0, 2, size=n)
+    if len(set(map(int, y))) < 2:
+        y[0] = 1 - y[0]
+    ds = Dataset.from_arrays(X, y, 2)
+    cfg = SamplerConfig(amplitude=float(rng.uniform(0.2, 2.5)),
+                        decay=float(rng.uniform(0.1, 0.9)),
+                        utility="l1" if rng.random() < 0.5 else "zero_one",
+                        iterations=T)
+    rule = (UpdateRuleState.adagrad((2, d)) if rng.random() < 0.3
+            else UpdateRuleState.sgd())
+    mu = float(rng.uniform(0.0, 0.5))
+    sched = StepSchedule.inverse_decay(float(rng.uniform(0.05, 0.3)), 0.01)
+    return ds, cfg, sched, rule, mu

@@ -37,7 +37,7 @@ from adasamp import (
 )
 from adasamp.harness import ExperimentConfig, probe_stability, run_comparison
 from oracles import (Example, naive_descend, objective_grad, objective_value,
-                     posterior_objective, touched_labels)
+                     posterior_objective, random_tiny_instance, touched_labels)
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -173,27 +173,6 @@ def test_multiplicative_update_is_grid_optimal():
 
 # 5. divergence oracle
 
-def _tiny_instance(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    T = int(rng.integers(2, 6))
-    d = int(rng.integers(1, 4))
-    X = rng.standard_normal((n, d))
-    y = rng.integers(0, 2, size=n)
-    if len(set(map(int, y))) < 2:
-        y[0] = 1 - y[0]
-    ds = Dataset.from_arrays(X, y, 2)
-    cfg = SamplerConfig(amplitude=float(rng.uniform(0.2, 2.5)),
-                        decay=float(rng.uniform(0.1, 0.9)),
-                        utility="l1" if rng.random() < 0.5 else "zero_one",
-                        iterations=T)
-    rule = (UpdateRuleState.adagrad((2, d)) if rng.random() < 0.3
-            else UpdateRuleState.sgd())
-    mu = float(rng.uniform(0.0, 0.5))
-    sched = StepSchedule.inverse_decay(float(rng.uniform(0.05, 0.3)), 0.01)
-    return ds, cfg, sched, rule, mu
-
-
 @pytest.mark.slow
 def test_enumerated_divergence_bounds_and_monte_carlo():
     t0 = time.perf_counter()
@@ -205,7 +184,7 @@ def test_enumerated_divergence_bounds_and_monte_carlo():
     rngs = [np.random.default_rng(s) for s in seeds]
     states = [rng.bit_generator.state for rng in rngs]
     for inst_seed in range(50):
-        ds, cfg, sched, rule, mu = _tiny_instance(inst_seed)
+        ds, cfg, sched, rule, mu = random_tiny_instance(inst_seed)
         h0 = zeros_hypothesis(2, ds.feature_dim)
         res = enumerate_posterior_divergence(ds, cfg, sched, rule.copy(), mu,
                                              5.0, h0)

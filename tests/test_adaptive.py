@@ -33,6 +33,7 @@ from adasamp.model import batch_objective_grads
 from adasamp.optim import ADAGRAD_EPS
 from oracles import (
     Example,
+    constant_utility_dataset,
     example,
     naive_descend,
     naive_softmax,
@@ -50,12 +51,6 @@ def _random_dataset(seed, n=10, d=3, classes=2):
     return Dataset.from_arrays(X, y, classes)
 
 
-def _constant_utility_dataset(n=2):
-    # zero features freeze the hypothesis; label 1 loses every argmax tie,
-    # so the zero_one utility is exactly 1 forever
-    return Dataset.from_arrays(np.zeros((n, 1)), np.ones(n, dtype=int), 2)
-
-
 # ---- utilities ----
 
 def test_zero_one_utility():
@@ -71,6 +66,30 @@ def test_l1_utility_examples():
     x = np.array([1.0, 0.0])
     assert utility("l1", Example(x, 0), h) == pytest.approx(0.2, abs=1e-12)
     assert utility("l1", Example(x, 1), zeros_hypothesis(2, 2)) == 0.5
+
+
+@pytest.mark.parametrize("classes", range(2, 12))
+def test_l1_utilities_stay_in_the_unit_interval_unclamped(classes):
+    # softmax divides each entry by a row sum that includes it, so 1 - p_label
+    # lies in [0, 1] at any finite logits; the identity h makes X the scores
+    rng = np.random.default_rng(classes)
+    rows = 400
+    scales = 10.0 ** rng.uniform(-3, 300, size=(rows, 1))
+    scores = scales * rng.standard_normal((rows, classes))
+    tied = rng.random(rows) < 0.5
+    scores[tied, 1:] = scores[tied, :1]  # every column of these rows ties with column 0
+    scores[:10] = 0.0
+    y = rng.integers(0, classes, size=rows)
+    # the label's score far above (p = 1) or far below (p = 0) the rest
+    scores[10:20, :] = -1e300
+    scores[np.arange(10, 20), y[10:20]] = 1e300
+    scores[20:30, :] = 1e300
+    scores[np.arange(20, 30), y[20:30]] = -1e300
+    u = utilities("l1", np.eye(classes), scores, y)
+    assert ((0.0 <= u) & (u <= 1.0)).all()
+    assert not np.signbit(u[10:20]).any() and (u[10:20] == 0.0).all()
+    assert (u[20:30] == 1.0).all()
+    assert (u[:10] == 1.0 - 1.0 / classes).all()
 
 
 def test_vectorized_utilities_match_scalar():
@@ -843,7 +862,7 @@ def test_log_weights_stay_in_band():
 
 
 def test_batch_updates_each_unique_index_once():
-    ds = _constant_utility_dataset(n=2)
+    ds = constant_utility_dataset(n=2)
     cfg = SamplerConfig(amplitude=0.5, decay=0.5, utility="zero_one",
                         batch_size=8, iterations=10)
     _, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
@@ -861,7 +880,7 @@ def test_batch_updates_each_unique_index_once():
 
 
 def test_constant_utility_dataset_freezes_everything():
-    ds = _constant_utility_dataset(n=2)
+    ds = constant_utility_dataset(n=2)
     cfg = SamplerConfig(amplitude=0.1, decay=0.5, utility="zero_one", iterations=11)
     h, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
                      0.0, 5.0, zeros_hypothesis(2, 1), np.random.default_rng(13))

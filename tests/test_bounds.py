@@ -37,7 +37,8 @@ from adasamp import (
 import adasamp.optim as optim
 from adasamp.adaptive import DivergenceError, TrainTrace
 from adasamp.bounds import heldout_risk_bound
-from oracles import chisq_divergence, fixed_utility_batch_kl, kl_divergence
+from oracles import (chisq_divergence, constant_utility_dataset, fixed_utility_batch_kl,
+                     kl_divergence, random_tiny_instance)
 
 
 # ---- stability coefficients ----
@@ -306,12 +307,8 @@ def test_bound_report_to_json_is_flat():
 
 # ---- trace statistics ----
 
-def _constant_utility_dataset(n=2):
-    return Dataset.from_arrays(np.zeros((n, 1)), np.ones(n, dtype=int), 2)
-
-
 def _train_rigged(T, amplitude, decay, seed=0, n=2):
-    ds = _constant_utility_dataset(n)
+    ds = constant_utility_dataset(n)
     cfg = SamplerConfig(amplitude=amplitude, decay=decay, utility="zero_one",
                         iterations=T)
     return train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
@@ -325,7 +322,7 @@ def test_utility_sum_statistic_hand_example():
 
 
 def test_statistics_vanish_at_zero_amplitude():
-    ds = _constant_utility_dataset()
+    ds = constant_utility_dataset()
     cfg = SamplerConfig(amplitude=0.0, decay=0.5, utility="zero_one", iterations=5)
     _, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
                      0.0, 5.0, zeros_hypothesis(2, 1), np.random.default_rng(3))
@@ -340,7 +337,7 @@ def test_advantage_statistic_single_iteration_is_zero():
 
 
 def test_advantage_statistic_requires_single_draws():
-    ds = _constant_utility_dataset(4)
+    ds = constant_utility_dataset(4)
     cfg = SamplerConfig(amplitude=0.5, decay=0.5, utility="zero_one",
                         batch_size=2, iterations=3)
     _, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
@@ -352,7 +349,7 @@ def test_advantage_statistic_requires_single_draws():
 
 def _train_unrecorded(T):
     cfg = SamplerConfig(amplitude=0.5, decay=0.5, utility="zero_one", iterations=T)
-    [(_, trace)] = train_many(_constant_utility_dataset(), [cfg], StepSchedule.constant(0.1),
+    [(_, trace)] = train_many(constant_utility_dataset(), [cfg], StepSchedule.constant(0.1),
                               UpdateRuleState.sgd(), 0.0, 5.0, [zeros_hypothesis(2, 1)],
                               [np.random.default_rng(0)], metric_every=1,
                               metric_fn=lambda r, t, h, kl_stat, cond: kl_stat, record=False)
@@ -456,7 +453,7 @@ def _closed_form_rigged(alpha, lam):
     (1.0, 0.5, (0.27038474334443181, 0.57930689639294506, 4.0)),
 ])
 def test_enumeration_matches_closed_form_on_rigged_instance(alpha, lam, frozen):
-    ds = _constant_utility_dataset(2)
+    ds = constant_utility_dataset(2)
     cfg = SamplerConfig(amplitude=alpha, decay=lam, utility="zero_one", iterations=3)
     res = enumerate_posterior_divergence(ds, cfg, StepSchedule.constant(0.1),
                                          UpdateRuleState.sgd(), 0.0, 5.0,
@@ -470,7 +467,7 @@ def test_enumeration_matches_closed_form_on_rigged_instance(alpha, lam, frozen):
 
 
 def test_enumeration_zero_amplitude_gives_zero_kl():
-    ds = _constant_utility_dataset(3)
+    ds = constant_utility_dataset(3)
     cfg = SamplerConfig(amplitude=0.0, decay=0.5, utility="zero_one", iterations=4)
     res = enumerate_posterior_divergence(ds, cfg, StepSchedule.constant(0.1),
                                          UpdateRuleState.sgd(), 0.0, 5.0,
@@ -479,30 +476,9 @@ def test_enumeration_zero_amplitude_gives_zero_kl():
     assert abs(res.advantage_bound) <= 1e-12
 
 
-def _random_tiny_instance(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    T = int(rng.integers(2, 6))
-    d = int(rng.integers(1, 4))
-    X = rng.standard_normal((n, d))
-    y = rng.integers(0, 2, size=n)
-    if len(set(map(int, y))) < 2:
-        y[0] = 1 - y[0]
-    ds = Dataset.from_arrays(X, y, 2)
-    cfg = SamplerConfig(amplitude=float(rng.uniform(0.2, 2.5)),
-                        decay=float(rng.uniform(0.1, 0.9)),
-                        utility="l1" if rng.random() < 0.5 else "zero_one",
-                        iterations=T)
-    rule = (UpdateRuleState.adagrad((2, d)) if rng.random() < 0.3
-            else UpdateRuleState.sgd())
-    mu = float(rng.uniform(0.0, 0.5))
-    sched = StepSchedule.inverse_decay(float(rng.uniform(0.05, 0.3)), 0.01)
-    return ds, cfg, sched, rule, mu
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_enumeration_ordering_on_random_instances(seed):
-    ds, cfg, sched, rule, mu = _random_tiny_instance(seed)
+    ds, cfg, sched, rule, mu = random_tiny_instance(seed)
     res = enumerate_posterior_divergence(ds, cfg, sched, rule, mu, 5.0,
                                          zeros_hypothesis(2, ds.feature_dim))
     assert res.kl >= -1e-12
@@ -512,7 +488,7 @@ def test_enumeration_ordering_on_random_instances(seed):
 
 
 def test_enumeration_rejects_large_instances():
-    ds = _constant_utility_dataset(3)
+    ds = constant_utility_dataset(3)
     cfg = SamplerConfig(amplitude=1.0, decay=0.5, utility="zero_one", iterations=6)
     with pytest.raises(ValueError):
         enumerate_posterior_divergence(ds, cfg, StepSchedule.constant(0.1),
@@ -559,7 +535,7 @@ def test_enumeration_reports_a_divergence_as_train_does():
 
 
 def test_monte_carlo_agrees_with_enumeration():
-    ds, cfg, sched, _, mu = _random_tiny_instance(3)
+    ds, cfg, sched, _, mu = random_tiny_instance(3)
     h0 = zeros_hypothesis(2, ds.feature_dim)
     res = enumerate_posterior_divergence(ds, cfg, sched, UpdateRuleState.sgd(),
                                          mu, 5.0, h0)

@@ -899,6 +899,6 @@ def test_eta_is_read_under_the_strongly_convex_schedule(tmp_path):
                 "--out", str(out)]
         assert main(argv) == 0
         report = json.loads((out / "report.json").read_text())
-        return report["trials"][0]["bounds"]["stability_convex"]
+        return report["stability"]["convex"]
 
     assert stability_convex("99") == pytest.approx(99 / 0.05 * stability_convex(), rel=1e-12)

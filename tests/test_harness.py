@@ -241,8 +241,8 @@ def test_metrics_files_bytes():
 def test_run_experiment_schema_and_ranges(tmp_path):
     cfg = _small_cfg(out=str(tmp_path / "run"))
     res = run_experiment(cfg)
-    assert set(res.report) == {"config", "constants", "schedule_note", "kl_note", "trials",
-                               "aggregate"}
+    assert set(res.report) == {"config", "constants", "stability", "schedule_note", "kl_note",
+                               "trials", "aggregate"}
     assert "only at batch 1" in res.report["kl_note"]
     assert len(res.metrics) == 2
     for records, row in zip(res.metrics, res.report["trials"]):
@@ -273,35 +273,90 @@ def test_metrics_jsonl_is_deterministic(tmp_path):
     assert ra["aggregate"] == rb["aggregate"]
 
 
+REPORT_KEYS = ["config", "constants", "stability", "schedule_note", "kl_note", "trials",
+               "aggregate"]
+CONSTANTS_KEYS = ["lipschitz", "smoothness", "feature_radius", "train_n"]
+TRIAL_KEYS = ["final_empirical_risk", "final_heldout_risk", "final_train_accuracy",
+              "final_test_accuracy", "kl_stat", "iterations_to_target", "trial", "bounds"]
+
+
+@pytest.mark.parametrize("mu, stability_keys, bounds_keys", [
+    (0.01, ["convex", "initial_risk", "h0_risk", "strongly_convex_beta",
+            "strongly_convex_gamma"], ["gen_kl", "gen_derandomized", "test_set_hoeffding"]),
+    (0.0, ["convex", "initial_risk", "h0_risk", "note"], ["test_set_hoeffding"]),
+])
+def test_report_layout_states_each_value_once(mu, stability_keys, bounds_keys):
+    # an arm's coefficients sit once in `stability`; a trial row holds only
+    # what varies by trial, and the config echo alone carries mu, M and test_n
+    report = run_experiment(_small_cfg(mu=mu, target=0.5)).report
+    assert list(report) == REPORT_KEYS
+    assert list(report["constants"]) == CONSTANTS_KEYS
+    assert list(report["stability"]) == stability_keys
+    for k, row in enumerate(report["trials"]):
+        assert row["trial"] == k
+        assert list(row) == TRIAL_KEYS
+        assert list(row["bounds"]) == bounds_keys
+    assert {"mu", "loss_bound", "test_n"} <= set(report["config"])
+    if mu == 0:
+        assert report["stability"]["note"] == (
+            "mu = 0: no strongly-convex (beta, gamma) pair; KL bounds omitted")
+
+
 def test_report_bounds_are_self_consistent():
     cfg = _small_cfg()
     res = run_experiment(cfg)
     consts = res.report["constants"]
+    stab = res.report["stability"]
     echo = res.report["config"]
+    L, M, delta = consts["lipschitz"], echo["loss_bound"], echo["delta"]
+    n, T = echo["n"], echo["iters"]
+    assert consts["train_n"] == n
+    # the arm's coefficients, checked once against their formulas
+    h0 = zeros_hypothesis(echo["classes"], echo["dim"])
+    _, test_ds = build_datasets(cfg)
+    assert stab["h0_risk"] == model._risk_and_accuracy(h0, test_ds, M)[0]
+    assert stab["convex"] == sgd_stability_convex(L, echo["eta"], T, n)
+    assert stab["initial_risk"] == sgd_stability_initial_risk(
+        L, echo["eta"], T, n, consts["smoothness"], stab["h0_risk"])
+    beta, gamma = sgd_stability_strongly_convex(L, echo["mu"], n, T)
+    assert (stab["strongly_convex_beta"], stab["strongly_convex_gamma"]) == (beta, gamma)
     for row in res.report["trials"]:
         b = row["bounds"]
-        assert b["stability_convex"] == sgd_stability_convex(
-            consts["lipschitz"], echo["eta"], echo["iters"], echo["n"])
-        assert b["stability_initial_risk"] == sgd_stability_initial_risk(
-            consts["lipschitz"], echo["eta"], echo["iters"], echo["n"],
-            consts["smoothness"], b["h0_risk"])
-        beta, gamma = sgd_stability_strongly_convex(
-            consts["lipschitz"], echo["mu"], echo["n"], echo["iters"])
-        assert b["stability_strongly_convex_beta"] == beta
-        assert b["stability_strongly_convex_gamma"] == gamma
-        for key, fn in (("gen_kl", gen_bound_kl),
-                        ("gen_derandomized", gen_bound_derandomized)):
-            d = b[key]
-            assert fn(d["kl"], d["M"], d["n"], d["T"], d["beta"], d["gamma"],
-                      d["delta"]).value == d["value"]
-        d = b["gen_sgd_strongly_convex"]
+        # each trial's KL bounds at its own statistic and the arm's (beta, gamma)
+        for key, fn in (("gen_kl", gen_bound_kl), ("gen_derandomized", gen_bound_derandomized)):
+            expected = fn(row["kl_stat"], M, n, T, beta, gamma, delta)
+            assert b[key] == {**expected.to_json(), "vacuous": expected.value >= M}
+            assert b[key]["vacuous"] is (b[key]["value"] >= M)
+        # gen_kl is the strongly convex SGD bound, which the report no longer restates
         assert gen_bound_sgd_strongly_convex(
-            d["kl"], d["M"], d["L"], d["mu"], d["n"], d["T"], d["delta"]).value == d["value"]
-        for key in ("gen_kl", "gen_sgd_strongly_convex", "gen_derandomized"):
-            assert b[key]["vacuous"] is (b[key]["value"] >= consts["loss_bound"])
+            row["kl_stat"], M, L, echo["mu"], n, T, delta).value == b["gen_kl"]["value"]
         d = b["test_set_hoeffding"]
-        assert d == heldout_risk_bound(row["final_heldout_risk"], consts["loss_bound"],
-                                   consts["test_n"], echo["delta"]).to_json()
+        assert d == heldout_risk_bound(row["final_heldout_risk"], M, echo["test_n"],
+                                       delta).to_json()
+
+
+def test_each_stability_formula_runs_once_per_arm(monkeypatch):
+    calls = {}
+    for name in ("sgd_stability_convex", "sgd_stability_initial_risk",
+                 "sgd_stability_strongly_convex"):
+        def counted(*args, _name=name, _fn=getattr(bounds, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    run_comparison(_small_cfg(trials=3), alphas=[1.0, 2.0])
+    assert calls == {"sgd_stability_convex": 3, "sgd_stability_initial_risk": 3,
+                     "sgd_stability_strongly_convex": 3}
+
+
+def test_stability_does_not_depend_on_the_trial_count(tmp_path):
+    texts = []
+    for trials in (1, 3):
+        out = tmp_path / f"trials-{trials}"
+        run_experiment(_small_cfg(trials=trials, out=str(out)))
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["trials"]) == trials
+        texts.append(dumps_json(report["stability"]))
+    assert texts[0] == texts[1]
 
 
 def test_every_kl_bound_is_vacuous_at_the_defaults():
@@ -312,14 +367,14 @@ def test_every_kl_bound_is_vacuous_at_the_defaults():
     final = MetricsRecord(cfg.iters, 0.05, 0.06, 0.99, 0.99, 0.0, None)
     report = harness.build_report(cfg, consts, train_ds, test_ds, [[final]])
     b = report["trials"][0]["bounds"]
-    for key in ("gen_kl", "gen_sgd_strongly_convex", "gen_derandomized"):
+    for key in ("gen_kl", "gen_derandomized"):
         assert b[key]["vacuous"] is True and b[key]["value"] >= cfg.loss_bound, key
     assert b["test_set_hoeffding"]["value"] == pytest.approx(0.06 + 0.2737, abs=1e-4)
     # a unit-norm regime with mu 1, where the uniform arm's KL bound says something
     unit = dataclasses.replace(consts, lipschitz=2 * math.sqrt(2.0), smoothness=1.5,
                                strong_convexity=1.0)
-    tight = harness._trial_bounds(dataclasses.replace(cfg, mu=1.0), unit, cfg.n, cfg.iters,
-                                  0.0, 0.5)
+    tight = harness.build_report(dataclasses.replace(cfg, mu=1.0), unit, train_ds, test_ds,
+                                 [[final]])["trials"][0]["bounds"]
     assert tight["gen_kl"]["vacuous"] is False and tight["gen_kl"]["value"] < cfg.loss_bound
 
 
@@ -425,13 +480,13 @@ def test_a_report_that_cannot_be_written_leaves_no_output_behind(tmp_path, monke
 
     def inf_for_last_arm(*args):
         calls.append(1)
-        return math.inf if len(calls) > 2 * 2 else convex(*args)
+        return math.inf if len(calls) > 2 else convex(*args)  # once per arm before the last
 
     monkeypatch.setattr(bounds, "sgd_stability_convex", inf_for_last_arm)
     out = tmp_path / "cmp"
     with pytest.raises(ValueError, match="non-finite number inf"):
         run_comparison(_small_cfg(out=str(out)), alphas=[1.0, 2.0])
-    assert len(calls) == 3 * 2
+    assert len(calls) == 3
     assert not out.exists()
 
 
