@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (Dataset, _check_counts, _check_nonnegative, _check_objective,
                     _check_open_unit, batch_objective_grads, softmax)
-from .optim import StepSchedule, UpdateRuleState, apply_update
+from .optim import StepSchedule, UpdateRuleState, _step
 from .weight_tree import WeightTree
 
 UTILITY_KINDS = ("zero_one", "l1")
@@ -125,11 +125,12 @@ class TrainTrace:
     and its final accumulators. A run trained with record=False keeps no
     more: its other fields stay None. A recorded run also keeps the drawn
     indices with repeats, one array per iteration (index t-1 holds iteration
-    t), and two running sums over every draw of every iteration:
-    log_ratio_sum, of ln(n * Q_t(i)) under the pre-draw tree state, and
-    advantage_sum, of the drawn index's decayed-utility accumulator S(i, t)
-    before the step minus the accumulator mean over all examples at the start
-    of the iteration.
+    t), and two sums over every draw of every iteration: log_ratio_sum, of
+    ln(n * Q_t(i)) under the pre-draw tree state, and advantage_sum, of the
+    drawn index's decayed-utility accumulator S(i, t) before the step minus
+    the accumulator mean over all examples at the start of the iteration.
+    Both are formed once, when `train_many` returns, and each is bitwise the
+    running sum that adds one batch sum per iteration, in order.
     """
 
     batch_size: int
@@ -177,6 +178,32 @@ def _check_start(ds: Dataset, runs: int, H: np.ndarray, rule: UpdateRuleState) -
         raise ValueError("adagrad accumulator shape must be (runs, num_classes, feature_dim)")
 
 
+def _path_sums(acc: np.ndarray, roots: np.ndarray, deltas: np.ndarray, amps: np.ndarray,
+               n: int) -> list:
+    """Every recorded run's [log_ratio_sum, advantage_sum] (see TrainTrace),
+    one list of R floats each, from what `train_many` buffers until it
+    returns, row r of each array being run r's in iteration order: `acc`, the
+    (R, T, b) pre-update accumulators of the drawn indices; `roots`, the
+    (R, T) pre-draw roots; and `deltas`, one zero-led (R, 1 + (T-1) * b) row
+    of the accumulator deltas of every iteration before the last, at first
+    appearances in draw order and zeros at repeats.
+
+    Every float is that of running sums advanced iteration by iteration. A
+    run's accumulator total at the start of an iteration is a running sum of
+    its deltas, and each run's sums over iterations are added to 0.0 in
+    order: `np.add.accumulate` along a contiguous row, which never pairs
+    terms. Each (run, iteration) statistic is a sum along its contiguous
+    batch row, bitwise the 1-d sum of that batch alone."""
+    R, T, b = acc.shape
+    shift = np.fromiter(map(math.log, roots.ravel().tolist()), float, R * T)
+    shift = shift.reshape(R, T, 1) - math.log(n)
+    means = np.add.accumulate(deltas, -1)[:, ::b, None] / n  # at each iteration's start
+    stats = np.zeros((2, R, 1 + T))
+    np.add.reduce(amps[:, None, None] * acc - shift, -1, None, stats[0, :, 1:])
+    np.add.reduce(acc - means, -1, None, stats[1, :, 1:])
+    return np.add.accumulate(stats, -1)[:, :, -1].tolist()
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises DivergenceError
 def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu: float,
                M: float, h0s, rngs, domain_radius: float | None = None,
@@ -186,7 +213,8 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
 
     Every iteration steps all runs with a fixed number of numpy calls: one
     `WeightTree.descend_many` call draws the batches of the runs that are not
-    flat (below), one stacked gradient and `apply_update` step moves every
+    flat (below), one stacked gradient and unchecked `apply_update` step
+    (`optim._step`: every input is checked once, before the loop) moves every
     hypothesis, one `utilities` call scores every draw at its run's new
     hypothesis, and one tree write reweights the unique drawn indices of each
     run that is not flat. The runs share the data, the schedule, mu, M, the
@@ -195,8 +223,8 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     (R, num_classes, feature_dim), stepped in place. Each run has its own h0
     and rng, which only its draws read: exactly depth uniforms per draw, draws
     in order. Every number run r produces is bitwise that of `train` on run r
-    alone, down to the per-value `math.exp` weights, the in-order accumulator
-    total and each running sum of its trace.
+    alone, down to the per-value `math.exp` weights and each sum of its
+    trace.
 
     Every run draws a block of B iterations at a time: one `rng.random` call
     fills its (B, batch, depth) slab of one (R, B, batch, depth) block of
@@ -217,7 +245,12 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     a tracked conditional KL is computed at these ticks alone, and cond_kl is
     None when it is not tracked. With record=False the traces keep only
     utility_sum, the metrics and final_acc (see `TrainTrace`), and nothing
-    only the other fields read is computed.
+    only the other fields read is computed. A recorded call forms its
+    traces' log_ratio_sum and advantage_sum once, after the last iteration
+    (`_path_sums`): until it returns it buffers, beside the drawn indices the
+    traces keep, two floats per draw and run (each drawn index's accumulator
+    before the update, and the accumulator change at each first appearance;
+    3.2 MB each at T 4000, batch 100) and one root per run and iteration.
 
     Raises DivergenceError(t) at the first iteration t after whose step any
     run's hypothesis, or the sum of its utilities, is non-finite: the earliest
@@ -255,7 +288,6 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     tree = WeightTree(np.ones((W, n))) if W else None
     if flat:
         ones = WeightTree(np.ones(n))  # every flat run's weights, never written
-        flat_roots = ones.totals.tolist() * flat
         flat_kl = conditional_kl(ones) if track_kl else None
     depth = (tree if W else ones).depth
     block_len = min(T, max(1, _BLOCK_UNIFORMS // (R * b * max(depth, 1))))
@@ -267,12 +299,12 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     acc_flat = acc.reshape(-1)
     # run r's examples start at offsets[r] in the flat accumulators
     offsets = np.arange(R)[:, None] * n if R > 1 else None
-    acc_totals = [0.0] * R
     traces = [TrainTrace(b, a, dec) for a in amp_list]
-    if record:
-        for trace in traces:
-            trace.indices, trace.log_ratio_sum, trace.advantage_sum = [], 0.0, 0.0
-    log_n = math.log(n)
+    if record:  # what the trace's sums read, buffered as _path_sums takes it
+        seen_idx, seen_acc, seen_roots = [], np.empty((R, T, b)), np.empty((R, T))
+        seen_deltas = np.zeros((R, 1 + (T - 1) * b))
+        if flat:
+            seen_roots[:flat] = ones.totals[0]  # a flat run's root never moves
 
     for t in range(1, T + 1):
         tick = metric_every and metric_fn is not None and (
@@ -292,24 +324,15 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
             idx = np.concatenate((flat_idx[:, step], idx)) if W else flat_idx[:, step]
         drawn = idx + offsets if R > 1 else idx  # run 0's offset is 0
         if record:
-            acc_idx = acc_flat[drawn]
-            roots = tree.totals.tolist() if W else []
-            if flat:
-                roots = flat_roots + roots
-            shift = np.fromiter(map(math.log, roots), float, R) - log_n
-            # each row sum is bitwise the 1-d sum of that run's batch
-            log_ratios = (amps[:, None] * acc_idx - shift[:, None]).sum(axis=1).tolist()
-            means = np.array(acc_totals) / n
-            advantages = (acc_idx - means[:, None]).sum(axis=1).tolist()
-            for r, trace in enumerate(traces):
-                trace.indices.append(idx[r])
-                trace.log_ratio_sum += log_ratios[r]
-                trace.advantage_sum += advantages[r]
+            seen_idx.append(idx)
+            seen_acc[:, t - 1] = acc_flat[drawn]
+            if W:
+                seen_roots[flat:, t - 1] = tree.totals
 
         # gradient step at h_{t-1}
         Xb, Yb = X[idx], Y[idx]
         G = batch_objective_grads(H, Xb, Yb, mu)
-        H = apply_update(H, G, t, sched, rule, domain_radius)
+        H = _step(H, G, t, sched, rule, domain_radius)  # every input checked above
 
         # every draw's utility at h_t in one stacked call, then one reweighting
         # per unique drawn index: uniq holds each run's unique indices in
@@ -352,11 +375,11 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
         old = acc_flat[at]
         new = dec * old + u
         acc_flat[at] = new
-        if record:
-            deltas = (new - old).tolist()
-            for r, (start, end) in enumerate(zip([0, *ends], ends)):
-                for d in deltas[start:end]:  # in order, as in a run of its own
-                    acc_totals[r] += d
+        if record and t < T:
+            if b == 1:
+                seen_deltas[:, t] = new - old
+            else:  # a row-major mask: each run's deltas land in draw order
+                seen_deltas[:, 1 + (t - 1) * b:1 + t * b][keep.reshape(R, b)] = new - old
         if W:
             if flat:  # the flat runs' entries come first, and are never written
                 uniq, new = uniq[ends[flat - 1]:], new[ends[flat - 1]:]
@@ -364,6 +387,11 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
             tree._write(uniq, np.fromiter(map(math.exp, (entry_amps * new).tolist()), float,
                                           len(uniq)), owner)
 
+    if record:
+        log_ratio_sums, advantage_sums = _path_sums(seen_acc, seen_roots, seen_deltas, amps, n)
+        for r, trace in enumerate(traces):
+            trace.indices = [idx[r] for idx in seen_idx]
+            trace.log_ratio_sum, trace.advantage_sum = log_ratio_sums[r], advantage_sums[r]
     for r, trace in enumerate(traces):
         trace.final_acc = acc[r]
     return [(H[r], trace) for r, trace in enumerate(traces)]

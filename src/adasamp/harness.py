@@ -58,7 +58,7 @@ from .model import (
     regularity_constants,
     zeros_hypothesis,
 )
-from .optim import RULE_KINDS, SCHEDULE_KINDS, StepSchedule, UpdateRuleState, apply_update
+from .optim import RULE_KINDS, SCHEDULE_KINDS, StepSchedule, UpdateRuleState, _step
 
 UTILITY_FLAGS = {"01": "zero_one", "l1": "l1"}
 SYNTHETIC_TASK = ("n", "dim", "classes", "imbalance", "noise", "separation")  # unread with a csv
@@ -537,10 +537,12 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
     over the table (X, y), all R runs stepped together as one (R, C, d) array
     (the coupled runs of the stability definitions). Returns H[R, C, d].
 
-    Stepped by the trainer's `batch_objective_grads` and `apply_update`, each
-    run is bitwise that run stepped alone, one example at a time, with
-    projection onto the radius ball. Rows are gathered `_BLOCK_ROWS` at a time.
+    Stepped by the trainer's `batch_objective_grads` and unchecked
+    `apply_update` step (the radius is checked once, here), each run is
+    bitwise that run stepped alone, one example at a time, with projection
+    onto the radius ball. Rows are gathered `_BLOCK_ROWS` at a time.
     """
+    _check_nonnegative(domain_radius=radius)
     R, T = indices.shape
     H = np.broadcast_to(h0, (R,) + h0.shape).copy()
     rule = UpdateRuleState.sgd()
@@ -548,7 +550,7 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
     for lo in range(0, T, steps):
         block = indices[:, lo:lo + steps].T[:, :, None]  # (steps, R, 1)
         for t, x, label in zip(range(lo + 1, T + 1), X[block], y[block]):
-            H = apply_update(H, batch_objective_grads(H, x, label, mu), t, sched, rule, radius)
+            H = _step(H, batch_objective_grads(H, x, label, mu), t, sched, rule, radius)
     return H
 
 

@@ -325,6 +325,11 @@ def project(h: np.ndarray, radius: float | None) -> np.ndarray:
     if radius is None:
         return h
     _check_nonnegative(domain_radius=radius)
+    return _project(h, radius)
+
+
+def _project(h: np.ndarray, radius: float) -> np.ndarray:
+    """`project` onto a ball whose radius the caller has checked."""
     norm = np.sqrt((h * h).reshape(h.shape[:-2] + (-1,)).sum(axis=-1))
     if not (norm > radius).any():
         return h

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 
-from .model import _check_counts, _check_nonnegative, _check_positive, project
+from .model import _check_counts, _check_nonnegative, _check_positive, _project
 
 SCHEDULE_KINDS = ("constant", "inverse_decay", "strongly_convex")
 RULE_KINDS = ("sgd", "adagrad")
@@ -54,6 +54,11 @@ class StepSchedule:
 def step_size(sched: StepSchedule, t: int) -> float:
     """The step size at iteration t (1-based)."""
     _check_counts(t=t)
+    return _eta(sched, t)
+
+
+def _eta(sched: StepSchedule, t: int) -> float:
+    """`step_size` at an iteration the caller has checked."""
     if sched.kind == "constant":
         return sched.eta
     if sched.kind == "inverse_decay":
@@ -99,16 +104,30 @@ def apply_update(h: np.ndarray, grad: np.ndarray, t: int, sched: StepSchedule,
     An (R, C, d) stack of runs, with an (R, C, d) gradient and accumulator,
     steps every run; the arithmetic is elementwise apart from the projection,
     which scales each run by its own norm, so run r's result is bitwise that
-    of stepping it alone.
+    of stepping it alone. A rejected input (a gradient of another shape, a t
+    that is not an integer >= 1, a radius outside [0, inf)) raises
+    ValueError before the accumulator moves; loops that check once per call
+    step through the unchecked `_step`.
     """
     if grad.shape != h.shape:
         raise ValueError("gradient shape mismatch")
-    eta = step_size(sched, t)
+    _check_counts(t=t)
+    if domain_radius is not None:
+        _check_nonnegative(domain_radius=domain_radius)
+    return _step(h, grad, t, sched, state, domain_radius)
+
+
+def _step(h: np.ndarray, grad: np.ndarray, t: int, sched: StepSchedule,
+          state: UpdateRuleState, domain_radius: float | None) -> np.ndarray:
+    """`apply_update` without its checks, for a loop that checks once per
+    call: the caller guarantees a gradient of h's shape, an integer t >= 1
+    and a radius that is None or in [0, inf)."""
+    eta = _eta(sched, t)
     if state.kind == "sgd":
         out = h - eta * grad
     else:
         state.accumulator += grad * grad
         out = h - eta * grad / np.sqrt(state.accumulator + ADAGRAD_EPS)
     if domain_radius is not None:
-        out = project(out, domain_radius)
+        out = _project(out, domain_radius)
     return out

@@ -10,6 +10,7 @@ REBUILD_EVERY = 1 << 20  # leaf writes to one run between automatic relabels of 
 # Smallest positive weight: 2 * np.finfo(float).tiny. From here up, u * w < w for
 # every uniform u <= 1 - 2**-53; at tiny itself that product ties back to w.
 _MIN_WEIGHT = 2.0 ** -1021
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 class WeightTree:
@@ -60,10 +61,10 @@ class WeightTree:
             w = w[None]
         if w.ndim != 2 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array, or one such row per run")
-        lo, hi = w.min(), w.max()
+        lo, hi = float(np.minimum.reduce(w, None)), float(np.maximum.reduce(w, None))
         if not (lo >= 0 and hi < math.inf):
             raise ValueError("weights must be finite and nonnegative")
-        if not (hi > 0 if len(w) == 1 else w.max(axis=1).min() > 0):
+        if not (hi > 0 if len(w) == 1 else np.minimum.reduce(np.maximum.reduce(w, 1)) > 0):
             raise ValueError("at least one weight must be positive")
         if lo < _MIN_WEIGHT and ((w > 0) & (w < _MIN_WEIGHT)).any():
             raise ValueError("positive weights must be at least 2**-1021")
@@ -75,10 +76,13 @@ class WeightTree:
         self._rows = np.zeros((self.runs, self._stride))
         self._nodes = self._rows.reshape(-1)  # the same labels, run after run
         self._leaves()[:] = w
-        with np.errstate(over="ignore"):  # an overflowing total is rejected below
+        if hi * self.n < _HALF_MAX:  # a label adds at most n weights <= hi: none overflows
             self.rebuild()
-        if not max(self.totals.tolist()) < math.inf:
-            raise ValueError("total weight must be finite")
+        else:
+            with np.errstate(over="ignore"):  # an overflowing total is rejected below
+                self.rebuild()
+            if not max(self.totals.tolist()) < math.inf:
+                raise ValueError("total weight must be finite")
         self.sample_visits = 0
         self.update_writes = 0
 

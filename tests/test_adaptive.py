@@ -568,6 +568,101 @@ def _check_lockstep(ds, amps, classes, batch, T, kind, rule, radius, track, rng)
         assert trace.indices is trace.log_ratio_sum is trace.advantage_sum is None
 
 
+@pytest.mark.parametrize("T", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("n,classes,kind,rule,radius", [
+    (1, 2, "l1", "sgd", None),  # depth 0: every draw is index 0
+    (5, 3, "zero_one", "adagrad", 0.9),
+    (4, 2, "l1", "adagrad", None),
+])
+def test_recorded_sums_of_the_shortest_runs_are_the_scalar_loops(n, classes, kind, rule, radius,
+                                                                 batch, T):
+    # a recorded call forms its sums after the loop: at T = 1 no iteration
+    # leaves accumulator deltas behind, at T = 2 one does
+    ds = (synth_data(n, 4, classes, 0.6, 0.1, seed=n, separation=4.0) if n >= classes
+          else Dataset.from_arrays(np.linspace(-1.0, 1.0, 4)[None], np.array([1]), classes))
+    rng = np.random.default_rng(100 * n + 10 * batch + T)
+    # two leading flat runs, reweighted runs, and a later amplitude-0 run with a tree row
+    amps = [0.0, 0.0, 1.3, 0.0, 2.0]
+    _check_lockstep(ds, amps, classes, batch, T, kind, rule, radius, False, rng)
+    sched = StepSchedule.inverse_decay(0.6, 0.01)
+    for amp in amps[1:4]:
+        cfg = SamplerConfig(amplitude=amp, decay=0.4, utility=kind, batch_size=batch,
+                            iterations=T)
+        h0 = 0.5 * rng.standard_normal((classes, 4))
+        seed = int(rng.integers(2**32))
+        rules = [UpdateRuleState.sgd() if rule == "sgd" else UpdateRuleState.adagrad((classes, 4))
+                 for _ in range(2)]
+        h, trace = train(ds, cfg, sched, rules[0], 0.05, 5.0, h0, np.random.default_rng(seed),
+                         domain_radius=radius)
+        h_ref, ref, acc = _scalar_train(ds, cfg, sched, rules[1], 0.05, h0,
+                                        np.random.default_rng(seed), domain_radius=radius)
+        assert h.tobytes() == h_ref.tobytes() and trace.final_acc.tobytes() == acc.tobytes()
+        assert [i.tobytes() for i in trace.indices] == [i.tobytes() for i in ref["indices"]]
+        for key in ("log_ratio_sum", "advantage_sum", "utility_sum"):
+            assert getattr(trace, key).hex() == ref[key].hex(), key
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_a_recorded_call_raises_at_the_iteration_its_runs_diverge(batch):
+    # the third run's h0 overflows a few steps in; the recorded sums are never formed
+    ds = _random_dataset(24, n=6)
+    cfgs = [SamplerConfig(amplitude=a, decay=0.5, batch_size=batch, iterations=8)
+            for a in (0.0, 0.0, 1.0, 0.0)]
+    sched = StepSchedule.constant(1e50)
+    h0s = [np.ones((2, 3)), np.ones((2, 3)), 1e200 * np.ones((2, 3)), np.ones((2, 3))]
+    with pytest.raises(DivergenceError) as exc:
+        train(ds, cfgs[2], sched, UpdateRuleState.sgd(), 1e50, 5.0, h0s[2],
+              np.random.default_rng(4))
+    alone = exc.value.iteration
+    assert 1 < alone < 8
+    for record in (True, False):
+        with pytest.raises(DivergenceError) as exc:
+            train_many(ds, cfgs, sched, UpdateRuleState.sgd(), 1e50, 5.0, h0s,
+                       [np.random.default_rng(4) for _ in cfgs], record=record)
+        assert exc.value.iteration == alone
+
+
+def test_numpy_sums_in_the_recorded_layouts_are_the_scalar_loops():
+    # the premise of `adaptive._path_sums`: along the last axis of an
+    # (R, T, b) array, np.add.reduce sums each batch row bitwise as the 1-d sum
+    # of that row alone, and along the last axis of a zero-led (2, R, 1 + T)
+    # array np.add.accumulate ends each row at the loop 0.0 + x_1 + ... + x_T;
+    # and along a zero-led row of b deltas per iteration, zeros at repeats, its
+    # running sum at every b-th place is the loop total of the earlier deltas
+    rng = np.random.default_rng(43)
+    cells = 0
+    for R, T, b in [(1, 1, 1), (1, 5, 1), (2, 1, 3), (3, 2, 3), (1, 4000, 1), (5, 7, 8),
+                    (4, 3, 9), (30, 7, 100), (2, 5, 1001), (10000, 5, 1)]:
+        batches = rng.standard_normal((R, T, b)) * 10.0 ** rng.integers(-8, 8, (R, T, 1))
+        batches[rng.random((R, T, b)) < 0.05] = 0.0
+        stats = np.zeros((2, R, 1 + T))
+        np.add.reduce(batches, -1, None, stats[0, :, 1:])
+        stats[1, :, 1:] = rng.standard_normal((R, T)) * 10.0 ** rng.integers(-8, 8, (R, 1))
+        ends = np.add.accumulate(stats, -1)[:, :, -1]
+        for r in range(R):
+            for t in range(T):
+                assert stats[0, r, 1 + t].tobytes() == batches[r, t].copy().sum().tobytes()
+            for row in range(2):
+                total = 0.0
+                for x in stats[row, r, 1:].tolist():
+                    total += x
+                assert ends[row, r].tobytes() == np.float64(total).tobytes(), (R, T, b, r, row)
+        repeat = rng.random((R, T - 1, b)) < 0.3
+        deltas = np.zeros((R, 1 + (T - 1) * b))
+        deltas[:, 1:] = np.where(repeat, 0.0, batches[:, :-1]).reshape(R, -1)
+        starts = np.add.accumulate(deltas, -1)[:, ::b]
+        for r in range(R):
+            total = 0.0
+            for t in range(T):
+                assert starts[r, t].tobytes() == np.float64(total).tobytes(), (R, T, b, r, t)
+                if t < T - 1:
+                    for d in batches[r, t][~repeat[r, t]].tolist():
+                        total += d
+        cells += R * T
+    assert cells >= 50000
+
+
 class _BlockRecordingRng:
     """A generator that records how many iterations each `random` call fills."""
 

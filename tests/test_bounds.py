@@ -580,7 +580,8 @@ def test_enumeration_values_are_pinned(monkeypatch):
         projected.append(int(np.count_nonzero(norm > radius)))
         return project(h, radius)
 
-    monkeypatch.setattr(optim, "project", counting_project)
+    # every step, checked or not, projects through the unchecked `optim._project`
+    monkeypatch.setattr(optim, "_project", counting_project)
     digest = hashlib.sha256()
     for ds, cfg, sched, rule, mu, h0, radius in _pinned_enumeration_grid():
         res = enumerate_posterior_divergence(ds, cfg, sched, rule, mu, 5.0, h0, radius)

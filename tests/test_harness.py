@@ -515,6 +515,20 @@ def test_indexed_replay_is_deterministic_and_identity_stable():
     assert not h0.any()
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_coupled_runs_check_their_radius_once_before_any_step(monkeypatch, radius):
+    # the steps are unchecked, so a bad radius is rejected before the first
+    train_ds, _ = build_datasets(_small_cfg(mu=0.1))
+    monkeypatch.setattr(harness, "batch_objective_grads", _never_called)
+    with pytest.raises(ValueError, match="^domain_radius must be nonnegative and finite"):
+        _run_coupled(train_ds.features, train_ds.labels, np.zeros((2, 5), dtype=np.int64),
+                     StepSchedule.strongly_convex(0.1, 2.0), 0.1, zeros_hypothesis(2, 4), radius)
+
+
+def _never_called(*args):
+    raise AssertionError("stepped before the radius was checked")
+
+
 class _GatherLog(np.ndarray):
     """A table view that logs the shape of every index it is gathered by."""
 

@@ -16,7 +16,7 @@ import adasamp.harness as harness
 from adasamp import bounds
 from adasamp.adaptive import SamplerConfig, train_many
 from adasamp.model import Dataset, zeros_hypothesis
-from adasamp.optim import StepSchedule, UpdateRuleState
+from adasamp.optim import StepSchedule, UpdateRuleState, apply_update
 
 VALUE_BAD = [math.nan, math.inf, -1.0]
 COUNT_BAD = [math.nan, math.inf, -1, 2.5, 3.0]
@@ -64,6 +64,15 @@ def _train_many(name, value, monkeypatch):
                    metric_fn=_never, **{name: value})
     finally:
         assert rng.bit_generator.state == start
+
+
+def _apply_update(name, value, monkeypatch):
+    rule = UpdateRuleState.adagrad((2, 2))
+    try:
+        apply_update(np.ones((2, 2)), np.ones((2, 2)), sched=StepSchedule.constant(0.1),
+                     state=rule, **{"t": 1, "domain_radius": 1.0, name: value})
+    finally:
+        assert not rule.accumulator.any()  # rejected before the step
 
 
 def _synth_arrays(name, value, monkeypatch):
@@ -122,6 +131,7 @@ ENTRY_POINTS = {
     "ExperimentConfig": (_experiment_config, ["eta", "delta"], ["trials", "cadence"]),
     "SamplerConfig": (_sampler_config, ["amplitude", "decay"], ["batch_size", "iterations"]),
     "train_many": (_train_many, [], ["metric_every"]),
+    "apply_update": (_apply_update, ["domain_radius"], ["t"]),
     "StepSchedule.inverse_decay": (_schedule("inverse_decay"), ["eta", "kappa"], []),
     "StepSchedule.strongly_convex": (_schedule("strongly_convex"), ["mu", "smoothness"], []),
     "build_datasets": (_build_datasets, [], ["n", "test_n"]),

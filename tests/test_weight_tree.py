@@ -213,6 +213,23 @@ def test_a_total_past_the_float_range_is_rejected():
     assert tree.probs([0, 1, 2, 3]).tolist() == [0.5, 0.0, 0.25, 0.25]
 
 
+def test_trees_on_both_sides_of_the_unguarded_build_are_exact():
+    # n * max(w) below half the float range: no label can overflow, and the
+    # tree is labelled without numpy's overflow guard; from there up it is
+    # labelled under the guard. Either way every label is its children's
+    # sum, and a leaked overflow warning would fail the test
+    half = np.finfo(np.float64).max / 2
+    for n in (1, 2, 3, 4, 7, 1000):
+        below = np.nextafter(half / n, 0.0)
+        for top in (below, np.nextafter(half / n, math.inf), 1.5 * half / n):
+            w = np.full(n, top / 2)
+            w[n // 2] = top  # the largest weight sets the bound
+            tree = WeightTree(w)
+            for node in range(1, tree.capacity):
+                assert tree._nodes[node] == tree._nodes[2 * node] + tree._nodes[2 * node + 1]
+            assert math.isfinite(tree.totals[0])
+
+
 def test_subnormal_weights_are_rejected():
     # 0.7 * 5e-324 rounds back to 5e-324, so a draw would walk to the zero leaf
     with pytest.raises(ValueError):
