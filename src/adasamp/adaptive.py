@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .model import (Dataset, _check_counts, _check_nonnegative, _check_objective,
-                    _check_open_unit, batch_objective_grads, softmax)
+                    _check_open_unit, _one_hot, batch_objective_grads, softmax)
 from .optim import StepSchedule, UpdateRuleState, _step
 from .weight_tree import WeightTree
 
@@ -213,11 +213,12 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
 
     Every iteration steps all runs with a fixed number of numpy calls: one
     `WeightTree.descend_many` call draws the batches of the runs that are not
-    flat (below), one stacked gradient and unchecked `apply_update` step
-    (`optim._step`: every input is checked once, before the loop) moves every
-    hypothesis, one `utilities` call scores every draw at its run's new
-    hypothesis, and one tree write reweights the unique drawn indices of each
-    run that is not flat. The runs share the data, the schedule, mu, M, the
+    flat (below), one `_one_hot` call makes the drawn labels' targets, one
+    stacked gradient and unchecked `apply_update` step (`optim._step`: every
+    input is checked once, before the loop) moves every hypothesis, one
+    `utilities` call scores every draw at its run's new hypothesis, and one
+    tree write reweights the unique drawn indices of each run that is not
+    flat. The runs share the data, the schedule, mu, M, the
     radius and the update rule, and their configs may differ only in the
     amplitude. An AdaGrad `rule` holds one accumulator per run, shape
     (R, num_classes, feature_dim), stepped in place. Each run has its own h0
@@ -331,7 +332,7 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
 
         # gradient step at h_{t-1}
         Xb, Yb = X[idx], Y[idx]
-        G = batch_objective_grads(H, Xb, Yb, mu)
+        G = batch_objective_grads(H, Xb, _one_hot(Yb, ds.num_classes), mu)
         H = _step(H, G, t, sched, rule, domain_radius)  # every input checked above
 
         # every draw's utility at h_t in one stacked call, then one reweighting

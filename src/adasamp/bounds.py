@@ -37,6 +37,7 @@ from .model import (
     _check_objective,
     _check_open_unit,
     _check_positive,
+    _one_hot,
     batch_objective_grads,
 )
 from .optim import StepSchedule, UpdateRuleState, apply_update
@@ -265,6 +266,7 @@ def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepS
                  else UpdateRuleState("adagrad", rule.accumulator[None]))
     amp, dec = cfg.amplitude, cfg.decay
     X, Y = ds.features[:, None, :], ds.labels[:, None]  # branch i draws example i
+    targets = _one_hot(Y, ds.num_classes)
     totals = {"kl": 0.0, "adv": 0.0, "sum": 0.0}
 
     def walk(t, h, acc, state, path_prob, kl_acc, adv_acc, util_acc):
@@ -279,7 +281,8 @@ def enumerate_posterior_divergence(ds: Dataset, cfg: SamplerConfig, sched: StepS
         H = np.repeat(h[None], n, axis=0)
         if state.kind == "adagrad":
             state = UpdateRuleState("adagrad", np.repeat(state.accumulator[None], n, axis=0))
-        H = apply_update(H, batch_objective_grads(H, X, Y, mu), t, sched, state, domain_radius)
+        H = apply_update(H, batch_objective_grads(H, X, targets, mu), t, sched, state,
+                         domain_radius)
         us = utilities(cfg.utility, H, X, Y)[:, 0].tolist()
         if not (np.isfinite(H).all() and all(map(math.isfinite, us))):
             raise DivergenceError(t)

@@ -52,6 +52,7 @@ from .model import (
     _check_objective,
     _check_open_unit,
     _check_positive,
+    _one_hot,
     _risk_and_accuracy,
     batch_objective_grads,
     default_domain_radius,
@@ -540,7 +541,9 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
     Stepped by the trainer's `batch_objective_grads` and unchecked
     `apply_update` step (the radius is checked once, here), each run is
     bitwise that run stepped alone, one example at a time, with projection
-    onto the radius ball. Rows are gathered `_BLOCK_ROWS` at a time.
+    onto the radius ball. Rows are gathered `_BLOCK_ROWS` at a time, and
+    each gather's labels become one-hot targets in one `_one_hot` call, a
+    view of which each step subtracts.
     """
     _check_nonnegative(domain_radius=radius)
     R, T = indices.shape
@@ -549,8 +552,9 @@ def _run_coupled(X, y, indices, sched, mu, h0, radius) -> np.ndarray:
     steps = max(1, model._BLOCK_ROWS // R)
     for lo in range(0, T, steps):
         block = indices[:, lo:lo + steps].T[:, :, None]  # (steps, R, 1)
-        for t, x, label in zip(range(lo + 1, T + 1), X[block], y[block]):
-            H = _step(H, batch_objective_grads(H, x, label, mu), t, sched, rule, radius)
+        targets = _one_hot(y[block], h0.shape[0])  # (steps, R, 1, C)
+        for t, x, target in zip(range(lo + 1, T + 1), X[block], targets):
+            H = _step(H, batch_objective_grads(H, x, target, mu), t, sched, rule, radius)
     return H
 
 

@@ -198,11 +198,23 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def batch_objective_grads(H, X, y, mu) -> np.ndarray:
+def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Float one-hot rows of integer labels: an array of labels' shape plus a
+    trailing class axis, exactly 1.0 at each label and 0.0 elsewhere."""
+    return (labels[..., None] == np.arange(num_classes)).astype(np.float64)
+
+
+def batch_objective_grads(H, X, targets, mu) -> np.ndarray:
     """Mean objective gradient of every run over its own batch: run r's mean
-    of (softmax(h x) - onehot(y)) outer x + mu * h at h = H[r] over rows X[r]
-    (duplicates included) with labels y[r], as an (R, C, d) array from
-    H (R, C, d), X (R, b, d), y (R, b).
+    of (softmax(h x) - target) outer x + mu * h at h = H[r] over rows X[r]
+    (duplicates included) with one-hot targets targets[r], as an (R, C, d)
+    array from H (R, C, d), X (R, b, d), targets (R, b, C).
+
+    The targets are subtracted whole (`_one_hot` builds them from labels),
+    so a caller that knows its labels ahead builds them once for many steps.
+    Subtracting 0.0 leaves every entry, -0.0 included, bitwise as it was, and
+    subtracting 1.0 is the label entry's own `-= 1.0`, so the result is
+    bitwise that of subtracting 1.0 at each label by index.
 
     Run r's gradient is bitwise that of the one-run stack H[r:r+1]: numpy's
     stacked matmul makes the same BLAS call for each run, and every reduction
@@ -212,8 +224,8 @@ def batch_objective_grads(H, X, y, mu) -> np.ndarray:
     turning a -0 into +0.
     """
     P = softmax(X @ H.transpose(0, 2, 1))
-    P.reshape(-1, P.shape[-1])[np.arange(y.size), y.reshape(-1)] -= 1.0
-    Pt, b = P.transpose(0, 2, 1), y.shape[1]
+    P -= targets
+    Pt, b = P.transpose(0, 2, 1), targets.shape[1]
     G = Pt * X if b == 1 else Pt @ X / b
     G += mu * H
     return G
@@ -329,7 +341,34 @@ def project(h: np.ndarray, radius: float | None) -> np.ndarray:
 
 
 def _project(h: np.ndarray, radius: float) -> np.ndarray:
-    """`project` onto a ball whose radius the caller has checked."""
+    """`project` onto a ball whose radius the caller has checked.
+
+    One dot product first certifies a stack whose every run is inside the
+    ball, and returns h itself without the per-run norms, as they would. With
+    u = 2^-53, k = h.size and S the exact sum of squares of all k entries, a
+    float64 h passes when fl(sqrt(D)) <= fl(radius * fl(1 - m)), where D is
+    `np.vdot(h, h)` in any summation order, fused or not, and
+    m = (k + 4) * 2^-52 = 2 (k + 4) u. Then no run's computed norm exceeds
+    the radius, provided k u <= 1/100 (any array that fits in memory) and
+    2^-500 <= radius <= 2^500:
+    - a run's computed sum of squares is at most (1 + g)(1 + u) S + 2k e,
+      and D >= (1 - g) S - 2k e, with g = k u / (1 - k u) and e = 2^-1075
+      the largest rounding error of a product or sum that underflows;
+    - passing gives D <= (1 + u)^4 / (1 - u)^2 (1 - m)^2 radius^2, from the
+      roundings of the square root, of 1 - m and of the product;
+    - (1 + g) / (1 - g) = 1 / (1 - 2 k u) <= 1 + 2.05 k u, so a run's sum is
+      at most (1 - 2 (k + 4) u) radius^2 + 5k e <= radius^2, the last step
+      needing radius >= 2^-510; its correctly rounded square root is then at
+      most the float radius. Below 2^500 nothing in either sum overflows.
+    NaN, inf and an overflowing D (which `np.vdot` leaves unwarned) fail the
+    comparison and fall through to the per-run norms, as does any other
+    dtype, so a decision near the margin only picks the path: the output
+    never depends on D's rounding. The bound is linear in k: a fixed margin
+    of 1e-9 covers only k up to about 4e6.
+    """
+    if (h.dtype == np.float64 and 2.0**-500 <= radius <= 2.0**500
+            and math.sqrt(np.vdot(h, h)) <= radius * (1 - (h.size + 4) * 2.0**-52)):
+        return h
     norm = np.sqrt((h * h).reshape(h.shape[:-2] + (-1,)).sum(axis=-1))
     if not (norm > radius).any():
         return h

@@ -3,7 +3,8 @@ first-written forms of what the package computes batched, or does not need
 at all, for the tests to check the package against. The one-example
 gradient, utility and class probabilities pin the trainer's stacked kernels
 bitwise, and through them the enumeration oracle that steps with those
-kernels. The test instances that several modules build alike live here too,
+kernels; the label-indexed gradient and the run-norm projection, as first
+written, pin the one-hot gradient and the projection's dot certificate. The test instances that several modules build alike live here too,
 so every module gets the same instance from the same seed."""
 
 import itertools
@@ -39,6 +40,29 @@ def objective_grad(h: np.ndarray, z: Example, mu: float) -> np.ndarray:
     p = predict_proba(h, z.features)
     p[z.label] -= 1.0
     return np.outer(p, z.features) + mu * h
+
+
+def labelled_objective_grads(H, X, y, mu) -> np.ndarray:
+    """The trainer's stacked gradient as first written, from integer labels
+    y (R, b) in place of one-hot targets: 1.0 subtracted at each label by a
+    fancy index into the probabilities."""
+    P = softmax(X @ H.transpose(0, 2, 1))
+    P.reshape(-1, P.shape[-1])[np.arange(y.size), y.reshape(-1)] -= 1.0
+    Pt, b = P.transpose(0, 2, 1), y.shape[1]
+    G = Pt * X if b == 1 else Pt @ X / b
+    G += mu * H
+    return G
+
+
+def project_by_run_norms(h: np.ndarray, radius: float) -> np.ndarray:
+    """The projection as first written: every run's norm, no certificate. h
+    itself when no norm exceeds the radius, else every run scaled by its own
+    factor (exactly 1.0 inside the ball)."""
+    norm = np.sqrt((h * h).reshape(h.shape[:-2] + (-1,)).sum(axis=-1))
+    if not (norm > radius).any():
+        return h
+    scale = np.divide(radius, norm, out=np.ones_like(norm), where=norm > radius)
+    return h * scale[..., None, None]
 
 
 def utility(kind: str, z: Example, h: np.ndarray) -> float:

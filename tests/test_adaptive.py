@@ -29,7 +29,7 @@ from adasamp import (
 import adasamp.adaptive as adaptive
 import adasamp.weight_tree as weight_tree
 from adasamp.harness import ExperimentConfig, run_comparison
-from adasamp.model import batch_objective_grads
+from adasamp.model import _one_hot, batch_objective_grads
 from adasamp.optim import ADAGRAD_EPS
 from oracles import (
     Example,
@@ -346,7 +346,7 @@ def _naive_train(ds, cfg, sched, mu, h0, seed):
         all_idx.append(idx)
         all_probs.append(w[idx] / w.sum())
         X, y = ds.features[idx], ds.labels[idx]
-        gbar = batch_objective_grads(h[None], X[None], y[None], mu)[0]
+        gbar = batch_objective_grads(h[None], X[None], _one_hot(y[None], ds.num_classes), mu)[0]
         h = h - step_size(sched, t) * gbar
         seen = []
         for i in idx:

@@ -569,6 +569,13 @@ def test_coupled_kernel_replays_the_per_run_loop_bitwise(monkeypatch, classes, d
     radius = float(np.median([np.sqrt((h * h).sum()) for h in free]))
     labels = ds.labels.view(_GatherLog)
     labels.shapes = []
+    built = []  # the labels shape of every targets build
+
+    def one_hot(y, num_classes):
+        built.append(y.shape)
+        return model._one_hot(y, num_classes)
+
+    monkeypatch.setattr(harness, "_one_hot", one_hot)
     H = _run_coupled(ds.features, labels, indices, sched, mu, h0, radius)
     expect = [naive_run_indexed(ds, row, sched, mu, h0, radius) for row in indices]
     assert H.shape == (R, classes, dim)
@@ -576,6 +583,7 @@ def test_coupled_kernel_replays_the_per_run_loop_bitwise(monkeypatch, classes, d
         assert H[r].tobytes() == expect[r].tobytes()
     steps = [shape[0] for shape in labels.shapes]  # one gather per block of steps
     assert sum(steps) == T and labels.shapes == [(k, R, 1) for k in steps]
+    assert built == labels.shapes  # targets built once per gather, from its labels
     if block_rows is not None:  # at least 3 gathers, the last one partial
         assert len(steps) >= 3 and steps[-1] < steps[0]
     if R > 1:

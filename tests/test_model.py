@@ -25,19 +25,23 @@ from adasamp.model import (
     _bounded_losses,
     _class_max,
     _last_axis_sum,
+    _one_hot,
     _pairwise_sum,
+    _project,
     _risk_and_accuracy,
     batch_objective_grads,
 )
 from oracles import (
     Example,
     example,
+    labelled_objective_grads,
     naive_accuracy,
     naive_mean_bounded_loss,
     naive_softmax,
     objective_grad,
     objective_value,
     predict_proba,
+    project_by_run_norms,
 )
 
 
@@ -146,7 +150,8 @@ def test_batch_gradient_matches_mean_of_singles():
     h = rng.standard_normal((2, 3))
     X = rng.standard_normal((6, 3))
     y = rng.integers(0, 2, size=6)
-    gbar = batch_objective_grads(h[None], X[None], y[None], 0.3)[0]
+    targets = _one_hot(y[None], 2)
+    gbar = batch_objective_grads(h[None], X[None], targets, 0.3)[0]
     singles_g = np.mean([objective_grad(h, Example(X[r], int(y[r])), 0.3) for r in range(6)], axis=0)
     assert np.allclose(gbar, singles_g, atol=1e-12)
 
@@ -369,11 +374,12 @@ def test_stacked_products_and_gradients_equal_per_run_calls_bitwise(batch, class
     scores = X @ H.transpose(0, 2, 1)
     P = rng.random((R, batch, classes))
     back = P.transpose(0, 2, 1) @ X
-    G = batch_objective_grads(H, X, y, 0.3)
+    targets = _one_hot(y, classes)
+    G = batch_objective_grads(H, X, targets, 0.3)
     for r in range(R):
         assert scores[r].tobytes() == (X[r] @ H[r].T).tobytes()
         assert back[r].tobytes() == (P[r].T @ X[r]).tobytes()
-        one = batch_objective_grads(H[r:r + 1], X[r:r + 1], y[r:r + 1], 0.3)
+        one = batch_objective_grads(H[r:r + 1], X[r:r + 1], targets[r:r + 1], 0.3)
         assert G[r].tobytes() == one[0].tobytes()
 
 
@@ -389,12 +395,38 @@ def test_one_draw_gradients_are_objective_grads_bitwise_signed_zeros_included(cl
     X[:, :, 0] = 0.0
     X[::3, :, dim // 2] = 0.0
     y = rng.integers(0, classes, size=(R, 1))
-    G = batch_objective_grads(H, X, y, mu)
+    G = batch_objective_grads(H, X, _one_hot(y, classes), mu)
     expect = [objective_grad(H[r], Example(X[r, 0], int(y[r, 0])), mu) for r in range(R)]
     for r in range(R):
         assert G[r].tobytes() == expect[r].tobytes()
     if mu == 0:
         assert any(np.signbit(g[:, 0]).any() for g in expect)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 100])
+@pytest.mark.parametrize("classes", [2, 3, 10])
+def test_one_hot_targets_give_the_labelled_gradient_bitwise_signed_zeros_included(batch, classes):
+    # subtracting a target's 0.0 leaves every entry as it was and its 1.0 is
+    # the label's own `-= 1.0`; saturated runs make probabilities of exactly
+    # 0 and 1, and zero features and mu 0 make signed zeros in the gradient
+    rng = np.random.default_rng(batch * classes)
+    R, dim = 12, 5
+    H = rng.standard_normal((R, classes, dim)) * np.logspace(-3, 4, R)[:, None, None]
+    X = rng.standard_normal((R, batch, dim))
+    X[:, :, 0] = 0.0
+    X[::2, :, dim - 1] = -0.0
+    y = rng.integers(0, classes, size=(R, batch))
+    targets = _one_hot(y, classes)
+    assert targets.dtype == np.float64 and targets.shape == (R, batch, classes)
+    assert np.array_equal(targets.argmax(axis=-1), y)
+    assert np.array_equal(targets.sum(axis=-1), np.ones(y.shape))
+    for mu in (0.0, 0.3):
+        expect = labelled_objective_grads(H, X, y, mu)
+        for t in (targets, targets.astype(bool)):
+            assert batch_objective_grads(H, X, t, mu).tobytes() == expect.tobytes()
+    P = softmax(X @ H.transpose(0, 2, 1))
+    assert (P == 0).any() and (P == 1).any()
+    assert np.signbit(labelled_objective_grads(H, X, y, 0.0)).any()
 
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 127, 128, 129, 300, 1000])
@@ -437,6 +469,107 @@ def test_projection_scales_a_run_outside_the_ball_beside_a_nan_run():
     assert out[1].tobytes() == project(H[1], radius).tobytes()
     for r in (0, 2):
         assert out[r].tobytes() == (H[r] * 1.0).tobytes()
+
+
+class _CountingNumpy:
+    """numpy with a count of its `sqrt` calls: `_project` takes its per-run
+    norms through `np.sqrt` and its dot certificate through `math.sqrt`, so
+    the count tells which path a call took."""
+
+    def __init__(self):
+        self.sqrt_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sqrt(self, *args, **kwargs):
+        self.sqrt_calls += 1
+        return np.sqrt(*args, **kwargs)
+
+
+def _assert_projects_as_the_oracle(h, radius) -> bool:
+    """`_project` gives the run-norm oracle's bytes, and h itself exactly
+    when the oracle does; returns whether it kept h."""
+    expect = project_by_run_norms(h, radius)
+    out = _project(h, radius)
+    assert out.tobytes() == expect.tobytes()
+    assert (out is h) == (expect is h)
+    return out is h
+
+
+def _ulps(x: float, steps: int) -> float:
+    """x moved `steps` floats up, or down when steps < 0."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return float(x)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (2, 3), (5, 3, 4), (28, 2, 8)])
+def test_projection_certificate_keeps_the_run_norms_decision_within_ulps_of_the_radius(shape):
+    # radii a few ulps either side of the largest run norm, and of the
+    # certificate's own edge sqrt(D) / (1 - m); float32 takes the norms alone
+    rng = np.random.default_rng(sum(shape))
+    kept = []
+    for _ in range(20):
+        h = rng.standard_normal(shape) * rng.uniform(0.01, 100.0)
+        edge = float(np.sqrt((h * h).reshape(h.shape[:-2] + (-1,)).sum(axis=-1)).max())
+        cert_edge = math.sqrt(np.vdot(h, h)) / (1 - (h.size + 4) * 2.0**-52)
+        for center in (edge, cert_edge):
+            for j in range(-4, 5):
+                for stack in (h, h.astype(np.float32)):
+                    kept.append(_assert_projects_as_the_oracle(stack, _ulps(center, j)))
+    assert any(kept) and not all(kept)
+
+
+def test_projection_certificate_at_radius_zero_and_on_underflowing_stacks():
+    # a zero or subnormal stack's squares are all 0.0, so every norm is 0 and
+    # radius 0 keeps it; squares of 1e-160 are subnormal but not zero
+    zero = np.zeros((3, 2, 4))
+    subnormal = np.full((3, 2, 4), 5e-324)
+    subnormal[1] *= -1.0
+    tiny = np.full((3, 2, 4), 1e-160)
+    for h in (zero, subnormal, tiny):
+        for radius in (0.0, 5e-324, 2.0**-520, 2.0**-500, 1e-160, 1e-159, 1.0):
+            _assert_projects_as_the_oracle(h, radius)
+    assert _project(zero, 0.0) is zero and _project(subnormal, 0.0) is subnormal
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_projection_certificate_falls_through_on_non_finite_entries(bad):
+    rng = np.random.default_rng(7)
+    for radius in (0.5, 3.0, 81.0):
+        for h in (rng.standard_normal((4, 2, 3)), rng.standard_normal((2, 3))):
+            h[..., -1, 0] = bad
+            with np.errstate(invalid="ignore"):  # both scale an infinite run by 0
+                _assert_projects_as_the_oracle(h, radius)
+
+
+def test_projection_certificate_falls_through_when_the_whole_dot_overflows():
+    # every run's sum of squares is about 0.6 of the float range, so only the
+    # stack's overflows; `np.vdot` raises no warning, and inf fails the test
+    h = np.full((3, 2, 2), 0.39 * math.sqrt(np.finfo(np.float64).max))
+    norms = np.sqrt((h * h).reshape(3, -1).sum(axis=-1))
+    assert np.isfinite(norms).all() and math.isinf(np.vdot(h, h))
+    for radius in (1.0, 2.0**500, float(norms.max()), 2.0 * float(norms.max())):
+        _assert_projects_as_the_oracle(h, radius)
+
+
+@pytest.mark.parametrize("shape,certified,uncertified", [
+    ((28, 2, 8), 1e-12, 1e-14),      # k = 448: margin about 1e-13
+    ((50, 10, 2000), 1e-9, 1e-10),   # k = 10^6: margin about 2.2e-10
+])
+def test_projection_certificate_margin_grows_with_the_entry_count(monkeypatch, shape,
+                                                                  certified, uncertified):
+    # a radius `certified` above sqrt(D) skips the per-run norms; one
+    # `uncertified` above it takes them, though every run is inside the ball
+    counting = _CountingNumpy()
+    monkeypatch.setattr(model, "np", counting)
+    h = np.random.default_rng(9).standard_normal(shape)
+    root = math.sqrt(np.vdot(h, h))
+    for gap, skips in ((certified, True), (uncertified, False)):
+        before = counting.sqrt_calls
+        assert _assert_projects_as_the_oracle(h, root * (1 + gap))
+        assert (counting.sqrt_calls == before) == skips
 
 
 def test_accuracy_and_mean_loss():
