@@ -119,21 +119,22 @@ def conditional_kl(tree: WeightTree, run: int = 0) -> float:
 class TrainTrace:
     """What one training run leaves behind.
 
-    Every run keeps its batch size, amplitude and decay (what the KL
-    statistics in `bounds` read), utility_sum, the sum of its unique updated
-    indices' utilities at h_t over iterations 1..T-1, its metric_fn results
-    and its final accumulators. A run trained with record=False keeps no
-    more: its other fields stay None. A recorded run also keeps the drawn
-    indices with repeats, one array per iteration (index t-1 holds iteration
-    t), and two sums over every draw of every iteration: log_ratio_sum, of
+    Every run keeps its amplitude and decay (what the KL statistics read),
+    utility_sum, the sum of its unique updated indices' utilities at h_t
+    over iterations 1..T-1, its metric_fn results and its final
+    accumulators. A run trained with record=False keeps no more: its other
+    fields stay None. A recorded run also keeps the drawn indices with
+    repeats, one array per iteration (index t-1 holds iteration t), and two
+    sums over every draw of every iteration: log_ratio_sum, of
     ln(n * Q_t(i)) under the pre-draw tree state, and advantage_sum, of the
     drawn index's decayed-utility accumulator S(i, t) before the step minus
     the accumulator mean over all examples at the start of the iteration.
     Both are formed once, when `train_many` returns, and each is bitwise the
-    running sum that adds one batch sum per iteration, in order.
+    running sum that adds one batch sum per iteration, in order. At any
+    batch size, amplitude * advantage_sum is at least log_ratio_sum on every
+    path, up to rounding (see `bounds.kl_from_utility_advantage`).
     """
 
-    batch_size: int
     amplitude: float
     decay: float
     indices: list | None = None
@@ -300,7 +301,7 @@ def train_many(ds: Dataset, cfgs, sched: StepSchedule, rule: UpdateRuleState, mu
     acc_flat = acc.reshape(-1)
     # run r's examples start at offsets[r] in the flat accumulators
     offsets = np.arange(R)[:, None] * n if R > 1 else None
-    traces = [TrainTrace(b, a, dec) for a in amp_list]
+    traces = [TrainTrace(a, dec) for a in amp_list]
     if record:  # what the trace's sums read, buffered as _path_sums takes it
         seen_idx, seen_acc, seen_roots = [], np.empty((R, T, b)), np.empty((R, T))
         seen_deltas = np.zeros((R, 1 + (T - 1) * b))

@@ -12,8 +12,9 @@ first input it rejects: a kl, chisq, beta, gamma, risk_h0 or eta outside
 coefficient's eta too); an n, T or test_n that is not an integer >= 1 (the
 nonconvex coefficient's n: >= 2); a delta outside (0, 1); and a
 heldout_risk outside [0, M], checked after M. kl_from_utility_advantage
-scales a recorded batch-1 trace's advantage sum into an upper statistic for
-KL(Q || uniform); adaptive's kl_from_utility_sum, the metrics ticks' statistic,
+scales a recorded trace's advantage sum into an upper statistic for
+KL(Q || uniform) at any batch size, one at least the realized log ratio on
+every path; adaptive's kl_from_utility_sum, the metrics ticks' statistic,
 is one only at batch 1 (see its docstring). enumerate_posterior_divergence
 computes the exact KL and both statistics on instances small enough to
 enumerate every sample path. It steps each node's branches through the
@@ -212,19 +213,21 @@ def heldout_risk_bound(heldout_risk: float, M: float, test_n: int, delta: float)
 # ---- KL statistics of recorded traces ----
 
 def kl_from_utility_advantage(trace: TrainTrace) -> float:
-    """Per-path KL statistic from the drawn index's decayed-utility advantage:
+    """Per-path KL statistic from the drawn indices' decayed-utility advantage:
 
-        amplitude * sum_{t=2..T} ( S(i_t, t) - mean_i S(i, t) )
+        amplitude * sum_{t=2..T} sum_{draws i of iteration t} ( S(i, t) - mean_j S(j, t) )
 
     where S(i, t) is the decayed utility accumulator of i entering iteration t
     (every accumulator is 0 at t = 1): amplitude times the trace's
-    advantage_sum. Its expectation over sample paths upper-bounds
-    KL(Q || uniform). Requires a recorded single-draw trace.
+    advantage_sum. Every draw of iteration t is made from the weights
+    exp(amplitude * S(., t)) with total W_t, so ln(n * Q_t(i)) =
+    amplitude * S(i, t) - ln(W_t / n) <= amplitude * (S(i, t) - mean_j S(j, t)),
+    by Jensen. Up to rounding, the statistic is thus at least the realized
+    log ratio `TrainTrace.total_log_ratio` on every path, at any batch size,
+    and its expectation over sample paths upper-bounds KL(Q || uniform).
+    Requires a recorded trace.
     """
-    total = trace.recorded("advantage_sum")
-    if trace.batch_size != 1:
-        raise ValueError("utility-advantage statistic requires batch_size = 1")
-    return trace.amplitude * total
+    return trace.amplitude * trace.recorded("advantage_sum")
 
 
 # ---- exact enumeration oracle ----

@@ -141,13 +141,18 @@ _HELP = {
 }
 
 
+def _flag(name: str) -> str:
+    """The flag of the option whose dest is `name`: `--` plus the name with
+    `_` as `-`, but see _SPELLINGS."""
+    return _SPELLINGS.get(name, "--" + name.replace("_", "-"))
+
+
 def _config_parser(sub, command: str, summary: str, fields, config_file: bool = True):
     """The subcommand parser of `command`: --config (with `config_file`), then
     one flag per ExperimentConfig field in `fields`, in field order, whose dest
-    is the field. A flag is spelled `--` plus the field name with `_` as `-`
-    (but see _SPELLINGS); a bool field is an on/off flag, a field in _CHOICES
-    takes one of its values, and any other takes its annotation's type. None
-    of the parser's flags has a default (argparse.SUPPRESS)."""
+    is the field, spelled by `_flag`; a bool field is an on/off flag, a field
+    in _CHOICES takes one of its values, and any other takes its annotation's
+    type. None of the parser's flags has a default (argparse.SUPPRESS)."""
     p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
     if config_file:
         p.set_defaults(subparser=p)  # parse_args sets this parser's defaults from --config
@@ -157,8 +162,7 @@ def _config_parser(sub, command: str, summary: str, fields, config_file: bool = 
             kind = ({"action": "store_true"} if field.type == "bool" else
                     {"choices": _CHOICES[field.name]} if field.name in _CHOICES else
                     {"type": _TYPES[field.type]})
-            p.add_argument(_SPELLINGS.get(field.name, "--" + field.name.replace("_", "-")),
-                           dest=field.name, help=_HELP.get(field.name), **kind)
+            p.add_argument(_flag(field.name), dest=field.name, help=_HELP.get(field.name), **kind)
     return p
 
 
@@ -175,11 +179,8 @@ def experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(**{**given, "alpha": 0.0} if alphas else given)
     unread = unread_fields(cfg, given, alphas)
     if unread:
-        actions = {a.dest: a for a in args.subparser._actions}
-
         def flag(dest):  # a choice flag such as --schedule is named with its value
-            action = actions[dest]
-            return action.option_strings[0] + (f" {getattr(args, dest)}" if action.choices else "")
+            return _flag(dest) + (f" {getattr(args, dest)}" if dest in _CHOICES else "")
 
         raise ValueError("; ".join(f"{flag(cause)} does not read {', '.join(map(flag, names))}"
                                    for cause, names in unread.items()))

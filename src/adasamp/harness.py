@@ -317,7 +317,7 @@ def _run_arms(arms) -> list:
     """
     cfg = arms[0]
     train_ds, test_ds = build_datasets(cfg)
-    consts = regularity_constants(train_ds, cfg.mu, cfg.loss_bound, cfg.domain_radius)
+    consts = regularity_constants(train_ds, cfg.mu, domain_radius=cfg.domain_radius)
     radius = cfg.domain_radius
     if radius is None and cfg.mu > 0:
         radius = default_domain_radius(train_ds, cfg.mu)
@@ -405,7 +405,7 @@ def build_report(cfg: ExperimentConfig, consts: RegularityConstants,
       its value is at least M, and always the KL-free test-set bound on its
       held-out risk;
     - ``aggregate``: cross-trial aggregates of those rows."""
-    n, T, L, M, delta = train_ds.n, cfg.iters, consts.lipschitz, consts.loss_bound, cfg.delta
+    n, T, L, M, delta = train_ds.n, cfg.iters, consts.lipschitz, cfg.loss_bound, cfg.delta
     h0 = zeros_hypothesis(train_ds.num_classes, train_ds.feature_dim)
     h0_risk = _risk_and_accuracy(h0, test_ds, M)[0]
     stability = {
@@ -586,7 +586,7 @@ def probe_stability(cfg: ExperimentConfig, perturbations: int = 50,
     n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu
     pool = synth_data(n + perturbations + PROBE_EVAL_N, cfg.dim, cfg.classes, cfg.imbalance,
                       cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
-    consts = regularity_constants(pool, mu, M)
+    consts = regularity_constants(pool, mu)
     radius = default_domain_radius(pool, mu)
     sched = StepSchedule.strongly_convex(mu, consts.smoothness)
     table = n + perturbations  # S, then the replacement examples

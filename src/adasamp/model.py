@@ -94,19 +94,16 @@ def _squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class RegularityConstants:
-    """Lipschitz / smoothness / strong-convexity constants of the objective and
-    the loss clamp M, all with respect to the flattened parameter 2-norm."""
+    """Lipschitz and smoothness constants of the objective, with respect to
+    the flattened parameter 2-norm; each must be positive and finite. The
+    strong convexity is mu itself and the loss clamp is M, so neither is
+    kept here."""
 
     lipschitz: float
     smoothness: float
-    strong_convexity: float
-    loss_bound: float
 
     def __post_init__(self):
-        _check_objective(self.strong_convexity, self.loss_bound, None)
         _check_positive(lipschitz=self.lipschitz, smoothness=self.smoothness)
-        if self.strong_convexity > 0 and self.smoothness < self.strong_convexity:
-            raise ValueError("smoothness must dominate strong_convexity")
 
 
 def zeros_hypothesis(num_classes: int, feature_dim: int) -> np.ndarray:
@@ -236,9 +233,9 @@ def _bounded_losses(scores: np.ndarray, labels: np.ndarray, M: float) -> np.ndar
 
     The label's entry is picked before it is divided by its row's sum, which
     is bitwise the picked entry of the divided softmax, with one division per
-    row instead of C. The row sums are taken by class columns.
+    row instead of C. The row sums are taken by class columns. M is the
+    caller's, already checked to lie in (0, inf).
     """
-    _check_positive(M=M)
     e = _shifted_exp(scores)
     py = e[np.arange(labels.size), labels] / _last_axis_sum(e)
     return np.minimum(-np.log(np.maximum(py, PROB_FLOOR)), M)
@@ -376,19 +373,24 @@ def _project(h: np.ndarray, radius: float) -> np.ndarray:
     return h * scale[..., None, None]
 
 
-def regularity_constants(ds: Dataset, mu: float, M: float,
+def regularity_constants(ds: Dataset, mu: float, *,
                          domain_radius: float | None = None) -> RegularityConstants:
     """Constants of F over the projection ball, from the data's feature radius R.
 
     ||softmax(s) - onehot(y)||_2 <= sqrt(2), so the cross-entropy part of the
     gradient is bounded by sqrt(2)*R everywhere and the ridge adds mu*||h||; the
     score-space Hessian diag(p) - pp^T has spectral norm at most 1/2, giving the
-    smoothness bound R^2/2 + mu. The loss min(CE, M) shares the same Lipschitz
-    bound, so one L serves both roles.
+    smoothness bound R^2/2 + mu >= mu. The loss min(CE, M) shares the same
+    Lipschitz bound for every M, so one L serves both roles and M is not an
+    input. The radius is `default_domain_radius` unless given (by keyword).
+    ValueError names a mu or radius outside [0, inf), or the constant that
+    overflows.
     """
-    _check_objective(mu, M, domain_radius)
+    _check_nonnegative(mu=mu)
     if domain_radius is None:
         domain_radius = default_domain_radius(ds, mu)
+    else:
+        _check_nonnegative(domain_radius=domain_radius)
     R = ds.feature_radius
     lipschitz = math.sqrt(2.0) * R + mu * domain_radius
     smoothness = 0.5 * R * R + mu
@@ -398,4 +400,4 @@ def regularity_constants(ds: Dataset, mu: float, M: float,
     if not math.isfinite(lipschitz):  # sqrt(2)*R is finite here, so mu * domain_radius is not
         raise ValueError(f"mu * domain_radius = {mu:.6g} * {domain_radius:.6g} is too large: "
                          "the Lipschitz constant sqrt(2)*R + mu * domain_radius overflows")
-    return RegularityConstants(lipschitz, smoothness, mu, M)
+    return RegularityConstants(lipschitz, smoothness)

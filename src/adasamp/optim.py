@@ -104,13 +104,15 @@ def apply_update(h: np.ndarray, grad: np.ndarray, t: int, sched: StepSchedule,
     An (R, C, d) stack of runs, with an (R, C, d) gradient and accumulator,
     steps every run; the arithmetic is elementwise apart from the projection,
     which scales each run by its own norm, so run r's result is bitwise that
-    of stepping it alone. A rejected input (a gradient of another shape, a t
-    that is not an integer >= 1, a radius outside [0, inf)) raises
-    ValueError before the accumulator moves; loops that check once per call
-    step through the unchecked `_step`.
+    of stepping it alone. A rejected input (a gradient or AdaGrad
+    accumulator of another shape, a t that is not an integer >= 1, a radius
+    outside [0, inf)) raises ValueError before the accumulator moves; loops
+    that check once per call step through the unchecked `_step`.
     """
     if grad.shape != h.shape:
         raise ValueError("gradient shape mismatch")
+    if state.kind == "adagrad" and state.accumulator.shape != h.shape:
+        raise ValueError("adagrad accumulator shape must be h's shape")
     _check_counts(t=t)
     if domain_radius is not None:
         _check_nonnegative(domain_radius=domain_radius)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -119,7 +120,10 @@ class WeightTree:
         return self._nodes[idx + self.capacity] / root
 
     def distribution(self, run: int = 0) -> np.ndarray:
-        """All n sampling probabilities of one run, normalized to sum to 1 (O(n) diagnostic)."""
+        """All n sampling probabilities of one run, normalized to sum to 1 (O(n)
+        diagnostic); ValueError unless run is an integer in [0, runs)."""
+        if not (isinstance(run, numbers.Integral) and 0 <= run < self.runs):
+            raise ValueError(f"run must be an integer in [0, {self.runs}), got {run!r}")
         leaves = self._leaves(run)
         s = leaves.sum()
         if s <= 0:

@@ -204,7 +204,7 @@ def test_conditional_kl_is_the_masked_sum_bitwise():
             pos = q > 0
             want = float((q[pos] * np.log(n * q[pos])).sum())
             assert conditional_kl(tree, run) == want
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="^run must be an integer in"):
             conditional_kl(tree, 2)  # a run the tree does not hold
 
 

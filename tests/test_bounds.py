@@ -336,15 +336,26 @@ def test_advantage_statistic_single_iteration_is_zero():
     assert kl_from_utility_advantage(trace) == 0.0
 
 
-def test_advantage_statistic_requires_single_draws():
-    ds = constant_utility_dataset(4)
-    cfg = SamplerConfig(amplitude=0.5, decay=0.5, utility="zero_one",
-                        batch_size=2, iterations=3)
-    _, trace = train(ds, cfg, StepSchedule.constant(0.1), UpdateRuleState.sgd(),
-                     0.0, 5.0, zeros_hypothesis(2, 1), np.random.default_rng(4))
-    with pytest.raises(ValueError):
-        kl_from_utility_advantage(trace)
-    assert kl_from_utility_sum(trace) > 0.0  # defined at any batch, but see the next test
+@pytest.mark.parametrize("batch", [3, 16, 100])
+def test_advantage_statistic_is_at_least_the_log_ratio_on_every_path(batch):
+    # every draw of iteration t has ln(n Q_t(i)) = amplitude A_i - ln(W_t / n)
+    # <= amplitude (A_i - mean A) by Jensen, so the advantage statistic is at
+    # least the realized log ratio path by path, at any batch
+    rng = np.random.default_rng(batch)
+    ds = Dataset.from_arrays(rng.standard_normal((40, 3)), rng.integers(0, 3, size=40), 3)
+    cfgs = [SamplerConfig(amplitude=a, decay=0.5, batch_size=batch, iterations=12)
+            for a in (0.0, 0.01, 0.3, 1.0, 5.0) for _ in range(8)]
+    out = train_many(ds, cfgs, StepSchedule.constant(0.5), UpdateRuleState.sgd(), 0.01, 5.0,
+                     [zeros_hypothesis(3, 3)] * len(cfgs),
+                     [np.random.default_rng(seed) for seed in range(len(cfgs))])
+    ells = []
+    for cfg, (_, trace) in zip(cfgs, out):
+        ell = trace.total_log_ratio()
+        assert kl_from_utility_advantage(trace) >= ell - 1e-12 * max(1.0, abs(ell))
+        # the utility sum is defined at any batch too, though it can fall below the KL
+        assert (kl_from_utility_sum(trace) > 0.0) == (cfg.amplitude > 0)
+        ells.append(ell)
+    assert max(ells) > 1.0  # the sampler really drifted from uniform
 
 
 def _train_unrecorded(T):
@@ -429,6 +440,8 @@ def test_utility_sum_statistic_falls_below_the_exact_kl_at_fixed_utilities():
                            ([kl_from_utility_sum(trace) for _, trace in out], stat_exact)):
         mean, se = np.mean(samples), np.std(samples, ddof=1) / math.sqrt(runs)
         assert abs(mean - exact) <= 3.0 * se, (mean, exact, se)
+    # the advantage statistic stays an upper statistic at this batch
+    assert np.mean([kl_from_utility_advantage(trace) for _, trace in out]) >= kl_exact
 
 
 # ---- exact enumeration ----

@@ -276,14 +276,14 @@ def test_overflowing_constants_exit_2_before_training(tmp_path, capsys, flags, m
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_and_mpmath_unloaded():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = "import sys, adasamp.cli; print('scipy' in sys.modules)"
+    code = "import sys, adasamp.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):

@@ -49,6 +49,7 @@ from adasamp.harness import (
 from adasamp.model import (
     PROB_FLOOR,
     Dataset,
+    RegularityConstants,
     default_domain_radius,
     regularity_constants,
 )
@@ -150,7 +151,7 @@ def test_each_compare_arm_echoes_its_own_alpha_and_out(tmp_path):
 
 @pytest.mark.parametrize("schedule", ["constant", "inverse_decay", "strongly_convex"])
 def test_kappa_is_unread_exactly_where_it_does_not_move_the_schedule(schedule):
-    consts = regularity_constants(build_datasets(_small_cfg())[0], 0.01, 5.0)
+    consts = regularity_constants(build_datasets(_small_cfg())[0], 0.01)
     cfg = ExperimentConfig(schedule=schedule)
     smooth = consts.smoothness
     moved = cfg.step_schedule(smooth) != dataclasses.replace(cfg, kappa=0.5).step_schedule(smooth)
@@ -363,7 +364,7 @@ def test_every_kl_bound_is_vacuous_at_the_defaults():
     # a final record at the defaults' size; kl 0 gives each KL bound its least value
     cfg = ExperimentConfig()
     train_ds, test_ds = build_datasets(cfg)
-    consts = regularity_constants(train_ds, cfg.mu, cfg.loss_bound)
+    consts = regularity_constants(train_ds, cfg.mu)
     final = MetricsRecord(cfg.iters, 0.05, 0.06, 0.99, 0.99, 0.0, None)
     report = harness.build_report(cfg, consts, train_ds, test_ds, [[final]])
     b = report["trials"][0]["bounds"]
@@ -371,8 +372,7 @@ def test_every_kl_bound_is_vacuous_at_the_defaults():
         assert b[key]["vacuous"] is True and b[key]["value"] >= cfg.loss_bound, key
     assert b["test_set_hoeffding"]["value"] == pytest.approx(0.06 + 0.2737, abs=1e-4)
     # a unit-norm regime with mu 1, where the uniform arm's KL bound says something
-    unit = dataclasses.replace(consts, lipschitz=2 * math.sqrt(2.0), smoothness=1.5,
-                               strong_convexity=1.0)
+    unit = RegularityConstants(lipschitz=2 * math.sqrt(2.0), smoothness=1.5)
     tight = harness.build_report(dataclasses.replace(cfg, mu=1.0), unit, train_ds, test_ds,
                                  [[final]])["trials"][0]["bounds"]
     assert tight["gen_kl"]["vacuous"] is False and tight["gen_kl"]["value"] < cfg.loss_bound
@@ -597,7 +597,7 @@ def _per_run_probe(cfg, perturbations, probe_seeds, eval_n):
     n, T, M, mu = cfg.n, cfg.iters, cfg.loss_bound, cfg.mu
     pool = synth_data(n + perturbations + eval_n, cfg.dim, cfg.classes, cfg.imbalance,
                       cfg.noise, seed=_data_seed(cfg.seed), separation=cfg.separation)
-    consts = regularity_constants(pool, mu, M)
+    consts = regularity_constants(pool, mu)
     radius = default_domain_radius(pool, mu)
     sched = StepSchedule.strongly_convex(mu, consts.smoothness)
     S = Dataset.from_arrays(pool.features[:n], pool.labels[:n], pool.num_classes)

@@ -60,8 +60,8 @@ def _train_many(name, value, monkeypatch):
     start = rng.bit_generator.state
     try:
         train_many(ds, [SamplerConfig(1.0, 0.5, iterations=3)], StepSchedule.constant(0.1),
-                   UpdateRuleState.sgd(), 0.0, 5.0, [zeros_hypothesis(2, 2)], [rng],
-                   metric_fn=_never, **{name: value})
+                   UpdateRuleState.sgd(), h0s=[zeros_hypothesis(2, 2)], rngs=[rng],
+                   metric_fn=_never, **{"mu": 0.0, "M": 5.0, name: value})
     finally:
         assert rng.bit_generator.state == start
 
@@ -130,7 +130,7 @@ ENTRY_POINTS = {
                            ["test_n"]),
     "ExperimentConfig": (_experiment_config, ["eta", "delta"], ["trials", "cadence"]),
     "SamplerConfig": (_sampler_config, ["amplitude", "decay"], ["batch_size", "iterations"]),
-    "train_many": (_train_many, [], ["metric_every"]),
+    "train_many": (_train_many, ["mu", "M", "domain_radius"], ["metric_every"]),
     "apply_update": (_apply_update, ["domain_radius"], ["t"]),
     "StepSchedule.inverse_decay": (_schedule("inverse_decay"), ["eta", "kappa"], []),
     "StepSchedule.strongly_convex": (_schedule("strongly_convex"), ["mu", "smoothness"], []),
@@ -162,6 +162,9 @@ def test_each_entry_point_rejects_a_bad_scalar_naming_it(monkeypatch, entry, nam
     (lambda: SamplerConfig(1.0, 0.5, iterations=2.5), "iterations must be an integer, got 2.5"),
     (lambda: harness.ExperimentConfig(trials=2.5), "trials must be an integer, got 2.5"),
     (lambda: harness.ExperimentConfig(cadence=math.nan), "cadence must be an integer, got nan"),
+    (lambda: harness.ExperimentConfig(loss_bound=math.inf), "loss_bound must be finite, got inf"),
+    (lambda: harness.ExperimentConfig(loss_bound=0.0), "M must be positive and finite"),
+    (lambda: harness.ExperimentConfig(loss_bound=-1.0), "M must be positive and finite"),
     (lambda: bounds.sgd_stability_convex(1.0, 0.1, 10, 2.5), "n must be an integer, got 2.5"),
     (lambda: bounds.gen_bound_kl(math.nan, 1.0, 10, 10, 0.0, 0.0, 0.05),
      "kl must be nonnegative and finite, got nan"),

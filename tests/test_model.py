@@ -176,7 +176,7 @@ def test_smoothness_inequality():
     rng = np.random.default_rng(6)
     mu = 0.2
     ds = _random_dataset(rng, n=30, d=3)
-    consts = regularity_constants(ds, mu, 5.0)
+    consts = regularity_constants(ds, mu)
     for _ in range(100):
         z = example(ds, int(rng.integers(0, ds.n)))
         a = rng.standard_normal((2, 3))
@@ -189,45 +189,52 @@ def test_constants_examples():
     X = np.array([[1.0, 0.0], [0.6, 0.8]])
     ds = Dataset.from_arrays(X, np.array([0, 1]), 2)
     assert ds.feature_radius == pytest.approx(1.0, abs=1e-12)
-    c0 = regularity_constants(ds, 0.0, 5.0)
+    c0 = regularity_constants(ds, 0.0)
+    assert c0 == RegularityConstants(c0.lipschitz, c0.smoothness)  # the two constants alone
     assert c0.lipschitz == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert c0.smoothness == pytest.approx(0.5, abs=1e-12)
-    assert c0.strong_convexity == 0.0
-    assert c0.loss_bound == 5.0
-    # adding mu shifts smoothness/strong convexity by exactly mu
+    # adding mu shifts smoothness by exactly mu
     r = default_domain_radius(ds, 0.1)
-    c1 = regularity_constants(ds, 0.1, 5.0, domain_radius=r)
+    c1 = regularity_constants(ds, 0.1, domain_radius=r)
     assert c1.smoothness == pytest.approx(c0.smoothness + 0.1, abs=1e-12)
-    assert c1.strong_convexity == pytest.approx(0.1, abs=1e-12)
     assert c1.lipschitz == pytest.approx(math.sqrt(2.0) + 0.1 * r, abs=1e-12)
 
 
 def test_overflowing_constants_are_rejected_naming_the_cause():
     wide = Dataset.from_arrays([[1e160, 0.0], [0.0, 1.0]], [0, 1])
     with pytest.raises(ValueError, match="^the feature radius R = inf is too large"):
-        regularity_constants(wide, 0.01, 5.0)
+        regularity_constants(wide, 0.01)
     ds = Dataset.from_arrays([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     with pytest.raises(ValueError, match="^mu \\* domain_radius = 2 \\* 1e\\+308 is too large"):
-        regularity_constants(ds, 2.0, 5.0, domain_radius=1e308)
+        regularity_constants(ds, 2.0, domain_radius=1e308)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            RegularityConstants(bad, 1.0, 0.0, 5.0)
+            RegularityConstants(bad, 1.0)
         with pytest.raises(ValueError, match="positive and finite"):
-            RegularityConstants(1.0, bad, 0.0, 5.0)
+            RegularityConstants(1.0, bad)
 
 
 @pytest.mark.parametrize("args,message", [
-    ((math.nan, 5.0, None), "^mu must be nonnegative and finite, got nan$"),
-    ((math.inf, 5.0, None), "^mu must be nonnegative and finite, got inf$"),
-    ((0.1, math.nan, None), "^M must be positive and finite$"),
-    ((0.0, 5.0, math.inf), "^domain_radius must be nonnegative and finite, got inf$"),
-    ((0.1, 5.0, math.nan), "^domain_radius must be nonnegative and finite, got nan$"),
+    ((math.nan, None), "^mu must be nonnegative and finite, got nan$"),
+    ((math.inf, None), "^mu must be nonnegative and finite, got inf$"),
+    ((0.0, math.inf), "^domain_radius must be nonnegative and finite, got inf$"),
+    ((0.1, math.nan), "^domain_radius must be nonnegative and finite, got nan$"),
 ])
 def test_constants_name_the_input_they_reject(args, message):
     # each message names the input at fault, not a constant computed from it
     ds = Dataset.from_arrays([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    mu, radius = args
     with pytest.raises(ValueError, match=message):
-        regularity_constants(ds, *args)
+        regularity_constants(ds, mu, domain_radius=radius)
+
+
+def test_constants_take_the_radius_by_keyword_alone():
+    # a third positional value, such as a loss clamp M, is an error, never a radius
+    ds = Dataset.from_arrays([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    with pytest.raises(TypeError):
+        regularity_constants(ds, 0.1, 5.0)
+    assert regularity_constants(ds, 0.1) == regularity_constants(
+        ds, 0.1, domain_radius=default_domain_radius(ds, 0.1))
 
 
 def _nan_blind_bytes(x):
@@ -311,7 +318,7 @@ def test_gradient_norm_never_exceeds_lipschitz():
     mu = 0.1
     ds = _random_dataset(rng, n=50, d=4)
     radius = default_domain_radius(ds, mu)
-    consts = regularity_constants(ds, mu, 5.0, domain_radius=radius)
+    consts = regularity_constants(ds, mu, domain_radius=radius)
     worst = 0.0
     for _ in range(10000):
         h = rng.standard_normal((2, 4))
@@ -328,7 +335,7 @@ def test_hessian_norm_bound_is_tight_at_zero():
     R = 1.0
     X = np.array([[R, 0.0]])
     ds = Dataset.from_arrays(X, np.array([0]), 2)
-    consts = regularity_constants(ds, 0.0, 5.0)
+    consts = regularity_constants(ds, 0.0)
     z = example(ds, 0)
     eps = 1e-5
 

@@ -146,6 +146,16 @@ def test_apply_update_validation():
         apply_update(np.zeros((1, 2)), np.zeros((2, 2)), 1, sched, UpdateRuleState.sgd())
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 3), (3,), (3, 2)])
+def test_apply_update_rejects_an_accumulator_of_another_shape(shape):
+    # a (4, 2, 3) accumulator would broadcast h into four stepped runs, and
+    # a (3,) one fail inside numpy without naming it
+    state = UpdateRuleState("adagrad", np.full(shape, 0.5))
+    with pytest.raises(ValueError, match="^adagrad accumulator shape must be h's shape$"):
+        apply_update(np.ones((2, 3)), np.ones((2, 3)), 1, StepSchedule.constant(0.1), state)
+    assert np.array_equal(state.accumulator, np.full(shape, 0.5))  # rejected before the step
+
+
 def test_updates_are_deterministic():
     g = np.array([[0.7, -0.3]])
     runs = []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import adasamp.weight_tree as weight_tree
-from adasamp import WeightTree
+from adasamp import WeightTree, conditional_kl
 from oracles import naive_descend
 
 
@@ -62,6 +62,19 @@ def test_depth_is_ceil_log2():
 def test_distribution_examples():
     assert np.allclose(WeightTree([1, 1, 1, 1]).distribution(), 0.25, atol=1e-15)
     assert np.allclose(WeightTree([1, 3]).distribution(), [0.25, 0.75], atol=1e-15)
+
+
+@pytest.mark.parametrize("run", [-1, -2, 2, 1.0, 0.5, "0", None])
+def test_distribution_rejects_a_run_outside_the_tree(run):
+    # a negative run would index from the end, and 2 past it; conditional_kl
+    # reads a run's distribution, so it rejects the same runs
+    tree = WeightTree([[1.0, 3.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match=r"^run must be an integer in \[0, 2\), got "):
+        tree.distribution(run)
+    with pytest.raises(ValueError, match="^run must be an integer"):
+        conditional_kl(tree, run)
+    assert tree.distribution(np.int64(1)).tolist() == [0.5, 0.5]
+    assert conditional_kl(tree, 1) == 0.0
 
 
 def test_forced_descend_branches():
@@ -426,7 +439,7 @@ def test_run_axis_matches_separate_trees(monkeypatch):
     with pytest.raises(ValueError):
         stacked.descend_many(rng.random((2, stacked.depth)))  # the run axis is required
     for tree, run in ((stacked, 3), (alone[0], 1)):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="^run must be an integer in"):
             tree.distribution(run)  # a run the tree does not hold
     with pytest.raises(ValueError):
         WeightTree([[1.0, 0.0], [0.0, 0.0]])  # every run needs a positive weight
